@@ -59,7 +59,7 @@ def _nonsmoothness_margins(ps: ParamSet, x: np.ndarray) -> tuple[list[float], np
             margins.append(float(np.abs(z).min()))
             h = np.maximum(z, 0.0)
         elif ps.spec.final == "sigmoid":
-            p = 1.0 / (1.0 + np.exp(-z))
+            p = T.stable_sigmoid(z)
             margins.append(float(min((p - DISC_EPS).min(), (1.0 - DISC_EPS - p).min())))
             h = p
         else:

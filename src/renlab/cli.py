@@ -10,7 +10,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,8 @@ from .evaluation import (ablation_report, load_metrics, save_ablation,
                          save_metrics)
 from .exceptions import ConfigError, ContractError, RenlabError
 from .networks import save_paramsets
-from .trainer import (VARIANTS, RunResult, TrainConfig, Trainer, load_config)
+from .trainer import (VARIANTS, RunResult, TrainConfig, Trainer, ablation_accuracies,
+                      config_choices, load_config, parse_config_value, run_ablation)
 
 TOOL_VERSION = "renlab 0.1.0"
 
@@ -83,58 +84,20 @@ def _data_spec(args) -> dict:
             "lift_noise": args.lift_noise}
 
 
-_CONFIG_FLAGS = ("eta0", "anneal_alpha", "anneal_beta", "momentum", "batch_size",
-                 "total_steps", "alpha_theta", "alpha_p", "lambda_stu", "lambda_tea",
-                 "gamma", "grl_ramp", "gamma_ramp", "consistency_squared",
-                 "eval_every", "seed", "variant", "feature_hidden", "feature_dim",
-                 "disc_hidden")
-
-
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    """One flag per TrainConfig field, spelled like the field with dashes;
+    values are parsed exactly as config-file values are."""
     p.add_argument("--config", type=str, default=None, help="key = value config file")
-    p.add_argument("--eta0", type=float)
-    p.add_argument("--anneal-alpha", type=float)
-    p.add_argument("--anneal-beta", type=float)
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--steps", dest="total_steps", type=int)
-    p.add_argument("--alpha-theta", type=str, help="number in [0,1] or 'ramp'")
-    p.add_argument("--alpha-p", type=float)
-    p.add_argument("--lambda-stu", type=float)
-    p.add_argument("--lambda-tea", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--grl-ramp", choices=("on", "off"))
-    p.add_argument("--gamma-ramp", choices=("on", "off"))
-    p.add_argument("--consistency-squared", choices=("on", "off"))
-    p.add_argument("--eval-every", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--variant", choices=VARIANTS)
-    p.add_argument("--feature-hidden", type=int)
-    p.add_argument("--feature-dim", type=int)
-    p.add_argument("--disc-hidden", type=int)
+    for f in fields(TrainConfig):
+        flag = "--steps" if f.name == "total_steps" else "--" + f.name.replace("_", "-")
+        p.add_argument(flag, dest=f.name, choices=config_choices(f.name),
+                       help=f"config key {f.name} (default {f.default})")
 
 
 def _config_from_args(args) -> TrainConfig:
-    overrides = {}
-    for name in _CONFIG_FLAGS:
-        value = getattr(args, name, None)
-        if value is None:
-            continue
-        if name in ("grl_ramp", "gamma_ramp", "consistency_squared"):
-            value = value == "on"
-        elif name == "alpha_theta" and value != "ramp":
-            try:
-                value = float(value)
-            except ValueError:
-                raise ConfigError(f"alpha_theta must be a number or 'ramp', "
-                                  f"got {value!r}") from None
-        overrides[name] = value
-    if args.config:
-        cfg = load_config(args.config, **overrides)
-    else:
-        cfg = TrainConfig(**overrides)
-        cfg.validate()
-    return cfg
+    overrides = {f.name: parse_config_value(f.name, getattr(args, f.name))
+                 for f in fields(TrainConfig) if getattr(args, f.name) is not None}
+    return load_config(args.config, **overrides)
 
 
 def _run_dir_name(cfg: TrainConfig, data_spec: dict) -> str:
@@ -143,8 +106,10 @@ def _run_dir_name(cfg: TrainConfig, data_spec: dict) -> str:
     return f"{digest}-s{cfg.seed}"
 
 
-def _execute_run(cfg: TrainConfig, dataset: DomainDataset, data_spec: dict,
-                 out_root: Path) -> tuple[Path, RunResult]:
+def _write_run(result: RunResult, dataset: DomainDataset, data_spec: dict,
+               out_root: Path) -> Path:
+    """Write a finished run's manifest, metrics and checkpoint."""
+    cfg = result.cfg
     run_dir = out_root / _run_dir_name(cfg, data_spec)
     run_dir.mkdir(parents=True, exist_ok=True)
     manifest = {"tool": TOOL_VERSION, "config": cfg.to_dict(), "seeds": [cfg.seed],
@@ -153,7 +118,6 @@ def _execute_run(cfg: TrainConfig, dataset: DomainDataset, data_spec: dict,
     with open(run_dir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    result = Trainer(cfg, dataset).run()
     save_metrics(result.records, run_dir / "metrics.csv")
     named = {"student_F": result.student_F, "student_C": result.student_C}
     if result.dualnet is not None:
@@ -162,13 +126,13 @@ def _execute_run(cfg: TrainConfig, dataset: DomainDataset, data_spec: dict,
     if result.disc is not None:
         named["disc"] = result.disc
     save_paramsets(run_dir / "checkpoint.txt", named)
-    return run_dir, result
+    return run_dir
 
 
 def cmd_datagen(args) -> int:
+    dataset = _build_dataset(args, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    dataset = _build_dataset(args, args.seed if args.seed is not None else 0)
     save_dataset(dataset, out / "dataset.csv", out / "dataset.meta")
     print(f"wrote {out / 'dataset.csv'} and {out / 'dataset.meta'}")
     return 0
@@ -177,7 +141,8 @@ def cmd_datagen(args) -> int:
 def cmd_train(args) -> int:
     cfg = _config_from_args(args)
     dataset = _build_dataset(args, cfg.seed)
-    run_dir, result = _execute_run(cfg, dataset, _data_spec(args), Path(args.out))
+    result = Trainer(cfg, dataset).run()
+    run_dir = _write_run(result, dataset, _data_spec(args), Path(args.out))
     final = result.records[-1]
     print(f"run {run_dir}")
     print(f"final step {final.step}: target acc student={final.acc_student_target:.4f} "
@@ -188,24 +153,18 @@ def cmd_train(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = _config_from_args(args)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    seeds = [parse_config_value("seed", s) for s in args.seeds.split(",") if s.strip()]
     if not variants or not seeds:
         raise ConfigError("ablate needs at least one variant and one seed")
-    for v in variants:
-        if v not in VARIANTS:
-            raise ConfigError(f"unknown variant {v!r}")
+    datasets = {seed: _build_dataset(args, seed) for seed in seeds}
+    runs = run_ablation(cfg, variants, seeds, datasets.__getitem__)
     out_root = Path(args.out)
-    out_root.mkdir(parents=True, exist_ok=True)
-    results: dict[str, dict[int, float]] = {}
-    for variant in sorted(set(variants), key=VARIANTS.index):
-        for seed in sorted(set(seeds)):
-            run_cfg = replace(cfg, variant=variant, seed=seed)
-            dataset = _build_dataset(args, seed)
-            _, result = _execute_run(run_cfg, dataset, _data_spec(args), out_root)
-            results.setdefault(variant, {})[seed] = result.final_accuracy
+    for (_, seed), result in runs.items():
+        _write_run(result, datasets[seed], _data_spec(args), out_root)
+    results = ablation_accuracies(runs)
     report = ablation_report(results)
     save_ablation(report, out_root / "ablation.json")
-    for variant in sorted(results, key=VARIANTS.index):
+    for variant in results:
         entry = report["variants"][variant]
         print(f"{variant}: mean={entry['mean']:.4f} std={entry['std']:.4f} "
               f"n={entry['n_seeds']}")
@@ -231,11 +190,15 @@ def cmd_report(args) -> int:
     root = Path(args.runs)
     results: dict[str, dict[int, float]] = {}
     for manifest_path in sorted(root.glob("*/manifest.json")):
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
+        try:
+            with open(manifest_path) as fh:
+                config = json.load(fh)["config"]
+            variant, seed = config["variant"], int(config["seed"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ContractError(f"malformed manifest {manifest_path}: {exc!r}") from None
+        if variant not in VARIANTS:
+            raise ContractError(f"unknown variant {variant!r} in {manifest_path}")
         records = load_metrics(manifest_path.parent / "metrics.csv")
-        variant = manifest["config"]["variant"]
-        seed = int(manifest["config"]["seed"])
         results.setdefault(variant, {})[seed] = records[-1].acc_teacher_target
     if not results:
         raise ConfigError(f"no run directories with manifests under {root}")
@@ -294,15 +257,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ContractError) as exc:
+    except (ConfigError, ContractError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RenlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

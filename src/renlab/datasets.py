@@ -19,6 +19,12 @@ from .exceptions import ConfigError, ContractError
 GENERATORS = ("two_moons", "blobs")
 
 
+def _require_finite(name: str, value) -> None:
+    # nan slips through every range check (nan < 0 is False), so test first
+    if not np.isfinite(value).all():
+        raise ConfigError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class ShiftSpec:
     """Geometric shift applied to a fresh draw of the source process.
@@ -35,6 +41,10 @@ class ShiftSpec:
     class_imbalance_ratio: float = 1.0
 
     def __post_init__(self):
+        for name in ("rotation_deg", "translation", "scale", "noise_sigma",
+                     "class_imbalance_ratio"):
+            if getattr(self, name) is not None:
+                _require_finite(name, getattr(self, name))
         if self.scale <= 0:
             raise ConfigError(f"scale must be positive, got {self.scale}")
         if self.noise_sigma is not None and self.noise_sigma < 0:
@@ -61,6 +71,7 @@ def make_two_moons(n: int, noise_sigma: float, seed) -> LabeledSet:
     """
     if n < 2:
         raise ConfigError(f"two moons needs n >= 2, got {n}")
+    _require_finite("noise_sigma", noise_sigma)
     if noise_sigma < 0:
         raise ConfigError(f"noise_sigma must be >= 0, got {noise_sigma}")
     n0 = n - n // 2
@@ -98,12 +109,15 @@ def make_blobs(n: int, n_classes: int, centers, sigma: float, seed,
     """Isotropic Gaussian clusters, optionally with ramped class imbalance."""
     if n_classes < 2:
         raise ConfigError(f"blobs needs at least 2 classes, got {n_classes}")
+    _require_finite("sigma", sigma)
+    _require_finite("imbalance_ratio", imbalance_ratio)
     if sigma < 0:
         raise ConfigError(f"sigma must be >= 0, got {sigma}")
     ctr = np.asarray(centers, dtype=np.float64)
     if ctr.ndim != 2 or ctr.shape[0] != n_classes:
         raise ConfigError(f"{ctr.shape[0] if ctr.ndim == 2 else '?'} centers "
                           f"for {n_classes} classes")
+    _require_finite("centers", ctr)
     counts = _class_counts(n, n_classes, imbalance_ratio)
     rng = np.random.default_rng(seed)
     xs, ys = [], []
@@ -166,6 +180,7 @@ def lift_embedding(dim_in: int, dim_out: int, seed) -> np.ndarray:
 
 
 def lift(x: np.ndarray, embedding: np.ndarray, noise_sigma: float, seed) -> np.ndarray:
+    _require_finite("lift noise_sigma", noise_sigma)
     lifted = x @ embedding
     if noise_sigma > 0:
         rng = np.random.default_rng(seed)
@@ -215,6 +230,7 @@ def make_domain_dataset(source: LabeledSet, shift: ShiftSpec, seed,
                         lift_dim: int = 0, lift_noise: float = 0.0) -> DomainDataset:
     """Pair a source set with its shifted redraw; optionally lift both
     through one shared embedding.  lift_dim 0 keeps the raw 2-D data."""
+    _require_finite("lift_noise", lift_noise)  # recorded in meta even when unused
     # seed offsets 900.. keep dataset streams disjoint from network-init seeds
     target = apply_shift(source, shift, [seed, 901])
     sx, tx = source.x, target.x
@@ -324,22 +340,28 @@ def save_dataset(dataset: DomainDataset, csv_path, meta_path) -> None:
 
 
 def load_dataset(csv_path) -> DomainDataset:
-    with open(csv_path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("id,split,label,"):
-        raise ContractError(f"unrecognized dataset header in {csv_path}")
+    """Read a dataset CSV; a corrupt or truncated file raises ContractError."""
     sx, sy, tx, ty = [], [], [], []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        split, label = parts[1], int(parts[2])
-        coords = [float(v) for v in parts[3:]]
-        if split == "source":
-            sx.append(coords)
-            sy.append(label)
-        elif split == "target":
-            tx.append(coords)
-            ty.append(label)
-        else:
-            raise ContractError(f"unknown split {split!r} in {csv_path}")
-    return DomainDataset(np.array(sx), np.array(sy, dtype=np.int64),
-                         np.array(tx), np.array(ty, dtype=np.int64))
+    splits = {"source": (sx, sy), "target": (tx, ty)}
+    with open(csv_path) as fh:
+        header = fh.readline()
+        if not header.startswith("id,split,label,"):
+            raise ContractError(f"unrecognized dataset header in {csv_path}")
+        width = header.count(",") + 1
+        for lineno, line in enumerate(fh, start=2):
+            parts = line.strip().split(",")
+            if parts == [""]:
+                continue
+            if not line.endswith("\n") or len(parts) != width or parts[1] not in splits:
+                raise ContractError(f"malformed or truncated line {lineno} in {csv_path}")
+            xs, ys = splits[parts[1]]
+            try:
+                ys.append(int(parts[2]))
+                xs.append([float(v) for v in parts[3:]])
+            except ValueError:
+                raise ContractError(f"bad number on line {lineno} in {csv_path}") from None
+    dataset = DomainDataset(np.array(sx), np.array(sy, dtype=np.int64),
+                            np.array(tx), np.array(ty, dtype=np.int64))
+    if not (np.isfinite(dataset.source_x).all() and np.isfinite(dataset.target_x).all()):
+        raise ContractError(f"non-finite coordinate in {csv_path}")
+    return dataset

@@ -149,19 +149,28 @@ def save_metrics(records: list[MetricsRecord], path) -> None:
 
 
 def load_metrics(path) -> list[MetricsRecord]:
+    """Read a metrics CSV; a corrupt, truncated or row-less file raises
+    ContractError (every run evaluates at least once)."""
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        text = fh.read()
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != ",".join(METRICS_COLUMNS):
         raise ContractError(f"unrecognized metrics header in {path}")
+    if len(lines) == 1 or not text.endswith("\n"):
+        raise ContractError(f"truncated metrics file {path}")
     out = []
     for ln in lines[1:]:
-        v = ln.split(",")
-        parts = LossBreakdown(l_c=float(v[2]), l_d_stu=float(v[3]), l_d_tea=float(v[4]),
-                              l_con=float(v[5]), total=float(v[6]))
-        out.append(MetricsRecord(step=int(v[0]), lr=float(v[1]), parts=parts,
-                                 acc_student_source=float(v[7]),
-                                 acc_student_target=float(v[8]),
-                                 acc_teacher_target=float(v[9])))
+        try:
+            step, lr, l_c, l_d_stu, l_d_tea, l_con, total, acc_s, acc_t, acc_tea = ln.split(",")
+            parts = LossBreakdown(l_c=float(l_c), l_d_stu=float(l_d_stu),
+                                  l_d_tea=float(l_d_tea), l_con=float(l_con),
+                                  total=float(total))
+            out.append(MetricsRecord(step=int(step), lr=float(lr), parts=parts,
+                                     acc_student_source=float(acc_s),
+                                     acc_student_target=float(acc_t),
+                                     acc_teacher_target=float(acc_tea)))
+        except ValueError:
+            raise ContractError(f"malformed metrics row in {path}: {ln[:60]!r}") from None
     return out
 
 

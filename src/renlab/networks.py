@@ -91,12 +91,7 @@ class ParamSet:
         if self.spec.final == "relu":
             h = np.maximum(h, 0.0)
         elif self.spec.final == "sigmoid":
-            out = np.empty_like(h)
-            pos = h >= 0
-            out[pos] = 1.0 / (1.0 + np.exp(-h[pos]))
-            e = np.exp(h[~pos])
-            out[~pos] = e / (1.0 + e)
-            h = out
+            h = T.stable_sigmoid(h)
         return h
 
 
@@ -159,9 +154,7 @@ def forward_fc(bound_F: BoundNet, bound_C: BoundNet, x: T.Tensor):
 def forward_fc_plain(ps_F: ParamSet, ps_C: ParamSet, x: np.ndarray):
     """Graph-free twin of forward_fc for evaluation and the teacher pass."""
     f = ps_F.forward_plain(x)
-    logits = f @ ps_C.params["w0"] + ps_C.params["b0"]
-    for i in range(1, ps_C.n_layers):
-        logits = np.maximum(logits, 0.0) @ ps_C.params[f"w{i}"] + ps_C.params[f"b{i}"]
+    logits = ps_C.forward_plain(f)
     p = T.stable_softmax(logits)
     return f, logits, p
 
@@ -238,29 +231,39 @@ def save_paramsets(path, named: dict[str, ParamSet]) -> None:
 
 
 def load_paramsets(path) -> dict[str, ParamSet]:
+    """Read a checkpoint; a corrupt or truncated file raises ContractError."""
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+        text = fh.read()
+    lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "renlab-params 1":
         raise ContractError(f"unrecognized checkpoint header in {path}")
+    if not text.endswith("\n"):
+        raise ContractError(f"truncated checkpoint {path}")
     out: dict[str, ParamSet] = {}
     i = 1
-    while i < len(lines):
-        head = lines[i].split()
-        if head[0] != "set":
-            raise ContractError(f"expected 'set' line, got {lines[i][:40]!r}")
-        set_name, n_tensors = head[1], int(head[2])
-        final = None if head[-1] == "-" else head[-1]
-        widths = tuple(int(w) for w in head[3:-1])
-        params: dict[str, np.ndarray] = {}
-        for j in range(n_tensors):
-            parts = lines[i + 1 + j].split()
-            if parts[0] != "tensor":
-                raise ContractError(f"expected 'tensor' line, got {lines[i + 1 + j][:40]!r}")
-            name, rows, cols = parts[1], int(parts[2]), int(parts[3])
-            vals = np.array([float(v) for v in parts[4:]], dtype=np.float64)
-            if vals.size != rows * cols:
-                raise ContractError(f"tensor {name}: {vals.size} values for shape ({rows}, {cols})")
-            params[name] = vals.reshape(rows, cols)
-        out[set_name] = ParamSet(NetSpec(widths, final), params)
-        i += 1 + n_tensors
+    try:
+        while i < len(lines):
+            head = lines[i].split()
+            if head[0] != "set":
+                raise ContractError(f"expected 'set' line, got {lines[i][:40]!r}")
+            set_name, n_tensors = head[1], int(head[2])
+            final = None if head[-1] == "-" else head[-1]
+            widths = tuple(int(w) for w in head[3:-1])
+            params: dict[str, np.ndarray] = {}
+            for j in range(n_tensors):
+                parts = lines[i + 1 + j].split()
+                if parts[0] != "tensor":
+                    raise ContractError(f"expected 'tensor' line, got {lines[i + 1 + j][:40]!r}")
+                name, rows, cols = parts[1], int(parts[2]), int(parts[3])
+                vals = np.array([float(v) for v in parts[4:]], dtype=np.float64)
+                if vals.size != rows * cols:
+                    raise ContractError(f"tensor {name}: {vals.size} values for shape "
+                                        f"({rows}, {cols})")
+                if not np.isfinite(vals).all():
+                    raise ContractError(f"tensor {name} holds a non-finite value")
+                params[name] = vals.reshape(rows, cols)
+            out[set_name] = ParamSet(NetSpec(widths, final), params)
+            i += 1 + n_tensors
+    except (IndexError, KeyError, ValueError, ConfigError, ShapeError) as exc:
+        raise ContractError(f"corrupt checkpoint {path}: {exc!r}") from None
     return out

@@ -40,6 +40,16 @@ def stable_softmax(arr: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def stable_sigmoid(arr: np.ndarray) -> np.ndarray:
+    """Elementwise logistic function; exp only ever sees non-positive input."""
+    out = np.empty_like(arr)
+    pos = arr >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
+    e = np.exp(arr[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
 class Tensor:
     """A 2-D float64 array, optionally attached to a graph node.
 
@@ -92,11 +102,10 @@ class Tensor:
 class Node:
     """One operation record on the tape."""
 
-    __slots__ = ("op", "input_ids", "tensor", "backward_fn", "is_param", "name", "grad")
+    __slots__ = ("op", "tensor", "backward_fn", "is_param", "name", "grad")
 
-    def __init__(self, op, input_ids, tensor, backward_fn, is_param=False, name=None):
+    def __init__(self, op, tensor, backward_fn, is_param=False, name=None):
         self.op = op
-        self.input_ids = input_ids
         self.tensor = tensor
         self.backward_fn = backward_fn
         self.is_param = is_param
@@ -115,7 +124,7 @@ class Graph:
     def __init__(self):
         self.nodes: list[Node] = []
 
-    def _record(self, op, input_ids, values, backward_fn, is_param=False, name=None) -> Tensor:
+    def _record(self, op, values, backward_fn, is_param=False, name=None) -> Tensor:
         arr = as_matrix(values)
         if arr.size and not np.isfinite(arr).all():
             raise NonFiniteError(f"op '{op}' produced NaN or infinity")
@@ -123,19 +132,16 @@ class Graph:
         t.values = arr
         t.graph = self
         t.node_id = len(self.nodes)
-        self.nodes.append(Node(op, input_ids, t, backward_fn, is_param, name))
+        self.nodes.append(Node(op, t, backward_fn, is_param, name))
         return t
 
     def parameter(self, values, name: str) -> Tensor:
         """Register a trainable leaf; backward will populate its gradient."""
-        return self._record("param", (), values, None, is_param=True, name=name)
+        return self._record("param", values, None, is_param=True, name=name)
 
     def constant(self, values) -> Tensor:
         """Register a non-trainable leaf; gradients are not tracked for it."""
-        return self._record("const", (), values, None)
-
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        return [(n.name, n.tensor) for n in self.nodes if n.is_param]
+        return self._record("const", values, None)
 
     def _accumulate(self, node_id: int, delta: np.ndarray) -> None:
         node = self.nodes[node_id]
@@ -193,7 +199,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         g._accumulate(aid, grad @ bv.T)
         g._accumulate(bid, av.T @ grad)
 
-    return g._record("matmul", (aid, bid), av @ bv, backward)
+    return g._record("matmul", av @ bv, backward)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -208,7 +214,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         g._accumulate(aid, grad)
         g._accumulate(bid, grad.sum(axis=0, keepdims=True) if broadcast else grad)
 
-    return g._record("add", (aid, bid), a.values + b.values, backward)
+    return g._record("add", a.values + b.values, backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -222,7 +228,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         g._accumulate(aid, grad)
         g._accumulate(bid, -(grad.sum(axis=0, keepdims=True) if broadcast else grad))
 
-    return g._record("sub", (aid, bid), a.values - b.values, backward)
+    return g._record("sub", a.values - b.values, backward)
 
 
 def scale(x: Tensor, c: float) -> Tensor:
@@ -233,7 +239,7 @@ def scale(x: Tensor, c: float) -> Tensor:
     def backward(grad):
         g._accumulate(xid, c * grad)
 
-    return g._record("scale", (xid,), c * x.values, backward)
+    return g._record("scale", c * x.values, backward)
 
 
 def neg(x: Tensor) -> Tensor:
@@ -248,7 +254,7 @@ def rsub_const(c: float, x: Tensor) -> Tensor:
     def backward(grad):
         g._accumulate(xid, -grad)
 
-    return g._record("rsub_const", (xid,), float(c) - x.values, backward)
+    return g._record("rsub_const", float(c) - x.values, backward)
 
 
 def square(x: Tensor) -> Tensor:
@@ -258,7 +264,7 @@ def square(x: Tensor) -> Tensor:
     def backward(grad):
         g._accumulate(xid, 2.0 * xv * grad)
 
-    return g._record("square", (xid,), xv * xv, backward)
+    return g._record("square", xv * xv, backward)
 
 
 def sqrt(x: Tensor) -> Tensor:
@@ -273,7 +279,7 @@ def sqrt(x: Tensor) -> Tensor:
         d[nz] = grad[nz] * 0.5 / out[nz]
         g._accumulate(xid, d)
 
-    return g._record("sqrt", (xid,), out, backward)
+    return g._record("sqrt", out, backward)
 
 
 def log(x: Tensor) -> Tensor:
@@ -283,7 +289,7 @@ def log(x: Tensor) -> Tensor:
     def backward(grad):
         g._accumulate(xid, grad / xv)
 
-    return g._record("log", (xid,), np.log(x.values), backward)
+    return g._record("log", np.log(x.values), backward)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -295,23 +301,18 @@ def relu(x: Tensor) -> Tensor:
     def backward(grad):
         g._accumulate(xid, grad * mask)
 
-    return g._record("relu", (xid,), np.maximum(x.values, 0.0), backward)
+    return g._record("relu", np.maximum(x.values, 0.0), backward)
 
 
 def sigmoid(x: Tensor) -> Tensor:
     g = _graph_of(x)
-    v = x.values
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
+    out = stable_sigmoid(x.values)
     xid = x.node_id
 
     def backward(grad):
         g._accumulate(xid, grad * out * (1.0 - out))
 
-    return g._record("sigmoid", (xid,), out, backward)
+    return g._record("sigmoid", out, backward)
 
 
 def clamp(x: Tensor, lo: float | None = None, hi: float | None = None) -> Tensor:
@@ -328,7 +329,7 @@ def clamp(x: Tensor, lo: float | None = None, hi: float | None = None) -> Tensor
     def backward(grad):
         g._accumulate(xid, grad * mask)
 
-    return g._record("clamp", (xid,), np.clip(v, lo, hi), backward)
+    return g._record("clamp", np.clip(v, lo, hi), backward)
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -343,7 +344,7 @@ def softmax_rows(x: Tensor) -> Tensor:
         inner = (grad * p).sum(axis=1, keepdims=True)
         g._accumulate(xid, p * (grad - inner))
 
-    return g._record("softmax_rows", (xid,), p, backward)
+    return g._record("softmax_rows", p, backward)
 
 
 def grad_reverse(x: Tensor, lam: float) -> Tensor:
@@ -357,7 +358,7 @@ def grad_reverse(x: Tensor, lam: float) -> Tensor:
     def backward(grad):
         g._accumulate(xid, -lam * grad)
 
-    return g._record("grad_reverse", (xid,), x.values.copy(), backward)
+    return g._record("grad_reverse", x.values.copy(), backward)
 
 
 def gather_rows(p: Tensor, labels) -> Tensor:
@@ -377,7 +378,7 @@ def gather_rows(p: Tensor, labels) -> Tensor:
         np.add.at(buf, (rows, idx), grad[:, 0])
         g._accumulate(pid, buf)
 
-    return g._record("gather_rows", (pid,), p.values[rows, idx].reshape(m, 1), backward)
+    return g._record("gather_rows", p.values[rows, idx].reshape(m, 1), backward)
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -387,7 +388,7 @@ def sum_all(x: Tensor) -> Tensor:
     def backward(grad):
         g._accumulate(xid, np.full(shape, grad[0, 0]))
 
-    return g._record("sum_all", (xid,), [[x.values.sum()]], backward)
+    return g._record("sum_all", [[x.values.sum()]], backward)
 
 
 def mean_all(x: Tensor) -> Tensor:
@@ -400,7 +401,7 @@ def mean_all(x: Tensor) -> Tensor:
     def backward(grad):
         g._accumulate(xid, np.full(shape, grad[0, 0] / n))
 
-    return g._record("mean_all", (xid,), [[x.values.mean()]], backward)
+    return g._record("mean_all", [[x.values.mean()]], backward)
 
 
 def sum_rows(x: Tensor) -> Tensor:
@@ -411,7 +412,7 @@ def sum_rows(x: Tensor) -> Tensor:
     def backward(grad):
         g._accumulate(xid, np.broadcast_to(grad, shape).copy())
 
-    return g._record("sum_rows", (xid,), x.values.sum(axis=1, keepdims=True), backward)
+    return g._record("sum_rows", x.values.sum(axis=1, keepdims=True), backward)
 
 
 def concat_rows(a: Tensor, b: Tensor) -> Tensor:
@@ -425,7 +426,7 @@ def concat_rows(a: Tensor, b: Tensor) -> Tensor:
         g._accumulate(aid, grad[:ma])
         g._accumulate(bid, grad[ma:])
 
-    return g._record("concat_rows", (aid, bid), np.vstack([a.values, b.values]), backward)
+    return g._record("concat_rows", np.vstack([a.values, b.values]), backward)
 
 
 def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
@@ -440,7 +441,7 @@ def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
         buf[start:stop] = grad
         g._accumulate(xid, buf)
 
-    return g._record("slice_rows", (xid,), x.values[start:stop].copy(), backward)
+    return g._record("slice_rows", x.values[start:stop].copy(), backward)
 
 
 def multilinear(f: Tensor, p: Tensor) -> Tensor:
@@ -459,7 +460,7 @@ def multilinear(f: Tensor, p: Tensor) -> Tensor:
         g._accumulate(fid, np.einsum("ijk,ik->ij", cube, pv))
         g._accumulate(pid, np.einsum("ijk,ij->ik", cube, fv))
 
-    return g._record("multilinear", (fid, pid), out, backward)
+    return g._record("multilinear", out, backward)
 
 
 # ---------------------------------------------------------------------------

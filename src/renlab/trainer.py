@@ -61,6 +61,9 @@ class TrainConfig:
     disc_hidden: int = 64
 
     def validate(self) -> None:
+        for name, value in self.to_dict().items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.eta0 <= 0:
             raise ConfigError(f"eta0 must be positive, got {self.eta0}")
         for name in ("anneal_alpha", "anneal_beta", "lambda_stu", "lambda_tea", "gamma"):
@@ -93,38 +96,33 @@ class TrainConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-_INT_KEYS = {"batch_size", "total_steps", "eval_every", "seed",
-             "feature_hidden", "feature_dim", "disc_hidden"}
-_FLOAT_KEYS = {"eta0", "anneal_alpha", "anneal_beta", "momentum", "alpha_p",
-               "lambda_stu", "lambda_tea", "gamma"}
-_BOOL_KEYS = {"grl_ramp", "gamma_ramp", "consistency_squared"}
+# each key's type, as written on its TrainConfig field; the keys and their
+# text parsing are derived from this one table
+_KINDS = {f.name: f.type for f in fields(TrainConfig)}
+_ON_OFF = ("on", "off")
+
+
+def config_choices(key: str) -> tuple[str, ...] | None:
+    """The spellings a key's text value may take, or None for a number."""
+    return {"bool": _ON_OFF, "str": VARIANTS}.get(_KINDS[key])
 
 
 def parse_config_value(key: str, raw: str):
     """Convert one textual config value; unknown keys are an error."""
-    raw = raw.strip()
-    try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-    except ValueError:
-        raise ConfigError(f"config key '{key}' expects a number, got {raw!r}") from None
-    if key in _BOOL_KEYS:
-        if raw not in ("on", "off"):
+    if key not in _KINDS:
+        raise ConfigError(f"unknown config key '{key}'")
+    kind, raw = _KINDS[key], raw.strip()
+    if kind == "bool":
+        if raw not in _ON_OFF:
             raise ConfigError(f"config key '{key}' expects on or off, got {raw!r}")
         return raw == "on"
-    if key == "alpha_theta":
-        if raw == "ramp":
-            return "ramp"
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"config key 'alpha_theta' expects a number or 'ramp', "
-                              f"got {raw!r}") from None
-    if key == "variant":
+    if kind == "str" or (kind == "float | str" and raw == "ramp"):
         return raw
-    raise ConfigError(f"unknown config key '{key}'")
+    try:
+        return int(raw) if kind == "int" else float(raw)
+    except ValueError:
+        expected = "a number or 'ramp'" if kind == "float | str" else "a number"
+        raise ConfigError(f"config key '{key}' expects {expected}, got {raw!r}") from None
 
 
 def parse_config_text(text: str) -> dict:
@@ -142,11 +140,13 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
-def load_config(path, **overrides) -> TrainConfig:
-    with open(path) as fh:
-        values = parse_config_text(fh.read())
-    values.update(overrides)
-    cfg = TrainConfig(**values)
+def load_config(path=None, **overrides) -> TrainConfig:
+    """The config file at `path`, if one is given, under `overrides`; validated."""
+    values = {}
+    if path is not None:
+        with open(path) as fh:
+            values = parse_config_text(fh.read())
+    cfg = TrainConfig(**{**values, **overrides})
     cfg.validate()
     return cfg
 

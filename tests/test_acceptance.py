@@ -16,7 +16,7 @@ from renlab.conditioning import PredEmaState, pred_ema
 from renlab.datasets import standard_benchmark
 from renlab.evaluation import ablation_report, stability
 from renlab.networks import DualNet, NetSpec, ema_update, init_params
-from renlab.trainer import VARIANTS, TrainConfig, Trainer, lr_schedule
+from renlab.trainer import VARIANTS, TrainConfig, lr_schedule, run_ablation
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -34,9 +34,7 @@ def benchmark_matrix():
     elapsed: dict = {}
     for variant in VARIANTS:
         t0 = time.monotonic()
-        for seed in SEEDS:
-            cfg = TrainConfig(variant=variant, seed=seed)
-            runs[(variant, seed)] = Trainer(cfg, datasets[seed]).run()
+        runs.update(run_ablation(TrainConfig(), [variant], SEEDS, datasets.__getitem__))
         elapsed[variant] = time.monotonic() - t0
     return runs, elapsed
 

@@ -91,6 +91,36 @@ def test_invalid_config_value_exits_one(tmp_path, capsys):
     assert "momentum" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--eta0", "nan"],
+    ["train", "--gamma", "nan"],
+    ["train", "--lambda-stu", "inf"],
+    ["train", "--rot", "nan"],
+    ["train", "--scale", "inf"],
+    ["train", "--noise", "nan"],
+    ["datagen", "--noise", "nan"],
+    ["datagen", "--lift-dim", "0", "--lift-noise", "nan"],
+    ["ablate", "--eta0", "nan"],
+], ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
+def test_non_finite_input_exits_one_and_writes_nothing(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main([*argv, "--n", "60", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, key", [
+    ("--steps", "ten", "total_steps"),
+    ("--alpha-theta", "soon", "alpha_theta"),
+    ("--eta0", "fast", "eta0"),
+])
+def test_flag_values_are_parsed_like_config_values(tmp_path, capsys, flag, value, key):
+    assert main(["train", flag, value, "--out", str(tmp_path / "runs")]) == 1
+    assert f"config key '{key}' expects" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_usage_errors_exit_one(tmp_path):
     with pytest.raises(SystemExit) as e:
         main(["train", "--variant", "warp", "--out", str(tmp_path)])
@@ -150,3 +180,38 @@ def test_report_reaggregates_run_directories(tmp_path, capsys):
 def test_report_empty_directory_exits_one(tmp_path, capsys):
     assert main(["report", "--runs", str(tmp_path)]) == 1
     assert "no run directories" in capsys.readouterr().err
+
+
+GOOD_METRICS = ("step,lr,l_c,l_d_stu,l_d_tea,l_con,total,acc_student_source,"
+                "acc_student_target,acc_teacher_target\n"
+                "10,0.01,0.5,0.0,0.0,0.0,0.5,0.9,0.8,0.85\n")
+GOOD_MANIFEST = '{"config": {"variant": "ren", "seed": 0}}'
+
+
+def one_run_dir(tmp_path, manifest: str, metrics: str) -> str:
+    run = tmp_path / "runs" / "run-s0"
+    run.mkdir(parents=True)
+    (run / "manifest.json").write_text(manifest)
+    (run / "metrics.csv").write_text(metrics)
+    return str(run.parent)
+
+
+@pytest.mark.parametrize("manifest, metrics", [
+    ("{", GOOD_METRICS),
+    ("[]", GOOD_METRICS),
+    ('{"seeds": [0]}', GOOD_METRICS),
+    ('{"config": {"variant": "ren", "seed": "zero"}}', GOOD_METRICS),
+    ('{"config": {"variant": "warp", "seed": 0}}', GOOD_METRICS),
+    (GOOD_MANIFEST, GOOD_METRICS.replace(",0.85\n", "\n")),
+    (GOOD_MANIFEST, GOOD_METRICS.split("\n", 1)[0] + "\n"),
+], ids=["not-json", "not-an-object", "no-config", "bad-seed", "unknown-variant",
+        "short-metrics-row", "no-metrics-rows"])
+def test_report_rejects_corrupt_run_directories(tmp_path, capsys, manifest, metrics):
+    assert main(["report", "--runs", one_run_dir(tmp_path, manifest, metrics)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_report_reads_a_well_formed_run_directory(tmp_path, capsys):
+    assert main(["report", "--runs", one_run_dir(tmp_path, GOOD_MANIFEST, GOOD_METRICS)]) == 0
+    assert json.loads(capsys.readouterr().out)["variants"]["ren"]["mean"] == 0.85

@@ -90,6 +90,28 @@ def test_shift_spec_validation():
         ShiftSpec(class_imbalance_ratio=0.0)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ShiftSpec(rotation_deg=NAN),
+    lambda: ShiftSpec(translation=(0.0, INF)),
+    lambda: ShiftSpec(scale=INF),
+    lambda: ShiftSpec(noise_sigma=NAN),
+    lambda: ShiftSpec(class_imbalance_ratio=INF),
+    lambda: make_two_moons(10, NAN, 0),
+    lambda: make_blobs(10, 2, [[0, 0], [1, 0]], NAN, 0),
+    lambda: make_blobs(10, 2, [[0, 0], [1, NAN]], 0.1, 0),
+    lambda: make_blobs(10, 2, [[0, 0], [1, 0]], 0.1, 0, imbalance_ratio=NAN),
+    lambda: lift(np.ones((2, 2)), lift_embedding(2, 4, 0), NAN, 0),
+    lambda: make_domain_dataset(make_two_moons(10, 0.1, 0), ShiftSpec(), 0, 0, NAN),
+], ids=["rotation", "translation", "scale", "shift-noise", "imbalance", "moons-noise",
+        "blobs-sigma", "blobs-center", "blobs-imbalance", "lift-noise", "unused-lift-noise"])
+def test_non_finite_parameters_are_rejected(build):
+    with pytest.raises(ConfigError, match="finite"):
+        build()
+
+
 def test_identity_shift_reproduces_the_source_process():
     src = make_two_moons(4000, 0.12, 3)
     tgt = apply_shift(src, ShiftSpec(), 99)
@@ -247,3 +269,35 @@ def test_load_dataset_rejects_garbage(tmp_path):
     p.write_text("nope\n")
     with pytest.raises(ContractError):
         load_dataset(p)
+
+
+def small_dataset_csv(tmp_path):
+    path = tmp_path / "d.csv"
+    ds = standard_benchmark(2, n_source=4, n_target=3, lift_dim=0)
+    save_dataset(ds, path, tmp_path / "d.meta")
+    return path, path.read_text()
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda t: t.replace(",source,", ",elsewhere,", 1),
+    lambda t: t.replace(",source,0,", ",source,zero,", 1),
+    lambda t: t.replace(",target,", ",target,1,", 1),  # one column too many
+    lambda t: t[:t.rindex(",")] + "\n",  # last row lost a coordinate
+    lambda t: t[:t.rindex(",") + 1] + "nan\n",
+    lambda t: t[:t.index(",target,")].rsplit("\n", 1)[0] + "\n",  # no target rows
+], ids=["unknown-split", "word-label", "long-row", "short-row", "non-finite", "no-target"])
+def test_load_dataset_rejects_corrupt_files(tmp_path, corrupt):
+    path, text = small_dataset_csv(tmp_path)
+    path.write_text(corrupt(text))
+    with pytest.raises(ContractError):
+        load_dataset(path)
+
+
+def test_load_dataset_rejects_every_mid_line_truncation(tmp_path):
+    path, text = small_dataset_csv(tmp_path)
+    for cut in range(len(text)):
+        if cut and text[cut - 1] == "\n":
+            continue  # whole rows dropped: a smaller dataset, not a corrupt one
+        path.write_text(text[:cut])
+        with pytest.raises(ContractError):
+            load_dataset(path)

@@ -175,6 +175,29 @@ def test_metrics_header_is_validated(tmp_path):
         load_metrics(path)
 
 
+@pytest.mark.parametrize("corrupt", [
+    lambda t: t.split("\n", 1)[0] + "\n",  # header only: the run never evaluated
+    lambda t: t.replace(",0.7\n", "\n"),  # short row
+    lambda t: t.replace("\n", ",1\n").replace(",1\n", "\n", 1),  # long row
+    lambda t: t.replace("0.98", "high"),
+    lambda t: t.replace("50,", "5.5,", 1),  # fractional step
+], ids=["no-rows", "short-row", "long-row", "word", "float-step"])
+def test_load_metrics_rejects_corrupt_files(tmp_path, corrupt):
+    path = tmp_path / "m.csv"
+    path.write_text(corrupt(metrics_to_csv(sample_records())))
+    with pytest.raises(ContractError):
+        load_metrics(path)
+
+
+def test_load_metrics_rejects_every_truncation(tmp_path):
+    text = metrics_to_csv(sample_records())
+    path = tmp_path / "m.csv"
+    for cut in range(len(text)):
+        path.write_text(text[:cut])
+        with pytest.raises(ContractError):
+            load_metrics(path)
+
+
 def test_ablation_json_roundtrip_and_stable_bytes(tmp_path):
     rep = ablation_report(chain_results(0.6, 0.62, 0.64, 0.7))
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -1,5 +1,7 @@
 """Network construction, forward equivalence, EMA coupling, checkpoint i/o."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -184,3 +186,38 @@ def test_load_paramsets_rejects_garbage(tmp_path):
     path.write_text("not a checkpoint\n")
     with pytest.raises(ContractError):
         load_paramsets(path)
+
+
+def small_checkpoint(path):
+    save_paramsets(path, {"F": init_params(NetSpec((3, 2), final="relu"), 1),
+                          "D": init_params(NetSpec((2, 2, 1), final="sigmoid"), 2)})
+    return path.read_text()
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda t: t[:t.rstrip("\n").rfind("\n") + 1],  # last line lost
+    lambda t: t.replace("set F 2", "set F two"),
+    lambda t: t.replace("set F 2", "set F 3"),
+    lambda t: t.replace("set D 4 2 2 1 sigmoid", "set D 4 2 2 1 tanh"),
+    lambda t: t.replace("tensor w0 3 2", "tensor w0 2 3"),
+    lambda t: t.replace("tensor b0 1 2 0.0", "tensor b0 1 2 nan"),
+    lambda t: t.replace("tensor b0 1 2", "tensor b0 1", 1),
+    lambda t: t.replace("tensor", "weights", 1),
+], ids=["missing-last-line", "word-count", "count-too-high", "bad-activation",
+        "wrong-shape", "non-finite", "short-tensor-header", "unknown-line"])
+def test_load_paramsets_rejects_corrupt_files(tmp_path, corrupt):
+    path = tmp_path / "ckpt.txt"
+    path.write_text(corrupt(small_checkpoint(path)))
+    with pytest.raises(ContractError):
+        load_paramsets(path)
+
+
+def test_load_paramsets_rejects_every_truncation_inside_a_set(tmp_path):
+    path = tmp_path / "ckpt.txt"
+    text = small_checkpoint(path)
+    # a cut just before a 'set' line leaves a shorter but well-formed file
+    whole_sets = {m.start() for m in re.finditer("^set ", text, re.M)}
+    for cut in sorted(set(range(len(text))) - whole_sets):
+        path.write_text(text[:cut])
+        with pytest.raises(ContractError):
+            load_paramsets(path)

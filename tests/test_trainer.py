@@ -73,6 +73,22 @@ def test_config_validation_bounds():
             TrainConfig(**bad).validate()
 
 
+@pytest.mark.parametrize("key", ["eta0", "anneal_alpha", "anneal_beta", "momentum",
+                                 "alpha_theta", "alpha_p", "lambda_stu", "lambda_tea",
+                                 "gamma"])
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+def test_config_rejects_non_finite_numbers(key, raw):
+    cfg = TrainConfig(**{key: parse_config_value(key, raw)})
+    with pytest.raises(ConfigError, match="finite"):
+        cfg.validate()
+
+
+def test_every_config_field_parses_from_its_own_text():
+    for key, value in TrainConfig(alpha_theta=0.5).to_dict().items():
+        text = ("on" if value else "off") if isinstance(value, bool) else str(value)
+        assert parse_config_value(key, text) == value
+
+
 # ---------------------------------------------------------------------------
 # schedules
 
