@@ -27,8 +27,8 @@ from . import tensor as T
 from .conditioning import multilinear_plain
 from .exceptions import ContractError
 from .losses import adv_student, adv_teacher, consistency, cross_entropy, total_loss
-from .networks import (DISC_EPS, BoundNet, NetSpec, ParamSet, forward_fc,
-                       forward_fc_plain, init_params)
+from .networks import (DISC_EPS, BoundNet, NetSpec, ParamSet, collect_grads,
+                       forward_fc, forward_fc_plain, init_params)
 from .tensor import GradCheckReport, finite_diff_check
 
 KINK_MARGIN = 2e-3
@@ -65,15 +65,6 @@ def _nonsmoothness_margins(ps: ParamSet, x: np.ndarray) -> tuple[list[float], np
         else:
             h = z
     return margins, h
-
-
-def _collect(*bound: BoundNet | None) -> dict[str, np.ndarray]:
-    grads: dict[str, np.ndarray] = {}
-    for b in bound:
-        if b is not None:
-            for k, arr in b.grads().items():
-                grads[f"{b.prefix}.{k}"] = arr
-    return grads
 
 
 def loss_check_suite(seed: int, batch: int = 4, in_dim: int = 5, hidden: int = 6,
@@ -121,7 +112,7 @@ def loss_check_suite(seed: int, batch: int = 4, in_dim: int = 5, hidden: int = 6
         _, _, p = forward_fc(bF, bC, g.constant(xs))
         loss = cross_entropy(p, ys)
         g.backward(loss)
-        return loss.item(), _collect(bF, bC)
+        return loss.item(), collect_grads(bF, bC)
 
     def _adv(term):
         g = T.Graph()
@@ -133,7 +124,7 @@ def loss_check_suite(seed: int, batch: int = 4, in_dim: int = 5, hidden: int = 6
         else:
             loss = adv_teacher(bD, f_src, f_tgt, tea_src, tea_tgt, 1.0, reverse=False)
         g.backward(loss)
-        return loss.item(), _collect(bF, bD)
+        return loss.item(), collect_grads(bF, bD)
 
     def loss_con():
         g = T.Graph()
@@ -141,7 +132,7 @@ def loss_check_suite(seed: int, batch: int = 4, in_dim: int = 5, hidden: int = 6
         _, _, p = forward_fc(bF, bC, g.constant(np.vstack([xs, xt])))
         loss = consistency(p, tea_all, squared=squared)
         g.backward(loss)
-        return loss.item(), _collect(bF, bC)
+        return loss.item(), collect_grads(bF, bC)
 
     def loss_total():
         g = T.Graph()
@@ -156,7 +147,7 @@ def loss_check_suite(seed: int, batch: int = 4, in_dim: int = 5, hidden: int = 6
         l_con = consistency(p_all, tea_all, squared=squared)
         total, _ = total_loss(l_c, l_stu, l_tea, l_con, lambda_stu, lambda_tea, gamma)
         g.backward(total)
-        return total.item(), _collect(bF, bC, bD)
+        return total.item(), collect_grads(bF, bC, bD)
 
     fc = {**_flat("F", ps_F), **_flat("C", ps_C)}
     fd = {**_flat("F", ps_F), **_flat("D", ps_D)}

@@ -189,6 +189,7 @@ def cmd_gradcheck(args) -> int:
 def cmd_report(args) -> int:
     root = Path(args.runs)
     results: dict[str, dict[int, float]] = {}
+    run_dirs: dict[tuple[str, int], Path] = {}
     for manifest_path in sorted(root.glob("*/manifest.json")):
         try:
             with open(manifest_path) as fh:
@@ -198,6 +199,10 @@ def cmd_report(args) -> int:
             raise ContractError(f"malformed manifest {manifest_path}: {exc!r}") from None
         if variant not in VARIANTS:
             raise ContractError(f"unknown variant {variant!r} in {manifest_path}")
+        run_dir = run_dirs.setdefault((variant, seed), manifest_path.parent)
+        if run_dir != manifest_path.parent:
+            raise ContractError(f"run directories {run_dir} and {manifest_path.parent} "
+                                f"both hold variant {variant} seed {seed}")
         records = load_metrics(manifest_path.parent / "metrics.csv")
         results.setdefault(variant, {})[seed] = records[-1].acc_teacher_target
     if not results:

@@ -143,6 +143,16 @@ class BoundNet:
         return out
 
 
+def collect_grads(*bound: BoundNet | None) -> dict[str, np.ndarray]:
+    """Gradients of every bound net, keyed "<prefix>.<array>"; None is skipped."""
+    grads: dict[str, np.ndarray] = {}
+    for b in bound:
+        if b is not None:
+            for k, arr in b.grads().items():
+                grads[f"{b.prefix}.{k}"] = arr
+    return grads
+
+
 def forward_fc(bound_F: BoundNet, bound_C: BoundNet, x: T.Tensor):
     """Feature extractor then classifier: returns (features, logits, probs)."""
     f = bound_F(x)

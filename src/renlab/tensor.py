@@ -6,6 +6,14 @@ given graph always produces bitwise-identical gradients.  The op set is the
 minimum needed for small MLPs and the adversarial / consistency losses built
 on top of them, plus ``grad_reverse`` which turns the discriminator's
 maximization into a single minimization.
+
+A node is plain data: its op name, its output array, and one
+``(parent node id, vjp)`` pair per non-constant input, in input order.
+Constant inputs get no pair, so their vjp is never called.
+``Graph.backward`` is the one loop that calls vjps and accumulates their
+results.  A vjp closes over arrays and scalars only, never a Graph or a
+Tensor, so a graph holds no reference cycle and is freed by reference
+counting as soon as its last Tensor goes away.
 """
 
 from __future__ import annotations
@@ -83,32 +91,20 @@ class Tensor:
             raise ContractError(f"item() on tensor of shape {self.shape}")
         return float(self.values[0, 0])
 
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __neg__(self) -> "Tensor":
-        return scale(self, -1.0)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, graph={'yes' if self.graph else 'no'})"
 
 
 class Node:
-    """One operation record on the tape."""
+    """One operation record on the tape: its output array and, per
+    non-constant input, a (parent node id, vjp) pair in input order."""
 
-    __slots__ = ("op", "tensor", "backward_fn", "is_param", "name", "grad")
+    __slots__ = ("op", "values", "parents", "name", "grad")
 
-    def __init__(self, op, tensor, backward_fn, is_param=False, name=None):
+    def __init__(self, op, values, parents, name=None):
         self.op = op
-        self.tensor = tensor
-        self.backward_fn = backward_fn
-        self.is_param = is_param
+        self.values = values
+        self.parents = parents
         self.name = name
         self.grad: np.ndarray | None = None
 
@@ -124,32 +120,28 @@ class Graph:
     def __init__(self):
         self.nodes: list[Node] = []
 
-    def _record(self, op, values, backward_fn, is_param=False, name=None) -> Tensor:
+    def _record(self, op, values, inputs=(), name=None) -> Tensor:
+        """Append a node; ``inputs`` are (tensor, vjp) pairs, constants dropped."""
         arr = as_matrix(values)
         if arr.size and not np.isfinite(arr).all():
             raise NonFiniteError(f"op '{op}' produced NaN or infinity")
+        nodes = self.nodes
+        parents = tuple((t.node_id, vjp) for t, vjp in inputs
+                        if nodes[t.node_id].op != "const")
         t = Tensor.__new__(Tensor)
         t.values = arr
         t.graph = self
-        t.node_id = len(self.nodes)
-        self.nodes.append(Node(op, t, backward_fn, is_param, name))
+        t.node_id = len(nodes)
+        nodes.append(Node(op, arr, parents, name))
         return t
 
     def parameter(self, values, name: str) -> Tensor:
         """Register a trainable leaf; backward will populate its gradient."""
-        return self._record("param", values, None, is_param=True, name=name)
+        return self._record("param", values, name=name)
 
     def constant(self, values) -> Tensor:
         """Register a non-trainable leaf; gradients are not tracked for it."""
-        return self._record("const", values, None)
-
-    def _accumulate(self, node_id: int, delta: np.ndarray) -> None:
-        node = self.nodes[node_id]
-        if node.op == "const":
-            return  # non-parameter leaves are skipped
-        if node.grad is None:
-            node.grad = np.zeros_like(node.tensor.values)
-        node.grad += delta
+        return self._record("const", values)
 
     def backward(self, loss: Tensor) -> None:
         """Reverse-mode sweep from a scalar loss node.
@@ -161,16 +153,22 @@ class Graph:
             raise ContractError("loss tensor does not belong to this graph")
         if loss.shape != (1, 1):
             raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
-        for node in self.nodes:
+        nodes = self.nodes
+        for node in nodes:
             node.grad = None
-        self.nodes[loss.node_id].grad = np.ones((1, 1))
-        for node in reversed(self.nodes[: loss.node_id + 1]):
-            if node.grad is None or node.backward_fn is None:
+        nodes[loss.node_id].grad = np.ones((1, 1))
+        for node in reversed(nodes[: loss.node_id + 1]):
+            grad = node.grad
+            if grad is None:
                 continue
-            node.backward_fn(node.grad)
-        for node in self.nodes:
-            if node.is_param and node.grad is None:
-                node.grad = np.zeros_like(node.tensor.values)
+            for parent_id, vjp in node.parents:
+                target = nodes[parent_id]
+                if target.grad is None:
+                    target.grad = np.zeros_like(target.values)
+                target.grad += vjp(grad)
+        for node in nodes:
+            if node.op == "param" and node.grad is None:
+                node.grad = np.zeros_like(node.values)
 
 
 def _graph_of(*tensors: Tensor) -> Graph:
@@ -183,63 +181,50 @@ def _graph_of(*tensors: Tensor) -> Graph:
     return graph
 
 
+def _unary(op: str, x: Tensor, out, vjp) -> Tensor:
+    return _graph_of(x)._record(op, out, ((x, vjp),))
+
+
+def _binary(op: str, a: Tensor, b: Tensor, out, vjp_a, vjp_b) -> Tensor:
+    return _graph_of(a, b)._record(op, out, ((a, vjp_a), (b, vjp_b)))
+
+
 # ---------------------------------------------------------------------------
 # primitive operations
+#
+# Each op validates its inputs, computes its forward value and hands one vjp
+# per input to _unary/_binary.  A vjp closes over arrays and scalars only.
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product; gradients d(a) = g @ b^T, d(b) = a^T @ g."""
-    g = _graph_of(a, b)
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul shapes {a.shape} and {b.shape} do not chain")
     av, bv = a.values, b.values
-    aid, bid = a.node_id, b.node_id
-
-    def backward(grad):
-        g._accumulate(aid, grad @ bv.T)
-        g._accumulate(bid, av.T @ grad)
-
-    return g._record("matmul", av @ bv, backward)
+    return _binary("matmul", a, b, av @ bv,
+                   lambda grad: grad @ bv.T, lambda grad: av.T @ grad)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; b may be a 1xN row broadcast over a's rows (bias)."""
-    g = _graph_of(a, b)
     broadcast = b.shape != a.shape
     if broadcast and not (b.shape == (1, a.shape[1])):
         raise ShapeError(f"add shapes {a.shape} and {b.shape} incompatible")
-    aid, bid = a.node_id, b.node_id
-
-    def backward(grad):
-        g._accumulate(aid, grad)
-        g._accumulate(bid, grad.sum(axis=0, keepdims=True) if broadcast else grad)
-
-    return g._record("add", a.values + b.values, backward)
+    return _binary("add", a, b, a.values + b.values, lambda grad: grad,
+                   lambda grad: grad.sum(axis=0, keepdims=True) if broadcast else grad)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    g = _graph_of(a, b)
     broadcast = b.shape != a.shape
     if broadcast and not (b.shape == (1, a.shape[1])):
         raise ShapeError(f"sub shapes {a.shape} and {b.shape} incompatible")
-    aid, bid = a.node_id, b.node_id
-
-    def backward(grad):
-        g._accumulate(aid, grad)
-        g._accumulate(bid, -(grad.sum(axis=0, keepdims=True) if broadcast else grad))
-
-    return g._record("sub", a.values - b.values, backward)
+    return _binary("sub", a, b, a.values - b.values, lambda grad: grad,
+                   lambda grad: -(grad.sum(axis=0, keepdims=True) if broadcast else grad))
 
 
 def scale(x: Tensor, c: float) -> Tensor:
-    g = _graph_of(x)
     c = float(c)
-    xid = x.node_id
-
-    def backward(grad):
-        g._accumulate(xid, c * grad)
-
-    return g._record("scale", c * x.values, backward)
+    return _unary("scale", x, c * x.values, lambda grad: c * grad)
 
 
 def neg(x: Tensor) -> Tensor:
@@ -248,103 +233,65 @@ def neg(x: Tensor) -> Tensor:
 
 def rsub_const(c: float, x: Tensor) -> Tensor:
     """c - x for a python scalar c."""
-    g = _graph_of(x)
-    xid = x.node_id
-
-    def backward(grad):
-        g._accumulate(xid, -grad)
-
-    return g._record("rsub_const", float(c) - x.values, backward)
+    return _unary("rsub_const", x, float(c) - x.values, lambda grad: -grad)
 
 
 def square(x: Tensor) -> Tensor:
-    g = _graph_of(x)
-    xid, xv = x.node_id, x.values
-
-    def backward(grad):
-        g._accumulate(xid, 2.0 * xv * grad)
-
-    return g._record("square", xv * xv, backward)
+    xv = x.values
+    return _unary("square", x, xv * xv, lambda grad: 2.0 * xv * grad)
 
 
 def sqrt(x: Tensor) -> Tensor:
     """Elementwise square root; subgradient at exactly 0 is defined as 0."""
-    g = _graph_of(x)
     out = np.sqrt(x.values)
-    xid = x.node_id
 
-    def backward(grad):
+    def vjp(grad):
         d = np.zeros_like(out)
         nz = out > 0
         d[nz] = grad[nz] * 0.5 / out[nz]
-        g._accumulate(xid, d)
+        return d
 
-    return g._record("sqrt", out, backward)
+    return _unary("sqrt", x, out, vjp)
 
 
 def log(x: Tensor) -> Tensor:
-    g = _graph_of(x)
-    xid, xv = x.node_id, x.values
-
-    def backward(grad):
-        g._accumulate(xid, grad / xv)
-
-    return g._record("log", np.log(x.values), backward)
+    xv = x.values
+    return _unary("log", x, np.log(xv), lambda grad: grad / xv)
 
 
 def relu(x: Tensor) -> Tensor:
     """Elementwise max(0, x); subgradient at exactly 0 is defined as 0."""
-    g = _graph_of(x)
-    xid = x.node_id
     mask = x.values > 0
-
-    def backward(grad):
-        g._accumulate(xid, grad * mask)
-
-    return g._record("relu", np.maximum(x.values, 0.0), backward)
+    return _unary("relu", x, np.maximum(x.values, 0.0), lambda grad: grad * mask)
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    g = _graph_of(x)
     out = stable_sigmoid(x.values)
-    xid = x.node_id
-
-    def backward(grad):
-        g._accumulate(xid, grad * out * (1.0 - out))
-
-    return g._record("sigmoid", out, backward)
+    return _unary("sigmoid", x, out, lambda grad: grad * out * (1.0 - out))
 
 
 def clamp(x: Tensor, lo: float | None = None, hi: float | None = None) -> Tensor:
     """Clip to [lo, hi]; gradient passes only where strictly inside."""
-    g = _graph_of(x)
     v = x.values
     mask = np.ones(v.shape, dtype=bool)
     if lo is not None:
         mask &= v > lo
     if hi is not None:
         mask &= v < hi
-    xid = x.node_id
-
-    def backward(grad):
-        g._accumulate(xid, grad * mask)
-
-    return g._record("clamp", np.clip(v, lo, hi), backward)
+    return _unary("clamp", x, np.clip(v, lo, hi), lambda grad: grad * mask)
 
 
 def softmax_rows(x: Tensor) -> Tensor:
     """Row-wise softmax; rows sum to 1 within 1e-12 for any finite input."""
-    g = _graph_of(x)
     if x.shape[1] < 1:
         raise ShapeError("softmax_rows requires at least one column")
     p = stable_softmax(x.values)
-    xid = x.node_id
 
-    def backward(grad):
+    def vjp(grad):
         inner = (grad * p).sum(axis=1, keepdims=True)
-        g._accumulate(xid, p * (grad - inner))
+        return p * (grad - inner)
 
-    return g._record("softmax_rows", p, backward)
+    return _unary("softmax_rows", x, p, vjp)
 
 
 def grad_reverse(x: Tensor, lam: float) -> Tensor:
@@ -352,18 +299,11 @@ def grad_reverse(x: Tensor, lam: float) -> Tensor:
     lam = float(lam)
     if lam < 0:
         raise ContractError(f"grad_reverse factor must be >= 0, got {lam}")
-    g = _graph_of(x)
-    xid = x.node_id
-
-    def backward(grad):
-        g._accumulate(xid, -lam * grad)
-
-    return g._record("grad_reverse", x.values.copy(), backward)
+    return _unary("grad_reverse", x, x.values.copy(), lambda grad: -lam * grad)
 
 
 def gather_rows(p: Tensor, labels) -> Tensor:
     """Pick one entry per row: out[i, 0] = p[i, labels[i]]."""
-    g = _graph_of(p)
     idx = np.asarray(labels, dtype=np.int64).reshape(-1)
     m, c = p.shape
     if idx.shape[0] != m:
@@ -371,96 +311,68 @@ def gather_rows(p: Tensor, labels) -> Tensor:
     if m and (idx.min() < 0 or idx.max() >= c):
         raise ContractError(f"label out of range [0, {c})")
     rows = np.arange(m)
-    pid = p.node_id
 
-    def backward(grad):
+    def vjp(grad):
         buf = np.zeros((m, c))
         np.add.at(buf, (rows, idx), grad[:, 0])
-        g._accumulate(pid, buf)
+        return buf
 
-    return g._record("gather_rows", p.values[rows, idx].reshape(m, 1), backward)
+    return _unary("gather_rows", p, p.values[rows, idx].reshape(m, 1), vjp)
 
 
 def sum_all(x: Tensor) -> Tensor:
-    g = _graph_of(x)
-    xid, shape = x.node_id, x.shape
-
-    def backward(grad):
-        g._accumulate(xid, np.full(shape, grad[0, 0]))
-
-    return g._record("sum_all", [[x.values.sum()]], backward)
+    shape = x.shape
+    return _unary("sum_all", x, [[x.values.sum()]], lambda grad: np.full(shape, grad[0, 0]))
 
 
 def mean_all(x: Tensor) -> Tensor:
-    g = _graph_of(x)
     n = x.values.size
     if n == 0:
         raise ContractError("mean over an empty tensor")
-    xid, shape = x.node_id, x.shape
-
-    def backward(grad):
-        g._accumulate(xid, np.full(shape, grad[0, 0] / n))
-
-    return g._record("mean_all", [[x.values.mean()]], backward)
+    shape = x.shape
+    return _unary("mean_all", x, [[x.values.mean()]],
+                  lambda grad: np.full(shape, grad[0, 0] / n))
 
 
 def sum_rows(x: Tensor) -> Tensor:
     """Per-row sum, shape m x 1."""
-    g = _graph_of(x)
-    xid, shape = x.node_id, x.shape
-
-    def backward(grad):
-        g._accumulate(xid, np.broadcast_to(grad, shape).copy())
-
-    return g._record("sum_rows", x.values.sum(axis=1, keepdims=True), backward)
+    shape = x.shape
+    return _unary("sum_rows", x, x.values.sum(axis=1, keepdims=True),
+                  lambda grad: np.broadcast_to(grad, shape).copy())
 
 
 def concat_rows(a: Tensor, b: Tensor) -> Tensor:
-    g = _graph_of(a, b)
     if a.shape[1] != b.shape[1]:
         raise ShapeError(f"concat_rows widths differ: {a.shape} vs {b.shape}")
     ma = a.shape[0]
-    aid, bid = a.node_id, b.node_id
-
-    def backward(grad):
-        g._accumulate(aid, grad[:ma])
-        g._accumulate(bid, grad[ma:])
-
-    return g._record("concat_rows", np.vstack([a.values, b.values]), backward)
+    return _binary("concat_rows", a, b, np.vstack([a.values, b.values]),
+                   lambda grad: grad[:ma], lambda grad: grad[ma:])
 
 
 def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    g = _graph_of(x)
     m, n = x.shape
     if not (0 <= start <= stop <= m):
         raise ShapeError(f"row slice [{start}:{stop}] out of bounds for {m} rows")
-    xid = x.node_id
 
-    def backward(grad):
+    def vjp(grad):
         buf = np.zeros((m, n))
         buf[start:stop] = grad
-        g._accumulate(xid, buf)
+        return buf
 
-    return g._record("slice_rows", x.values[start:stop].copy(), backward)
+    return _unary("slice_rows", x, x.values[start:stop].copy(), vjp)
 
 
 def multilinear(f: Tensor, p: Tensor) -> Tensor:
     """Row-wise flattened outer product: out[i, j*c + k] = f[i, j] * p[i, k]."""
-    g = _graph_of(f, p)
     if f.shape[0] != p.shape[0]:
         raise ShapeError(f"batch sizes differ: {f.shape} vs {p.shape}")
     m, d = f.shape
     c = p.shape[1]
     fv, pv = f.values, p.values
-    fid, pid = f.node_id, p.node_id
     out = np.einsum("ij,ik->ijk", fv, pv).reshape(m, d * c)
-
-    def backward(grad):
-        cube = grad.reshape(m, d, c)
-        g._accumulate(fid, np.einsum("ijk,ik->ij", cube, pv))
-        g._accumulate(pid, np.einsum("ijk,ij->ik", cube, fv))
-
-    return g._record("multilinear", out, backward)
+    return _binary("multilinear", f, p, out,
+                   lambda grad: np.einsum("ijk,ik->ij", grad.reshape(m, d, c), pv),
+                   lambda grad: np.einsum("ijk,ij->ik", grad.reshape(m, d, c), fv))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,8 @@ from .exceptions import ConfigError, ContractError, ShapeError
 from .losses import (LossBreakdown, adv_student, adv_teacher, consistency,
                      cross_entropy, total_loss)
 from .networks import (BoundNet, DualNet, NetSpec, ParamSet, alpha_theta_ramp,
-                       ema_update, forward_fc, forward_fc_plain, init_params)
+                       collect_grads, ema_update, forward_fc, forward_fc_plain,
+                       init_params)
 
 VARIANTS = ("source_only", "cdan", "cdan_m", "cdan_m_d", "ren")
 
@@ -319,11 +320,7 @@ class Trainer:
                                   cfg.lambda_stu, cfg.lambda_tea, gamma_eff)
         g.backward(total)
 
-        grads: dict[str, np.ndarray] = {}
-        for prefix, bound in (("F", bound_F), ("C", bound_C), ("D", bound_D)):
-            if bound is not None:
-                for k, arr in bound.grads().items():
-                    grads[f"{prefix}.{k}"] = arr
+        grads = collect_grads(bound_F, bound_C, bound_D)
         sgd_momentum_step(self.params, grads, self.opt, lr_schedule(p_prog, cfg))
 
         if self.dualnet is not None:

@@ -177,6 +177,20 @@ def test_report_reaggregates_run_directories(tmp_path, capsys):
     assert printed["variants"] == live["variants"]
 
 
+def test_report_rejects_two_runs_of_one_variant_and_seed(tmp_path, capsys):
+    # same variant and seed, different configs: neither run may be dropped
+    out = tmp_path / "runs"
+    for steps in ("20", "40"):
+        assert main(["train", "--variant", "ren", "--n", "60", "--steps", steps,
+                     "--out", str(out)]) == 0
+    run_dirs = sorted(p.name for p in out.iterdir())
+    assert len(run_dirs) == 2
+    capsys.readouterr()
+    assert main(["report", "--runs", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and all(name in err for name in run_dirs)
+
+
 def test_report_empty_directory_exits_one(tmp_path, capsys):
     assert main(["report", "--runs", str(tmp_path)]) == 1
     assert "no run directories" in capsys.readouterr().err

@@ -1,5 +1,8 @@
 """Autodiff core: forward values, gradients vs central differences, tape rules."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -261,6 +264,66 @@ def test_constants_are_skipped():
     g.backward(T.sum_all(T.matmul(x, c)))
     assert c.grad is None
     assert x.grad[0, 0] == 3.0
+
+
+def test_constant_inputs_get_no_parent_entry():
+    g = T.Graph()
+    x = g.parameter([[2.0]], "x")
+    c = g.constant([[3.0]])
+    y = T.matmul(c, x)
+    z = T.add(y, c)
+    assert [pid for pid, _ in g.nodes[y.node_id].parents] == [x.node_id]
+    assert [pid for pid, _ in g.nodes[z.node_id].parents] == [y.node_id]
+
+
+# one builder per tape op: x is a 2x3 parameter with positive entries, c a
+# 2x3 constant and w a 3x2 parameter
+OP_BUILDERS = {
+    "matmul": lambda x, c, w: T.matmul(x, w),
+    "add": lambda x, c, w: T.add(x, c),
+    "sub": lambda x, c, w: T.sub(c, x),
+    "scale": lambda x, c, w: T.scale(x, 2.0),
+    "neg": lambda x, c, w: T.neg(x),
+    "rsub_const": lambda x, c, w: T.rsub_const(1.0, x),
+    "square": lambda x, c, w: T.square(x),
+    "sqrt": lambda x, c, w: T.sqrt(x),
+    "log": lambda x, c, w: T.log(x),
+    "relu": lambda x, c, w: T.relu(x),
+    "sigmoid": lambda x, c, w: T.sigmoid(x),
+    "clamp": lambda x, c, w: T.clamp(x, 0.2, 0.8),
+    "softmax_rows": lambda x, c, w: T.softmax_rows(x),
+    "grad_reverse": lambda x, c, w: T.grad_reverse(x, 0.5),
+    "gather_rows": lambda x, c, w: T.gather_rows(x, [0, 2]),
+    "sum_all": lambda x, c, w: T.sum_all(x),
+    "mean_all": lambda x, c, w: T.mean_all(x),
+    "sum_rows": lambda x, c, w: T.sum_rows(x),
+    "concat_rows": lambda x, c, w: T.concat_rows(x, c),
+    "slice_rows": lambda x, c, w: T.slice_rows(x, 0, 1),
+    "multilinear": lambda x, c, w: T.multilinear(x, c),
+}
+
+
+@pytest.mark.parametrize("op", sorted(OP_BUILDERS))
+def test_tape_is_freed_without_the_cycle_collector(op):
+    # a vjp that captured a Graph or a Tensor would keep the tape alive in a
+    # reference cycle until the cycle collector ran
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        g = T.Graph()
+        x = g.parameter([[0.1, 0.5, 0.9], [0.3, 0.6, 0.7]], "x")
+        c = g.constant([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        w = g.parameter(np.ones((3, 2)), "w")
+        loss = T.sum_all(OP_BUILDERS[op](x, c, w))
+        g.backward(loss)
+        grad = x.grad
+        ref = weakref.ref(g)
+        del g, x, c, w, loss
+        assert ref() is None
+        assert grad.shape == (2, 3)
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_backward_resets_previous_gradients():

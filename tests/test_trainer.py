@@ -1,5 +1,6 @@
 """Config parsing, schedules, SGD momentum, variant wiring, determinism."""
 
+import gc
 import math
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ import pytest
 from renlab.datasets import batch_stream, standard_benchmark
 from renlab.evaluation import metrics_to_csv
 from renlab.exceptions import ConfigError, ContractError, ShapeError
+from renlab.tensor import Graph
 from renlab.trainer import (OptimizerState, TrainConfig, Trainer,
                             ablation_accuracies, gamma_factor, grl_lambda,
                             load_config, lr_schedule, parse_config_text,
@@ -191,6 +193,25 @@ def test_consistency_is_zero_on_first_step():
     parts = t.train_step(batch, 0)
     assert parts.l_con == 0.0
     assert parts.l_c > 0.0
+
+
+def test_train_steps_leave_no_live_graph():
+    # each step's tape must be freed by reference counting alone
+    ds = small_ds()
+    cfg = TrainConfig(variant="ren", total_steps=10)
+    t = Trainer(cfg, ds)
+    stream = batch_stream(ds, cfg.batch_size, cfg.seed)
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for n in range(3):
+            t.train_step(next(stream), n)
+        live = sum(isinstance(o, Graph) for o in gc.get_objects())
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert live == 0
 
 
 def test_teacher_tracking_does_not_perturb_the_student():
