@@ -51,6 +51,11 @@ class PredEmaState:
     Note the orientation: alpha_p weights the CURRENT prediction, which is
     the opposite of the weight-ensembling update.  alpha_p = 1 makes this
     the identity on the current prediction.
+
+    Storage is dense: per branch, a (capacity, n_classes) table indexed by
+    sample id and a mask of the ids seen so far.  Both grow geometrically
+    to cover the largest id, so memory follows the largest id, not the
+    number of distinct ids.
     """
 
     def __init__(self, alpha_p: float, n_classes: int):
@@ -61,33 +66,78 @@ class PredEmaState:
             raise ConfigError(f"n_classes must be positive, got {n_classes}")
         self.alpha_p = alpha_p
         self.n_classes = n_classes
-        self.rows: dict[str, dict[int, np.ndarray]] = {b: {} for b in _BRANCHES}
+        self._table = {b: np.zeros((0, n_classes)) for b in _BRANCHES}
+        self._seen = {b: np.zeros(0, dtype=bool) for b in _BRANCHES}
 
     def known_ids(self, which: str) -> list[int]:
-        return sorted(self.rows[which])
+        return np.flatnonzero(self._seen[which]).tolist()
+
+    def row(self, which: str, sample_id: int) -> np.ndarray:
+        """A copy of the smoothed row stored for one sample id."""
+        seen = self._seen[which]
+        if not (0 <= sample_id < seen.shape[0] and seen[sample_id]):
+            raise ContractError(f"no {which} prediction stored for sample {sample_id}")
+        return self._table[which][sample_id].copy()
+
+    def _reserve(self, which: str, size: int) -> None:
+        """Grow the branch's table and mask to hold ids below ``size``."""
+        table, seen = self._table[which], self._seen[which]
+        have = seen.shape[0]
+        if size <= have:
+            return
+        cap = max(size, 2 * have)
+        self._table[which] = np.zeros((cap, self.n_classes))
+        self._table[which][:have] = table
+        self._seen[which] = np.zeros(cap, dtype=bool)
+        self._seen[which][:have] = seen
+
+    def _blend(self, which: str, ids: np.ndarray, p_n: np.ndarray) -> np.ndarray:
+        """One gather/blend/scatter over distinct ids."""
+        table, seen = self._table[which], self._seen[which]
+        a = self.alpha_p
+        out = (1.0 - a) * table[ids] + a * p_n
+        first = ~seen[ids]
+        out[first] = p_n[first]
+        table[ids] = out
+        seen[ids] = True
+        return out
+
+
+def _sample_ids(sample_ids) -> np.ndarray:
+    """Sample ids as a flat int64 array; non-integer or negative ids raise."""
+    raw = np.asarray(sample_ids).reshape(-1)
+    if raw.size == 0:
+        return raw.astype(np.int64)
+    if raw.dtype.kind not in "iu":
+        raise ContractError(f"sample ids must be integers, got dtype {raw.dtype}")
+    ids = raw.astype(np.int64)
+    if ids.min() < 0:
+        raise ContractError(f"sample ids must be >= 0, got {ids.min()}")
+    return ids
 
 
 def pred_ema(state: PredEmaState, which: str, sample_ids, p_n: np.ndarray) -> np.ndarray:
     """Blend current predictions into the stored per-sample average.
 
     Returns the updated rows in sample order as a detached array; the caller
-    wraps them as a graph constant if they feed a loss.
+    wraps them as a graph constant if they feed a loss.  An id repeated
+    within one call blends once per occurrence, in order.
     """
     if which not in _BRANCHES:
         raise ContractError(f"branch must be one of {_BRANCHES}, got {which!r}")
     p_n = np.asarray(p_n, dtype=np.float64)
-    ids = np.asarray(sample_ids, dtype=np.int64).reshape(-1)
+    ids = _sample_ids(sample_ids)
     if p_n.ndim != 2 or p_n.shape != (ids.shape[0], state.n_classes):
         raise ShapeError(f"predictions {p_n.shape} do not match {ids.shape[0]} ids "
                          f"x {state.n_classes} classes")
     _check_prob_rows(p_n, "prediction batch")
-    store = state.rows[which]
-    a = state.alpha_p
+    if ids.size == 0:
+        return p_n.copy()
+    state._reserve(which, int(ids.max()) + 1)
+    ordered = np.sort(ids)
+    if (ordered[1:] != ordered[:-1]).all():
+        return state._blend(which, ids, p_n)
     out = np.empty_like(p_n)
-    for i, sid in enumerate(ids):
-        key = int(sid)
-        prev = store.get(key)
-        row = p_n[i].copy() if prev is None else (1.0 - a) * prev + a * p_n[i]
-        store[key] = row
-        out[i] = row
+    for i in range(ids.shape[0]):
+        out[i] = state._blend(which, ids[i:i + 1], p_n[i:i + 1])[0]
     return out

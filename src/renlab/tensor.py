@@ -122,7 +122,11 @@ class Graph:
 
     def _record(self, op, values, inputs=(), name=None) -> Tensor:
         """Append a node; ``inputs`` are (tensor, vjp) pairs, constants dropped."""
-        arr = as_matrix(values)
+        if (type(values) is np.ndarray and values.ndim == 2
+                and values.dtype == np.float64 and values.flags.c_contiguous):
+            arr = values  # what as_matrix would return, without the call
+        else:
+            arr = as_matrix(values)
         if arr.size and not np.isfinite(arr).all():
             raise NonFiniteError(f"op '{op}' produced NaN or infinity")
         nodes = self.nodes
@@ -164,8 +168,11 @@ class Graph:
             for parent_id, vjp in node.parents:
                 target = nodes[parent_id]
                 if target.grad is None:
-                    target.grad = np.zeros_like(target.values)
-                target.grad += vjp(grad)
+                    # a private copy: a vjp may return grad itself or a view
+                    # of it; "+ 0.0" also turns -0.0 into +0.0 as 0 + x does
+                    target.grad = vjp(grad) + 0.0
+                else:
+                    target.grad += vjp(grad)
         for node in nodes:
             if node.op == "param" and node.grad is None:
                 node.grad = np.zeros_like(node.values)

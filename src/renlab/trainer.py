@@ -206,9 +206,9 @@ def sgd_momentum_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray
                              f"parameter {name} shape {arr.shape}")
         v = state.velocity.get(name)
         if v is None:
-            v = np.zeros_like(arr)
-        v = state.momentum * v + g
-        state.velocity[name] = v
+            v = state.velocity[name] = np.zeros_like(arr)
+        v *= state.momentum
+        v += g
         arr -= eta * v
     state.step += 1
 
@@ -289,12 +289,10 @@ class Trainer:
 
         l_c = cross_entropy(p_src, batch.ys)
 
-        teacher_p_src = teacher_p_tgt = None
+        teacher_p_all = None
         if self.dualnet is not None:
-            _, _, teacher_p_src = forward_fc_plain(self.dualnet.teacher_F,
-                                                   self.dualnet.teacher_C, batch.xs)
-            _, _, teacher_p_tgt = forward_fc_plain(self.dualnet.teacher_F,
-                                                   self.dualnet.teacher_C, batch.xt)
+            _, _, teacher_p_all = forward_fc_plain(self.dualnet.teacher_F,
+                                                   self.dualnet.teacher_C, x_all.values)
 
         l_d_stu = l_d_tea = l_con = None
         if bound_D is not None:
@@ -306,14 +304,15 @@ class Trainer:
                 cond_tgt = p_tgt.values.copy()
             l_d_stu = adv_student(bound_D, f_src, f_tgt, cond_src, cond_tgt, lam)
             if cfg.variant in _USES_SMOOTHED_CONDITIONS:
-                tea_src = pred_ema(self.pred_state, "teacher", batch.src_ids, teacher_p_src)
-                tea_tgt = pred_ema(self.pred_state, "teacher", batch.tgt_ids, teacher_p_tgt)
+                tea_src = pred_ema(self.pred_state, "teacher", batch.src_ids,
+                                   teacher_p_all[:m_src])
+                tea_tgt = pred_ema(self.pred_state, "teacher", batch.tgt_ids,
+                                   teacher_p_all[m_src:])
                 l_d_tea = adv_teacher(bound_D, f_src, f_tgt, tea_src, tea_tgt, lam)
 
         gamma_eff = cfg.gamma
         if cfg.variant in _USES_CONSISTENCY:
-            l_con = consistency(p_all, np.vstack([teacher_p_src, teacher_p_tgt]),
-                                squared=cfg.consistency_squared)
+            l_con = consistency(p_all, teacher_p_all, squared=cfg.consistency_squared)
             gamma_eff = cfg.gamma * gamma_factor(p_prog, cfg.gamma_ramp)
 
         total, parts = total_loss(l_c, l_d_stu, l_d_tea, l_con,

@@ -87,8 +87,8 @@ def test_pred_ema_rows_stay_probability_vectors(rng):
         out = pred_ema(state, "student", ids, p)
         assert out.min() >= 0.0
         assert np.abs(out.sum(axis=1) - 1.0).max() <= 1e-9
-    for sid, row in state.rows["student"].items():
-        assert abs(row.sum() - 1.0) <= 1e-9
+    for sid in state.known_ids("student"):
+        assert abs(state.row("student", sid).sum() - 1.0) <= 1e-9
 
 
 def test_pred_ema_branches_are_independent():
@@ -115,4 +115,56 @@ def test_pred_ema_output_is_detached():
     out = pred_ema(state, "student", [0], np.array([[0.5, 0.5]]))
     assert isinstance(out, np.ndarray)
     out[0, 0] = 99.0  # mutating the return must not corrupt the store
-    assert state.rows["student"][0][0] == 0.5
+    assert state.row("student", 0)[0] == 0.5
+
+
+@pytest.mark.parametrize("ids", [[1.7], [-1]], ids=["fractional", "negative"])
+def test_pred_ema_rejects_bad_ids_before_any_change(ids):
+    state = PredEmaState(0.5, 2)
+    pred_ema(state, "student", [1], np.array([[1.0, 0.0]]))
+    with pytest.raises(ContractError):
+        pred_ema(state, "student", ids, np.array([[0.0, 1.0]]))
+    assert state.known_ids("student") == [1]
+    assert np.array_equal(state.row("student", 1), [1.0, 0.0])
+
+
+def test_pred_ema_row_of_unknown_id_raises():
+    state = PredEmaState(0.5, 2)
+    pred_ema(state, "teacher", [3], np.array([[1.0, 0.0]]))
+    for sid in (0, 2, 4, 1000):
+        with pytest.raises(ContractError):
+            state.row("teacher", sid)
+
+
+def _reference_pred_ema(store: dict, alpha_p: float, ids, p_n: np.ndarray) -> np.ndarray:
+    """The row-by-row dict loop the dense store must reproduce bit for bit."""
+    out = np.empty_like(p_n)
+    for i, sid in enumerate(ids):
+        prev = store.get(int(sid))
+        row = p_n[i].copy() if prev is None else (1.0 - alpha_p) * prev + alpha_p * p_n[i]
+        store[int(sid)] = row
+        out[i] = row
+    return out
+
+
+def test_pred_ema_matches_dict_loop_bit_for_bit(rng):
+    alpha_p, c = 0.6, 4
+    state = PredEmaState(alpha_p, c)
+    ref = {"student": {}, "teacher": {}}
+    high = 8  # the id range widens, so calls keep landing beyond the capacity
+    for call in range(500):
+        which = ("student", "teacher")[call % 2]
+        m = int(rng.integers(1, 12))
+        ids = rng.integers(0, high, size=m)  # unsorted, with repeats
+        if call % 7 == 0:
+            ids[-1] = ids[0]  # a repeat inside the call, for certain
+        high += int(rng.integers(0, 3))
+        raw = rng.random((m, c))
+        p = raw / raw.sum(axis=1, keepdims=True)
+        out = pred_ema(state, which, ids, p)
+        expected = _reference_pred_ema(ref[which], alpha_p, ids, p)
+        assert out.tobytes() == expected.tobytes()
+    for which in ("student", "teacher"):
+        assert state.known_ids(which) == sorted(ref[which])
+        for sid, row in ref[which].items():
+            assert state.row(which, sid).tobytes() == row.tobytes()

@@ -326,6 +326,44 @@ def test_tape_is_freed_without_the_cycle_collector(op):
             gc.enable()
 
 
+@pytest.mark.parametrize("op", sorted(OP_BUILDERS))
+def test_op_output_is_a_fresh_c_contiguous_float64_matrix(op):
+    # Graph._record stores such an array as it is, without as_matrix
+    g = T.Graph()
+    x = g.parameter([[0.1, 0.5, 0.9], [0.3, 0.6, 0.7]], "x")
+    c = g.constant([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    w = g.parameter(np.ones((3, 2)), "w")
+    out = OP_BUILDERS[op](x, c, w).values
+    assert type(out) is np.ndarray and out.ndim == 2 and out.dtype == np.float64
+    assert out.flags.c_contiguous
+    for t in (x, c, w):
+        assert not np.shares_memory(out, t.values)
+
+
+def test_shared_inputs_get_exact_private_gradients():
+    # add hands grad itself to both inputs and concat_rows hands out views of
+    # it, so a gradient buffer taken without a copy would alias another
+    g = T.Graph()
+    xv = np.array([[1.0, -2.0, 0.5], [3.0, 0.0, -1.5]])
+    c1 = np.array([[1.0, 2.0], [0.5, -1.0], [4.0, 0.25]])
+    c2 = np.array([[-1.0], [2.0], [0.5]])
+    x = g.parameter(xv, "x")
+    s1 = T.sum_all(T.matmul(T.add(x, x), g.constant(c1)))
+    s2 = T.sum_all(T.matmul(T.concat_rows(x, x), g.constant(c2)))
+    s3 = T.sum_all(T.square(x))
+    loss = T.add(T.add(s1, s2), s3)
+    g.backward(loss)
+    expected = 2.0 * c1.sum(axis=1) + 2.0 * c2.sum(axis=1) + 2.0 * xv
+    assert np.array_equal(x.grad, expected)
+    grads = [n.grad for n in g.nodes if n.grad is not None]
+    for i, a in enumerate(grads):
+        for b in grads[i + 1:]:
+            assert not np.shares_memory(a, b)
+    first = x.grad.copy()
+    g.backward(loss)
+    assert x.grad.tobytes() == first.tobytes()
+
+
 def test_backward_resets_previous_gradients():
     g = T.Graph()
     x = g.parameter([[1.0]], "x")

@@ -144,6 +144,25 @@ def test_sgd_momentum_two_step_displacement():
     assert state.step == 2
 
 
+def test_sgd_velocity_is_a_private_buffer_matching_the_closed_form():
+    w0 = np.array([[1.0, -2.0, 0.3]])
+    g1 = np.array([[0.5, 0.25, -0.7]])
+    g2 = np.array([[-0.1, 0.6, 0.35]])
+    params = {"w": w0.copy()}
+    state = OptimizerState(0.9)
+    grads1, grads2 = {"w": g1.copy()}, {"w": g2.copy()}
+    sgd_momentum_step(params, grads1, state, 0.1)
+    assert not np.shares_memory(state.velocity["w"], grads1["w"])
+    sgd_momentum_step(params, grads2, state, 0.1)
+    for grads in (grads1, grads2):
+        assert not np.shares_memory(state.velocity["w"], grads["w"])
+    assert np.array_equal(grads1["w"], g1) and np.array_equal(grads2["w"], g2)
+    w1 = w0 - 0.1 * (0.9 * np.zeros_like(w0) + g1)
+    expected = w1 - 0.1 * (0.9 * g1 + g2)
+    assert params["w"].tobytes() == expected.tobytes()
+    assert state.velocity["w"].tobytes() == (0.9 * g1 + g2).tobytes()
+
+
 def test_sgd_without_momentum_sums_gradients():
     params = {"w": np.zeros((2, 2))}
     state = OptimizerState(0.0)
