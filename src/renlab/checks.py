@@ -104,6 +104,8 @@ def loss_check_suite(seed: int, batch: int = 4, in_dim: int = 5, hidden: int = 6
             break
     else:
         raise ContractError(f"no finite-difference-safe scenario found for seed {seed}")
+    x_all = np.vstack([xs, xt])
+    cond_all = np.vstack([cond_src, cond_tgt])
     tea_all = np.vstack([tea_src, tea_tgt])
 
     def loss_ce():
@@ -117,19 +119,18 @@ def loss_check_suite(seed: int, batch: int = 4, in_dim: int = 5, hidden: int = 6
     def _adv(term):
         g = T.Graph()
         bF, bD = BoundNet(g, ps_F, "F"), BoundNet(g, ps_D, "D")
-        f_src = bF(g.constant(xs))
-        f_tgt = bF(g.constant(xt))
+        f_all = bF(g.constant(x_all))
         if term == "student":
-            loss = adv_student(bD, f_src, f_tgt, cond_src, cond_tgt, 1.0, reverse=False)
+            loss = adv_student(bD, f_all, cond_all, batch, 1.0, reverse=False)
         else:
-            loss = adv_teacher(bD, f_src, f_tgt, tea_src, tea_tgt, 1.0, reverse=False)
+            loss = adv_teacher(bD, f_all, tea_all, batch, 1.0, reverse=False)
         g.backward(loss)
         return loss.item(), collect_grads(bF, bD)
 
     def loss_con():
         g = T.Graph()
         bF, bC = BoundNet(g, ps_F, "F"), BoundNet(g, ps_C, "C")
-        _, _, p = forward_fc(bF, bC, g.constant(np.vstack([xs, xt])))
+        _, _, p = forward_fc(bF, bC, g.constant(x_all))
         loss = consistency(p, tea_all, squared=squared)
         g.backward(loss)
         return loss.item(), collect_grads(bF, bC)
@@ -137,13 +138,10 @@ def loss_check_suite(seed: int, batch: int = 4, in_dim: int = 5, hidden: int = 6
     def loss_total():
         g = T.Graph()
         bF, bC, bD = BoundNet(g, ps_F, "F"), BoundNet(g, ps_C, "C"), BoundNet(g, ps_D, "D")
-        f_all, _, p_all = forward_fc(bF, bC, g.constant(np.vstack([xs, xt])))
-        f_src = T.slice_rows(f_all, 0, batch)
-        f_tgt = T.slice_rows(f_all, batch, 2 * batch)
-        p_src = T.slice_rows(p_all, 0, batch)
-        l_c = cross_entropy(p_src, ys)
-        l_stu = adv_student(bD, f_src, f_tgt, cond_src, cond_tgt, 1.0, reverse=False)
-        l_tea = adv_teacher(bD, f_src, f_tgt, tea_src, tea_tgt, 1.0, reverse=False)
+        f_all, _, p_all = forward_fc(bF, bC, g.constant(x_all))
+        l_c = cross_entropy(T.slice_rows(p_all, 0, batch), ys)
+        l_stu = adv_student(bD, f_all, cond_all, batch, 1.0, reverse=False)
+        l_tea = adv_teacher(bD, f_all, tea_all, batch, 1.0, reverse=False)
         l_con = consistency(p_all, tea_all, squared=squared)
         total, _ = total_loss(l_c, l_stu, l_tea, l_con, lambda_stu, lambda_tea, gamma)
         g.backward(total)

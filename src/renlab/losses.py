@@ -3,8 +3,9 @@
 Four pieces: supervised cross-entropy on labeled source data, two conditional
 adversarial losses (one conditioned on smoothed student predictions, one on
 smoothed teacher predictions, both driven by student features through a
-shared discriminator), and a consistency penalty tying student predictions to
-the teacher's.  The min-max game is realized by a gradient-reversal node in
+shared discriminator, each in one pass over the stacked source and target
+rows), and a consistency penalty tying student predictions to the
+teacher's.  The min-max game is realized by a gradient-reversal node in
 front of the discriminator, so one backward pass updates everything.
 """
 
@@ -26,55 +27,55 @@ def cross_entropy(p: T.Tensor, labels) -> T.Tensor:
     return T.neg(T.mean_all(T.log(T.clamp(picked, lo=1e-12))))
 
 
-def domain_adv_loss(bound_D: BoundNet, h_src: T.Tensor, h_tgt: T.Tensor,
+def domain_adv_loss(bound_D: BoundNet, h: T.Tensor, n_src: int,
                     lambda_grl: float, reverse: bool = True) -> T.Tensor:
-    """Binary domain loss: source rows pushed toward 1, target toward 0.
+    """Binary domain loss over stacked rows: the first ``n_src`` rows are
+    source, pushed toward 1; the rest are target, pushed toward 0.
 
-    The conditioned inputs pass through a gradient-reversal node before the
-    discriminator, so the feature extractor is trained to confuse it while
-    the discriminator itself receives ordinary gradients.  ``reverse=False``
+    All rows pass through one gradient-reversal node and one discriminator
+    pass; only the 1-wide output is split for the two log terms.  The
+    feature extractor is trained to confuse the discriminator while the
+    discriminator itself receives ordinary gradients.  ``reverse=False``
     drops the reversal node (used by the finite-difference harness, which can
     only see the plain minimization objective).
     """
-    if h_src.shape[0] == 0 or h_tgt.shape[0] == 0:
-        raise ContractError("domain_adv_loss requires non-empty source and target batches")
+    rows = h.shape[0]
+    if not 0 < n_src < rows:
+        raise ContractError(f"domain_adv_loss needs 0 < n_src < {rows} rows, got n_src={n_src}")
     if reverse:
-        h_src = T.grad_reverse(h_src, lambda_grl)
-        h_tgt = T.grad_reverse(h_tgt, lambda_grl)
-    loss_src = T.neg(T.mean_all(T.log(discriminate(bound_D, h_src))))
-    loss_tgt = T.neg(T.mean_all(T.log(T.rsub_const(1.0, discriminate(bound_D, h_tgt)))))
+        h = T.grad_reverse(h, lambda_grl)
+    d = discriminate(bound_D, h)
+    loss_src = T.neg(T.mean_all(T.log(T.slice_rows(d, 0, n_src))))
+    loss_tgt = T.neg(T.mean_all(T.log(T.rsub_const(1.0, T.slice_rows(d, n_src, rows)))))
     return T.add(loss_src, loss_tgt)
 
 
-def _conditioned_adv(bound_D: BoundNet, f_src: T.Tensor, f_tgt: T.Tensor,
-                     cond_src: np.ndarray, cond_tgt: np.ndarray,
+def _conditioned_adv(bound_D: BoundNet, f: T.Tensor, phat: np.ndarray, n_src: int,
                      lambda_grl: float, reverse: bool) -> T.Tensor:
-    g = f_src.graph
-    h_src = multilinear_map(f_src, g.constant(cond_src))
-    h_tgt = multilinear_map(f_tgt, g.constant(cond_tgt))
-    return domain_adv_loss(bound_D, h_src, h_tgt, lambda_grl, reverse)
+    h = multilinear_map(f, f.graph.constant(phat))
+    return domain_adv_loss(bound_D, h, n_src, lambda_grl, reverse)
 
 
-def adv_student(bound_D: BoundNet, f_src: T.Tensor, f_tgt: T.Tensor,
-                phat_src: np.ndarray, phat_tgt: np.ndarray,
+def adv_student(bound_D: BoundNet, f: T.Tensor, phat: np.ndarray, n_src: int,
                 lambda_grl: float, reverse: bool = True) -> T.Tensor:
     """Adversarial loss conditioned on (smoothed) student predictions.
 
-    The condition arrays are plain detached probabilities; gradients flow
-    only through the student features and the discriminator.
+    ``f`` stacks source feature rows over target ones, the first ``n_src``
+    being source; ``phat`` holds the condition rows in the same order as a
+    plain detached array, so gradients flow only through the student
+    features and the discriminator.
     """
-    return _conditioned_adv(bound_D, f_src, f_tgt, phat_src, phat_tgt, lambda_grl, reverse)
+    return _conditioned_adv(bound_D, f, phat, n_src, lambda_grl, reverse)
 
 
-def adv_teacher(bound_D: BoundNet, f_src: T.Tensor, f_tgt: T.Tensor,
-                phat_src: np.ndarray, phat_tgt: np.ndarray,
+def adv_teacher(bound_D: BoundNet, f: T.Tensor, phat: np.ndarray, n_src: int,
                 lambda_grl: float, reverse: bool = True) -> T.Tensor:
     """Adversarial loss conditioned on (smoothed) teacher predictions.
 
     Same shape as adv_student; still driven by student features, so the
     teacher stays gradient-free.
     """
-    return _conditioned_adv(bound_D, f_src, f_tgt, phat_src, phat_tgt, lambda_grl, reverse)
+    return _conditioned_adv(bound_D, f, phat, n_src, lambda_grl, reverse)
 
 
 def consistency(p_stu: T.Tensor, p_tea: np.ndarray, squared: bool = True) -> T.Tensor:

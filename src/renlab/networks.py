@@ -117,7 +117,7 @@ class BoundNet:
         self.graph = graph
         self.spec = ps.spec
         self.prefix = prefix
-        self.tensors = {k: graph.parameter(v, f"{prefix}.{k}") for k, v in ps.items()}
+        self.tensors = {k: graph.parameter(v) for k, v in ps.items()}
 
     def __call__(self, x: T.Tensor) -> T.Tensor:
         if x.shape[1] != self.spec.in_width:

@@ -99,13 +99,12 @@ class Node:
     """One operation record on the tape: its output array and, per
     non-constant input, a (parent node id, vjp) pair in input order."""
 
-    __slots__ = ("op", "values", "parents", "name", "grad")
+    __slots__ = ("op", "values", "parents", "grad")
 
-    def __init__(self, op, values, parents, name=None):
+    def __init__(self, op, values, parents):
         self.op = op
         self.values = values
         self.parents = parents
-        self.name = name
         self.grad: np.ndarray | None = None
 
 
@@ -120,7 +119,7 @@ class Graph:
     def __init__(self):
         self.nodes: list[Node] = []
 
-    def _record(self, op, values, inputs=(), name=None) -> Tensor:
+    def _record(self, op, values, inputs=()) -> Tensor:
         """Append a node; ``inputs`` are (tensor, vjp) pairs, constants dropped."""
         if (type(values) is np.ndarray and values.ndim == 2
                 and values.dtype == np.float64 and values.flags.c_contiguous):
@@ -136,12 +135,12 @@ class Graph:
         t.values = arr
         t.graph = self
         t.node_id = len(nodes)
-        nodes.append(Node(op, arr, parents, name))
+        nodes.append(Node(op, arr, parents))
         return t
 
-    def parameter(self, values, name: str) -> Tensor:
+    def parameter(self, values) -> Tensor:
         """Register a trainable leaf; backward will populate its gradient."""
-        return self._record("param", values, name=name)
+        return self._record("param", values)
 
     def constant(self, values) -> Tensor:
         """Register a non-trainable leaf; gradients are not tracked for it."""

@@ -279,15 +279,9 @@ class Trainer:
         bound_D = BoundNet(g, self.disc, "D") if self.disc is not None else None
 
         m_src = batch.xs.shape[0]
-        m_all = m_src + batch.xt.shape[0]
         x_all = g.constant(np.vstack([batch.xs, batch.xt]))
         f_all, _, p_all = forward_fc(bound_F, bound_C, x_all)
-        f_src = T.slice_rows(f_all, 0, m_src)
-        f_tgt = T.slice_rows(f_all, m_src, m_all)
-        p_src = T.slice_rows(p_all, 0, m_src)
-        p_tgt = T.slice_rows(p_all, m_src, m_all)
-
-        l_c = cross_entropy(p_src, batch.ys)
+        l_c = cross_entropy(T.slice_rows(p_all, 0, m_src), batch.ys)
 
         teacher_p_all = None
         if self.dualnet is not None:
@@ -297,18 +291,15 @@ class Trainer:
         l_d_stu = l_d_tea = l_con = None
         if bound_D is not None:
             if cfg.variant in _USES_SMOOTHED_CONDITIONS:
-                cond_src = pred_ema(self.pred_state, "student", batch.src_ids, p_src.values)
-                cond_tgt = pred_ema(self.pred_state, "student", batch.tgt_ids, p_tgt.values)
+                # target ids are offset by n_source, so the ids are distinct
+                ids = np.concatenate([batch.src_ids, batch.tgt_ids])
+                cond = pred_ema(self.pred_state, "student", ids, p_all.values)
             else:
-                cond_src = p_src.values.copy()
-                cond_tgt = p_tgt.values.copy()
-            l_d_stu = adv_student(bound_D, f_src, f_tgt, cond_src, cond_tgt, lam)
+                cond = p_all.values
+            l_d_stu = adv_student(bound_D, f_all, cond, m_src, lam)
             if cfg.variant in _USES_SMOOTHED_CONDITIONS:
-                tea_src = pred_ema(self.pred_state, "teacher", batch.src_ids,
-                                   teacher_p_all[:m_src])
-                tea_tgt = pred_ema(self.pred_state, "teacher", batch.tgt_ids,
-                                   teacher_p_all[m_src:])
-                l_d_tea = adv_teacher(bound_D, f_src, f_tgt, tea_src, tea_tgt, lam)
+                tea = pred_ema(self.pred_state, "teacher", ids, teacher_p_all)
+                l_d_tea = adv_teacher(bound_D, f_all, tea, m_src, lam)
 
         gamma_eff = cfg.gamma
         if cfg.variant in _USES_CONSISTENCY:

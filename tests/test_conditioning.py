@@ -30,7 +30,7 @@ def test_multilinear_gradient_one_hot_selects_block(rng):
     pv = np.array([[0.0, 1.0, 0.0]])
     w = np.arange(12, dtype=np.float64).reshape(1, 12)
     g = T.Graph()
-    f = g.parameter(fv, "f")
+    f = g.parameter(fv)
     out = multilinear_map(f, g.constant(pv))
     g.backward(T.sum_all(T.matmul(out, g.constant(w.T))))
     assert np.allclose(f.grad, w[0, 1::3].reshape(1, 4), atol=1e-12)
@@ -168,3 +168,26 @@ def test_pred_ema_matches_dict_loop_bit_for_bit(rng):
         assert state.known_ids(which) == sorted(ref[which])
         for sid, row in ref[which].items():
             assert state.row(which, sid).tobytes() == row.tobytes()
+
+
+def test_pred_ema_one_call_on_stacked_ids_matches_two_calls(rng):
+    # the trainer blends source and target rows in one call per branch; with
+    # distinct ids that must store and return the same bits as one call per
+    # domain
+    alpha_p, c, n_source = 0.6, 3, 40
+    stacked, split = PredEmaState(alpha_p, c), PredEmaState(alpha_p, c)
+    for step in range(60):
+        for which in ("student", "teacher"):
+            m_s, m_t = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+            src = rng.permutation(n_source)[:m_s]
+            tgt = n_source + rng.permutation(50)[:m_t]  # target ids come after source
+            raw = rng.random((m_s + m_t, c))
+            p = raw / raw.sum(axis=1, keepdims=True)
+            out = pred_ema(stacked, which, np.concatenate([src, tgt]), p)
+            want = np.vstack([pred_ema(split, which, src, p[:m_s]),
+                              pred_ema(split, which, tgt, p[m_s:])])
+            assert out.tobytes() == want.tobytes()
+    for which in ("student", "teacher"):
+        assert stacked.known_ids(which) == split.known_ids(which)
+        for sid in split.known_ids(which):
+            assert stacked.row(which, sid).tobytes() == split.row(which, sid).tobytes()

@@ -1,13 +1,27 @@
 """Golden digests: a pure refactor must leave every training artifact byte
 for byte as it was.
 
-The digests were recorded before the CLI was rebuilt on the trainer's
-config parser and ``run_ablation``.  They pin float bits, so they hold for
-one numpy/BLAS build; a change that alters float bits on purpose records
-new digests and says why.
+The digests pin float bits, so they hold for one numpy/BLAS build; a change
+that alters float bits on purpose records new digests and says why.
+
+    PYTHONPATH=src python tests/test_golden.py
+
+prints the current digests as the dict literals below, ready to paste.
+
+Record history: the digests were first recorded before the CLI was rebuilt
+on the trainer's config parser and ``run_ablation``.  Those that hash float
+bits of a run with a discriminator were re-recorded when each adversarial
+term began to run the discriminator once over the stacked source and target
+rows: its weight gradient became one GEMM over all rows instead of the sum
+of two, which moves the last bits.  ``source_only``, the manifests and
+``ablation.json`` kept theirs.
 """
 
+import contextlib
 import hashlib
+import io
+import tempfile
+from pathlib import Path
 
 from renlab.cli import main
 from renlab.datasets import standard_benchmark
@@ -17,10 +31,10 @@ from renlab.trainer import VARIANTS, TrainConfig, run_ablation
 # sha256 of metrics_to_csv per variant: seed 0, 300 steps, standard_benchmark(0)
 ABLATION_DIGESTS = {
     "source_only": "fd3b5e107723077aafef3cc9bb8cd3d8399ab74a7f61afc9d419c9f0acd82e1f",
-    "cdan": "8600174e254b7a47c4777d69ab1a0f8d2ad5f59fbb52dd4fcb00b2e99e2f6e65",
-    "cdan_m": "5dbc8fb6f1e911d70c21ed1ce04bbd2c469dad90adc5599c996aa5d5e343d6bc",
-    "cdan_m_d": "a3c26890335ab7ecdcc8ee797efb032ebdcbd96b1eebfe844918e86b258c95eb",
-    "ren": "5b1083efea2723bc38275e4250406a5ae8ea74396e279dbdcdad14138caad66b",
+    "cdan": "52df9ff3550746efa21aebb2f02d08fb87e20c09d3ad33f8860831880f9a7dac",
+    "cdan_m": "c1cb279d360b19f25a19e6e9bf78537019535982dae6fd6181539ee9f5662b28",
+    "cdan_m_d": "6806ac69356602e251bf0cf3fc075b8e7be9b9aa9b78ca8177c2fc6af83c8e1f",
+    "ren": "99b5e3323660c61e316e21b2b0eeb49c0e470575f546208be4898b2f68626cfe",
 }
 
 ABLATE_ARGS = ["ablate", "--variants", "ren,cdan", "--seeds", "1,0", "--n", "60",
@@ -33,24 +47,24 @@ TRAIN_ARGS = ["train", "--steps", "30", "--gen", "blobs", "--classes", "3", "--n
 
 # sha256 of every file each command leaves under --out, by relative path
 ABLATE_TREE = {
-    "16a44f12860b-s0/checkpoint.txt": "5cb5dc2ab399f05ce9822b61058b11cffa3cc76521142c33f9a2bee7abd809ab",
+    "16a44f12860b-s0/checkpoint.txt": "a45f9826e78655e2e679fa2026d74cc6cc93d3fbe1469a3dca771e78b2f2859c",
     "16a44f12860b-s0/manifest.json": "7312581bac5fb8c6148d33e3dfa2cd4ae4b69736d69894a62250bdfa6b72e9e5",
-    "16a44f12860b-s0/metrics.csv": "851215bdb32e60f94f83b7f1bc78e7da8b57b6d0e1b08b09d04e4c3f609a745d",
-    "6d4820d05d26-s1/checkpoint.txt": "4e6a0ff3ed7181edccda80bc1ab6ae1240cb93c42946d8772d463c0aa9b63262",
+    "16a44f12860b-s0/metrics.csv": "c710fe873caf14e1bc3c71c64311a3018231a49cb18c9281ed527bd1e4c7160c",
+    "6d4820d05d26-s1/checkpoint.txt": "6edbd8df975c3e6af9fbaa66423b1ae96c02090aa601b42cd3566b448988adb7",
     "6d4820d05d26-s1/manifest.json": "8becfb8891439389db0a4dcda71a8b51d049ef09da4b7b4d8c3d57ae3ab5bc70",
     "6d4820d05d26-s1/metrics.csv": "150ce51833265c2a9e1d78a917b8c6f2e837adf470ae1bbe3d6eb5d13227a6c4",
-    "7b85e2d96bf5-s0/checkpoint.txt": "cb022e7c925e88f4a168e25790cb794dfb4452015a9754cd862948469eb70b30",
+    "7b85e2d96bf5-s0/checkpoint.txt": "0546856c76c773616f4f0f14c31d3f13c3063d01d216d8bc20553fcebad0592c",
     "7b85e2d96bf5-s0/manifest.json": "96901cdcbba890c0280deffbd539db58d7a5c44cb210e193cdf0bb7df7ee570f",
-    "7b85e2d96bf5-s0/metrics.csv": "d7d2a9c599d943c742f3aa5d75ad094c9145e7e13f4efbc004a7e6818c9afa70",
-    "99addedb0b69-s1/checkpoint.txt": "7f89bf1d7b974a8b2c635ae624bb629986647417ac535724829b919758fdaa31",
+    "7b85e2d96bf5-s0/metrics.csv": "3d607757af0c61e2adc93becbfb011128dd571b0935caf23a3606146816df3f2",
+    "99addedb0b69-s1/checkpoint.txt": "d69eadb5e37a58e68f9d82b3b285d364a6b411e4c4d1537c72a1970ccd2989f9",
     "99addedb0b69-s1/manifest.json": "375523315cab28709783ce2eef0156b4fea239b20de76021dc7c20e0081070fb",
-    "99addedb0b69-s1/metrics.csv": "7776bc97b01f5471c76542ae8b8a559ad4d40a2e2cfd83e21eb7e0839c0de2d8",
+    "99addedb0b69-s1/metrics.csv": "ee2fac386e54ea4834922f4ec603ecca98c5650bf4393b7af2d600cb43f7a864",
     "ablation.json": "ea39aa93eac92a3b57189ec482c99b1d1ffb864660b386c8d6271d2215aac629",
 }
 TRAIN_TREE = {
-    "247cc37bee57-s0/checkpoint.txt": "04d185ec8c8fb367e053f068bbd7747a6a2ab4531fc639e832570bf491fc46e2",
+    "247cc37bee57-s0/checkpoint.txt": "0aa1a75e333f59288be3022a0641780c1be61f7412e369f311c9c7c88106134e",
     "247cc37bee57-s0/manifest.json": "9dae092825ddfa96057b9522ce34d3b2ebae944c0721c9a0c134ff47fc11339e",
-    "247cc37bee57-s0/metrics.csv": "59c4035d44be6b49d3b122b1ddbdff1cd02c4cb08bb94dbfb85b45cd1d30c649",
+    "247cc37bee57-s0/metrics.csv": "49c30fa11975ba1f117804ec39015f4c1ddd77fcb6d632bfb70d1a13a7400eb7",
 }
 
 
@@ -63,17 +77,41 @@ def tree_digests(root) -> dict[str, str]:
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-def test_ablation_metrics_match_golden_digests():
+def ablation_digests() -> dict[str, str]:
     ds = standard_benchmark(0)
     runs = run_ablation(TrainConfig(total_steps=300), VARIANTS, [0], lambda seed: ds)
-    got = {v: sha(metrics_to_csv(r.records).encode()) for (v, _), r in runs.items()}
-    assert got == ABLATION_DIGESTS
+    return {v: sha(metrics_to_csv(r.records).encode()) for (v, _), r in runs.items()}
+
+
+def cli_tree_digests(root) -> tuple[dict[str, str], dict[str, str]]:
+    """Run the two CLI commands under ``root``; the digests of their trees."""
+    assert main([*ABLATE_ARGS, "--out", str(root / "ablate")]) == 0
+    cfg = root / "train.cfg"
+    cfg.write_text(TRAIN_CONFIG)
+    assert main([*TRAIN_ARGS, "--config", str(cfg), "--out", str(root / "train")]) == 0
+    return tree_digests(root / "ablate"), tree_digests(root / "train")
+
+
+def test_ablation_metrics_match_golden_digests():
+    assert ablation_digests() == ABLATION_DIGESTS
 
 
 def test_cli_run_trees_match_golden_digests(tmp_path, capsys):
-    assert main([*ABLATE_ARGS, "--out", str(tmp_path / "ablate")]) == 0
-    cfg = tmp_path / "train.cfg"
-    cfg.write_text(TRAIN_CONFIG)
-    assert main([*TRAIN_ARGS, "--config", str(cfg), "--out", str(tmp_path / "train")]) == 0
-    assert tree_digests(tmp_path / "ablate") == ABLATE_TREE
-    assert tree_digests(tmp_path / "train") == TRAIN_TREE
+    ablate, train = cli_tree_digests(tmp_path)
+    assert ablate == ABLATE_TREE
+    assert train == TRAIN_TREE
+
+
+def _print_dict(name: str, digests: dict[str, str]) -> None:
+    print(f"{name} = {{")
+    for key, digest in digests.items():
+        print(f'    "{key}": "{digest}",')
+    print("}")
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        ablate, train = cli_tree_digests(Path(tmp))
+    _print_dict("ABLATION_DIGESTS", ablation_digests())
+    _print_dict("ABLATE_TREE", ablate)
+    _print_dict("TRAIN_TREE", train)

@@ -13,7 +13,8 @@ from renlab.losses import (
     domain_adv_loss,
     total_loss,
 )
-from renlab.networks import BoundNet, NetSpec, ParamSet, init_params
+from renlab.networks import (BoundNet, NetSpec, ParamSet, collect_grads, discriminate,
+                             init_params)
 
 from conftest import numeric_grad, rel_err
 
@@ -60,17 +61,21 @@ def test_cross_entropy_floor_keeps_loss_finite():
 def test_domain_adv_loss_indifferent_discriminator():
     g = T.Graph()
     d = _zero_disc(g, 6)
-    h_s = g.constant(np.ones((3, 6)))
-    h_t = g.constant(np.ones((5, 6)))
-    loss = domain_adv_loss(d, h_s, h_t, 1.0)
+    h = g.constant(np.ones((3 + 5, 6)))
+    loss = domain_adv_loss(d, h, 3, 1.0)
     assert loss.item() == pytest.approx(2.0 * np.log(2.0), rel=1e-12)
 
 
 def test_domain_adv_loss_rejects_empty_batch():
     g = T.Graph()
     d = _zero_disc(g, 4)
+    h = g.constant(np.ones((2, 4)))
     with pytest.raises(ContractError):
-        domain_adv_loss(d, g.constant(np.empty((0, 4))), g.constant(np.ones((2, 4))), 1.0)
+        domain_adv_loss(d, h, 0, 1.0)  # no source rows
+    with pytest.raises(ContractError):
+        domain_adv_loss(d, h, 2, 1.0)  # no target rows
+    with pytest.raises(ContractError):
+        domain_adv_loss(d, g.constant(np.empty((0, 4))), 0, 1.0)
 
 
 def _adv_scene(seed, reverse, lam):
@@ -86,9 +91,8 @@ def _adv_scene(seed, reverse, lam):
     g = T.Graph()
     F = BoundNet(g, ps_F, "F")
     D = BoundNet(g, ps_D, "D")
-    f_s = F(g.constant(xs))
-    f_t = F(g.constant(xt))
-    loss = adv_student(D, f_s, f_t, cond[:4], cond[4:], lam, reverse=reverse)
+    f_all = F(g.constant(np.vstack([xs, xt])))
+    loss = adv_student(D, f_all, cond, 4, lam, reverse=reverse)
     g.backward(loss)
     return loss.item(), F.grads(), D.grads()
 
@@ -123,8 +127,8 @@ def test_adv_losses_match_finite_differences():
         g = T.Graph()
         F = BoundNet(g, ps_F, "F")
         D = BoundNet(g, ps_D, "D")
-        loss = adv_teacher(D, F(g.constant(xs)), F(g.constant(xt)),
-                           cond[:4], cond[4:], 1.0, reverse=False)
+        loss = adv_teacher(D, F(g.constant(np.vstack([xs, xt]))), cond, 4, 1.0,
+                           reverse=False)
         if loss_only:
             return loss.item()
         g.backward(loss)
@@ -136,6 +140,58 @@ def test_adv_losses_match_finite_differences():
         for k, arr in ps.items():
             num = numeric_grad(lambda: run(True), arr)
             assert rel_err(grads[f"{prefix}.{k}"], num) < 1e-6, f"{prefix}.{k}"
+
+
+def _two_pass_adv(D, f_src, f_tgt, cond_src, cond_tgt, lam, reverse):
+    """The adversarial term as separate source and target discriminator
+    passes, each with its own condition constant, multilinear and reversal."""
+    g = f_src.graph
+    h_src = T.multilinear(f_src, g.constant(cond_src))
+    h_tgt = T.multilinear(f_tgt, g.constant(cond_tgt))
+    if reverse:
+        h_src = T.grad_reverse(h_src, lam)
+        h_tgt = T.grad_reverse(h_tgt, lam)
+    loss_src = T.neg(T.mean_all(T.log(discriminate(D, h_src))))
+    loss_tgt = T.neg(T.mean_all(T.log(T.rsub_const(1.0, discriminate(D, h_tgt)))))
+    return T.add(loss_src, loss_tgt)
+
+
+@pytest.mark.parametrize("term", [adv_student, adv_teacher], ids=["student", "teacher"])
+@pytest.mark.parametrize("reverse", [True, False], ids=["reverse", "plain"])
+def test_stacked_adv_matches_two_pass_reference(term, reverse):
+    lam, n_src, n_tgt = 0.6, 5, 3  # unequal domains, so a misplaced split shows
+    for seed in range(4):
+        rng = np.random.default_rng([seed, 7])
+        ps_F = init_params(NetSpec((5, 6, 4), final="relu"), [seed, 1])
+        ps_D = init_params(NetSpec((4 * 3, 6, 1), final="sigmoid"), [seed, 2])
+        for ps in (ps_F, ps_D):  # non-zero biases, so no unit sits on its kink
+            for k, arr in ps.items():
+                if k.startswith("b"):
+                    arr += rng.normal(scale=0.1, size=arr.shape)
+        xs = rng.normal(size=(n_src, 5))
+        xt = rng.normal(size=(n_tgt, 5))
+        raw = rng.random((n_src + n_tgt, 3))
+        cond = raw / raw.sum(axis=1, keepdims=True)
+
+        g = T.Graph()
+        F, D = BoundNet(g, ps_F, "F"), BoundNet(g, ps_D, "D")
+        stacked = term(D, F(g.constant(np.vstack([xs, xt]))), cond, n_src, lam,
+                       reverse=reverse)
+        g.backward(stacked)
+        got = collect_grads(F, D)
+
+        g = T.Graph()
+        F, D = BoundNet(g, ps_F, "F"), BoundNet(g, ps_D, "D")
+        ref = _two_pass_adv(D, F(g.constant(xs)), F(g.constant(xt)),
+                            cond[:n_src], cond[n_src:], lam, reverse)
+        g.backward(ref)
+        want = collect_grads(F, D)
+
+        assert abs(stacked.item() - ref.item()) <= 1e-12
+        assert list(got) == list(want)
+        for k, arr in want.items():
+            assert np.abs(arr).max() > 0.0, k
+            assert np.abs(got[k] - arr).max() <= 1e-10 * np.abs(arr).max(), k
 
 
 def test_consistency_reference_values():
@@ -186,7 +242,7 @@ def test_consistency_gradient_flows_to_student_only(rng):
 
     def run(loss_only):
         g = T.Graph()
-        p = g.parameter(pv, "p")
+        p = g.parameter(pv)
         loss = consistency(p, tea)
         if loss_only:
             return loss.item()
@@ -198,7 +254,7 @@ def test_consistency_gradient_flows_to_student_only(rng):
 
 def test_total_loss_zero_weights_reduce_to_classification():
     g = T.Graph()
-    l_c = T.mean_all(g.parameter([[1.5]], "x"))
+    l_c = T.mean_all(g.parameter([[1.5]]))
     stub = T.mean_all(g.constant([[9.0]]))
     total, parts = total_loss(l_c, stub, stub, stub, 0.0, 0.0, 0.0)
     assert total.item() == pytest.approx(1.5, rel=1e-15)

@@ -29,7 +29,7 @@ def test_tensor_rejects_non_finite():
 
 def test_op_rejects_non_finite_output():
     g = T.Graph()
-    x = g.parameter([[0.0]], "x")
+    x = g.parameter([[0.0]])
     with np.errstate(divide="ignore"):
         with pytest.raises(NonFiniteError):
             T.log(x)  # log 0 = -inf
@@ -64,7 +64,7 @@ def test_sigmoid_extremes():
 
 def test_clamp_forward_and_gradient_mask():
     g = T.Graph()
-    x = g.parameter([[-1.0, 0.5, 2.0]], "x")
+    x = g.parameter([[-1.0, 0.5, 2.0]])
     y = T.clamp(x, lo=0.0, hi=1.0)
     assert np.array_equal(y.values, [[0.0, 0.5, 1.0]])
     g.backward(T.sum_all(y))
@@ -121,13 +121,13 @@ def _check_unary(build, shape, rng, positive=False):
 
     def loss():
         g = T.Graph()
-        x = g.parameter(xv, "x")
+        x = g.parameter(xv)
         out = T.mean_all(build(x))
         return out.item()
 
     def analytic():
         g = T.Graph()
-        x = g.parameter(xv, "x")
+        x = g.parameter(xv)
         out = T.mean_all(build(x))
         g.backward(out)
         return x.grad
@@ -166,9 +166,9 @@ def test_binary_gradients(rng):
 
     def make(loss_only):
         g = T.Graph()
-        a = g.parameter(av, "a")
-        b = g.parameter(bv, "b")
-        bias = g.parameter(biasv, "bias")
+        a = g.parameter(av)
+        b = g.parameter(bv)
+        bias = g.parameter(biasv)
         out = T.mean_all(T.square(T.add(T.matmul(a, b), bias)))
         if loss_only:
             return out.item()
@@ -188,8 +188,8 @@ def test_sub_concat_gather_gradients(rng):
 
     def make(loss_only):
         g = T.Graph()
-        a = g.parameter(av, "a")
-        b = g.parameter(bv, "b")
+        a = g.parameter(av)
+        b = g.parameter(bv)
         cat = T.concat_rows(a, b)
         p = T.softmax_rows(T.sub(cat, T.scale(cat, 0.3)))
         out = T.neg(T.mean_all(T.log(T.gather_rows(p, labels))))
@@ -209,8 +209,8 @@ def test_multilinear_gradients(rng):
 
     def make(loss_only):
         g = T.Graph()
-        f = g.parameter(fv, "f")
-        p = g.parameter(pv, "p")
+        f = g.parameter(fv)
+        p = g.parameter(pv)
         out = T.mean_all(T.square(T.multilinear(f, p)))
         if loss_only:
             return out.item()
@@ -224,7 +224,7 @@ def test_multilinear_gradients(rng):
 
 def test_sqrt_subgradient_at_zero_is_zero():
     g = T.Graph()
-    x = g.parameter([[0.0, 4.0]], "x")
+    x = g.parameter([[0.0, 4.0]])
     g.backward(T.sum_all(T.sqrt(x)))
     assert x.grad[0, 0] == 0.0
     assert x.grad[0, 1] == pytest.approx(0.25, rel=1e-15)
@@ -236,13 +236,13 @@ def test_grad_reverse_identity_forward_scaled_negated_backward(rng):
 
     def grads(reverse):
         g = T.Graph()
-        x = g.parameter(xv, "x")
+        x = g.parameter(xv)
         h = T.grad_reverse(x, lam) if reverse else x
         g.backward(T.mean_all(T.square(h)))
         return x.grad
 
     g = T.Graph()
-    x = g.parameter(xv, "x")
+    x = g.parameter(xv)
     assert np.array_equal(T.grad_reverse(x, lam).values, xv)
     assert np.allclose(grads(True), -lam * grads(False), atol=1e-15)
     with pytest.raises(ContractError):
@@ -251,15 +251,15 @@ def test_grad_reverse_identity_forward_scaled_negated_backward(rng):
 
 def test_unreached_parameters_get_zero_gradients():
     g = T.Graph()
-    x = g.parameter([[1.0, 2.0]], "x")
-    lonely = g.parameter([[5.0]], "lonely")
+    x = g.parameter([[1.0, 2.0]])
+    lonely = g.parameter([[5.0]])
     g.backward(T.mean_all(T.square(x)))
     assert np.array_equal(lonely.grad, [[0.0]])
 
 
 def test_constants_are_skipped():
     g = T.Graph()
-    x = g.parameter([[2.0]], "x")
+    x = g.parameter([[2.0]])
     c = g.constant([[3.0]])
     g.backward(T.sum_all(T.matmul(x, c)))
     assert c.grad is None
@@ -268,7 +268,7 @@ def test_constants_are_skipped():
 
 def test_constant_inputs_get_no_parent_entry():
     g = T.Graph()
-    x = g.parameter([[2.0]], "x")
+    x = g.parameter([[2.0]])
     c = g.constant([[3.0]])
     y = T.matmul(c, x)
     z = T.add(y, c)
@@ -311,9 +311,9 @@ def test_tape_is_freed_without_the_cycle_collector(op):
     gc.disable()
     try:
         g = T.Graph()
-        x = g.parameter([[0.1, 0.5, 0.9], [0.3, 0.6, 0.7]], "x")
+        x = g.parameter([[0.1, 0.5, 0.9], [0.3, 0.6, 0.7]])
         c = g.constant([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        w = g.parameter(np.ones((3, 2)), "w")
+        w = g.parameter(np.ones((3, 2)))
         loss = T.sum_all(OP_BUILDERS[op](x, c, w))
         g.backward(loss)
         grad = x.grad
@@ -330,9 +330,9 @@ def test_tape_is_freed_without_the_cycle_collector(op):
 def test_op_output_is_a_fresh_c_contiguous_float64_matrix(op):
     # Graph._record stores such an array as it is, without as_matrix
     g = T.Graph()
-    x = g.parameter([[0.1, 0.5, 0.9], [0.3, 0.6, 0.7]], "x")
+    x = g.parameter([[0.1, 0.5, 0.9], [0.3, 0.6, 0.7]])
     c = g.constant([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    w = g.parameter(np.ones((3, 2)), "w")
+    w = g.parameter(np.ones((3, 2)))
     out = OP_BUILDERS[op](x, c, w).values
     assert type(out) is np.ndarray and out.ndim == 2 and out.dtype == np.float64
     assert out.flags.c_contiguous
@@ -347,7 +347,7 @@ def test_shared_inputs_get_exact_private_gradients():
     xv = np.array([[1.0, -2.0, 0.5], [3.0, 0.0, -1.5]])
     c1 = np.array([[1.0, 2.0], [0.5, -1.0], [4.0, 0.25]])
     c2 = np.array([[-1.0], [2.0], [0.5]])
-    x = g.parameter(xv, "x")
+    x = g.parameter(xv)
     s1 = T.sum_all(T.matmul(T.add(x, x), g.constant(c1)))
     s2 = T.sum_all(T.matmul(T.concat_rows(x, x), g.constant(c2)))
     s3 = T.sum_all(T.square(x))
@@ -366,7 +366,7 @@ def test_shared_inputs_get_exact_private_gradients():
 
 def test_backward_resets_previous_gradients():
     g = T.Graph()
-    x = g.parameter([[1.0]], "x")
+    x = g.parameter([[1.0]])
     loss = T.sum_all(T.square(x))
     g.backward(loss)
     first = x.grad.copy()
@@ -376,19 +376,19 @@ def test_backward_resets_previous_gradients():
 
 def test_backward_requires_scalar_on_same_graph():
     g = T.Graph()
-    x = g.parameter([[1.0, 2.0]], "x")
+    x = g.parameter([[1.0, 2.0]])
     with pytest.raises(ContractError):
         g.backward(T.square(x))
     other = T.Graph()
-    y = other.parameter([[1.0]], "y")
+    y = other.parameter([[1.0]])
     with pytest.raises(ContractError):
         g.backward(T.sum_all(y))
 
 
 def test_ops_reject_mixed_graphs():
     g1, g2 = T.Graph(), T.Graph()
-    a = g1.parameter([[1.0]], "a")
-    b = g2.parameter([[1.0]], "b")
+    a = g1.parameter([[1.0]])
+    b = g2.parameter([[1.0]])
     with pytest.raises(ContractError):
         T.add(a, b)
 
@@ -399,7 +399,7 @@ def test_finite_diff_check_passes_on_quadratic(rng):
 
     def loss_fn():
         g = T.Graph()
-        wt = g.parameter(w, "w")
+        wt = g.parameter(w)
         diff = T.sub(wt, g.constant(target))
         loss = T.mean_all(T.square(diff))
         g.backward(loss)
@@ -415,7 +415,7 @@ def test_finite_diff_check_catches_corruption(rng):
 
     def loss_fn():
         g = T.Graph()
-        wt = g.parameter(w, "w")
+        wt = g.parameter(w)
         loss = T.mean_all(T.square(wt))
         g.backward(loss)
         bad = wt.grad.copy()

@@ -214,6 +214,30 @@ def test_consistency_is_zero_on_first_step():
     assert parts.l_c > 0.0
 
 
+# tape nodes one training step records, per variant; fewer is the aim, and
+# a rise is a regression this catches without a traced benchmark run
+NODES_PER_STEP = {"source_only": 27, "cdan": 53, "cdan_m": 53, "cdan_m_d": 75, "ren": 82}
+
+
+def test_nodes_per_step(monkeypatch):
+    counted = []
+    backward = Graph.backward
+
+    def counting(graph, loss):
+        counted.append(len(graph.nodes))
+        return backward(graph, loss)
+
+    monkeypatch.setattr(Graph, "backward", counting)
+    ds = small_ds()
+    got = {}
+    for variant in NODES_PER_STEP:
+        cfg = TrainConfig(variant=variant, total_steps=10)
+        Trainer(cfg, ds).train_step(next(batch_stream(ds, cfg.batch_size, cfg.seed)), 0)
+        got[variant] = counted.pop()
+    assert not counted
+    assert got == NODES_PER_STEP
+
+
 def test_train_steps_leave_no_live_graph():
     # each step's tape must be freed by reference counting alone
     ds = small_ds()
