@@ -9,7 +9,9 @@ pure function of its parameters and seed.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterator
 
 import numpy as np
@@ -17,6 +19,7 @@ import numpy as np
 from .exceptions import ConfigError, ContractError
 
 GENERATORS = ("two_moons", "blobs")
+BLOCK_ROWS = 256  # rows per write and per numpy parse in the dataset CSV codec
 
 
 def _require_finite(name: str, value) -> None:
@@ -184,7 +187,7 @@ def lift(x: np.ndarray, embedding: np.ndarray, noise_sigma: float, seed) -> np.n
     lifted = x @ embedding
     if noise_sigma > 0:
         rng = np.random.default_rng(seed)
-        lifted = lifted + rng.normal(0.0, noise_sigma, size=lifted.shape)
+        lifted += rng.normal(0.0, noise_sigma, size=lifted.shape)
     return lifted
 
 
@@ -322,46 +325,106 @@ def _flatten_meta(meta: dict, prefix: str = "") -> list[tuple[str, str]]:
     return items
 
 
+def _write_rows(fh, x: np.ndarray, y: np.ndarray, split: str, first_id: int) -> None:
+    for start in range(0, x.shape[0], BLOCK_ROWS):
+        block = slice(start, start + BLOCK_ROWS)
+        # float64 first, so integer-valued coordinates write "1.0" like repr(float(v))
+        coords = np.asarray(x[block], dtype=np.float64).tolist()
+        fh.writelines(f"{first_id + start + i},{split},{label},{','.join(map(repr, row))}\n"
+                      for i, (label, row) in enumerate(zip(y[block].tolist(), coords)))
+
+
 def save_dataset(dataset: DomainDataset, csv_path, meta_path) -> None:
+    """Write the CSV BLOCK_ROWS rows at a time to a sibling temp file, then
+    rename it into place: a write that dies midway leaves no CSV that loads."""
+    csv_path = Path(csv_path)
+    tmp_path = csv_path.with_name(csv_path.name + ".tmp")
     dim = dataset.input_dim
-    header = "id,split,label," + ",".join(f"x_{j}" for j in range(dim))
-    lines = [header]
-    for i in range(dataset.n_source):
-        coords = ",".join(repr(float(v)) for v in dataset.source_x[i])
-        lines.append(f"{i},source,{dataset.source_y[i]},{coords}")
-    for i in range(dataset.n_target):
-        coords = ",".join(repr(float(v)) for v in dataset.target_x[i])
-        lines.append(f"{dataset.n_source + i},target,{dataset.target_y[i]},{coords}")
-    with open(csv_path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(tmp_path, "w") as fh:
+            fh.write("id,split,label," + ",".join(f"x_{j}" for j in range(dim)) + "\n")
+            _write_rows(fh, dataset.source_x, dataset.source_y, "source", 0)
+            _write_rows(fh, dataset.target_x, dataset.target_y, "target", dataset.n_source)
+        os.replace(tmp_path, csv_path)
+    except BaseException:
+        tmp_path.unlink(missing_ok=True)
+        raise
     with open(meta_path, "w") as fh:
         for k, v in _flatten_meta(dataset.meta):
             fh.write(f"{k} = {v}\n")
 
 
+def _parse_block(texts: list[str], linenos: list[int], csv_path) -> np.ndarray:
+    """One float64 parse for a block's coordinate texts; on a bad number the
+    block is parsed again row by row to name the line."""
+    try:
+        return np.array(",".join(texts).split(","), dtype=np.float64)
+    except ValueError:
+        for text, lineno in zip(texts, linenos):
+            try:
+                np.array(text.split(","), dtype=np.float64)
+            except ValueError:
+                raise ContractError(f"bad number on line {lineno} in {csv_path}") from None
+        raise  # unreachable: some row of the block failed above
+
+
 def load_dataset(csv_path) -> DomainDataset:
-    """Read a dataset CSV; a corrupt or truncated file raises ContractError."""
-    sx, sy, tx, ty = [], [], [], []
-    splits = {"source": (sx, sy), "target": (tx, ty)}
+    """Read a dataset CSV; a corrupt or truncated file raises ContractError.
+
+    Lines are streamed and checked one by one; coordinates are parsed
+    BLOCK_ROWS rows per numpy call.  A row's id must be its 0-based position
+    among the data rows.  The first bad line in file order is the one named.
+    """
+    splits = ("source", "target")
+    coords: list[np.ndarray] = []
+    is_source: list[bool] = []
+    labels: list[int] = []
+    texts: list[str] = []
+    linenos: list[int] = []
+
+    def flush() -> None:
+        if texts:
+            coords.append(_parse_block(texts, linenos, csv_path))
+            texts.clear()
+            linenos.clear()
+
+    def error(message: str, lineno: int) -> ContractError:
+        flush()  # a bad number on an earlier line of the block is reported first
+        return ContractError(f"{message} {lineno} in {csv_path}")
+
     with open(csv_path) as fh:
         header = fh.readline()
         if not header.startswith("id,split,label,"):
             raise ContractError(f"unrecognized dataset header in {csv_path}")
-        width = header.count(",") + 1
+        dim = header.count(",") - 2
         for lineno, line in enumerate(fh, start=2):
-            parts = line.strip().split(",")
-            if parts == [""]:
+            stripped = line.strip()
+            if not stripped:
                 continue
-            if not line.endswith("\n") or len(parts) != width or parts[1] not in splits:
-                raise ContractError(f"malformed or truncated line {lineno} in {csv_path}")
-            xs, ys = splits[parts[1]]
+            parts = stripped.split(",", 3)
+            if (not line.endswith("\n") or len(parts) != 4 or parts[1] not in splits
+                    or parts[3].count(",") != dim - 1):
+                raise error("malformed or truncated line", lineno)
+            if parts[0] != str(len(labels)):
+                raise error("bad row id on line", lineno)
             try:
-                ys.append(int(parts[2]))
-                xs.append([float(v) for v in parts[3:]])
+                labels.append(int(parts[2]))
             except ValueError:
-                raise ContractError(f"bad number on line {lineno} in {csv_path}") from None
-    dataset = DomainDataset(np.array(sx), np.array(sy, dtype=np.int64),
-                            np.array(tx), np.array(ty, dtype=np.int64))
+                raise error("bad number on line", lineno) from None
+            is_source.append(parts[1] == "source")
+            texts.append(parts[3])
+            linenos.append(lineno)
+            if len(texts) == BLOCK_ROWS:
+                flush()
+    flush()
+    x = np.concatenate(coords).reshape(-1, dim) if coords else np.empty((0, dim))
+    del coords  # free the blocks before the split copies rows out of x
+    try:
+        y = np.array(labels, dtype=np.int64)
+    except OverflowError:
+        raise ContractError(f"label out of the int64 range in {csv_path}") from None
+    src = np.array(is_source, dtype=bool)
+    dataset = DomainDataset(x[src], y[src], x[~src], y[~src])
     if not (np.isfinite(dataset.source_x).all() and np.isfinite(dataset.target_x).all()):
         raise ContractError(f"non-finite coordinate in {csv_path}")
     return dataset

@@ -79,17 +79,22 @@ class ParamSet:
         return self.params.items()
 
     def forward_plain(self, x: np.ndarray) -> np.ndarray:
-        """Numpy-only forward pass (no graph, no gradients)."""
+        """Numpy-only forward pass (no graph, no gradients).
+
+        Each layer's matmul allocates a fresh array, so the bias and the
+        rectifier work in place on it and the input is never written.
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.spec.in_width:
             raise ShapeError(f"input shape {x.shape} does not match width {self.spec.in_width}")
         h = x
         for i in range(self.n_layers):
-            h = h @ self.params[f"w{i}"] + self.params[f"b{i}"]
+            h = h @ self.params[f"w{i}"]
+            h += self.params[f"b{i}"]
             if i < self.n_layers - 1:
-                h = np.maximum(h, 0.0)
+                np.maximum(h, 0.0, out=h)
         if self.spec.final == "relu":
-            h = np.maximum(h, 0.0)
+            np.maximum(h, 0.0, out=h)
         elif self.spec.final == "sigmoid":
             h = T.stable_sigmoid(h)
         return h

@@ -43,9 +43,10 @@ def as_matrix(values) -> np.ndarray:
 
 def stable_softmax(arr: np.ndarray) -> np.ndarray:
     """Row-wise softmax with per-row max subtraction (overflow safe)."""
-    shifted = arr - arr.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    e = arr - arr.max(axis=1, keepdims=True)  # fresh array: exp and divide in place
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def stable_sigmoid(arr: np.ndarray) -> np.ndarray:

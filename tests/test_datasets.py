@@ -1,9 +1,12 @@
 """Synthetic generators, geometric shift, lifting, batching, CSV round trip."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from renlab.datasets import (
+    BLOCK_ROWS,
     DomainDataset,
     ShiftSpec,
     apply_shift,
@@ -285,7 +288,11 @@ def small_dataset_csv(tmp_path):
     lambda t: t[:t.rindex(",")] + "\n",  # last row lost a coordinate
     lambda t: t[:t.rindex(",") + 1] + "nan\n",
     lambda t: t[:t.index(",target,")].rsplit("\n", 1)[0] + "\n",  # no target rows
-], ids=["unknown-split", "word-label", "long-row", "short-row", "non-finite", "no-target"])
+    lambda t: t.replace("\n2,source,", "\nbanana,source,", 1),
+    lambda t: t.replace("\n2,source,", "\n1,source,", 1),  # id 1 twice
+    lambda t: t.replace(",source,0,", ",source,99999999999999999999,", 1),
+], ids=["unknown-split", "word-label", "long-row", "short-row", "non-finite", "no-target",
+        "bad-id", "repeated-id", "huge-label"])
 def test_load_dataset_rejects_corrupt_files(tmp_path, corrupt):
     path, text = small_dataset_csv(tmp_path)
     path.write_text(corrupt(text))
@@ -301,3 +308,114 @@ def test_load_dataset_rejects_every_mid_line_truncation(tmp_path):
         path.write_text(text[:cut])
         with pytest.raises(ContractError):
             load_dataset(path)
+
+
+def test_load_dataset_names_a_bad_or_misplaced_id(tmp_path):
+    path, text = small_dataset_csv(tmp_path)
+    lines = text.split("\n")
+    lines[2], lines[3] = lines[3], lines[2]  # ids 2 then 1: both out of place
+    path.write_text("\n".join(lines))
+    with pytest.raises(ContractError, match="line 3 "):
+        load_dataset(path)
+
+
+def reference_csv(ds: DomainDataset) -> str:
+    """The dataset CSV written one row at a time with repr(float(v))."""
+    lines = ["id,split,label," + ",".join(f"x_{j}" for j in range(ds.input_dim))]
+    for i in range(ds.n_source):
+        coords = ",".join(repr(float(v)) for v in ds.source_x[i])
+        lines.append(f"{i},source,{ds.source_y[i]},{coords}")
+    for i in range(ds.n_target):
+        coords = ",".join(repr(float(v)) for v in ds.target_x[i])
+        lines.append(f"{ds.n_source + i},target,{ds.target_y[i]},{coords}")
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_spanning_several_blocks_matches_the_per_row_reference(tmp_path):
+    n_source, n_target = 2 * BLOCK_ROWS + 37, BLOCK_ROWS + 5
+    ds = standard_benchmark(3, n_source=n_source, n_target=n_target, lift_dim=5)
+    path = tmp_path / "d.csv"
+    save_dataset(ds, path, tmp_path / "d.meta")
+    assert path.read_bytes() == reference_csv(ds).encode()
+    back = load_dataset(path)
+    for field in ("source_x", "source_y", "target_x", "target_y"):
+        want, got = getattr(ds, field), getattr(back, field)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("x_dtype", [np.int64, np.int32, np.float32])
+@pytest.mark.parametrize("y_dtype", [np.int64, np.int32, np.uint8])
+def test_csv_of_other_dtypes_matches_the_per_row_reference(tmp_path, rng, x_dtype, y_dtype):
+    n = BLOCK_ROWS + 3
+    def coords():
+        return (rng.normal(size=(n, 3)) * 50).astype(x_dtype)
+    ds = DomainDataset(coords(), rng.integers(0, 4, n).astype(y_dtype),
+                       coords(), rng.integers(0, 4, n).astype(y_dtype))
+    path = tmp_path / "d.csv"
+    save_dataset(ds, path, tmp_path / "d.meta")
+    assert path.read_bytes() == reference_csv(ds).encode()
+
+
+def test_bad_number_in_a_later_block_names_its_line(tmp_path):
+    ds = standard_benchmark(4, n_source=BLOCK_ROWS + 20, n_target=BLOCK_ROWS + 20, lift_dim=0)
+    path = tmp_path / "d.csv"
+    save_dataset(ds, path, tmp_path / "d.meta")
+    lines = path.read_text().split("\n")
+    bad = 2 * BLOCK_ROWS + 7  # 0-based list index of a row in the third block
+    lines[bad] = lines[bad].rsplit(",", 1)[0] + ",1.2.3"
+    path.write_text("\n".join(lines))
+    with pytest.raises(ContractError, match=f"bad number on line {bad + 1} "):
+        load_dataset(path)
+
+
+def test_the_first_bad_line_is_named_even_inside_a_block(tmp_path):
+    path, text = small_dataset_csv(tmp_path)
+    lines = text.split("\n")
+    lines[2] = lines[2].rsplit(",", 1)[0] + ",oops"  # bad number, line 3
+    lines[4] = "4,elsewhere,0,1.0,2.0"  # malformed, line 5
+    path.write_text("\n".join(lines))
+    with pytest.raises(ContractError, match="bad number on line 3 "):
+        load_dataset(path)
+
+
+def test_failed_write_leaves_no_csv(tmp_path):
+    ds = standard_benchmark(5, n_source=3 * BLOCK_ROWS, n_target=BLOCK_ROWS, lift_dim=0)
+    target_x = ds.target_x.astype(object)
+    target_x[-1, 0] = "not a number"  # the last block fails to convert
+    broken = DomainDataset(ds.source_x, ds.source_y, target_x, ds.target_y)
+    path = tmp_path / "dataset.csv"
+    with pytest.raises(ValueError):
+        save_dataset(broken, path, tmp_path / "dataset.meta")
+    assert list(tmp_path.iterdir()) == []
+    # an existing file is left as it was
+    path.write_text("previous\n")
+    with pytest.raises(ValueError):
+        save_dataset(broken, path, tmp_path / "dataset.meta")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dataset.csv"]
+    assert path.read_text() == "previous\n"
+
+
+def traced_peak(fn):
+    """Peak bytes traced by tracemalloc while fn runs, and its result."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return tracemalloc.get_traced_memory()[1] - start, out
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_codec_memory_scales_with_the_arrays(tmp_path):
+    angles = np.arange(6) * np.pi / 3
+    centers = 4.0 * np.column_stack([np.cos(angles), np.sin(angles)])
+    ds = make_domain_dataset(make_blobs(3000, 6, centers, 0.5, 1), ShiftSpec(rotation_deg=30.0),
+                             1, lift_dim=64, lift_noise=0.05)
+    path = tmp_path / "d.csv"
+    save_peak, _ = traced_peak(lambda: save_dataset(ds, path, tmp_path / "d.meta"))
+    assert save_peak <= 0.5 * path.stat().st_size
+    load_peak, back = traced_peak(lambda: load_dataset(path))
+    returned = sum(getattr(back, f).nbytes
+                   for f in ("source_x", "source_y", "target_x", "target_y"))
+    assert load_peak <= 2.5 * returned

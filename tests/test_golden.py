@@ -7,6 +7,8 @@ that alters float bits on purpose records new digests and says why.
     PYTHONPATH=src python tests/test_golden.py
 
 prints the current digests as the dict literals below, ready to paste.
+The ``datagen`` digests pin the dataset CSV codec and were recorded before
+it began to write in row blocks.
 
 Record history: the digests were first recorded before the CLI was rebuilt
 on the trainer's config parser and ``run_ablation``.  Those that hash float
@@ -20,6 +22,7 @@ of two, which moves the last bits.  ``source_only``, the manifests and
 import contextlib
 import hashlib
 import io
+import json
 import tempfile
 from pathlib import Path
 
@@ -68,6 +71,24 @@ TRAIN_TREE = {
 }
 
 
+# sha256 of the two files each ``datagen`` run writes, by run name
+DATAGEN_ARGS = {
+    "defaults": [],
+    "blobs": ["--gen", "blobs", "--classes", "6", "--imbalance", "3", "--lift-dim", "64",
+              "--n", "300"],
+}
+DATAGEN_DIGESTS = {
+    "defaults": {
+        "dataset.csv": "0f9fc565a368b4e3964ba16c9441299fa828a465bdeadfa350db8aae395781d2",
+        "dataset.meta": "4ce10f788929d69875ae1f1adee55a48c4f995365d1a895df063e6f1da5584a8",
+    },
+    "blobs": {
+        "dataset.csv": "3ef068aaab2a28b4b4b455bb1a67361ccd4447708ac090401110cc1fc3805909",
+        "dataset.meta": "cdff0ea050b91ffcfc5e4814d85553a34acb9ed085275105daad874459f48896",
+    },
+}
+
+
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -92,6 +113,17 @@ def cli_tree_digests(root) -> tuple[dict[str, str], dict[str, str]]:
     return tree_digests(root / "ablate"), tree_digests(root / "train")
 
 
+def datagen_digests(root) -> dict[str, dict[str, str]]:
+    """Run each ``datagen`` of DATAGEN_ARGS under ``root``; its files' digests."""
+    for name, args in DATAGEN_ARGS.items():
+        assert main(["datagen", *args, "--out", str(root / name)]) == 0
+    return {name: tree_digests(root / name) for name in DATAGEN_ARGS}
+
+
+def test_datagen_files_match_golden_digests(tmp_path, capsys):
+    assert datagen_digests(tmp_path) == DATAGEN_DIGESTS
+
+
 def test_ablation_metrics_match_golden_digests():
     assert ablation_digests() == ABLATION_DIGESTS
 
@@ -102,16 +134,15 @@ def test_cli_run_trees_match_golden_digests(tmp_path, capsys):
     assert train == TRAIN_TREE
 
 
-def _print_dict(name: str, digests: dict[str, str]) -> None:
-    print(f"{name} = {{")
-    for key, digest in digests.items():
-        print(f'    "{key}": "{digest}",')
-    print("}")
+def _print_dict(name: str, digests: dict) -> None:
+    print(f"{name} = {json.dumps(digests, indent=4)}")
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         ablate, train = cli_tree_digests(Path(tmp))
+        datagen = datagen_digests(Path(tmp) / "datagen")
     _print_dict("ABLATION_DIGESTS", ablation_digests())
     _print_dict("ABLATE_TREE", ablate)
     _print_dict("TRAIN_TREE", train)
+    _print_dict("DATAGEN_DIGESTS", datagen)

@@ -68,6 +68,37 @@ def test_bound_and_plain_forwards_agree(rng):
     assert (out.values >= 0).all()
 
 
+def _reference_forward_plain(ps, x):
+    """forward_plain as it was written before the in-place layer loop."""
+    h = x
+    for i in range(ps.n_layers):
+        h = h @ ps.params[f"w{i}"] + ps.params[f"b{i}"]
+        if i < ps.n_layers - 1:
+            h = np.maximum(h, 0.0)
+    if ps.spec.final == "relu":
+        h = np.maximum(h, 0.0)
+    elif ps.spec.final == "sigmoid":
+        h = T.stable_sigmoid(h)
+    return h
+
+
+@pytest.mark.parametrize("widths", [(6, 4), (6, 9, 5, 4)], ids=["one-layer", "three-layer"])
+@pytest.mark.parametrize("final", [None, "relu", "sigmoid"])
+def test_forward_plain_leaves_input_alone_and_matches_reference_bits(rng, widths, final):
+    ps = init_params(NetSpec(widths, final=final), 3)
+    for k, arr in ps.items():
+        if k.startswith("b"):
+            arr[...] = rng.normal(size=arr.shape)
+    x = rng.normal(size=(11, widths[0]))
+    before = x.copy()
+    out = ps.forward_plain(x)
+    assert x.tobytes() == before.tobytes()
+    want = _reference_forward_plain(ps, before)
+    assert out.dtype == want.dtype and out.shape == want.shape
+    assert out.tobytes() == want.tobytes()
+    assert not np.shares_memory(out, x)
+
+
 def test_forward_fc_matches_plain(rng):
     ps_F = init_params(NetSpec((5, 8, 3), final="relu"), 1)
     ps_C = init_params(NetSpec((3, 4)), 2)
