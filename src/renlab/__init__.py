@@ -12,14 +12,13 @@ from .exceptions import (ConfigError, ContractError, NonFiniteError,
 from .tensor import Graph, GradCheckReport, Tensor, finite_diff_check
 from .networks import (DualNet, NetSpec, ParamSet, alpha_theta_ramp,
                        ema_update, init_params)
-from .conditioning import PredEmaState, multilinear_map, pred_ema
+from .conditioning import PredEmaState, pred_ema
 from .losses import LossBreakdown, consistency, cross_entropy, total_loss
 from .datasets import (Batch, DomainDataset, ShiftSpec, apply_shift, batches,
                        make_blobs, make_two_moons, standard_benchmark)
 from .trainer import (VARIANTS, RunResult, TrainConfig, Trainer, grl_lambda,
                       lr_schedule, run_ablation, sgd_momentum_step)
-from .evaluation import (MetricsRecord, ablation_report, accuracy, project_2d,
-                         stability)
+from .evaluation import MetricsRecord, ablation_report, accuracy, stability
 
 __version__ = "0.1.0"
 
@@ -31,7 +30,6 @@ __all__ = [
     "ablation_report", "accuracy", "alpha_theta_ramp", "apply_shift",
     "batches", "consistency", "cross_entropy", "ema_update",
     "finite_diff_check", "grl_lambda", "init_params", "lr_schedule",
-    "make_blobs", "make_two_moons", "multilinear_map", "pred_ema",
-    "project_2d", "run_ablation", "sgd_momentum_step", "stability",
-    "standard_benchmark", "total_loss",
+    "make_blobs", "make_two_moons", "pred_ema", "run_ablation",
+    "sgd_momentum_step", "stability", "standard_benchmark", "total_loss",
 ]

@@ -2,7 +2,9 @@
 
 Builds a small seeded scenario (student nets, discriminator, one batch,
 frozen conditioning rows) and compares graph gradients against central
-differences.  The adversarial terms are built WITHOUT the gradient-reversal
+differences.  Each check records its loss with the model's own code: one
+backward pass gives the analytic gradients, and every perturbed evaluation
+runs the forward pass only.  The adversarial terms are built WITHOUT the gradient-reversal
 node: reversal makes the analytic gradient -lambda times the loss gradient
 by construction, which central differences cannot see.  The reversal algebra
 itself is covered by a separate identity (see losses/adv tests).
@@ -24,8 +26,7 @@ from typing import Callable
 import numpy as np
 
 from . import tensor as T
-from .conditioning import multilinear_plain
-from .exceptions import ContractError
+from .exceptions import ConfigError, ContractError
 from .losses import adv_student, adv_teacher, consistency, cross_entropy, total_loss
 from .networks import (DISC_EPS, BoundNet, NetSpec, ParamSet, collect_grads,
                        forward_fc, forward_fc_plain, init_params)
@@ -36,10 +37,14 @@ KINK_MARGIN = 2e-3
 
 @dataclass
 class LossCheck:
-    """One named loss with its closure and the parameters under test."""
+    """One named loss and the parameters under test.
+
+    ``build(g)`` records the loss on graph ``g`` and returns it with the
+    nets it bound, whose gradients are the analytic ones to check.
+    """
 
     name: str
-    loss_fn: Callable[[], tuple[float, dict[str, np.ndarray]]]
+    build: Callable[[T.Graph], tuple[T.Tensor, tuple[BoundNet, ...]]]
     params: dict[str, np.ndarray]
 
 
@@ -52,31 +57,28 @@ def _nonsmoothness_margins(ps: ParamSet, x: np.ndarray) -> tuple[list[float], np
     clamp) to the nearest non-smooth point, plus the forward output."""
     margins: list[float] = []
     h = x
-    for i in range(ps.n_layers):
-        z = h @ ps.params[f"w{i}"] + ps.params[f"b{i}"]
-        last = i == ps.n_layers - 1
-        if not last or ps.spec.final == "relu":
-            margins.append(float(np.abs(z).min()))
-            h = np.maximum(z, 0.0)
-        elif ps.spec.final == "sigmoid":
-            p = T.stable_sigmoid(z)
-            margins.append(float(min((p - DISC_EPS).min(), (1.0 - DISC_EPS - p).min())))
-            h = p
-        else:
-            h = z
+    for i, act in enumerate(ps.spec.activations):
+        h = h @ ps.params[f"w{i}"] + ps.params[f"b{i}"]
+        if act == "relu":
+            margins.append(float(np.abs(h).min()))
+            h = np.maximum(h, 0.0)
+        elif act == "sigmoid":
+            h = T.stable_sigmoid(h)
+            margins.append(float(min((h - DISC_EPS).min(), (1.0 - DISC_EPS - h).min())))
     return margins, h
 
 
 def loss_check_suite(seed: int, batch: int = 4, in_dim: int = 5, hidden: int = 6,
-                     feature_dim: int = 4, n_classes: int = 3,
-                     lambda_stu: float = 1.0, lambda_tea: float = 1.0,
-                     gamma: float = 1.0, squared: bool = True) -> list[LossCheck]:
-    """Every loss term plus the weighted total on one seeded scenario.
+                     feature_dim: int = 4, n_classes: int = 3) -> list[LossCheck]:
+    """Every loss term plus the unit-weighted total on one seeded scenario.
 
     Conditioning rows and the teacher's predictions are frozen at scenario
     build time, exactly as a training step treats them: constants that do
-    not move when the checked parameters are perturbed.
+    not move when the checked parameters are perturbed.  The first ``batch``
+    rows of every stacked array are source, the rest target.
     """
+    if batch < 1:
+        raise ConfigError(f"batch must be positive, got {batch}")
     for attempt in range(1000):
         ps_F = init_params(NetSpec((in_dim, hidden, feature_dim), "relu"), [seed, 11, attempt])
         ps_C = init_params(NetSpec((feature_dim, n_classes)), [seed, 12, attempt])
@@ -88,93 +90,68 @@ def loss_check_suite(seed: int, batch: int = 4, in_dim: int = 5, hidden: int = 6
         xs = rng.normal(size=(batch, in_dim))
         xt = rng.normal(size=(batch, in_dim))
         ys = rng.integers(0, n_classes, size=batch)
-        _, _, cond_src = forward_fc_plain(ps_F, ps_C, xs)
-        _, _, cond_tgt = forward_fc_plain(ps_F, ps_C, xt)
-        _, _, tea_src = forward_fc_plain(tea_F, tea_C, xs)
-        _, _, tea_tgt = forward_fc_plain(tea_F, tea_C, xt)
-        margins, feats = [], {}
-        for name, x in (("src", xs), ("tgt", xt)):
-            m, feats[name] = _nonsmoothness_margins(ps_F, x)
-            margins += m
-        for f, cond in ((feats["src"], cond_src), (feats["tgt"], cond_tgt),
-                        (feats["src"], tea_src), (feats["tgt"], tea_tgt)):
-            m, _ = _nonsmoothness_margins(ps_D, multilinear_plain(f, cond))
-            margins += m
+        x_all = np.vstack([xs, xt])
+        _, _, cond_all = forward_fc_plain(ps_F, ps_C, x_all)
+        _, _, tea_all = forward_fc_plain(tea_F, tea_C, x_all)
+        margins, feats = _nonsmoothness_margins(ps_F, x_all)
+        for cond in (cond_all, tea_all):
+            margins += _nonsmoothness_margins(ps_D, T.row_outer(feats, cond))[0]
         if min(margins) > KINK_MARGIN:
             break
     else:
         raise ContractError(f"no finite-difference-safe scenario found for seed {seed}")
-    x_all = np.vstack([xs, xt])
-    cond_all = np.vstack([cond_src, cond_tgt])
-    tea_all = np.vstack([tea_src, tea_tgt])
 
-    def loss_ce():
-        g = T.Graph()
+    def build_ce(g):
         bF, bC = BoundNet(g, ps_F, "F"), BoundNet(g, ps_C, "C")
         _, _, p = forward_fc(bF, bC, g.constant(xs))
-        loss = cross_entropy(p, ys)
-        g.backward(loss)
-        return loss.item(), collect_grads(bF, bC)
+        return cross_entropy(p, ys), (bF, bC)
 
-    def _adv(term):
-        g = T.Graph()
-        bF, bD = BoundNet(g, ps_F, "F"), BoundNet(g, ps_D, "D")
-        f_all = bF(g.constant(x_all))
-        if term == "student":
-            loss = adv_student(bD, f_all, cond_all, batch, 1.0, reverse=False)
-        else:
-            loss = adv_teacher(bD, f_all, tea_all, batch, 1.0, reverse=False)
-        g.backward(loss)
-        return loss.item(), collect_grads(bF, bD)
+    def adv_build(adv, phat):
+        def build(g):
+            bF, bD = BoundNet(g, ps_F, "F"), BoundNet(g, ps_D, "D")
+            return adv(bD, bF(g.constant(x_all)), phat, batch, 1.0, reverse=False), (bF, bD)
+        return build
 
-    def loss_con():
-        g = T.Graph()
+    def build_con(g):
         bF, bC = BoundNet(g, ps_F, "F"), BoundNet(g, ps_C, "C")
         _, _, p = forward_fc(bF, bC, g.constant(x_all))
-        loss = consistency(p, tea_all, squared=squared)
-        g.backward(loss)
-        return loss.item(), collect_grads(bF, bC)
+        return consistency(p, tea_all), (bF, bC)
 
-    def loss_total():
-        g = T.Graph()
+    def build_total(g):
         bF, bC, bD = BoundNet(g, ps_F, "F"), BoundNet(g, ps_C, "C"), BoundNet(g, ps_D, "D")
         f_all, _, p_all = forward_fc(bF, bC, g.constant(x_all))
         l_c = cross_entropy(T.slice_rows(p_all, 0, batch), ys)
         l_stu = adv_student(bD, f_all, cond_all, batch, 1.0, reverse=False)
         l_tea = adv_teacher(bD, f_all, tea_all, batch, 1.0, reverse=False)
-        l_con = consistency(p_all, tea_all, squared=squared)
-        total, _ = total_loss(l_c, l_stu, l_tea, l_con, lambda_stu, lambda_tea, gamma)
-        g.backward(total)
-        return total.item(), collect_grads(bF, bC, bD)
+        l_con = consistency(p_all, tea_all)
+        total, _ = total_loss(l_c, l_stu, l_tea, l_con, 1.0, 1.0, 1.0)
+        return total, (bF, bC, bD)
 
     fc = {**_flat("F", ps_F), **_flat("C", ps_C)}
     fd = {**_flat("F", ps_F), **_flat("D", ps_D)}
     fcd = {**fc, **_flat("D", ps_D)}
     return [
-        LossCheck("cross_entropy", loss_ce, fc),
-        LossCheck("adv_student", lambda: _adv("student"), fd),
-        LossCheck("adv_teacher", lambda: _adv("teacher"), fd),
-        LossCheck("consistency", loss_con, fc),
-        LossCheck("total", loss_total, fcd),
+        LossCheck("cross_entropy", build_ce, fc),
+        LossCheck("adv_student", adv_build(adv_student, cond_all), fd),
+        LossCheck("adv_teacher", adv_build(adv_teacher, tea_all), fd),
+        LossCheck("consistency", build_con, fc),
+        LossCheck("total", build_total, fcd),
     ]
 
 
-def run_loss_checks(seed: int, h: float = 1e-5, tol: float = 1e-4,
-                    corrupt: bool = False, **suite_kwargs
+def run_loss_checks(seed: int, h: float = 1e-5, tol: float = 1e-4, **suite_kwargs
                     ) -> list[tuple[str, GradCheckReport]]:
-    """Finite-difference report per loss term; `corrupt` poisons one analytic
-    gradient so harness failure handling can be exercised."""
+    """Finite-difference report per loss term.
+
+    Each check runs one backward pass for its analytic gradients; every
+    perturbed evaluation records the forward pass only.
+    """
     out = []
     for check in loss_check_suite(seed, **suite_kwargs):
-        fn = check.loss_fn
-        if corrupt and check.name == "total":
-            inner = fn
-
-            def fn():
-                loss, grads = inner()
-                first = next(iter(grads))
-                grads[first] = grads[first] + 1e-3
-                return loss, grads
-
-        out.append((check.name, finite_diff_check(fn, check.params, h=h, tol=tol)))
+        g = T.Graph()
+        loss, nets = check.build(g)
+        g.backward(loss)
+        report = finite_diff_check(lambda: check.build(T.Graph())[0].item(),
+                                   check.params, collect_grads(*nets), h=h, tol=tol)
+        out.append((check.name, report))
     return out

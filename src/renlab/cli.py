@@ -23,7 +23,8 @@ from .evaluation import (ablation_report, load_metrics, save_ablation,
 from .exceptions import ConfigError, ContractError, RenlabError
 from .networks import save_paramsets
 from .trainer import (VARIANTS, RunResult, TrainConfig, Trainer, ablation_accuracies,
-                      config_choices, load_config, parse_config_value, run_ablation)
+                      check_seed, config_choices, load_config, parse_config_value,
+                      run_ablation)
 
 TOOL_VERSION = "renlab 0.1.0"
 
@@ -130,7 +131,7 @@ def _write_run(result: RunResult, dataset: DomainDataset, data_spec: dict,
 
 
 def cmd_datagen(args) -> int:
-    dataset = _build_dataset(args, args.seed)
+    dataset = _build_dataset(args, check_seed(args.seed))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_dataset(dataset, out / "dataset.csv", out / "dataset.meta")
@@ -153,7 +154,8 @@ def cmd_train(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = _config_from_args(args)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-    seeds = [parse_config_value("seed", s) for s in args.seeds.split(",") if s.strip()]
+    seeds = [check_seed(parse_config_value("seed", s))
+             for s in args.seeds.split(",") if s.strip()]
     if not variants or not seeds:
         raise ConfigError("ablate needs at least one variant and one seed")
     datasets = {seed: _build_dataset(args, seed) for seed in seeds}
@@ -173,7 +175,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    reports = run_loss_checks(args.seed, h=args.h, tol=args.tol, corrupt=args.corrupt,
+    reports = run_loss_checks(check_seed(args.seed), h=args.h, tol=args.tol,
                               batch=args.batch, in_dim=args.in_dim, hidden=args.hidden,
                               feature_dim=args.feature_dim, n_classes=args.classes)
     all_ok = True
@@ -247,7 +249,6 @@ def build_parser() -> _Parser:
     p.add_argument("--classes", type=int, default=3)
     p.add_argument("--h", type=float, default=1e-5)
     p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("report", help="re-aggregate run directories into a summary")

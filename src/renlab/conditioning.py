@@ -1,34 +1,19 @@
-"""Conditioning inputs for the domain discriminators.
+"""Per-sample smoothing of the predictions that condition the domain
+discriminators.
 
-Two pieces: the row-wise outer product that couples a feature vector with a
-class-probability vector, and a per-sample exponential moving average over
-predictions.  Ensembled predictions are conditioning signals only, so they
-are stored and returned as plain arrays, never attached to a graph.
+An exponential moving average over each sample's prediction rows; the
+losses couple the smoothed rows with features through the tape's
+``multilinear`` op.  Ensembled predictions are conditioning signals only,
+so they are stored and returned as plain arrays, never attached to a graph.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import tensor as T
 from .exceptions import ConfigError, ContractError, ShapeError
 
 _BRANCHES = ("student", "teacher")
-
-
-def multilinear_map(f: T.Tensor, p: T.Tensor) -> T.Tensor:
-    """Flattened outer product per row: out[i, j*c + k] = f[i, j] * p[i, k]."""
-    return T.multilinear(f, p)
-
-
-def multilinear_plain(f: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Graph-free twin of multilinear_map."""
-    f = np.asarray(f, dtype=np.float64)
-    p = np.asarray(p, dtype=np.float64)
-    if f.shape[0] != p.shape[0]:
-        raise ShapeError(f"batch sizes differ: {f.shape} vs {p.shape}")
-    m = f.shape[0]
-    return np.einsum("ij,ik->ijk", f, p).reshape(m, f.shape[1] * p.shape[1])
 
 
 def _check_prob_rows(p: np.ndarray, what: str) -> None:

@@ -98,31 +98,8 @@ def ablation_report(results: dict[str, dict[int, float]],
                          "steps": steps, "satisfied": ok}}
 
 
-def project_2d(features: np.ndarray) -> np.ndarray:
-    """Center and project onto the top-2 principal directions.
-
-    Signs are fixed so each direction's largest-magnitude loading is
-    positive, making the output deterministic.
-    """
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] < 2:
-        raise ContractError(f"need at least 2 feature columns, got shape {x.shape}")
-    if x.shape[0] < 2:
-        raise ContractError(f"need at least 2 rows, got {x.shape[0]}")
-    centered = x - x.mean(axis=0, keepdims=True)
-    cov = centered.T @ centered / (x.shape[0] - 1)
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    order = np.argsort(eigvals)[::-1][:2]
-    basis = eigvecs[:, order]
-    for j in range(2):
-        lead = np.argmax(np.abs(basis[:, j]))
-        if basis[lead, j] < 0:
-            basis[:, j] = -basis[:, j]
-    return centered @ basis
-
-
 # ---------------------------------------------------------------------------
-# serialization: metrics CSV, ablation JSON, projection CSV
+# serialization: metrics CSV, ablation JSON
 
 METRICS_COLUMNS = ("step", "lr", "l_c", "l_d_stu", "l_d_tea", "l_con", "total",
                    "acc_student_source", "acc_student_target", "acc_teacher_target")
@@ -179,13 +156,3 @@ def save_ablation(report: dict, path) -> None:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-
-def save_projection(points: np.ndarray, domains, labels, path) -> None:
-    """CSV of projected rows: id, domain, label, pc1, pc2."""
-    points = np.asarray(points, dtype=np.float64)
-    lines = ["id,domain,label,pc1,pc2"]
-    for i in range(points.shape[0]):
-        lines.append(f"{i},{domains[i]},{labels[i]},"
-                     f"{float(points[i, 0])!r},{float(points[i, 1])!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .conditioning import multilinear_map
 from .exceptions import ConfigError, ContractError
 from .networks import BoundNet, discriminate
 
@@ -52,7 +51,7 @@ def domain_adv_loss(bound_D: BoundNet, h: T.Tensor, n_src: int,
 
 def _conditioned_adv(bound_D: BoundNet, f: T.Tensor, phat: np.ndarray, n_src: int,
                      lambda_grl: float, reverse: bool) -> T.Tensor:
-    h = multilinear_map(f, f.graph.constant(phat))
+    h = T.multilinear(f, f.graph.constant(phat))
     return domain_adv_loss(bound_D, h, n_src, lambda_grl, reverse)
 
 

@@ -10,6 +10,7 @@ zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +26,7 @@ class NetSpec:
 
     Hidden layers always use ReLU; ``final`` is None (linear output),
     "relu" (rectified feature output), or "sigmoid" (discriminator head).
+    ``activations`` spells this out per layer for every forward pass.
     """
 
     widths: tuple[int, ...]
@@ -38,6 +40,12 @@ class NetSpec:
                 raise ConfigError(f"layer widths must be positive, got {self.widths}")
         if self.final not in (None, "relu", "sigmoid"):
             raise ConfigError(f"unknown final activation {self.final!r}")
+
+    @cached_property
+    def activations(self) -> tuple[str | None, ...]:
+        """Each layer's activation: "relu" after every hidden layer, then
+        ``final``.  The one statement of that rule; computed once per spec."""
+        return ("relu",) * (len(self.widths) - 2) + (self.final,)
 
     @property
     def in_width(self) -> int:
@@ -88,15 +96,13 @@ class ParamSet:
         if x.ndim != 2 or x.shape[1] != self.spec.in_width:
             raise ShapeError(f"input shape {x.shape} does not match width {self.spec.in_width}")
         h = x
-        for i in range(self.n_layers):
+        for i, act in enumerate(self.spec.activations):
             h = h @ self.params[f"w{i}"]
             h += self.params[f"b{i}"]
-            if i < self.n_layers - 1:
+            if act == "relu":
                 np.maximum(h, 0.0, out=h)
-        if self.spec.final == "relu":
-            np.maximum(h, 0.0, out=h)
-        elif self.spec.final == "sigmoid":
-            h = T.stable_sigmoid(h)
+            elif act == "sigmoid":
+                h = T.stable_sigmoid(h)
         return h
 
 
@@ -128,15 +134,12 @@ class BoundNet:
         if x.shape[1] != self.spec.in_width:
             raise ShapeError(f"input width {x.shape[1]} does not match {self.spec.in_width}")
         h = x
-        n = len(self.spec.widths) - 1
-        for i in range(n):
+        for i, act in enumerate(self.spec.activations):
             h = T.add(T.matmul(h, self.tensors[f"w{i}"]), self.tensors[f"b{i}"])
-            if i < n - 1:
+            if act == "relu":
                 h = T.relu(h)
-        if self.spec.final == "relu":
-            h = T.relu(h)
-        elif self.spec.final == "sigmoid":
-            h = T.sigmoid(h)
+            elif act == "sigmoid":
+                h = T.sigmoid(h)
         return h
 
     def grads(self) -> dict[str, np.ndarray]:

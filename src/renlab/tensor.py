@@ -18,6 +18,7 @@ counting as soon as its last Tensor goes away.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -57,6 +58,14 @@ def stable_sigmoid(arr: np.ndarray) -> np.ndarray:
     e = np.exp(arr[~pos])
     out[~pos] = e / (1.0 + e)
     return out
+
+
+def row_outer(f: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Row-wise flattened outer product: out[i, j*c + k] = f[i, j] * p[i, k]."""
+    if f.shape[0] != p.shape[0]:
+        raise ShapeError(f"batch sizes differ: {f.shape} vs {p.shape}")
+    m, d = f.shape
+    return np.einsum("ij,ik->ijk", f, p).reshape(m, d * p.shape[1])
 
 
 class Tensor:
@@ -370,14 +379,10 @@ def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
 
 
 def multilinear(f: Tensor, p: Tensor) -> Tensor:
-    """Row-wise flattened outer product: out[i, j*c + k] = f[i, j] * p[i, k]."""
-    if f.shape[0] != p.shape[0]:
-        raise ShapeError(f"batch sizes differ: {f.shape} vs {p.shape}")
-    m, d = f.shape
-    c = p.shape[1]
+    """Row-wise flattened outer product (see ``row_outer``)."""
     fv, pv = f.values, p.values
-    out = np.einsum("ij,ik->ijk", fv, pv).reshape(m, d * c)
-    return _binary("multilinear", f, p, out,
+    (m, d), c = fv.shape, pv.shape[1]
+    return _binary("multilinear", f, p, row_outer(fv, pv),
                    lambda grad: np.einsum("ijk,ik->ij", grad.reshape(m, d, c), pv),
                    lambda grad: np.einsum("ijk,ij->ik", grad.reshape(m, d, c), fv))
 
@@ -407,20 +412,23 @@ def _rel_error(a: float, n: float) -> float:
 
 
 def finite_diff_check(
-    loss_fn: Callable[[], tuple[float, Mapping[str, np.ndarray]]],
+    loss_fn: Callable[[], float],
     params: Mapping[str, np.ndarray],
+    grads: Mapping[str, np.ndarray],
     h: float = 1e-5,
     tol: float = 1e-4,
 ) -> GradCheckReport:
-    """Compare analytic gradients with (L(t+h) - L(t-h)) / 2h per entry.
+    """Compare analytic ``grads`` with (L(t+h) - L(t-h)) / 2h per entry.
 
     ``loss_fn`` must re-read the arrays in ``params`` on every call and
-    return ``(loss, grads)`` with one gradient array per parameter name.
-    The arrays are perturbed in place and restored before returning.
+    return the loss as a float; ``grads`` holds one analytic gradient array
+    per parameter name.  The arrays are perturbed in place and each entry is
+    restored before returning, also when ``loss_fn`` raises.
     """
-    if h <= 0:
-        raise ContractError(f"finite difference step must be positive, got {h}")
-    _, grads = loss_fn()
+    if not 0.0 < h < math.inf:
+        raise ContractError(f"finite difference step must be finite and positive, got {h}")
+    if not 0.0 <= tol < math.inf:
+        raise ContractError(f"gradient check tolerance must be finite and >= 0, got {tol}")
     worst = 0.0
     worst_param = ""
     worst_index = (0, 0)
@@ -430,11 +438,13 @@ def finite_diff_check(
         local_worst = 0.0
         for idx in np.ndindex(arr.shape):
             orig = arr[idx]
-            arr[idx] = orig + h
-            lp, _ = loss_fn()
-            arr[idx] = orig - h
-            lm, _ = loss_fn()
-            arr[idx] = orig
+            try:
+                arr[idx] = orig + h
+                lp = loss_fn()
+                arr[idx] = orig - h
+                lm = loss_fn()
+            finally:
+                arr[idx] = orig
             numeric = (lp - lm) / (2.0 * h)
             rel = _rel_error(float(analytic[idx]), numeric)
             if rel > local_worst:

@@ -38,6 +38,14 @@ _USES_SMOOTHED_CONDITIONS = {"cdan_m_d", "ren"}
 _USES_CONSISTENCY = {"ren"}
 
 
+def check_seed(seed: int) -> int:
+    """A seed unchanged, or ConfigError if it is negative: every seed feeds
+    a numpy seed sequence, which takes no negative entry."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     eta0: float = 0.01
@@ -78,6 +86,7 @@ class TrainConfig:
             raise ConfigError(f"total_steps must be >= 0, got {self.total_steps}")
         if self.eval_every < 1:
             raise ConfigError(f"eval_every must be positive, got {self.eval_every}")
+        check_seed(self.seed)
         if isinstance(self.alpha_theta, str):
             if self.alpha_theta != "ramp":
                 raise ConfigError(f"alpha_theta must be a number in [0, 1] or 'ramp', "

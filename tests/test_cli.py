@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import renlab.checks
 from renlab.cli import main
 from renlab.datasets import load_dataset
 from renlab.evaluation import load_metrics
@@ -139,10 +140,51 @@ def test_gradcheck_passes_and_names_every_loss(capsys):
     assert all("PASS" in ln and "max_rel_error" in ln for ln in out)
 
 
-def test_gradcheck_detects_corrupted_gradient(capsys):
-    assert main(["gradcheck", "--seed", "1", "--corrupt"]) == 2
-    out = capsys.readouterr().out
-    assert "total" in out and "FAIL" in out
+def test_gradcheck_detects_corrupted_gradient(capsys, monkeypatch):
+    real = renlab.checks.finite_diff_check
+
+    def poisoned(loss_fn, params, grads, **kwargs):
+        if {"C.w0", "D.w0"} <= grads.keys():  # only the total binds all three nets
+            first = next(iter(grads))
+            grads = {**grads, first: grads[first] + 1e-3}
+        return real(loss_fn, params, grads, **kwargs)
+
+    monkeypatch.setattr(renlab.checks, "finite_diff_check", poisoned)
+    assert main(["gradcheck", "--seed", "1"]) == 2
+    out = capsys.readouterr().out.strip().splitlines()
+    assert [ln.split(":")[0] for ln in out if ln.endswith("FAIL")] == ["total"]
+
+
+@pytest.mark.parametrize("argv, word", [
+    (["--batch", "0"], "batch"),
+    (["--h", "nan"], "step"),
+    (["--h", "0"], "step"),
+    (["--tol", "nan"], "tolerance"),
+    (["--tol", "-1"], "tolerance"),
+], ids=["batch-0", "h-nan", "h-0", "tol-nan", "tol-negative"])
+def test_gradcheck_bad_input_exits_one_with_one_line(capsys, argv, word):
+    assert main(["gradcheck", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert word in captured.err
+
+
+@pytest.mark.parametrize("argv, seed", [
+    (["train", "--seed", "-1"], "-1"),
+    (["ablate", "--seeds", "0,-2"], "-2"),
+    (["datagen", "--seed", "-1"], "-1"),
+    (["gradcheck", "--seed", "-1"], "-1"),
+], ids=["train", "ablate", "datagen", "gradcheck"])
+def test_negative_seed_exits_one_and_writes_nothing(tmp_path, capsys, argv, seed):
+    out = tmp_path / "out"
+    if argv[0] != "gradcheck":  # the one command that writes no files
+        argv = [*argv, "--n", "60", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"seed must be >= 0, got {seed}" in err
+    assert not out.exists()
 
 
 def test_ablate_writes_summary(tmp_path, capsys):

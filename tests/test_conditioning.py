@@ -4,22 +4,14 @@ import numpy as np
 import pytest
 
 from renlab import tensor as T
-from renlab.conditioning import PredEmaState, multilinear_map, multilinear_plain, pred_ema
+from renlab.conditioning import PredEmaState, pred_ema
 from renlab.exceptions import ConfigError, ContractError, ShapeError
 
 
-def test_multilinear_map_matches_plain(rng):
-    for trial in range(5):
-        fv = rng.normal(size=(8, 5))
-        pv = rng.normal(size=(8, 3))
-        g = T.Graph()
-        out = multilinear_map(g.constant(fv), g.constant(pv))
-        assert np.array_equal(out.values, multilinear_plain(fv, pv))
-
-
-def test_multilinear_plain_batch_mismatch():
+def test_multilinear_batch_mismatch():
+    g = T.Graph()
     with pytest.raises(ShapeError):
-        multilinear_plain(np.zeros((3, 2)), np.zeros((4, 2)))
+        T.multilinear(g.constant(np.zeros((3, 2))), g.constant(np.zeros((4, 2))))
 
 
 def test_multilinear_gradient_one_hot_selects_block(rng):
@@ -31,7 +23,7 @@ def test_multilinear_gradient_one_hot_selects_block(rng):
     w = np.arange(12, dtype=np.float64).reshape(1, 12)
     g = T.Graph()
     f = g.parameter(fv)
-    out = multilinear_map(f, g.constant(pv))
+    out = T.multilinear(f, g.constant(pv))
     g.backward(T.sum_all(T.matmul(out, g.constant(w.T))))
     assert np.allclose(f.grad, w[0, 1::3].reshape(1, 4), atol=1e-12)
 

@@ -1,4 +1,4 @@
-"""Accuracy, stability windows, ablation summaries, projection, metrics IO."""
+"""Accuracy, stability windows, ablation summaries, metrics IO."""
 
 import json
 
@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from renlab.evaluation import (MetricsRecord, ablation_report, accuracy,
-                               load_metrics, metrics_to_csv, project_2d,
-                               save_ablation, save_metrics, save_projection,
-                               stability)
+                               load_metrics, metrics_to_csv, save_ablation,
+                               save_metrics, stability)
 from renlab.exceptions import ContractError
 from renlab.losses import LossBreakdown
 from renlab.networks import NetSpec, ParamSet
@@ -118,38 +117,6 @@ def test_ablation_report_handles_partial_chains():
     assert rep["variants"]["source_only"]["std"] > 0.0
 
 
-def test_project_2d_preserves_2d_geometry(rng):
-    x = rng.normal(size=(40, 2)) * np.array([3.0, 0.5])
-    p = project_2d(x)
-    d_in = np.linalg.norm(x[:, None] - x[None, :], axis=2)
-    d_out = np.linalg.norm(p[:, None] - p[None, :], axis=2)
-    assert np.abs(d_in - d_out).max() < 1e-9
-
-
-def test_project_2d_rank_one_second_component_vanishes(rng):
-    t = rng.normal(size=(30, 1))
-    x = t @ rng.normal(size=(1, 5))
-    p = project_2d(x)
-    assert np.var(p[:, 1]) < 1e-20
-    assert np.var(p[:, 0]) > 0.0
-
-
-def test_project_2d_variance_bound_and_determinism(rng):
-    x = rng.normal(size=(25, 6))
-    p = project_2d(x)
-    assert p.shape == (25, 2)
-    total = np.var(x - x.mean(axis=0), axis=0).sum()
-    assert np.var(p, axis=0).sum() <= total + 1e-12
-    assert np.array_equal(p, project_2d(x))
-
-
-def test_project_2d_validation(rng):
-    with pytest.raises(ContractError):
-        project_2d(rng.normal(size=(5, 1)))
-    with pytest.raises(ContractError):
-        project_2d(rng.normal(size=(1, 4)))
-
-
 def sample_records():
     parts = LossBreakdown(l_c=0.5, l_d_stu=0.25, l_d_tea=0.125, l_con=0.0625,
                           total=0.9375)
@@ -205,13 +172,3 @@ def test_ablation_json_roundtrip_and_stable_bytes(tmp_path):
     save_ablation(json.loads(p1.read_text()), p2)
     assert p2.read_bytes() == p1.read_bytes()
     assert json.loads(p1.read_text())["ordering"]["satisfied"] is True
-
-
-def test_projection_csv_parses_back(tmp_path, rng):
-    pts = rng.normal(size=(4, 2))
-    path = tmp_path / "p.csv"
-    save_projection(pts, ["source"] * 2 + ["target"] * 2, [0, 1, 0, 1], path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "id,domain,label,pc1,pc2"
-    got = np.array([[float(v) for v in ln.split(",")[3:]] for ln in lines[1:]])
-    assert np.array_equal(got, pts)  # repr round trip, exact

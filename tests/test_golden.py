@@ -8,7 +8,9 @@ that alters float bits on purpose records new digests and says why.
 
 prints the current digests as the dict literals below, ready to paste.
 The ``datagen`` digests pin the dataset CSV codec and were recorded before
-it began to write in row blocks.
+it began to write in row blocks.  ``GRADCHECK_DIGEST`` pins every field of
+the gradient check's reports and was recorded before the check began to
+take its analytic gradients from one backward pass per loss.
 
 Record history: the digests were first recorded before the CLI was rebuilt
 on the trainer's config parser and ``run_ablation``.  Those that hash float
@@ -26,6 +28,7 @@ import json
 import tempfile
 from pathlib import Path
 
+from renlab.checks import run_loss_checks
 from renlab.cli import main
 from renlab.datasets import standard_benchmark
 from renlab.evaluation import metrics_to_csv
@@ -89,6 +92,11 @@ DATAGEN_DIGESTS = {
 }
 
 
+# sha256 of the full-precision repr of run_loss_checks(seed) for seeds 0-2
+GRADCHECK_SEEDS = (0, 1, 2)
+GRADCHECK_DIGEST = "29ccc0cbb17b690096a6f42c224386697efa7a7c1270f91c20c3556ba57a5270"
+
+
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -120,6 +128,15 @@ def datagen_digests(root) -> dict[str, dict[str, str]]:
     return {name: tree_digests(root / name) for name in DATAGEN_ARGS}
 
 
+def gradcheck_digest() -> str:
+    """One digest over every report field, floats at full precision."""
+    return sha("\n".join(repr(run_loss_checks(s)) for s in GRADCHECK_SEEDS).encode())
+
+
+def test_gradcheck_reports_match_golden_digest():
+    assert gradcheck_digest() == GRADCHECK_DIGEST
+
+
 def test_datagen_files_match_golden_digests(tmp_path, capsys):
     assert datagen_digests(tmp_path) == DATAGEN_DIGESTS
 
@@ -146,3 +163,4 @@ if __name__ == "__main__":
     _print_dict("ABLATE_TREE", ablate)
     _print_dict("TRAIN_TREE", train)
     _print_dict("DATAGEN_DIGESTS", datagen)
+    print(f"GRADCHECK_DIGEST = {gradcheck_digest()!r}")

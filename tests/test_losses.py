@@ -234,7 +234,8 @@ def test_consistency_shape_mismatch():
         consistency(g.constant(np.zeros((2, 3))), np.zeros((3, 3)))
 
 
-def test_consistency_gradient_flows_to_student_only(rng):
+@pytest.mark.parametrize("squared", [True, False], ids=["squared", "norm"])
+def test_consistency_gradient_flows_to_student_only(rng, squared):
     pv = rng.random((3, 2))
     pv /= pv.sum(axis=1, keepdims=True)
     tea = rng.random((3, 2))
@@ -243,7 +244,7 @@ def test_consistency_gradient_flows_to_student_only(rng):
     def run(loss_only):
         g = T.Graph()
         p = g.parameter(pv)
-        loss = consistency(p, tea)
+        loss = consistency(p, tea, squared=squared)
         if loss_only:
             return loss.item()
         g.backward(loss)

@@ -397,37 +397,48 @@ def test_finite_diff_check_passes_on_quadratic(rng):
     w = rng.normal(size=(3, 2))
     target = rng.normal(size=(3, 2))
 
-    def loss_fn():
+    def build():
         g = T.Graph()
         wt = g.parameter(w)
-        diff = T.sub(wt, g.constant(target))
-        loss = T.mean_all(T.square(diff))
-        g.backward(loss)
-        return loss.item(), {"w": wt.grad}
+        return wt, T.mean_all(T.square(T.sub(wt, g.constant(target))))
 
-    report = T.finite_diff_check(loss_fn, {"w": w})
+    wt, loss = build()
+    loss.graph.backward(loss)
+    report = T.finite_diff_check(lambda: build()[1].item(), {"w": w}, {"w": wt.grad})
     assert report.passed
     assert report.max_rel_error < 1e-9
 
 
 def test_finite_diff_check_catches_corruption(rng):
     w = rng.normal(size=(2, 2))
+    bad = 2.0 * w / w.size  # the analytic gradient of mean(w^2) ...
+    bad[0, 0] += 0.5  # ... deliberately wrong in one entry
 
-    def loss_fn():
-        g = T.Graph()
-        wt = g.parameter(w)
-        loss = T.mean_all(T.square(wt))
-        g.backward(loss)
-        bad = wt.grad.copy()
-        bad[0, 0] += 0.5  # deliberately wrong analytic gradient
-        return loss.item(), {"w": bad}
-
-    report = T.finite_diff_check(loss_fn, {"w": w})
+    report = T.finite_diff_check(lambda: float(np.mean(w * w)), {"w": w}, {"w": bad})
     assert not report.passed
     assert report.worst_param == "w"
     assert report.worst_index == (0, 0)
 
 
 def test_finite_diff_check_rejects_bad_step():
-    with pytest.raises(ContractError):
-        T.finite_diff_check(lambda: (0.0, {}), {}, h=0.0)
+    for h in (0.0, -1e-5, np.nan, np.inf):
+        with pytest.raises(ContractError, match="step"):
+            T.finite_diff_check(lambda: 0.0, {}, {}, h=h)
+
+
+def test_finite_diff_check_rejects_bad_tolerance():
+    for tol in (-1.0, np.nan, np.inf):
+        with pytest.raises(ContractError, match="tolerance"):
+            T.finite_diff_check(lambda: 0.0, {}, {}, tol=tol)
+
+
+def test_finite_diff_check_restores_the_entry_when_the_loss_raises(rng):
+    w = rng.normal(size=(2, 3))
+    before = w.copy()
+
+    def loss_fn():
+        return T.Graph().parameter(w * w * w * w).values.sum()
+
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+        T.finite_diff_check(loss_fn, {"w": w}, {"w": 4.0 * w ** 3}, h=1e300)
+    assert np.array_equal(w, before)
