@@ -14,7 +14,7 @@ from .networks import (DualNet, NetSpec, ParamSet, alpha_theta_ramp,
                        ema_update, init_params)
 from .conditioning import PredEmaState, pred_ema
 from .losses import LossBreakdown, consistency, cross_entropy, total_loss
-from .datasets import (Batch, DomainDataset, ShiftSpec, apply_shift, batches,
+from .datasets import (Batch, DataSpec, DomainDataset, apply_shift, batches,
                        make_blobs, make_two_moons, standard_benchmark)
 from .trainer import (VARIANTS, RunResult, TrainConfig, Trainer, grl_lambda,
                       lr_schedule, run_ablation, sgd_momentum_step)
@@ -23,10 +23,10 @@ from .evaluation import MetricsRecord, ablation_report, accuracy, stability
 __version__ = "0.1.0"
 
 __all__ = [
-    "Batch", "ConfigError", "ContractError", "DomainDataset", "DualNet",
+    "Batch", "ConfigError", "ContractError", "DataSpec", "DomainDataset", "DualNet",
     "Graph", "GradCheckReport", "LossBreakdown", "MetricsRecord", "NetSpec",
     "NonFiniteError", "ParamSet", "PredEmaState", "RenlabError", "RunResult",
-    "ShapeError", "ShiftSpec", "Tensor", "TrainConfig", "Trainer", "VARIANTS",
+    "ShapeError", "Tensor", "TrainConfig", "Trainer", "VARIANTS",
     "ablation_report", "accuracy", "alpha_theta_ramp", "apply_shift",
     "batches", "consistency", "cross_entropy", "ema_update",
     "finite_diff_check", "grl_lambda", "init_params", "lr_schedule",

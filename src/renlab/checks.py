@@ -91,9 +91,9 @@ def loss_check_suite(seed: int, batch: int = 4, in_dim: int = 5, hidden: int = 6
         xt = rng.normal(size=(batch, in_dim))
         ys = rng.integers(0, n_classes, size=batch)
         x_all = np.vstack([xs, xt])
-        _, _, cond_all = forward_fc_plain(ps_F, ps_C, x_all)
-        _, _, tea_all = forward_fc_plain(tea_F, tea_C, x_all)
         margins, feats = _nonsmoothness_margins(ps_F, x_all)
+        cond_all = T.stable_softmax(ps_C.forward_plain(feats))
+        _, _, tea_all = forward_fc_plain(tea_F, tea_C, x_all)
         for cond in (cond_all, tea_all):
             margins += _nonsmoothness_margins(ps_D, T.row_outer(feats, cond))[0]
         if min(margins) > KINK_MARGIN:

@@ -10,14 +10,12 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
-import numpy as np
-
 from .checks import run_loss_checks
-from .datasets import (DomainDataset, LabeledSet, ShiftSpec, make_blobs,
-                       make_domain_dataset, make_two_moons, save_dataset)
+from .datasets import (GENERATORS, DataSpec, DomainDataset, make_domain_dataset,
+                       save_dataset)
 from .evaluation import (ablation_report, load_metrics, save_ablation,
                          save_metrics)
 from .exceptions import ConfigError, ContractError, RenlabError
@@ -39,50 +37,25 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+_FLAG_TYPES = {"str": str, "int": int, "float": float}
+
+
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--gen", choices=("two_moons", "blobs"), default="two_moons")
-    p.add_argument("--n", type=int, default=500, help="source sample count")
-    p.add_argument("--n-target", type=int, default=None,
-                   help="target sample count (default: same as --n)")
-    p.add_argument("--noise", type=float, default=0.15, help="generator noise sigma")
-    p.add_argument("--classes", type=int, default=3, help="class count (blobs only)")
-    p.add_argument("--imbalance", type=float, default=1.0,
-                   help="target class imbalance ratio (blobs only)")
-    p.add_argument("--rot", type=float, default=45.0, help="target rotation, degrees")
-    p.add_argument("--trans-x", type=float, default=0.0)
-    p.add_argument("--trans-y", type=float, default=0.0)
-    p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--shift-noise", type=float, default=None,
-                   help="target noise sigma override (default: inherit --noise)")
-    p.add_argument("--lift-dim", type=int, default=16,
-                   help="embed 2-D data into this many dimensions (0 = keep 2-D)")
-    p.add_argument("--lift-noise", type=float, default=0.05)
+    """One flag per DataSpec field, spelled like the field with dashes;
+    trans takes one flag per axis."""
+    for f in fields(DataSpec):
+        if f.name == "trans":
+            for axis, default in zip("xy", f.default):
+                p.add_argument(f"--trans-{axis}", type=float, default=default)
+            continue
+        p.add_argument("--" + f.name.replace("_", "-"), type=_FLAG_TYPES[f.type.split()[0]],
+                       default=f.default, choices=GENERATORS if f.name == "gen" else None,
+                       help=f.metadata.get("help"))
 
 
-def _source_recipe(args, seed) -> LabeledSet:
-    if args.gen == "two_moons":
-        return make_two_moons(args.n, args.noise, [seed, 900])
-    angles = 2.0 * np.pi * np.arange(args.classes) / args.classes
-    centers = np.column_stack([2.0 * np.cos(angles), 2.0 * np.sin(angles)])
-    return make_blobs(args.n, args.classes, centers, args.noise, [seed, 900])
-
-
-def _build_dataset(args, seed: int) -> DomainDataset:
-    source = _source_recipe(args, seed)
-    n_target = args.n if args.n_target is None else args.n_target
-    recipe = LabeledSet(source.x, source.y, {**source.meta, "n": n_target})
-    shift = ShiftSpec(rotation_deg=args.rot, translation=(args.trans_x, args.trans_y),
-                      scale=args.scale, noise_sigma=args.shift_noise,
-                      class_imbalance_ratio=args.imbalance)
-    return make_domain_dataset(recipe, shift, seed, args.lift_dim, args.lift_noise)
-
-
-def _data_spec(args) -> dict:
-    return {"gen": args.gen, "n": args.n, "n_target": args.n_target,
-            "noise": args.noise, "classes": args.classes, "imbalance": args.imbalance,
-            "rot": args.rot, "trans": [args.trans_x, args.trans_y], "scale": args.scale,
-            "shift_noise": args.shift_noise, "lift_dim": args.lift_dim,
-            "lift_noise": args.lift_noise}
+def _spec_from_args(args) -> DataSpec:
+    return DataSpec(**{f.name: (args.trans_x, args.trans_y) if f.name == "trans"
+                       else getattr(args, f.name) for f in fields(DataSpec)})
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -101,20 +74,20 @@ def _config_from_args(args) -> TrainConfig:
     return load_config(args.config, **overrides)
 
 
-def _run_dir_name(cfg: TrainConfig, data_spec: dict) -> str:
-    payload = json.dumps({"config": cfg.to_dict(), "data": data_spec}, sort_keys=True)
+def _run_dir_name(cfg: TrainConfig, data: dict) -> str:
+    payload = json.dumps({"config": cfg.to_dict(), "data": data}, sort_keys=True)
     digest = hashlib.sha256(payload.encode()).hexdigest()[:12]
     return f"{digest}-s{cfg.seed}"
 
 
-def _write_run(result: RunResult, dataset: DomainDataset, data_spec: dict,
+def _write_run(result: RunResult, dataset: DomainDataset, spec: DataSpec,
                out_root: Path) -> Path:
     """Write a finished run's manifest, metrics and checkpoint."""
-    cfg = result.cfg
-    run_dir = out_root / _run_dir_name(cfg, data_spec)
+    cfg, data = result.cfg, asdict(spec)
+    run_dir = out_root / _run_dir_name(cfg, data)
     run_dir.mkdir(parents=True, exist_ok=True)
     manifest = {"tool": TOOL_VERSION, "config": cfg.to_dict(), "seeds": [cfg.seed],
-                "data": data_spec, "dataset_meta": dataset.meta,
+                "data": data, "dataset_meta": dataset.meta,
                 "outputs": {"metrics": "metrics.csv", "checkpoint": "checkpoint.txt"}}
     with open(run_dir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -131,7 +104,7 @@ def _write_run(result: RunResult, dataset: DomainDataset, data_spec: dict,
 
 
 def cmd_datagen(args) -> int:
-    dataset = _build_dataset(args, check_seed(args.seed))
+    dataset = make_domain_dataset(_spec_from_args(args), check_seed(args.seed))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_dataset(dataset, out / "dataset.csv", out / "dataset.meta")
@@ -140,10 +113,10 @@ def cmd_datagen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _config_from_args(args)
-    dataset = _build_dataset(args, cfg.seed)
+    cfg, spec = _config_from_args(args), _spec_from_args(args)
+    dataset = make_domain_dataset(spec, cfg.seed)
     result = Trainer(cfg, dataset).run()
-    run_dir = _write_run(result, dataset, _data_spec(args), Path(args.out))
+    run_dir = _write_run(result, dataset, spec, Path(args.out))
     final = result.records[-1]
     print(f"run {run_dir}")
     print(f"final step {final.step}: target acc student={final.acc_student_target:.4f} "
@@ -152,17 +125,17 @@ def cmd_train(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    cfg = _config_from_args(args)
+    cfg, spec = _config_from_args(args), _spec_from_args(args)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     seeds = [check_seed(parse_config_value("seed", s))
              for s in args.seeds.split(",") if s.strip()]
     if not variants or not seeds:
         raise ConfigError("ablate needs at least one variant and one seed")
-    datasets = {seed: _build_dataset(args, seed) for seed in seeds}
+    datasets = {seed: make_domain_dataset(spec, seed) for seed in seeds}
     runs = run_ablation(cfg, variants, seeds, datasets.__getitem__)
     out_root = Path(args.out)
     for (_, seed), result in runs.items():
-        _write_run(result, datasets[seed], _data_spec(args), out_root)
+        _write_run(result, datasets[seed], spec, out_root)
     results = ablation_accuracies(runs)
     report = ablation_report(results)
     save_ablation(report, out_root / "ablation.json")

@@ -3,8 +3,8 @@
 A source set is drawn from a 2-D generator (two moons or Gaussian blobs), a
 target set is a fresh draw from the same process pushed through a geometric
 shift (rotate, scale, translate), and both are optionally lifted to a higher
-dimension by one shared random linear embedding plus noise.  Everything is a
-pure function of its parameters and seed.
+dimension by one shared random linear embedding plus noise.  A DataSpec
+names every parameter, and a dataset is a pure function of its spec and seed.
 """
 
 from __future__ import annotations
@@ -29,32 +29,49 @@ def _require_finite(name: str, value) -> None:
 
 
 @dataclass(frozen=True)
-class ShiftSpec:
-    """Geometric shift applied to a fresh draw of the source process.
+class DataSpec:
+    """The recipe of one source/target benchmark.
 
-    noise_sigma None inherits the source generator's own noise level, so the
-    identity ShiftSpec reproduces the source distribution exactly (up to the
-    sampling draw).  Order of application: rotate, scale, translate.
+    Each field is a CLI data flag and a key of a run manifest's ``data``.
+    The target is a fresh draw of the source process (n_target rows, with
+    shift_noise in place of noise unless it is None), rotated and scaled
+    about the generator centroid and then translated.  lift_dim 0 keeps
+    the raw 2-D data.
     """
 
-    rotation_deg: float = 0.0
-    translation: tuple[float, float] = (0.0, 0.0)
+    gen: str = "two_moons"
+    n: int = field(default=500, metadata={"help": "source sample count"})
+    n_target: int | None = field(default=None, metadata={
+        "help": "target sample count (default: same as --n)"})
+    noise: float = field(default=0.15, metadata={"help": "generator noise sigma"})
+    classes: int = field(default=3, metadata={"help": "class count (blobs only)"})
+    imbalance: float = field(default=1.0, metadata={
+        "help": "target class imbalance ratio (blobs only)"})
+    rot: float = field(default=45.0, metadata={"help": "target rotation, degrees"})
+    trans: tuple[float, float] = (0.0, 0.0)
     scale: float = 1.0
-    noise_sigma: float | None = None
-    class_imbalance_ratio: float = 1.0
+    shift_noise: float | None = field(default=None, metadata={
+        "help": "target noise sigma override (default: inherit --noise)"})
+    lift_dim: int = field(default=16, metadata={
+        "help": "embed 2-D data into this many dimensions (0 = keep 2-D)"})
+    lift_noise: float = 0.05
 
     def __post_init__(self):
-        for name in ("rotation_deg", "translation", "scale", "noise_sigma",
-                     "class_imbalance_ratio"):
+        if self.gen not in GENERATORS:
+            raise ConfigError(f"unknown generator {self.gen!r}")
+        for name in ("noise", "imbalance", "rot", "trans", "scale", "shift_noise",
+                     "lift_noise"):
             if getattr(self, name) is not None:
                 _require_finite(name, getattr(self, name))
         if self.scale <= 0:
             raise ConfigError(f"scale must be positive, got {self.scale}")
-        if self.noise_sigma is not None and self.noise_sigma < 0:
-            raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if self.class_imbalance_ratio <= 0:
-            raise ConfigError(f"class_imbalance_ratio must be positive, "
-                              f"got {self.class_imbalance_ratio}")
+        for name in ("shift_noise", "lift_noise"):
+            if getattr(self, name) is not None and getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.imbalance <= 0:
+            raise ConfigError(f"imbalance must be positive, got {self.imbalance}")
+        if self.gen == "two_moons" and self.imbalance != 1.0:
+            raise ConfigError("imbalance applies to the blobs generator only")
 
 
 @dataclass
@@ -135,18 +152,12 @@ def make_blobs(n: int, n_classes: int, centers, sigma: float, seed,
     return LabeledSet(np.vstack(xs), np.concatenate(ys), meta)
 
 
-def _redraw(meta: dict, seed, noise_override: float | None,
-            imbalance_ratio: float) -> LabeledSet:
-    if meta["generator"] == "two_moons":
-        if imbalance_ratio != 1.0:
-            raise ConfigError("class_imbalance_ratio applies to the blobs generator only")
-        noise = meta["noise_sigma"] if noise_override is None else noise_override
-        return make_two_moons(meta["n"], noise, seed)
-    if meta["generator"] == "blobs":
-        sigma = meta["sigma"] if noise_override is None else noise_override
-        return make_blobs(meta["n"], meta["n_classes"], meta["centers"], sigma, seed,
-                          imbalance_ratio)
-    raise ConfigError(f"unknown generator {meta['generator']!r}")
+def _draw(spec: DataSpec, n: int, noise: float, imbalance: float, seed) -> LabeledSet:
+    if spec.gen == "two_moons":
+        return make_two_moons(n, noise, seed)
+    angles = 2.0 * np.pi * np.arange(spec.classes) / spec.classes
+    centers = np.column_stack([2.0 * np.cos(angles), 2.0 * np.sin(angles)])
+    return make_blobs(n, spec.classes, centers, noise, seed, imbalance)
 
 
 def _generator_centroid(meta: dict) -> np.ndarray:
@@ -158,19 +169,15 @@ def _generator_centroid(meta: dict) -> np.ndarray:
     return np.asarray(meta["centers"], dtype=np.float64).mean(axis=0)
 
 
-def apply_shift(source: LabeledSet, spec: ShiftSpec, seed) -> LabeledSet:
-    """Fresh draw from the source's generative process, then rotate and scale
-    it about the generator centroid and translate.  Labels ride along for
-    evaluation only."""
-    drawn = _redraw(source.meta, seed, spec.noise_sigma, spec.class_imbalance_ratio)
-    theta = np.deg2rad(spec.rotation_deg)
+def apply_shift(drawn: LabeledSet, spec: DataSpec) -> LabeledSet:
+    """Rotate and scale a fresh target draw about its generator centroid,
+    then translate it.  Labels ride along for evaluation only."""
+    theta = np.deg2rad(spec.rot)
     rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-    c = _generator_centroid(source.meta)
-    x = spec.scale * ((drawn.x - c) @ rot.T) + c + np.asarray(spec.translation,
-                                                              dtype=np.float64)
-    meta = dict(drawn.meta)
-    meta.update({"rotation_deg": spec.rotation_deg, "translation": list(spec.translation),
-                 "scale": spec.scale, "imbalance_ratio": spec.class_imbalance_ratio})
+    c = _generator_centroid(drawn.meta)
+    x = spec.scale * ((drawn.x - c) @ rot.T) + c + np.asarray(spec.trans, dtype=np.float64)
+    meta = {**drawn.meta, "rotation_deg": spec.rot, "translation": list(spec.trans),
+            "scale": spec.scale, "imbalance_ratio": spec.imbalance}
     return LabeledSet(x, drawn.y, meta)
 
 
@@ -184,6 +191,8 @@ def lift_embedding(dim_in: int, dim_out: int, seed) -> np.ndarray:
 
 def lift(x: np.ndarray, embedding: np.ndarray, noise_sigma: float, seed) -> np.ndarray:
     _require_finite("lift noise_sigma", noise_sigma)
+    if noise_sigma < 0:
+        raise ConfigError(f"lift noise_sigma must be >= 0, got {noise_sigma}")
     lifted = x @ embedding
     if noise_sigma > 0:
         rng = np.random.default_rng(seed)
@@ -229,34 +238,28 @@ class DomainDataset:
         return self.source_x.shape[1]
 
 
-def make_domain_dataset(source: LabeledSet, shift: ShiftSpec, seed,
-                        lift_dim: int = 0, lift_noise: float = 0.0) -> DomainDataset:
-    """Pair a source set with its shifted redraw; optionally lift both
-    through one shared embedding.  lift_dim 0 keeps the raw 2-D data."""
-    _require_finite("lift_noise", lift_noise)  # recorded in meta even when unused
+def make_domain_dataset(spec: DataSpec, seed) -> DomainDataset:
+    """The source draw and its shifted target redraw, both lifted through
+    one shared embedding unless spec.lift_dim is 0."""
     # seed offsets 900.. keep dataset streams disjoint from network-init seeds
-    target = apply_shift(source, shift, [seed, 901])
+    source = _draw(spec, spec.n, spec.noise, 1.0, [seed, 900])
+    n_target = spec.n if spec.n_target is None else spec.n_target
+    noise = spec.noise if spec.shift_noise is None else spec.shift_noise
+    target = apply_shift(_draw(spec, n_target, noise, spec.imbalance, [seed, 901]), spec)
     sx, tx = source.x, target.x
-    meta = {"source": dict(source.meta), "target": dict(target.meta), "seed": seed,
-            "lift_dim": lift_dim, "lift_noise": lift_noise}
-    if lift_dim:
-        emb = lift_embedding(sx.shape[1], lift_dim, [seed, 902])
-        sx = lift(sx, emb, lift_noise, [seed, 903])
-        tx = lift(tx, emb, lift_noise, [seed, 904])
+    meta = {"source": source.meta, "target": target.meta, "seed": seed,
+            "lift_dim": spec.lift_dim, "lift_noise": spec.lift_noise}
+    if spec.lift_dim:
+        emb = lift_embedding(sx.shape[1], spec.lift_dim, [seed, 902])
+        sx = lift(sx, emb, spec.lift_noise, [seed, 903])
+        tx = lift(tx, emb, spec.lift_noise, [seed, 904])
     return DomainDataset(sx, source.y, tx, target.y, meta)
 
 
-def standard_benchmark(seed, n_source: int = 500, n_target: int = 500,
-                       noise_sigma: float = 0.15, rotation_deg: float = 45.0,
-                       translation: tuple[float, float] = (0.0, 0.0),
-                       scale: float = 1.0, lift_dim: int = 16,
-                       lift_noise: float = 0.05) -> DomainDataset:
-    """Two moons versus their rotated redraw, lifted to 16-D by default."""
-    source = make_two_moons(n_source, noise_sigma, [seed, 900])
-    # the redraw reads n from the recipe, so the target count can differ
-    recipe = LabeledSet(source.x, source.y, {**source.meta, "n": n_target})
-    shift = ShiftSpec(rotation_deg=rotation_deg, translation=translation, scale=scale)
-    return make_domain_dataset(recipe, shift, seed, lift_dim, lift_noise)
+def standard_benchmark(seed, **fields) -> DomainDataset:
+    """The DataSpec defaults, two moons against their rotated redraw lifted
+    to 16-D, with any field overridden by keyword."""
+    return make_domain_dataset(DataSpec(**fields), seed)
 
 
 @dataclass(frozen=True)

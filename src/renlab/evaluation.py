@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -103,20 +103,14 @@ def ablation_report(results: dict[str, dict[int, float]],
 
 METRICS_COLUMNS = ("step", "lr", "l_c", "l_d_stu", "l_d_tea", "l_con", "total",
                    "acc_student_source", "acc_student_target", "acc_teacher_target")
+_PARTS = {f.name for f in fields(LossBreakdown)}  # the columns held in MetricsRecord.parts
 
 
 def metrics_to_csv(records: list[MetricsRecord]) -> str:
     lines = [",".join(METRICS_COLUMNS)]
     for r in records:
-        lines.append(",".join([str(r.step)] + [
-            repr(float(v)) for v in (
-                r.lr,
-                r.parts.l_c, r.parts.l_d_stu, r.parts.l_d_tea,
-                r.parts.l_con, r.parts.total,
-                r.acc_student_source, r.acc_student_target,
-                r.acc_teacher_target,
-            )
-        ]))
+        values = (getattr(r.parts if c in _PARTS else r, c) for c in METRICS_COLUMNS[1:])
+        lines.append(",".join([str(r.step), *(repr(float(v)) for v in values)]))
     return "\n".join(lines) + "\n"
 
 
@@ -138,14 +132,10 @@ def load_metrics(path) -> list[MetricsRecord]:
     out = []
     for ln in lines[1:]:
         try:
-            step, lr, l_c, l_d_stu, l_d_tea, l_con, total, acc_s, acc_t, acc_tea = ln.split(",")
-            parts = LossBreakdown(l_c=float(l_c), l_d_stu=float(l_d_stu),
-                                  l_d_tea=float(l_d_tea), l_con=float(l_con),
-                                  total=float(total))
-            out.append(MetricsRecord(step=int(step), lr=float(lr), parts=parts,
-                                     acc_student_source=float(acc_s),
-                                     acc_student_target=float(acc_t),
-                                     acc_teacher_target=float(acc_tea)))
+            step, *rest = ln.split(",")
+            values = dict(zip(METRICS_COLUMNS[1:], map(float, rest), strict=True))
+            parts = LossBreakdown(**{c: values.pop(c) for c in _PARTS})
+            out.append(MetricsRecord(step=int(step), parts=parts, **values))
         except ValueError:
             raise ContractError(f"malformed metrics row in {path}: {ln[:60]!r}") from None
     return out

@@ -1,14 +1,17 @@
 """End-to-end command-line behavior: artifacts, exit codes, determinism."""
 
 import json
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import renlab.checks
+import renlab.cli
 from renlab.cli import main
-from renlab.datasets import load_dataset
+from renlab.datasets import (DataSpec, load_dataset, make_domain_dataset, save_dataset,
+                             standard_benchmark)
 from renlab.evaluation import load_metrics
 
 
@@ -24,6 +27,54 @@ def test_datagen_writes_loadable_dataset(tmp_path):
     assert ds.n_source == 40 and ds.n_target == 40
     assert ds.input_dim == 16
     assert "rotation_deg = 45.0" in (tmp_path / "dataset.meta").read_text()
+
+
+def test_datagen_meta_records_each_domain_count(tmp_path):
+    assert main(["datagen", "--n", "200", "--n-target", "50", "--out", str(tmp_path)]) == 0
+    meta = (tmp_path / "dataset.meta").read_text().splitlines()
+    assert "source.n = 200" in meta and "target.n = 50" in meta
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_standard_benchmark_is_the_default_datagen_dataset(tmp_path, seed):
+    assert main(["datagen", "--seed", str(seed), "--out", str(tmp_path / "cli")]) == 0
+    save_dataset(standard_benchmark(seed), tmp_path / "dataset.csv", tmp_path / "dataset.meta")
+    for name in ("dataset.csv", "dataset.meta"):
+        assert (tmp_path / name).read_bytes() == (tmp_path / "cli" / name).read_bytes()
+
+
+# a value other than the default for every DataSpec field, and the flags that set them
+EVERY_FIELD = DataSpec(gen="blobs", n=40, n_target=30, noise=0.2, classes=4, imbalance=2.0,
+                       rot=30.0, trans=(0.5, -0.25), scale=1.5, shift_noise=0.1,
+                       lift_dim=8, lift_noise=0.01)
+EVERY_FIELD_FLAGS = ["--gen", "blobs", "--n", "40", "--n-target", "30", "--noise", "0.2",
+                     "--classes", "4", "--imbalance", "2", "--rot", "30", "--trans-x", "0.5",
+                     "--trans-y", "-0.25", "--scale", "1.5", "--shift-noise", "0.1",
+                     "--lift-dim", "8", "--lift-noise", "0.01"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["datagen", "--seed", "3"],
+    ["train", "--seed", "3", "--steps", "0", "--batch-size", "8"],
+    ["ablate", "--seeds", "3", "--variants", "ren", "--steps", "0", "--batch-size", "8"],
+], ids=lambda argv: argv[0])
+def test_every_data_spec_field_has_a_flag(tmp_path, monkeypatch, argv):
+    assert all(getattr(EVERY_FIELD, f.name) != f.default for f in fields(DataSpec))
+    built = []
+
+    def build(spec, seed):
+        built.append(spec)
+        return make_domain_dataset(spec, seed)
+
+    monkeypatch.setattr(renlab.cli, "make_domain_dataset", build)
+    assert main([*argv, *EVERY_FIELD_FLAGS, "--out", str(tmp_path)]) == 0
+    assert built == [EVERY_FIELD]
+    manifests = [json.loads(p.read_text()) for p in tmp_path.glob("*/manifest.json")]
+    assert len(manifests) == (argv[0] != "datagen")
+    for manifest in manifests:
+        assert manifest["data"] == json.loads(json.dumps(asdict(EVERY_FIELD)))
+        assert manifest["dataset_meta"]["source"]["n"] == 40
+        assert manifest["dataset_meta"]["target"]["n"] == 30
 
 
 def test_datagen_blobs_variant(tmp_path):
@@ -92,22 +143,27 @@ def test_invalid_config_value_exits_one(tmp_path, capsys):
     assert "momentum" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ["train", "--eta0", "nan"],
-    ["train", "--gamma", "nan"],
-    ["train", "--lambda-stu", "inf"],
-    ["train", "--rot", "nan"],
-    ["train", "--scale", "inf"],
-    ["train", "--noise", "nan"],
-    ["datagen", "--noise", "nan"],
-    ["datagen", "--lift-dim", "0", "--lift-noise", "nan"],
-    ["ablate", "--eta0", "nan"],
-], ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
-def test_non_finite_input_exits_one_and_writes_nothing(tmp_path, capsys, argv):
+BAD_INPUT = [
+    (["train", "--eta0", "nan"], "finite"),
+    (["train", "--gamma", "nan"], "finite"),
+    (["train", "--lambda-stu", "inf"], "finite"),
+    (["train", "--rot", "nan"], "finite"),
+    (["train", "--scale", "inf"], "finite"),
+    (["train", "--noise", "nan"], "finite"),
+    (["datagen", "--noise", "nan"], "finite"),
+    (["datagen", "--lift-dim", "0", "--lift-noise", "nan"], "finite"),
+    (["ablate", "--eta0", "nan"], "finite"),
+    (["datagen", "--lift-noise", "-0.5"], "lift_noise must be >= 0"),
+]
+
+
+@pytest.mark.parametrize("argv, word", BAD_INPUT,
+                         ids=["-".join(a.lstrip("-") for a in argv) for argv, _ in BAD_INPUT])
+def test_non_finite_input_exits_one_and_writes_nothing(tmp_path, capsys, argv, word):
     out = tmp_path / "out"
     assert main([*argv, "--n", "60", "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1 and "finite" in err
+    assert err.startswith("error:") and err.count("\n") == 1 and word in err
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 """Synthetic generators, geometric shift, lifting, batching, CSV round trip."""
 
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -7,9 +8,8 @@ import pytest
 
 from renlab.datasets import (
     BLOCK_ROWS,
+    DataSpec,
     DomainDataset,
-    ShiftSpec,
-    apply_shift,
     batch_stream,
     batches,
     lift,
@@ -84,30 +84,34 @@ def test_blobs_validation():
         make_blobs(10, 2, [[0, 0]], 0.1, 0)  # one center for two classes
 
 
-def test_shift_spec_validation():
+def test_data_spec_validation():
     with pytest.raises(ConfigError):
-        ShiftSpec(scale=0.0)
+        DataSpec(scale=0.0)
     with pytest.raises(ConfigError):
-        ShiftSpec(noise_sigma=-1.0)
+        DataSpec(shift_noise=-1.0)
     with pytest.raises(ConfigError):
-        ShiftSpec(class_imbalance_ratio=0.0)
+        DataSpec(gen="blobs", imbalance=0.0)
+    with pytest.raises(ConfigError, match="lift_noise must be >= 0"):
+        DataSpec(lift_noise=-0.5)
+    with pytest.raises(ConfigError, match="unknown generator"):
+        DataSpec(gen="spirals")
 
 
 NAN, INF = float("nan"), float("inf")
 
 
 @pytest.mark.parametrize("build", [
-    lambda: ShiftSpec(rotation_deg=NAN),
-    lambda: ShiftSpec(translation=(0.0, INF)),
-    lambda: ShiftSpec(scale=INF),
-    lambda: ShiftSpec(noise_sigma=NAN),
-    lambda: ShiftSpec(class_imbalance_ratio=INF),
+    lambda: DataSpec(rot=NAN),
+    lambda: DataSpec(trans=(0.0, INF)),
+    lambda: DataSpec(scale=INF),
+    lambda: DataSpec(shift_noise=NAN),
+    lambda: DataSpec(gen="blobs", imbalance=INF),
     lambda: make_two_moons(10, NAN, 0),
     lambda: make_blobs(10, 2, [[0, 0], [1, 0]], NAN, 0),
     lambda: make_blobs(10, 2, [[0, 0], [1, NAN]], 0.1, 0),
     lambda: make_blobs(10, 2, [[0, 0], [1, 0]], 0.1, 0, imbalance_ratio=NAN),
     lambda: lift(np.ones((2, 2)), lift_embedding(2, 4, 0), NAN, 0),
-    lambda: make_domain_dataset(make_two_moons(10, 0.1, 0), ShiftSpec(), 0, 0, NAN),
+    lambda: DataSpec(lift_dim=0, lift_noise=NAN),
 ], ids=["rotation", "translation", "scale", "shift-noise", "imbalance", "moons-noise",
         "blobs-sigma", "blobs-center", "blobs-imbalance", "lift-noise", "unused-lift-noise"])
 def test_non_finite_parameters_are_rejected(build):
@@ -116,44 +120,42 @@ def test_non_finite_parameters_are_rejected(build):
 
 
 def test_identity_shift_reproduces_the_source_process():
-    src = make_two_moons(4000, 0.12, 3)
-    tgt = apply_shift(src, ShiftSpec(), 99)
-    assert not np.array_equal(src.x, tgt.x)  # a fresh draw, not a copy
+    ds = make_domain_dataset(DataSpec(n=4000, noise=0.12, rot=0.0, lift_dim=0), 3)
+    src_x, tgt_x = ds.source_x, ds.target_x
+    assert not np.array_equal(src_x, tgt_x)  # a fresh draw, not a copy
     # same distribution: first and second moments agree within sampling error
-    assert np.abs(src.x.mean(axis=0) - tgt.x.mean(axis=0)).max() < 0.05
-    assert np.abs(np.cov(src.x.T) - np.cov(tgt.x.T)).max() < 0.05
-    assert np.sum(tgt.y == 0) == 2000
+    assert np.abs(src_x.mean(axis=0) - tgt_x.mean(axis=0)).max() < 0.05
+    assert np.abs(np.cov(src_x.T) - np.cov(tgt_x.T)).max() < 0.05
+    assert np.sum(ds.target_y == 0) == 2000
 
 
 def test_rotation_180_swaps_moon_positions():
-    src = make_two_moons(600, 0.05, 11)
-    tgt = apply_shift(src, ShiftSpec(rotation_deg=180.0), 12)
+    ds = make_domain_dataset(DataSpec(n=600, noise=0.05, rot=180.0, lift_dim=0), 11)
     # rotated class-0 points land on the class-1 locus and vice versa
-    c0_target = tgt.x[tgt.y == 0].mean(axis=0)
-    c1_source = src.x[src.y == 1].mean(axis=0)
+    c0_target = ds.target_x[ds.target_y == 0].mean(axis=0)
+    c1_source = ds.source_x[ds.source_y == 1].mean(axis=0)
     assert np.abs(c0_target - c1_source).max() < 0.05
-    c1_target = tgt.x[tgt.y == 1].mean(axis=0)
-    c0_source = src.x[src.y == 0].mean(axis=0)
+    c1_target = ds.target_x[ds.target_y == 1].mean(axis=0)
+    c0_source = ds.source_x[ds.source_y == 0].mean(axis=0)
     assert np.abs(c1_target - c0_source).max() < 0.05
 
 
 def test_moons_reject_imbalance():
-    src = make_two_moons(100, 0.1, 0)
     with pytest.raises(ConfigError):
-        apply_shift(src, ShiftSpec(class_imbalance_ratio=2.0), 1)
+        DataSpec(n=100, noise=0.1, imbalance=2.0)
 
 
 def test_shift_drops_source_only_accuracy():
     # a source-only classifier must lose >= 10 points under rotation plus
     # translation, relative to an identity-shift control, 5-seed mean
-    hard = ShiftSpec(rotation_deg=45.0, translation=(0.3, 0.1))
+    identity = DataSpec(rot=0.0, lift_dim=0)
+    hard = DataSpec(rot=45.0, trans=(0.3, 0.1), lift_dim=0)
     drops = []
     for seed in range(5):
-        src = make_two_moons(500, 0.15, [seed, 900])
         cfg = TrainConfig(variant="source_only", seed=seed, total_steps=400)
         accs = {}
-        for name, shift in (("identity", ShiftSpec()), ("hard", hard)):
-            ds = make_domain_dataset(src, shift, seed)
+        for name, spec in (("identity", identity), ("hard", hard)):
+            ds = make_domain_dataset(spec, seed)
             accs[name] = Trainer(cfg, ds).run().final_accuracy
         drops.append(accs["identity"] - accs["hard"])
     assert float(np.mean(drops)) >= 0.10
@@ -175,6 +177,8 @@ def test_lift_applies_embedding_then_noise(rng):
     noisy = lift(x, emb, 0.1, 3)
     assert not np.array_equal(clean, noisy)
     assert np.array_equal(noisy, lift(x, emb, 0.1, 3))
+    with pytest.raises(ConfigError, match="must be >= 0"):
+        lift(x, emb, -0.5, 3)
 
 
 def test_domain_dataset_validation(rng):
@@ -184,9 +188,8 @@ def test_domain_dataset_validation(rng):
 
 
 def test_make_domain_dataset_properties():
-    src = make_two_moons(60, 0.1, 4)
-    ds = make_domain_dataset(src, ShiftSpec(rotation_deg=30.0), 4, lift_dim=10,
-                             lift_noise=0.05)
+    ds = make_domain_dataset(DataSpec(n=60, noise=0.1, rot=30.0, lift_dim=10,
+                                      lift_noise=0.05), 4)
     assert ds.n_source == 60
     assert ds.n_target == 60
     assert ds.n_classes == 2
@@ -201,10 +204,22 @@ def test_standard_benchmark_recipe():
     smaller = standard_benchmark(0, n_target=123)
     assert smaller.n_target == 123
     assert np.array_equal(smaller.source_x, ds.source_x)  # same source draw
+    assert smaller.meta["source"]["n"] == 500 and smaller.meta["target"]["n"] == 123
+
+
+def test_data_spec_pickles_and_rebuilds_identical_arrays():
+    spec = DataSpec(gen="blobs", n=50, n_target=40, classes=4, imbalance=2.0,
+                    trans=(0.5, 0.0), shift_noise=0.3, lift_dim=6)
+    back = pickle.loads(pickle.dumps(spec))
+    assert back == spec
+    a, b = make_domain_dataset(spec, 2), make_domain_dataset(back, 2)
+    for name in ("source_x", "source_y", "target_x", "target_y"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    assert a.meta == b.meta
 
 
 def test_batches_counts_and_id_ranges():
-    ds = standard_benchmark(1, n_source=100, n_target=100)
+    ds = standard_benchmark(1, n=100, n_target=100)
     got = batches(ds, 32, 5, epoch=0)
     assert len(got) == 3  # floor(100/32), short tail dropped
     for b in got:
@@ -215,7 +230,7 @@ def test_batches_counts_and_id_ranges():
 
 
 def test_batches_each_id_at_most_once_per_epoch():
-    ds = standard_benchmark(1, n_source=100, n_target=100)
+    ds = standard_benchmark(1, n=100, n_target=100)
     for epoch in range(3):
         got = batches(ds, 32, 5, epoch=epoch)
         sids = np.concatenate([b.src_ids for b in got])
@@ -225,7 +240,7 @@ def test_batches_each_id_at_most_once_per_epoch():
 
 
 def test_batches_reshuffle_between_epochs_reproducibly():
-    ds = standard_benchmark(1, n_source=100, n_target=100)
+    ds = standard_benchmark(1, n=100, n_target=100)
     e0 = batches(ds, 32, 5, epoch=0)
     e1 = batches(ds, 32, 5, epoch=1)
     assert not np.array_equal(e0[0].src_ids, e1[0].src_ids)
@@ -234,7 +249,7 @@ def test_batches_reshuffle_between_epochs_reproducibly():
 
 
 def test_batches_validate_size():
-    ds = standard_benchmark(1, n_source=50, n_target=100)
+    ds = standard_benchmark(1, n=50, n_target=100)
     with pytest.raises(ConfigError):
         batches(ds, 51, 0, 0)
     with pytest.raises(ConfigError):
@@ -242,7 +257,7 @@ def test_batches_validate_size():
 
 
 def test_batch_stream_crosses_epochs():
-    ds = standard_benchmark(1, n_source=64, n_target=64)
+    ds = standard_benchmark(1, n=64, n_target=64)
     stream = batch_stream(ds, 32, 9)
     seen = [next(stream) for _ in range(5)]  # 2 batches/epoch, so 3 epochs
     assert len(seen) == 5
@@ -250,7 +265,7 @@ def test_batch_stream_crosses_epochs():
 
 
 def test_dataset_csv_roundtrip(tmp_path):
-    ds = standard_benchmark(2, n_source=40, n_target=30)
+    ds = standard_benchmark(2, n=40, n_target=30)
     csv_path = tmp_path / "d.csv"
     meta_path = tmp_path / "d.meta"
     save_dataset(ds, csv_path, meta_path)
@@ -276,7 +291,7 @@ def test_load_dataset_rejects_garbage(tmp_path):
 
 def small_dataset_csv(tmp_path):
     path = tmp_path / "d.csv"
-    ds = standard_benchmark(2, n_source=4, n_target=3, lift_dim=0)
+    ds = standard_benchmark(2, n=4, n_target=3, lift_dim=0)
     save_dataset(ds, path, tmp_path / "d.meta")
     return path, path.read_text()
 
@@ -333,7 +348,7 @@ def reference_csv(ds: DomainDataset) -> str:
 
 def test_csv_spanning_several_blocks_matches_the_per_row_reference(tmp_path):
     n_source, n_target = 2 * BLOCK_ROWS + 37, BLOCK_ROWS + 5
-    ds = standard_benchmark(3, n_source=n_source, n_target=n_target, lift_dim=5)
+    ds = standard_benchmark(3, n=n_source, n_target=n_target, lift_dim=5)
     path = tmp_path / "d.csv"
     save_dataset(ds, path, tmp_path / "d.meta")
     assert path.read_bytes() == reference_csv(ds).encode()
@@ -358,7 +373,7 @@ def test_csv_of_other_dtypes_matches_the_per_row_reference(tmp_path, rng, x_dtyp
 
 
 def test_bad_number_in_a_later_block_names_its_line(tmp_path):
-    ds = standard_benchmark(4, n_source=BLOCK_ROWS + 20, n_target=BLOCK_ROWS + 20, lift_dim=0)
+    ds = standard_benchmark(4, n=BLOCK_ROWS + 20, n_target=BLOCK_ROWS + 20, lift_dim=0)
     path = tmp_path / "d.csv"
     save_dataset(ds, path, tmp_path / "d.meta")
     lines = path.read_text().split("\n")
@@ -380,7 +395,7 @@ def test_the_first_bad_line_is_named_even_inside_a_block(tmp_path):
 
 
 def test_failed_write_leaves_no_csv(tmp_path):
-    ds = standard_benchmark(5, n_source=3 * BLOCK_ROWS, n_target=BLOCK_ROWS, lift_dim=0)
+    ds = standard_benchmark(5, n=3 * BLOCK_ROWS, n_target=BLOCK_ROWS, lift_dim=0)
     target_x = ds.target_x.astype(object)
     target_x[-1, 0] = "not a number"  # the last block fails to convert
     broken = DomainDataset(ds.source_x, ds.source_y, target_x, ds.target_y)
@@ -408,10 +423,9 @@ def traced_peak(fn):
 
 
 def test_csv_codec_memory_scales_with_the_arrays(tmp_path):
-    angles = np.arange(6) * np.pi / 3
-    centers = 4.0 * np.column_stack([np.cos(angles), np.sin(angles)])
-    ds = make_domain_dataset(make_blobs(3000, 6, centers, 0.5, 1), ShiftSpec(rotation_deg=30.0),
-                             1, lift_dim=64, lift_noise=0.05)
+    spec = DataSpec(gen="blobs", n=3000, classes=6, noise=0.5, rot=30.0, lift_dim=64,
+                    lift_noise=0.05)
+    ds = make_domain_dataset(spec, 1)
     path = tmp_path / "d.csv"
     save_peak, _ = traced_peak(lambda: save_dataset(ds, path, tmp_path / "d.meta"))
     assert save_peak <= 0.5 * path.stat().st_size

@@ -19,7 +19,7 @@ from renlab.trainer import (OptimizerState, TrainConfig, Trainer,
 
 
 def small_ds(seed=1):
-    return standard_benchmark(seed, n_source=100, n_target=100)
+    return standard_benchmark(seed, n=100, n_target=100)
 
 
 # ---------------------------------------------------------------------------
