@@ -14,14 +14,16 @@ point.  Rectifier kinks and the discriminator's probability clamp break
 that: with zero-initialized biases a fully rectified feature row puts the
 discriminator's first layer exactly on its kink, where the numeric estimate
 is a one-sided half-slope.  Scenario inputs are therefore redrawn until
-every preactivation and clamp distance clears KINK_MARGIN, comfortably
-above the largest shift any single +-h parameter perturbation can cause.
+every rectifier input and clamp distance on the ``total`` check's own tape
+clears KINK_MARGIN, comfortably above the largest shift any single +-h
+parameter perturbation can cause.  That tape holds every rectifier and
+sigmoid the other checks run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,8 +37,7 @@ from .tensor import GradCheckReport, finite_diff_check
 KINK_MARGIN = 2e-3
 
 
-@dataclass
-class LossCheck:
+class LossCheck(NamedTuple):
     """One named loss and the parameters under test.
 
     ``build(g)`` records the loss on graph ``g`` and returns it with the
@@ -52,20 +53,17 @@ def _flat(prefix: str, ps: ParamSet) -> dict[str, np.ndarray]:
     return {f"{prefix}.{k}": v for k, v in ps.items()}
 
 
-def _nonsmoothness_margins(ps: ParamSet, x: np.ndarray) -> tuple[list[float], np.ndarray]:
-    """Distance of every rectifier preactivation (and sigmoid output from its
-    clamp) to the nearest non-smooth point, plus the forward output."""
-    margins: list[float] = []
-    h = x
-    for i, act in enumerate(ps.spec.activations):
-        h = h @ ps.params[f"w{i}"] + ps.params[f"b{i}"]
-        if act == "relu":
-            margins.append(float(np.abs(h).min()))
-            h = np.maximum(h, 0.0)
-        elif act == "sigmoid":
-            h = T.stable_sigmoid(h)
-            margins.append(float(min((h - DISC_EPS).min(), (1.0 - DISC_EPS - h).min())))
-    return margins, h
+def _kink_margin(g: T.Graph) -> float:
+    """Smallest distance on tape ``g`` to a non-smooth point: the |input| of
+    every rectifier and every sigmoid output's distance from the clamp."""
+    margins = [math.inf]
+    for node in g.nodes:
+        if node.op == "relu":
+            margins.append(np.abs(g.nodes[node.parents[0][0]].values).min())
+        elif node.op == "sigmoid":
+            out = node.values
+            margins.append(min((out - DISC_EPS).min(), (1.0 - DISC_EPS - out).min()))
+    return float(min(margins))
 
 
 def loss_check_suite(seed: int, batch: int = 4, in_dim: int = 5, hidden: int = 6,
@@ -79,6 +77,33 @@ def loss_check_suite(seed: int, batch: int = 4, in_dim: int = 5, hidden: int = 6
     """
     if batch < 1:
         raise ConfigError(f"batch must be positive, got {batch}")
+
+    def build_ce(g):
+        bF, bC = BoundNet(g, ps_F, "F"), BoundNet(g, ps_C, "C")
+        _, p = forward_fc(bF, bC, g.constant(xs))
+        return cross_entropy(p, ys), (bF, bC)
+
+    def adv_build(adv, phat):
+        def build(g):
+            bF, bD = BoundNet(g, ps_F, "F"), BoundNet(g, ps_D, "D")
+            return adv(bD, bF(g.constant(x_all)), phat, batch, 1.0, reverse=False), (bF, bD)
+        return build
+
+    def build_con(g):
+        bF, bC = BoundNet(g, ps_F, "F"), BoundNet(g, ps_C, "C")
+        _, p = forward_fc(bF, bC, g.constant(x_all))
+        return consistency(p, tea_all), (bF, bC)
+
+    def build_total(g):
+        bF, bC, bD = BoundNet(g, ps_F, "F"), BoundNet(g, ps_C, "C"), BoundNet(g, ps_D, "D")
+        f_all, p_all = forward_fc(bF, bC, g.constant(x_all))
+        l_c = cross_entropy(T.slice_rows(p_all, 0, batch), ys)
+        l_stu = adv_student(bD, f_all, cond_all, batch, 1.0, reverse=False)
+        l_tea = adv_teacher(bD, f_all, tea_all, batch, 1.0, reverse=False)
+        l_con = consistency(p_all, tea_all)
+        total, _ = total_loss(l_c, l_stu, l_tea, l_con, 1.0, 1.0, 1.0)
+        return total, (bF, bC, bD)
+
     for attempt in range(1000):
         ps_F = init_params(NetSpec((in_dim, hidden, feature_dim), "relu"), [seed, 11, attempt])
         ps_C = init_params(NetSpec((feature_dim, n_classes)), [seed, 12, attempt])
@@ -91,41 +116,14 @@ def loss_check_suite(seed: int, batch: int = 4, in_dim: int = 5, hidden: int = 6
         xt = rng.normal(size=(batch, in_dim))
         ys = rng.integers(0, n_classes, size=batch)
         x_all = np.vstack([xs, xt])
-        margins, feats = _nonsmoothness_margins(ps_F, x_all)
-        cond_all = T.stable_softmax(ps_C.forward_plain(feats))
-        _, _, tea_all = forward_fc_plain(tea_F, tea_C, x_all)
-        for cond in (cond_all, tea_all):
-            margins += _nonsmoothness_margins(ps_D, T.row_outer(feats, cond))[0]
-        if min(margins) > KINK_MARGIN:
+        cond_all = T.stable_softmax(forward_fc_plain(ps_F, ps_C, x_all))
+        tea_all = T.stable_softmax(forward_fc_plain(tea_F, tea_C, x_all))
+        g = T.Graph()
+        build_total(g)
+        if _kink_margin(g) > KINK_MARGIN:
             break
     else:
         raise ContractError(f"no finite-difference-safe scenario found for seed {seed}")
-
-    def build_ce(g):
-        bF, bC = BoundNet(g, ps_F, "F"), BoundNet(g, ps_C, "C")
-        _, _, p = forward_fc(bF, bC, g.constant(xs))
-        return cross_entropy(p, ys), (bF, bC)
-
-    def adv_build(adv, phat):
-        def build(g):
-            bF, bD = BoundNet(g, ps_F, "F"), BoundNet(g, ps_D, "D")
-            return adv(bD, bF(g.constant(x_all)), phat, batch, 1.0, reverse=False), (bF, bD)
-        return build
-
-    def build_con(g):
-        bF, bC = BoundNet(g, ps_F, "F"), BoundNet(g, ps_C, "C")
-        _, _, p = forward_fc(bF, bC, g.constant(x_all))
-        return consistency(p, tea_all), (bF, bC)
-
-    def build_total(g):
-        bF, bC, bD = BoundNet(g, ps_F, "F"), BoundNet(g, ps_C, "C"), BoundNet(g, ps_D, "D")
-        f_all, _, p_all = forward_fc(bF, bC, g.constant(x_all))
-        l_c = cross_entropy(T.slice_rows(p_all, 0, batch), ys)
-        l_stu = adv_student(bD, f_all, cond_all, batch, 1.0, reverse=False)
-        l_tea = adv_teacher(bD, f_all, tea_all, batch, 1.0, reverse=False)
-        l_con = consistency(p_all, tea_all)
-        total, _ = total_loss(l_c, l_stu, l_tea, l_con, 1.0, 1.0, 1.0)
-        return total, (bF, bC, bD)
 
     fc = {**_flat("F", ps_F), **_flat("C", ps_C)}
     fd = {**_flat("F", ps_F), **_flat("D", ps_D)}

@@ -59,6 +59,9 @@ class DataSpec:
     def __post_init__(self):
         if self.gen not in GENERATORS:
             raise ConfigError(f"unknown generator {self.gen!r}")
+        for name in ("n", "n_target"):
+            if getattr(self, name) is not None and getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("noise", "imbalance", "rot", "trans", "scale", "shift_noise",
                      "lift_noise"):
             if getattr(self, name) is not None:

@@ -41,7 +41,7 @@ def accuracy(params_F: ParamSet, params_C: ParamSet, x: np.ndarray, y) -> float:
     y = np.asarray(y, dtype=np.int64).reshape(-1)
     if y.size == 0:
         raise ContractError("accuracy over an empty sample set")
-    _, logits, _ = forward_fc_plain(params_F, params_C, np.asarray(x, dtype=np.float64))
+    logits = forward_fc_plain(params_F, params_C, np.asarray(x, dtype=np.float64))
     pred = np.argmax(logits, axis=1)
     return float(np.mean(pred == y))
 
@@ -62,8 +62,7 @@ def stability(series, window_fraction: float = 0.5) -> float:
 
 
 def ablation_report(results: dict[str, dict[int, float]],
-                    tolerance: float = 0.005,
-                    required_variants: tuple[str, ...] | None = None) -> dict:
+                    tolerance: float = 0.005) -> dict:
     """Per-variant mean/std accuracies plus the cumulative-ordering verdict.
 
     results maps variant name -> {seed: final accuracy}.  The ordering check
@@ -71,10 +70,6 @@ def ablation_report(results: dict[str, dict[int, float]],
     fall below its predecessor by at most `tolerance` (0.5 accuracy points
     by default, with accuracies on the 0..1 scale).
     """
-    if required_variants:
-        missing = [v for v in required_variants if v not in results]
-        if missing:
-            raise ContractError(f"missing variants: {', '.join(missing)}")
     variants = {}
     for name in sorted(results):
         per_seed = results[name]

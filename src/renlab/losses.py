@@ -49,32 +49,24 @@ def domain_adv_loss(bound_D: BoundNet, h: T.Tensor, n_src: int,
     return T.add(loss_src, loss_tgt)
 
 
-def _conditioned_adv(bound_D: BoundNet, f: T.Tensor, phat: np.ndarray, n_src: int,
-                     lambda_grl: float, reverse: bool) -> T.Tensor:
-    h = T.multilinear(f, f.graph.constant(phat))
-    return domain_adv_loss(bound_D, h, n_src, lambda_grl, reverse)
-
-
 def adv_student(bound_D: BoundNet, f: T.Tensor, phat: np.ndarray, n_src: int,
                 lambda_grl: float, reverse: bool = True) -> T.Tensor:
-    """Adversarial loss conditioned on (smoothed) student predictions.
+    """Conditioned adversarial loss: ``domain_adv_loss`` over the
+    multilinear map of student features and condition rows.
 
     ``f`` stacks source feature rows over target ones, the first ``n_src``
     being source; ``phat`` holds the condition rows in the same order as a
     plain detached array, so gradients flow only through the student
-    features and the discriminator.
+    features and the discriminator.  REN applies this one term twice, under
+    two names: ``adv_student`` conditions on smoothed student predictions,
+    ``adv_teacher`` on smoothed teacher predictions, which keeps the
+    teacher gradient-free.
     """
-    return _conditioned_adv(bound_D, f, phat, n_src, lambda_grl, reverse)
+    h = T.multilinear(f, f.graph.constant(phat))
+    return domain_adv_loss(bound_D, h, n_src, lambda_grl, reverse)
 
 
-def adv_teacher(bound_D: BoundNet, f: T.Tensor, phat: np.ndarray, n_src: int,
-                lambda_grl: float, reverse: bool = True) -> T.Tensor:
-    """Adversarial loss conditioned on (smoothed) teacher predictions.
-
-    Same shape as adv_student; still driven by student features, so the
-    teacher stays gradient-free.
-    """
-    return _conditioned_adv(bound_D, f, phat, n_src, lambda_grl, reverse)
+adv_teacher = adv_student
 
 
 def consistency(p_stu: T.Tensor, p_tea: np.ndarray, squared: bool = True) -> T.Tensor:

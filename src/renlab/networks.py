@@ -162,19 +162,18 @@ def collect_grads(*bound: BoundNet | None) -> dict[str, np.ndarray]:
 
 
 def forward_fc(bound_F: BoundNet, bound_C: BoundNet, x: T.Tensor):
-    """Feature extractor then classifier: returns (features, logits, probs)."""
+    """Feature extractor then classifier: returns (features, probabilities)."""
     f = bound_F(x)
-    logits = bound_C(f)
-    p = T.softmax_rows(logits)
-    return f, logits, p
+    return f, T.softmax_rows(bound_C(f))
 
 
-def forward_fc_plain(ps_F: ParamSet, ps_C: ParamSet, x: np.ndarray):
-    """Graph-free twin of forward_fc for evaluation and the teacher pass."""
-    f = ps_F.forward_plain(x)
-    logits = ps_C.forward_plain(f)
-    p = T.stable_softmax(logits)
-    return f, logits, p
+def forward_fc_plain(ps_F: ParamSet, ps_C: ParamSet, x: np.ndarray) -> np.ndarray:
+    """Graph-free twin of forward_fc: returns the classifier's logits.
+
+    Callers that want probabilities apply ``T.stable_softmax``; the argmax
+    of the logits needs none.
+    """
+    return ps_C.forward_plain(ps_F.forward_plain(x))
 
 
 def discriminate(bound_D: BoundNet, h: T.Tensor) -> T.Tensor:

@@ -60,14 +60,6 @@ def stable_sigmoid(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def row_outer(f: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Row-wise flattened outer product: out[i, j*c + k] = f[i, j] * p[i, k]."""
-    if f.shape[0] != p.shape[0]:
-        raise ShapeError(f"batch sizes differ: {f.shape} vs {p.shape}")
-    m, d = f.shape
-    return np.einsum("ij,ik->ijk", f, p).reshape(m, d * p.shape[1])
-
-
 class Tensor:
     """A 2-D float64 array, optionally attached to a graph node.
 
@@ -379,10 +371,13 @@ def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
 
 
 def multilinear(f: Tensor, p: Tensor) -> Tensor:
-    """Row-wise flattened outer product (see ``row_outer``)."""
+    """Row-wise flattened outer product: out[i, j*c + k] = f[i, j] * p[i, k]."""
     fv, pv = f.values, p.values
+    if fv.shape[0] != pv.shape[0]:
+        raise ShapeError(f"batch sizes differ: {fv.shape} vs {pv.shape}")
     (m, d), c = fv.shape, pv.shape[1]
-    return _binary("multilinear", f, p, row_outer(fv, pv),
+    out = np.einsum("ij,ik->ijk", fv, pv).reshape(m, d * c)
+    return _binary("multilinear", f, p, out,
                    lambda grad: np.einsum("ijk,ik->ij", grad.reshape(m, d, c), pv),
                    lambda grad: np.einsum("ijk,ij->ik", grad.reshape(m, d, c), fv))
 

@@ -289,13 +289,13 @@ class Trainer:
 
         m_src = batch.xs.shape[0]
         x_all = g.constant(np.vstack([batch.xs, batch.xt]))
-        f_all, _, p_all = forward_fc(bound_F, bound_C, x_all)
+        f_all, p_all = forward_fc(bound_F, bound_C, x_all)
         l_c = cross_entropy(T.slice_rows(p_all, 0, m_src), batch.ys)
 
         teacher_p_all = None
         if self.dualnet is not None:
-            _, _, teacher_p_all = forward_fc_plain(self.dualnet.teacher_F,
-                                                   self.dualnet.teacher_C, x_all.values)
+            teacher_p_all = T.stable_softmax(forward_fc_plain(
+                self.dualnet.teacher_F, self.dualnet.teacher_C, x_all.values))
 
         l_d_stu = l_d_tea = l_con = None
         if bound_D is not None:

@@ -154,6 +154,7 @@ BAD_INPUT = [
     (["datagen", "--lift-dim", "0", "--lift-noise", "nan"], "finite"),
     (["ablate", "--eta0", "nan"], "finite"),
     (["datagen", "--lift-noise", "-0.5"], "lift_noise must be >= 0"),
+    (["datagen", "--gen", "blobs", "--n-target", "-5"], "n_target"),
 ]
 
 

@@ -95,6 +95,10 @@ def test_data_spec_validation():
         DataSpec(lift_noise=-0.5)
     with pytest.raises(ConfigError, match="unknown generator"):
         DataSpec(gen="spirals")
+    with pytest.raises(ConfigError, match="n must be >= 1, got 0"):
+        DataSpec(n=0)
+    with pytest.raises(ConfigError, match="n_target must be >= 1, got -5"):
+        DataSpec(gen="blobs", n_target=-5)
 
 
 NAN, INF = float("nan"), float("inf")

@@ -11,6 +11,9 @@ The ``datagen`` digests pin the dataset CSV codec and were recorded before
 it began to write in row blocks.  ``GRADCHECK_DIGEST`` pins every field of
 the gradient check's reports and was recorded before the check began to
 take its analytic gradients from one backward pass per loss.
+``SCENARIO_DIGEST`` pins the scenario the gradient check's kink scan picks
+for seeds 0-19 and was recorded before the scan began to read its margins
+off the checked tape.
 
 Record history: the digests were first recorded before the CLI was rebuilt
 on the trainer's config parser and ``run_ablation``.  Those that hash float
@@ -28,7 +31,8 @@ import json
 import tempfile
 from pathlib import Path
 
-from renlab.checks import run_loss_checks
+from renlab import tensor as T
+from renlab.checks import loss_check_suite, run_loss_checks
 from renlab.cli import main
 from renlab.datasets import standard_benchmark
 from renlab.evaluation import metrics_to_csv
@@ -96,6 +100,10 @@ DATAGEN_DIGESTS = {
 GRADCHECK_SEEDS = (0, 1, 2)
 GRADCHECK_DIGEST = "29ccc0cbb17b690096a6f42c224386697efa7a7c1270f91c20c3556ba57a5270"
 
+# sha256 over every LossCheck's name, parameter bytes and loss value, seeds 0-19
+SCENARIO_SEEDS = range(20)
+SCENARIO_DIGEST = "0666151dada0a4cbb2f855a9d2a5dc7b1837a93ef1cf111ff69847a094768ea2"
+
 
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -133,6 +141,22 @@ def gradcheck_digest() -> str:
     return sha("\n".join(repr(run_loss_checks(s)) for s in GRADCHECK_SEEDS).encode())
 
 
+def scenario_digest() -> str:
+    """One digest over the scenario each seed's kink scan settles on."""
+    h = hashlib.sha256()
+    for s in SCENARIO_SEEDS:
+        for check in loss_check_suite(s):
+            h.update(check.name.encode())
+            for arr in check.params.values():
+                h.update(arr.tobytes())
+            h.update(repr(check.build(T.Graph())[0].item()).encode())
+    return h.hexdigest()
+
+
+def test_gradcheck_scenarios_match_golden_digest():
+    assert scenario_digest() == SCENARIO_DIGEST
+
+
 def test_gradcheck_reports_match_golden_digest():
     assert gradcheck_digest() == GRADCHECK_DIGEST
 
@@ -164,3 +188,4 @@ if __name__ == "__main__":
     _print_dict("TRAIN_TREE", train)
     _print_dict("DATAGEN_DIGESTS", datagen)
     print(f"GRADCHECK_DIGEST = {gradcheck_digest()!r}")
+    print(f"SCENARIO_DIGEST = {scenario_digest()!r}")

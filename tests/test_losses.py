@@ -114,7 +114,9 @@ def test_grl_lambda_zero_blocks_feature_gradients():
 
 
 def test_adv_losses_match_finite_differences():
-    # reverse=False so the scalar objective is the one the gradients minimize
+    # one conditioned term under two names; reverse=False so the scalar
+    # objective is the one the gradients minimize
+    assert adv_teacher is adv_student
     rng = np.random.default_rng(11)
     ps_F = init_params(NetSpec((5, 6, 4), final="relu"), 31)
     ps_D = init_params(NetSpec((4 * 3, 6, 1), final="sigmoid"), 32)

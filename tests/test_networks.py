@@ -104,11 +104,12 @@ def test_forward_fc_matches_plain(rng):
     ps_C = init_params(NetSpec((3, 4)), 2)
     x = rng.normal(size=(6, 5))
     g = T.Graph()
-    f, logits, p = forward_fc(BoundNet(g, ps_F, "F"), BoundNet(g, ps_C, "C"), g.constant(x))
-    f2, logits2, p2 = forward_fc_plain(ps_F, ps_C, x)
-    assert np.allclose(f.values, f2, atol=1e-15)
-    assert np.allclose(logits.values, logits2, atol=1e-15)
-    assert np.allclose(p.values, p2, atol=1e-15)
+    bound_C = BoundNet(g, ps_C, "C")
+    f, p = forward_fc(BoundNet(g, ps_F, "F"), bound_C, g.constant(x))
+    logits2 = forward_fc_plain(ps_F, ps_C, x)
+    assert np.allclose(f.values, ps_F.forward_plain(x), atol=1e-15)
+    assert np.allclose(bound_C(f).values, logits2, atol=1e-15)
+    assert np.allclose(p.values, T.stable_softmax(logits2), atol=1e-15)
     assert np.allclose(p.values.sum(axis=1), 1.0, atol=1e-12)
 
 
