@@ -105,8 +105,8 @@ def pred_ema(state: PredEmaState, which: str, sample_ids, p_n: np.ndarray) -> np
     """Blend current predictions into the stored per-sample average.
 
     Returns the updated rows in sample order as a detached array; the caller
-    wraps them as a graph constant if they feed a loss.  An id repeated
-    within one call blends once per occurrence, in order.
+    wraps them as a graph constant if they feed a loss.  An id may appear
+    once per call: a repeat raises ContractError before any row changes.
     """
     if which not in _BRANCHES:
         raise ContractError(f"branch must be one of {_BRANCHES}, got {which!r}")
@@ -118,11 +118,9 @@ def pred_ema(state: PredEmaState, which: str, sample_ids, p_n: np.ndarray) -> np
     _check_prob_rows(p_n, "prediction batch")
     if ids.size == 0:
         return p_n.copy()
-    state._reserve(which, int(ids.max()) + 1)
     ordered = np.sort(ids)
-    if (ordered[1:] != ordered[:-1]).all():
-        return state._blend(which, ids, p_n)
-    out = np.empty_like(p_n)
-    for i in range(ids.shape[0]):
-        out[i] = state._blend(which, ids[i:i + 1], p_n[i:i + 1])[0]
-    return out
+    repeats = ordered[1:][ordered[1:] == ordered[:-1]]
+    if repeats.size:
+        raise ContractError(f"sample id {repeats[0]} appears more than once in one call")
+    state._reserve(which, int(ids.max()) + 1)
+    return state._blend(which, ids, p_n)

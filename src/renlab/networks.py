@@ -264,14 +264,20 @@ def load_paramsets(path) -> dict[str, ParamSet]:
             if head[0] != "set":
                 raise ContractError(f"expected 'set' line, got {lines[i][:40]!r}")
             set_name, n_tensors = head[1], int(head[2])
+            if set_name in out:
+                raise ContractError(f"set {set_name} appears twice in {path}")
             final = None if head[-1] == "-" else head[-1]
             widths = tuple(int(w) for w in head[3:-1])
+            names = {f"{kind}{k}" for k in range(len(widths) - 1) for kind in "wb"}
             params: dict[str, np.ndarray] = {}
             for j in range(n_tensors):
                 parts = lines[i + 1 + j].split()
                 if parts[0] != "tensor":
                     raise ContractError(f"expected 'tensor' line, got {lines[i + 1 + j][:40]!r}")
                 name, rows, cols = parts[1], int(parts[2]), int(parts[3])
+                if name in params or name not in names:
+                    raise ContractError(f"set {set_name}: tensor {name} is "
+                                        f"{'repeated' if name in params else 'not in its spec'}")
                 vals = np.array([float(v) for v in parts[4:]], dtype=np.float64)
                 if vals.size != rows * cols:
                     raise ContractError(f"tensor {name}: {vals.size} values for shape "

@@ -12,7 +12,11 @@ Variants form a cumulative chain:
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from typing import Callable
 
@@ -358,19 +362,78 @@ class Trainer:
                          student_C=self.student_C, dualnet=self.dualnet, disc=self.disc)
 
 
+# OpenBLAS thread-count entry points, by symbol naming scheme: numpy's
+# bundled scipy-openblas, an ILP64 build, a plain build
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _blas_thread_api():
+    """The (get, set) thread-count functions of the OpenBLAS this process
+    has loaded, or None: no such library (MKL, Accelerate) or no
+    /proc/self/maps to find it in."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {parts[5].strip() for parts in (line.split(None, 5) for line in fh)
+                     if len(parts) == 6 and "openblas" in parts[5]}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                set_.argtypes, set_.restype = (ctypes.c_int,), None
+                return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with OpenBLAS on one thread, then restore the caller's
+    count; a no-op where no OpenBLAS is loaded.  Thread count changes no
+    result bit, only where the CPU time goes."""
+    api = _blas_thread_api()
+    if api is None:
+        yield
+        return
+    get, set_ = api
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def run_ablation(base_cfg: TrainConfig, variants, seeds,
                  dataset_for_seed: Callable[[int], DomainDataset]
                  ) -> dict[tuple[str, int], RunResult]:
-    """Run every (variant, seed) pair in canonical sorted order."""
+    """Run every (variant, seed) pair in canonical sorted order.
+
+    The runs use one BLAS thread.  OpenBLAS threads only the 500-row
+    evaluation matmuls at the default sizes, and between them its idle
+    worker spins on the second core: CPU time nearly doubles and wall time
+    does not move.  A sweep's parallelism belongs across runs.
+    """
     for v in variants:
         if v not in VARIANTS:
             raise ConfigError(f"unknown variant {v!r}")
     ordered = sorted(set(variants), key=VARIANTS.index)
     out: dict[tuple[str, int], RunResult] = {}
-    for variant in ordered:
-        for seed in sorted(set(seeds)):
-            cfg = replace(base_cfg, variant=variant, seed=int(seed))
-            out[(variant, seed)] = Trainer(cfg, dataset_for_seed(int(seed))).run()
+    with _one_blas_thread():
+        for variant in ordered:
+            for seed in sorted(set(seeds)):
+                cfg = replace(base_cfg, variant=variant, seed=int(seed))
+                out[(variant, seed)] = Trainer(cfg, dataset_for_seed(int(seed))).run()
     return out
 
 

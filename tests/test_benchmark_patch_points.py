@@ -43,6 +43,8 @@ def test_traced_unit_calls_every_exercised_name_and_keeps_digests(name, monkeypa
 
     wl = workloads.WORKLOADS[name](0, tmp_path / name)
     _shrink(name, wl)
+    if name == "sweep_default":
+        assert "trainer.sweep" in wl.exercises  # the sweep driver itself is traced
     tracer = tracing.Tracer()
     with tracing.traced(tracer):
         wl.setup()

@@ -73,7 +73,7 @@ def test_pred_ema_alpha_one_is_identity(rng):
 def test_pred_ema_rows_stay_probability_vectors(rng):
     state = PredEmaState(0.6, 3)
     for step in range(1000):
-        ids = rng.integers(0, 40, size=5)
+        ids = rng.choice(40, size=5, replace=False)
         raw = rng.random((5, 3))
         p = raw / raw.sum(axis=1, keepdims=True)
         out = pred_ema(state, "student", ids, p)
@@ -120,6 +120,15 @@ def test_pred_ema_rejects_bad_ids_before_any_change(ids):
     assert np.array_equal(state.row("student", 1), [1.0, 0.0])
 
 
+def test_pred_ema_rejects_a_repeated_id_before_any_change():
+    state = PredEmaState(0.5, 2)
+    pred_ema(state, "student", [1], np.array([[1.0, 0.0]]))
+    with pytest.raises(ContractError, match="sample id 1 "):
+        pred_ema(state, "student", [5, 1, 1], np.array([[0.0, 1.0]] * 3))
+    assert state.known_ids("student") == [1]
+    assert np.array_equal(state.row("student", 1), [1.0, 0.0])
+
+
 def test_pred_ema_row_of_unknown_id_raises():
     state = PredEmaState(0.5, 2)
     pred_ema(state, "teacher", [3], np.array([[1.0, 0.0]]))
@@ -146,10 +155,8 @@ def test_pred_ema_matches_dict_loop_bit_for_bit(rng):
     high = 8  # the id range widens, so calls keep landing beyond the capacity
     for call in range(500):
         which = ("student", "teacher")[call % 2]
-        m = int(rng.integers(1, 12))
-        ids = rng.integers(0, high, size=m)  # unsorted, with repeats
-        if call % 7 == 0:
-            ids[-1] = ids[0]  # a repeat inside the call, for certain
+        m = min(int(rng.integers(1, 12)), high)
+        ids = rng.choice(high, size=m, replace=False)  # unsorted, distinct
         high += int(rng.integers(0, 3))
         raw = rng.random((m, c))
         p = raw / raw.sum(axis=1, keepdims=True)

@@ -226,21 +226,33 @@ def small_checkpoint(path):
     return path.read_text()
 
 
-@pytest.mark.parametrize("corrupt", [
-    lambda t: t[:t.rstrip("\n").rfind("\n") + 1],  # last line lost
-    lambda t: t.replace("set F 2", "set F two"),
-    lambda t: t.replace("set F 2", "set F 3"),
-    lambda t: t.replace("set D 4 2 2 1 sigmoid", "set D 4 2 2 1 tanh"),
-    lambda t: t.replace("tensor w0 3 2", "tensor w0 2 3"),
-    lambda t: t.replace("tensor b0 1 2 0.0", "tensor b0 1 2 nan"),
-    lambda t: t.replace("tensor b0 1 2", "tensor b0 1", 1),
-    lambda t: t.replace("tensor", "weights", 1),
+def with_extra_f_tensor(text, line=None):
+    """The checkpoint with one more tensor line, by default a second copy of
+    w0, at the end of set F."""
+    header, head, w0, b0, *rest = text.splitlines(keepends=True)
+    assert head.startswith("set F 2 ")
+    return "".join([header, head.replace("set F 2", "set F 3"), w0, b0, line or w0, *rest])
+
+
+@pytest.mark.parametrize("corrupt, names_set", [
+    (lambda t: t[:t.rstrip("\n").rfind("\n") + 1], False),  # last line lost
+    (lambda t: t.replace("set F 2", "set F two"), False),
+    (lambda t: t.replace("set F 2", "set F 3"), False),
+    (lambda t: t.replace("set D 4 2 2 1 sigmoid", "set D 4 2 2 1 tanh"), False),
+    (lambda t: t.replace("tensor w0 3 2", "tensor w0 2 3"), False),
+    (lambda t: t.replace("tensor b0 1 2 0.0", "tensor b0 1 2 nan"), False),
+    (lambda t: t.replace("tensor b0 1 2", "tensor b0 1", 1), False),
+    (lambda t: t.replace("tensor", "weights", 1), False),
+    (with_extra_f_tensor, True),  # w0, b0, w0
+    (lambda t: with_extra_f_tensor(t, "tensor w1 1 1 0.5\n"), True),
+    (lambda t: t + "".join(t.splitlines(keepends=True)[1:4]), True),  # F again
 ], ids=["missing-last-line", "word-count", "count-too-high", "bad-activation",
-        "wrong-shape", "non-finite", "short-tensor-header", "unknown-line"])
-def test_load_paramsets_rejects_corrupt_files(tmp_path, corrupt):
+        "wrong-shape", "non-finite", "short-tensor-header", "unknown-line",
+        "repeated-tensor", "tensor-outside-spec", "repeated-set"])
+def test_load_paramsets_rejects_corrupt_files(tmp_path, corrupt, names_set):
     path = tmp_path / "ckpt.txt"
     path.write_text(corrupt(small_checkpoint(path)))
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="set F" if names_set else None):
         load_paramsets(path)
 
 

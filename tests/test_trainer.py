@@ -7,7 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from renlab.datasets import batch_stream, standard_benchmark
+from renlab import trainer
+from renlab.datasets import DataSpec, batch_stream, make_domain_dataset, standard_benchmark
 from renlab.evaluation import metrics_to_csv
 from renlab.exceptions import ConfigError, ContractError, ShapeError
 from renlab.tensor import Graph
@@ -351,3 +352,66 @@ def test_run_ablation_collects_sorted_results():
 def test_run_ablation_rejects_unknown_variant():
     with pytest.raises(ConfigError):
         run_ablation(TrainConfig(total_steps=5), ["warp"], [0], small_ds)
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads in the sweep driver
+
+
+@pytest.fixture
+def blas_threads():
+    """The loaded OpenBLAS's thread-count getter, with the caller's count set
+    to 2 for the test and put back afterwards."""
+    api = trainer._blas_thread_api()
+    if api is None:
+        pytest.skip("no OpenBLAS loaded in this process")
+    get, set_ = api
+    before = get()
+    set_(2)
+    yield get
+    set_(before)
+
+
+def test_run_ablation_runs_every_run_on_one_blas_thread(blas_threads, monkeypatch):
+    seen = []
+    run = Trainer.run
+
+    def recording_run(self):
+        seen.append((self.cfg.variant, self.cfg.seed, blas_threads()))
+        return run(self)
+
+    monkeypatch.setattr(Trainer, "run", recording_run)
+    run_ablation(TrainConfig(total_steps=2, eval_every=1), ["ren", "source_only"],
+                 [1, 0], small_ds)
+    assert seen == [(v, s, 1) for v in ("source_only", "ren") for s in (0, 1)]
+    assert blas_threads() == 2
+
+
+def test_run_ablation_restores_blas_threads_when_a_run_raises(blas_threads, monkeypatch):
+    def failing_run(self):
+        raise RuntimeError("run failed")
+
+    monkeypatch.setattr(Trainer, "run", failing_run)
+    with pytest.raises(RuntimeError, match="run failed"):
+        run_ablation(TrainConfig(total_steps=2), ["cdan"], [0], small_ds)
+    assert blas_threads() == 2
+
+
+def test_run_ablation_without_openblas_gives_the_same_results(monkeypatch):
+    def sweep():
+        runs = run_ablation(TrainConfig(total_steps=6, eval_every=3), ["cdan", "ren"],
+                            [0, 1], small_ds)
+        return {key: metrics_to_csv(result.records) for key, result in runs.items()}
+
+    pinned = sweep()
+    monkeypatch.setattr(trainer, "_blas_thread_api", lambda: None)
+    assert sweep() == pinned
+
+
+def test_blas_thread_count_changes_no_metrics_byte(blas_threads):
+    # batch 256 on 64-D blobs: the step matmuls are large enough to thread
+    ds = make_domain_dataset(DataSpec(gen="blobs", n=512, classes=4, lift_dim=64), 0)
+    cfg = TrainConfig(variant="ren", batch_size=256, total_steps=6, eval_every=3)
+    threaded = metrics_to_csv(Trainer(cfg, ds).run().records)
+    pinned = run_ablation(cfg, ["ren"], [0], lambda seed: ds)[("ren", 0)]
+    assert metrics_to_csv(pinned.records) == threaded
