@@ -4,9 +4,10 @@ Builds a small seeded scenario (student nets, discriminator, one batch,
 frozen conditioning rows) and compares graph gradients against central
 differences.  Each check records its loss with the model's own code: one
 backward pass gives the analytic gradients, and every perturbed evaluation
-runs the forward pass only.  The adversarial terms are built WITHOUT the gradient-reversal
-node: reversal makes the analytic gradient -lambda times the loss gradient
-by construction, which central differences cannot see.  The reversal algebra
+runs the same code on a forward-only graph, which keeps no tape.  The
+adversarial terms are built WITHOUT the gradient-reversal node: reversal
+makes the analytic gradient -lambda times the loss gradient by
+construction, which central differences cannot see.  The reversal algebra
 itself is covered by a separate identity (see losses/adv tests).
 
 Central differences presuppose the loss is smooth within +-h of the base
@@ -55,7 +56,12 @@ def _flat(prefix: str, ps: ParamSet) -> dict[str, np.ndarray]:
 
 def _kink_margin(g: T.Graph) -> float:
     """Smallest distance on tape ``g`` to a non-smooth point: the |input| of
-    every rectifier and every sigmoid output's distance from the clamp."""
+    every rectifier and every sigmoid output's distance from the clamp.
+
+    A forward-only graph has no tape to scan, so it raises ContractError
+    rather than read an empty tape as infinitely far from every kink."""
+    if not g.record:
+        raise ContractError("kink scan needs a recorded graph, got a forward-only one")
     margins = [math.inf]
     for node in g.nodes:
         if node.op == "relu":
@@ -141,15 +147,16 @@ def run_loss_checks(seed: int, h: float = 1e-5, tol: float = 1e-4, **suite_kwarg
                     ) -> list[tuple[str, GradCheckReport]]:
     """Finite-difference report per loss term.
 
-    Each check runs one backward pass for its analytic gradients; every
-    perturbed evaluation records the forward pass only.
+    Each check records one graph and runs one backward pass on it for its
+    analytic gradients; every perturbed evaluation builds on a forward-only
+    graph, which records no node.
     """
     out = []
     for check in loss_check_suite(seed, **suite_kwargs):
         g = T.Graph()
         loss, nets = check.build(g)
         g.backward(loss)
-        report = finite_diff_check(lambda: check.build(T.Graph())[0].item(),
+        report = finite_diff_check(lambda: check.build(T.Graph(record=False))[0].item(),
                                    check.params, collect_grads(*nets), h=h, tol=tol)
         out.append((check.name, report))
     return out

@@ -115,8 +115,9 @@ def save_metrics(records: list[MetricsRecord], path) -> None:
 
 
 def load_metrics(path) -> list[MetricsRecord]:
-    """Read a metrics CSV; a corrupt, truncated or row-less file raises
-    ContractError (every run evaluates at least once)."""
+    """Read a metrics CSV; a corrupt, truncated or row-less file, or one
+    holding nan or inf, raises ContractError (every run evaluates at least
+    once, and every recorded value is finite)."""
     with open(path) as fh:
         text = fh.read()
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
@@ -128,11 +129,15 @@ def load_metrics(path) -> list[MetricsRecord]:
     for ln in lines[1:]:
         try:
             step, *rest = ln.split(",")
-            values = dict(zip(METRICS_COLUMNS[1:], map(float, rest), strict=True))
+            nums = [float(v) for v in rest]
+            values = dict(zip(METRICS_COLUMNS[1:], nums, strict=True))
             parts = LossBreakdown(**{c: values.pop(c) for c in _PARTS})
-            out.append(MetricsRecord(step=int(step), parts=parts, **values))
+            record = MetricsRecord(step=int(step), parts=parts, **values)
         except ValueError:
             raise ContractError(f"malformed metrics row in {path}: {ln[:60]!r}") from None
+        if not all(map(math.isfinite, nums)):
+            raise ContractError(f"non-finite value in {path}: {ln[:60]!r}")
+        out.append(record)
     return out
 
 

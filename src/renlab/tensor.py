@@ -14,6 +14,11 @@ Constant inputs get no pair, so their vjp is never called.
 results.  A vjp closes over arrays and scalars only, never a Graph or a
 Tensor, so a graph holds no reference cycle and is freed by reference
 counting as soon as its last Tensor goes away.
+
+A forward-only graph, ``Graph(record=False)``, runs the same ops and the
+same per-op finiteness check but appends no node, so its tensors carry
+values only.  It serves callers that never run backward, such as the
+perturbed evaluations of a finite-difference check.
 """
 
 from __future__ import annotations
@@ -40,6 +45,15 @@ def as_matrix(values) -> np.ndarray:
     elif arr.ndim > 2:
         raise ShapeError(f"rank-{arr.ndim} input not supported (rank <= 2 only)")
     return np.ascontiguousarray(arr)
+
+
+def _all_finite(arr: np.ndarray) -> bool:
+    """Exact test that no entry is NaN or infinite; True on an empty array.
+
+    ``logical_and.reduce`` skips the Python wrapper behind ``ndarray.all``.
+    A test on the sum would be cheaper but warns when a finite sum overflows.
+    """
+    return np.logical_and.reduce(np.isfinite(arr), axis=None)
 
 
 def stable_softmax(arr: np.ndarray) -> np.ndarray:
@@ -71,7 +85,7 @@ class Tensor:
 
     def __init__(self, values, graph: "Graph | None" = None, node_id: int | None = None):
         arr = as_matrix(values)
-        if arr.size and not np.isfinite(arr).all():
+        if not _all_finite(arr):
             raise NonFiniteError("tensor contains NaN or infinity")
         self.values = arr
         self.graph = graph
@@ -83,7 +97,8 @@ class Tensor:
 
     @property
     def grad(self) -> np.ndarray | None:
-        """Gradient buffer populated by the last backward pass (or None)."""
+        """Gradient buffer populated by the last backward pass (or None,
+        also on a forward-only graph)."""
         if self.graph is None or self.node_id is None:
             return None
         return self.graph.nodes[self.node_id].grad
@@ -116,29 +131,40 @@ class Graph:
     Every node's inputs precede it by construction; the backward pass visits
     nodes in exact reverse construction order.  A graph must only ever be
     mutated from a single thread.
+
+    With ``record=False`` the graph is forward-only: ops return tensors that
+    hold their values with ``node_id`` None, the tape stays empty, and
+    ``backward`` raises ContractError.
     """
 
-    def __init__(self):
+    def __init__(self, record: bool = True):
         self.nodes: list[Node] = []
+        self.record = record
 
     def _record(self, op, values, inputs=()) -> Tensor:
-        """Append a node; ``inputs`` are (tensor, vjp) pairs, constants dropped."""
+        """Append a node; ``inputs`` are (tensor, vjp) pairs, constants dropped.
+
+        On a forward-only graph only the value is checked and returned.
+        """
         if (type(values) is np.ndarray and values.ndim == 2
                 and values.dtype == np.float64 and values.flags.c_contiguous):
             arr = values  # what as_matrix would return, without the call
         else:
             arr = as_matrix(values)
-        if arr.size and not np.isfinite(arr).all():
+        if not _all_finite(arr):
             raise NonFiniteError(f"op '{op}' produced NaN or infinity")
+        out = Tensor.__new__(Tensor)
+        out.values = arr
+        out.graph = self
+        if not self.record:
+            out.node_id = None
+            return out
         nodes = self.nodes
         parents = tuple((t.node_id, vjp) for t, vjp in inputs
                         if nodes[t.node_id].op != "const")
-        t = Tensor.__new__(Tensor)
-        t.values = arr
-        t.graph = self
-        t.node_id = len(nodes)
+        out.node_id = len(nodes)
         nodes.append(Node(op, arr, parents))
-        return t
+        return out
 
     def parameter(self, values) -> Tensor:
         """Register a trainable leaf; backward will populate its gradient."""
@@ -154,6 +180,8 @@ class Graph:
         Populates gradients for every parameter leaf (zeros if the loss does
         not depend on it).
         """
+        if not self.record:
+            raise ContractError("backward on a forward-only graph")
         if loss.graph is not self:
             raise ContractError("loss tensor does not belong to this graph")
         if loss.shape != (1, 1):

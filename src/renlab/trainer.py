@@ -40,6 +40,9 @@ _USES_DISC = {"cdan", "cdan_m", "cdan_m_d", "ren"}
 _USES_TEACHER = {"cdan_m", "cdan_m_d", "ren"}
 _USES_SMOOTHED_CONDITIONS = {"cdan_m_d", "ren"}
 _USES_CONSISTENCY = {"ren"}
+# variants that read the teacher's per-step predictions; cdan_m keeps a
+# teacher for evaluation only
+_USES_TEACHER_PREDICTIONS = _USES_SMOOTHED_CONDITIONS | _USES_CONSISTENCY
 
 
 def check_seed(seed: int) -> int:
@@ -297,7 +300,7 @@ class Trainer:
         l_c = cross_entropy(T.slice_rows(p_all, 0, m_src), batch.ys)
 
         teacher_p_all = None
-        if self.dualnet is not None:
+        if cfg.variant in _USES_TEACHER_PREDICTIONS:
             teacher_p_all = T.stable_softmax(forward_fc_plain(
                 self.dualnet.teacher_F, self.dualnet.teacher_C, x_all.values))
 

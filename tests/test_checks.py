@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from renlab import tensor as T
-from renlab.checks import _kink_margin, run_loss_checks
+from renlab.checks import _kink_margin, loss_check_suite, run_loss_checks
+from renlab.exceptions import ContractError
 from renlab.networks import DISC_EPS
 
 
@@ -26,6 +27,46 @@ def test_each_check_runs_backward_once(monkeypatch, seed):
     reports = run_loss_checks(seed)
     assert len(reports) == len(calls) == 5
     assert all(rep.passed for _, rep in reports)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_perturbed_evaluations_record_no_node(monkeypatch, seed):
+    # only the kink scan's tapes and one recorded tape per check build
+    # nodes; the two evaluations per parameter entry build none, so the
+    # count does not grow with the number of entries (hidden 6 against 9)
+    built = []
+
+    class CountingNode(T.Node):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args[0])
+            super().__init__(*args)
+
+    monkeypatch.setattr(T, "Node", CountingNode)
+
+    def nodes_built(fn):
+        built.clear()
+        fn()
+        return len(built)
+
+    beyond_scan = {}
+    for hidden in (6, 9):
+        checks = loss_check_suite(seed, hidden=hidden)
+        scan = nodes_built(lambda: loss_check_suite(seed, hidden=hidden))
+        tapes = sum(nodes_built(lambda: check.build(T.Graph())) for check in checks)
+        beyond_scan[hidden] = nodes_built(lambda: run_loss_checks(seed, hidden=hidden)) - scan
+        assert beyond_scan[hidden] == tapes
+    assert beyond_scan[6] == beyond_scan[9]
+
+
+def test_kink_margin_refuses_a_forward_only_graph():
+    # an empty tape would read as infinitely far from every kink and pass
+    # any scenario
+    g = T.Graph(record=False)
+    T.relu(g.parameter([[0.0, 1.0]]))
+    with pytest.raises(ContractError, match="forward-only"):
+        _kink_margin(g)
 
 
 def test_kink_margin_reads_relu_inputs_and_sigmoid_outputs():

@@ -317,8 +317,9 @@ def one_run_dir(tmp_path, manifest: str, metrics: str) -> str:
     ('{"config": {"variant": "warp", "seed": 0}}', GOOD_METRICS),
     (GOOD_MANIFEST, GOOD_METRICS.replace(",0.85\n", "\n")),
     (GOOD_MANIFEST, GOOD_METRICS.split("\n", 1)[0] + "\n"),
+    (GOOD_MANIFEST, GOOD_METRICS.replace(",0.85\n", ",nan\n")),
 ], ids=["not-json", "not-an-object", "no-config", "bad-seed", "unknown-variant",
-        "short-metrics-row", "no-metrics-rows"])
+        "short-metrics-row", "no-metrics-rows", "nan-metric"])
 def test_report_rejects_corrupt_run_directories(tmp_path, capsys, manifest, metrics):
     assert main(["report", "--runs", one_run_dir(tmp_path, manifest, metrics)]) == 1
     err = capsys.readouterr().err

@@ -164,11 +164,14 @@ def test_metrics_header_is_validated(tmp_path):
     lambda t: t.replace("\n", ",1\n").replace(",1\n", "\n", 1),  # long row
     lambda t: t.replace("0.98", "high"),
     lambda t: t.replace("50,", "5.5,", 1),  # fractional step
-], ids=["no-rows", "short-row", "long-row", "word", "float-step"])
+    lambda t: t.replace(",0.7\n", ",nan\n"),  # float() parses these three
+    lambda t: t.replace("0.98", "inf"),
+    lambda t: t.replace("0.98", "-inf"),
+], ids=["no-rows", "short-row", "long-row", "word", "float-step", "nan", "inf", "-inf"])
 def test_load_metrics_rejects_corrupt_files(tmp_path, corrupt):
     path = tmp_path / "m.csv"
     path.write_text(corrupt(metrics_to_csv(sample_records())))
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="m.csv"):
         load_metrics(path)
 
 

@@ -1,6 +1,7 @@
 """Autodiff core: forward values, gradients vs central differences, tape rules."""
 
 import gc
+import warnings
 import weakref
 
 import numpy as np
@@ -303,6 +304,12 @@ OP_BUILDERS = {
 }
 
 
+def _op_inputs(g):
+    return (g.parameter([[0.1, 0.5, 0.9], [0.3, 0.6, 0.7]]),
+            g.constant([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
+            g.parameter(np.ones((3, 2))))
+
+
 @pytest.mark.parametrize("op", sorted(OP_BUILDERS))
 def test_tape_is_freed_without_the_cycle_collector(op):
     # a vjp that captured a Graph or a Tensor would keep the tape alive in a
@@ -311,9 +318,7 @@ def test_tape_is_freed_without_the_cycle_collector(op):
     gc.disable()
     try:
         g = T.Graph()
-        x = g.parameter([[0.1, 0.5, 0.9], [0.3, 0.6, 0.7]])
-        c = g.constant([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        w = g.parameter(np.ones((3, 2)))
+        x, c, w = _op_inputs(g)
         loss = T.sum_all(OP_BUILDERS[op](x, c, w))
         g.backward(loss)
         grad = x.grad
@@ -330,14 +335,83 @@ def test_tape_is_freed_without_the_cycle_collector(op):
 def test_op_output_is_a_fresh_c_contiguous_float64_matrix(op):
     # Graph._record stores such an array as it is, without as_matrix
     g = T.Graph()
-    x = g.parameter([[0.1, 0.5, 0.9], [0.3, 0.6, 0.7]])
-    c = g.constant([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    w = g.parameter(np.ones((3, 2)))
+    x, c, w = _op_inputs(g)
     out = OP_BUILDERS[op](x, c, w).values
     assert type(out) is np.ndarray and out.ndim == 2 and out.dtype == np.float64
     assert out.flags.c_contiguous
     for t in (x, c, w):
         assert not np.shares_memory(out, t.values)
+
+
+@pytest.mark.parametrize("op", sorted(OP_BUILDERS))
+def test_forward_only_graph_gives_recorded_values_and_keeps_no_node(op):
+    recorded = OP_BUILDERS[op](*_op_inputs(T.Graph()))
+    g = T.Graph(record=False)
+    out = OP_BUILDERS[op](*_op_inputs(g))
+    assert out.values.tobytes() == recorded.values.tobytes()
+    assert out.shape == recorded.shape
+    assert out.graph is g and out.node_id is None
+    assert g.nodes == []
+    assert out.grad is None
+
+
+def test_forward_only_graph_refuses_backward():
+    g = T.Graph(record=False)
+    x = g.parameter([[1.0, 2.0]])
+    loss = T.sum_all(T.square(x))
+    with pytest.raises(ContractError, match="forward-only"):
+        g.backward(loss)
+    assert x.grad is None and loss.grad is None
+    assert g.nodes == []
+
+
+def test_forward_only_op_rejects_non_finite_output():
+    # the per-op check runs whether or not the graph records
+    g = T.Graph(record=False)
+    x = g.parameter([[0.0]])
+    with np.errstate(divide="ignore"):
+        with pytest.raises(NonFiniteError, match="'log'"):
+            T.log(x)  # log 0 = -inf
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteError, match="'square'"):
+            T.square(g.parameter([[1e200]]))
+    with pytest.raises(NonFiniteError, match="'param'"):
+        g.parameter([[np.nan]])
+    assert g.nodes == []
+
+
+def test_forward_only_and_recorded_tensors_do_not_mix():
+    rec, fwd = T.Graph(), T.Graph(record=False)
+    a = rec.parameter([[1.0, 2.0]])
+    b = fwd.parameter([[3.0, 4.0]])
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(ContractError):
+            T.add(x, y)
+        with pytest.raises(ContractError):
+            T.multilinear(x, y)
+    with pytest.raises(ContractError):
+        rec.backward(T.sum_all(b))
+    assert fwd.nodes == []
+
+
+def test_finiteness_check_is_exact_on_edge_arrays():
+    # finite arrays whose sum overflows pass without a warning, empty arrays
+    # pass, and one NaN or infinity anywhere is caught
+    g = T.Graph(record=False)
+    big = np.full((2, 3), np.finfo(np.float64).max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g.constant(big)
+        T.Tensor(big)
+        g.constant(np.zeros((0, 3)))
+        T.Tensor(np.zeros((3, 0)))
+    for bad in (np.nan, np.inf, -np.inf):
+        arr = big.copy()
+        arr[1, 2] = bad
+        with pytest.raises(NonFiniteError):
+            g.constant(arr)
+        with pytest.raises(NonFiniteError):
+            T.Tensor(arr)
 
 
 def test_shared_inputs_get_exact_private_gradients():

@@ -215,6 +215,26 @@ def test_consistency_is_zero_on_first_step():
     assert parts.l_c > 0.0
 
 
+@pytest.mark.parametrize("variant,calls", [("cdan_m", 0), ("cdan_m_d", 1), ("ren", 1)])
+def test_teacher_forward_runs_only_where_its_predictions_are_read(monkeypatch, variant, calls):
+    # cdan_m keeps a teacher for evaluation only; its steps never read the
+    # teacher's predictions, so they must not compute them
+    seen = []
+    real = trainer.forward_fc_plain
+
+    def counting(ps_F, ps_C, x):
+        seen.append(ps_F)
+        return real(ps_F, ps_C, x)
+
+    monkeypatch.setattr(trainer, "forward_fc_plain", counting)
+    ds = small_ds()
+    cfg = TrainConfig(variant=variant, total_steps=10)
+    t = Trainer(cfg, ds)
+    t.train_step(next(batch_stream(ds, cfg.batch_size, cfg.seed)), 0)
+    assert len(seen) == calls
+    assert all(ps is t.dualnet.teacher_F for ps in seen)
+
+
 # tape nodes one training step records, per variant; fewer is the aim, and
 # a rise is a regression this catches without a traced benchmark run
 NODES_PER_STEP = {"source_only": 27, "cdan": 53, "cdan_m": 53, "cdan_m_d": 75, "ren": 82}
