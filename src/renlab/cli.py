@@ -14,8 +14,7 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from .checks import run_loss_checks
-from .datasets import (GENERATORS, DataSpec, DomainDataset, make_domain_dataset,
-                       save_dataset)
+from .datasets import GENERATORS, DataSpec, make_domain_dataset, save_dataset
 from .evaluation import (ablation_report, load_metrics, save_ablation,
                          save_metrics)
 from .exceptions import ConfigError, ContractError, RenlabError
@@ -80,15 +79,13 @@ def _run_dir_name(cfg: TrainConfig, data: dict) -> str:
     return f"{digest}-s{cfg.seed}"
 
 
-def _write_run(result: RunResult, dataset: DomainDataset, spec: DataSpec,
-               out_root: Path) -> Path:
+def _write_run(result: RunResult, spec: DataSpec, out_root: Path) -> Path:
     """Write a finished run's manifest, metrics and checkpoint."""
     cfg, data = result.cfg, asdict(spec)
     run_dir = out_root / _run_dir_name(cfg, data)
     run_dir.mkdir(parents=True, exist_ok=True)
     manifest = {"tool": TOOL_VERSION, "config": cfg.to_dict(), "seeds": [cfg.seed],
-                "data": data, "dataset_meta": dataset.meta,
-                "outputs": {"metrics": "metrics.csv", "checkpoint": "checkpoint.txt"}}
+                "data": data, "outputs": {"metrics": "metrics.csv", "checkpoint": "checkpoint.txt"}}
     with open(run_dir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -114,9 +111,8 @@ def cmd_datagen(args) -> int:
 
 def cmd_train(args) -> int:
     cfg, spec = _config_from_args(args), _spec_from_args(args)
-    dataset = make_domain_dataset(spec, cfg.seed)
-    result = Trainer(cfg, dataset).run()
-    run_dir = _write_run(result, dataset, spec, Path(args.out))
+    result = Trainer(cfg, make_domain_dataset(spec, cfg.seed)).run()
+    run_dir = _write_run(result, spec, Path(args.out))
     final = result.records[-1]
     print(f"run {run_dir}")
     print(f"final step {final.step}: target acc student={final.acc_student_target:.4f} "
@@ -134,8 +130,8 @@ def cmd_ablate(args) -> int:
     datasets = {seed: make_domain_dataset(spec, seed) for seed in seeds}
     runs = run_ablation(cfg, variants, seeds, datasets.__getitem__)
     out_root = Path(args.out)
-    for (_, seed), result in runs.items():
-        _write_run(result, datasets[seed], spec, out_root)
+    for result in runs.values():
+        _write_run(result, spec, out_root)
     results = ablation_accuracies(runs)
     report = ablation_report(results)
     save_ablation(report, out_root / "ablation.json")

@@ -10,7 +10,7 @@ names every parameter, and a dataset is a pure function of its spec and seed.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterator
 
@@ -77,17 +77,9 @@ class DataSpec:
             raise ConfigError("imbalance applies to the blobs generator only")
 
 
-@dataclass
-class LabeledSet:
-    """2-D points with integer labels and the generator recipe that made them."""
-
-    x: np.ndarray
-    y: np.ndarray
-    meta: dict
-
-
-def make_two_moons(n: int, noise_sigma: float, seed) -> LabeledSet:
-    """Two interleaving half-circles with Gaussian coordinate noise.
+def make_two_moons(n: int, noise_sigma: float, seed) -> tuple[np.ndarray, np.ndarray]:
+    """Two interleaving half-circles with Gaussian coordinate noise, as
+    (points, labels).
 
     Class 0 sits on the unit upper half-circle centered at the origin,
     class 1 on a lower half-circle offset to interleave with it.
@@ -109,8 +101,7 @@ def make_two_moons(n: int, noise_sigma: float, seed) -> LabeledSet:
     rng = np.random.default_rng(seed)
     if noise_sigma > 0:
         x = x + rng.normal(0.0, noise_sigma, size=x.shape)
-    meta = {"generator": "two_moons", "n": n, "noise_sigma": noise_sigma}
-    return LabeledSet(x, y, meta)
+    return x, y
 
 
 def _class_counts(n: int, c: int, ratio: float) -> np.ndarray:
@@ -128,8 +119,9 @@ def _class_counts(n: int, c: int, ratio: float) -> np.ndarray:
 
 
 def make_blobs(n: int, n_classes: int, centers, sigma: float, seed,
-               imbalance_ratio: float = 1.0) -> LabeledSet:
-    """Isotropic Gaussian clusters, optionally with ramped class imbalance."""
+               imbalance_ratio: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Isotropic Gaussian clusters, optionally with ramped class imbalance,
+    as (points, labels)."""
     if n_classes < 2:
         raise ConfigError(f"blobs needs at least 2 classes, got {n_classes}")
     _require_finite("sigma", sigma)
@@ -150,38 +142,33 @@ def make_blobs(n: int, n_classes: int, centers, sigma: float, seed,
             pts = pts + rng.normal(0.0, sigma, size=pts.shape)
         xs.append(pts)
         ys.append(np.full(counts[k], k, dtype=np.int64))
-    meta = {"generator": "blobs", "n": n, "n_classes": n_classes, "sigma": sigma,
-            "centers": ctr.tolist(), "imbalance_ratio": imbalance_ratio}
-    return LabeledSet(np.vstack(xs), np.concatenate(ys), meta)
+    return np.vstack(xs), np.concatenate(ys)
 
 
-def _draw(spec: DataSpec, n: int, noise: float, imbalance: float, seed) -> LabeledSet:
+def _blob_centers(classes: int) -> np.ndarray:
+    """The blobs generator's class centers, evenly spaced on a radius-2 circle."""
+    angles = 2.0 * np.pi * np.arange(classes) / classes
+    return np.column_stack([2.0 * np.cos(angles), 2.0 * np.sin(angles)])
+
+
+def _draw(spec: DataSpec, n: int, noise: float, imbalance: float, seed):
     if spec.gen == "two_moons":
         return make_two_moons(n, noise, seed)
-    angles = 2.0 * np.pi * np.arange(spec.classes) / spec.classes
-    centers = np.column_stack([2.0 * np.cos(angles), 2.0 * np.sin(angles)])
-    return make_blobs(n, spec.classes, centers, noise, seed, imbalance)
+    return make_blobs(n, spec.classes, _blob_centers(spec.classes), noise, seed, imbalance)
 
 
-def _generator_centroid(meta: dict) -> np.ndarray:
-    """Population mean of the generator, independent of any particular draw."""
-    if meta["generator"] == "two_moons":
-        # each moon's half-circle mean is (0, 2/pi) shifted by its offset;
-        # the equal-count mixture lands at (0.5, 0.25)
-        return np.array([0.5, 0.25])
-    return np.asarray(meta["centers"], dtype=np.float64).mean(axis=0)
-
-
-def apply_shift(drawn: LabeledSet, spec: DataSpec) -> LabeledSet:
-    """Rotate and scale a fresh target draw about its generator centroid,
-    then translate it.  Labels ride along for evaluation only."""
+def apply_shift(x: np.ndarray, spec: DataSpec) -> np.ndarray:
+    """Rotate and scale a fresh target draw about the population mean of
+    spec's generator, then translate it."""
     theta = np.deg2rad(spec.rot)
     rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-    c = _generator_centroid(drawn.meta)
-    x = spec.scale * ((drawn.x - c) @ rot.T) + c + np.asarray(spec.trans, dtype=np.float64)
-    meta = {**drawn.meta, "rotation_deg": spec.rot, "translation": list(spec.trans),
-            "scale": spec.scale, "imbalance_ratio": spec.imbalance}
-    return LabeledSet(x, drawn.y, meta)
+    if spec.gen == "two_moons":
+        # each moon's half-circle mean is (0, 2/pi) shifted by its offset;
+        # the equal-count mixture lands at (0.5, 0.25)
+        c = np.array([0.5, 0.25])
+    else:
+        c = _blob_centers(spec.classes).mean(axis=0)
+    return spec.scale * ((x - c) @ rot.T) + c + np.asarray(spec.trans, dtype=np.float64)
 
 
 def lift_embedding(dim_in: int, dim_out: int, seed) -> np.ndarray:
@@ -208,6 +195,7 @@ class DomainDataset:
     """Labeled source samples plus unlabeled-for-training target samples.
 
     target_y is held out for evaluation; the batch view never exposes it.
+    meta is the recipe: the seed, then every DataSpec field in order.
     """
 
     source_x: np.ndarray
@@ -245,18 +233,16 @@ def make_domain_dataset(spec: DataSpec, seed) -> DomainDataset:
     """The source draw and its shifted target redraw, both lifted through
     one shared embedding unless spec.lift_dim is 0."""
     # seed offsets 900.. keep dataset streams disjoint from network-init seeds
-    source = _draw(spec, spec.n, spec.noise, 1.0, [seed, 900])
+    sx, sy = _draw(spec, spec.n, spec.noise, 1.0, [seed, 900])
     n_target = spec.n if spec.n_target is None else spec.n_target
     noise = spec.noise if spec.shift_noise is None else spec.shift_noise
-    target = apply_shift(_draw(spec, n_target, noise, spec.imbalance, [seed, 901]), spec)
-    sx, tx = source.x, target.x
-    meta = {"source": source.meta, "target": target.meta, "seed": seed,
-            "lift_dim": spec.lift_dim, "lift_noise": spec.lift_noise}
+    tx, ty = _draw(spec, n_target, noise, spec.imbalance, [seed, 901])
+    tx = apply_shift(tx, spec)
     if spec.lift_dim:
         emb = lift_embedding(sx.shape[1], spec.lift_dim, [seed, 902])
         sx = lift(sx, emb, spec.lift_noise, [seed, 903])
         tx = lift(tx, emb, spec.lift_noise, [seed, 904])
-    return DomainDataset(sx, source.y, tx, target.y, meta)
+    return DomainDataset(sx, sy, tx, ty, {"seed": seed, **asdict(spec)})
 
 
 def standard_benchmark(seed, **fields) -> DomainDataset:
@@ -314,21 +300,7 @@ def batch_stream(dataset: DomainDataset, batch_size: int, seed) -> Iterator[Batc
 
 
 # ---------------------------------------------------------------------------
-# dataset export / import: CSV with a key-value metadata sidecar
-
-
-def _flatten_meta(meta: dict, prefix: str = "") -> list[tuple[str, str]]:
-    items = []
-    for k in sorted(meta):
-        v = meta[k]
-        key = f"{prefix}{k}"
-        if isinstance(v, dict):
-            items.extend(_flatten_meta(v, f"{key}."))
-        else:
-            if isinstance(v, (np.floating, np.integer)):
-                v = v.item()
-            items.append((key, repr(v)))
-    return items
+# dataset export / import: CSV with a key = repr(value) recipe sidecar
 
 
 def _write_rows(fh, x: np.ndarray, y: np.ndarray, split: str, first_id: int) -> None:
@@ -342,7 +314,8 @@ def _write_rows(fh, x: np.ndarray, y: np.ndarray, split: str, first_id: int) -> 
 
 def save_dataset(dataset: DomainDataset, csv_path, meta_path) -> None:
     """Write the CSV BLOCK_ROWS rows at a time to a sibling temp file, then
-    rename it into place: a write that dies midway leaves no CSV that loads."""
+    rename it into place: a write that dies midway leaves no CSV that loads.
+    The sidecar holds one ``key = repr(value)`` line per item of dataset.meta."""
     csv_path = Path(csv_path)
     tmp_path = csv_path.with_name(csv_path.name + ".tmp")
     dim = dataset.input_dim
@@ -356,8 +329,7 @@ def save_dataset(dataset: DomainDataset, csv_path, meta_path) -> None:
         tmp_path.unlink(missing_ok=True)
         raise
     with open(meta_path, "w") as fh:
-        for k, v in _flatten_meta(dataset.meta):
-            fh.write(f"{k} = {v}\n")
+        fh.writelines(f"{k} = {v!r}\n" for k, v in dataset.meta.items())
 
 
 def _parse_block(texts: list[str], linenos: list[int], csv_path) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .exceptions import ContractError
+from .exceptions import ContractError, ShapeError
 from .losses import LossBreakdown
 from .networks import ParamSet, forward_fc_plain
 
@@ -41,7 +41,10 @@ def accuracy(params_F: ParamSet, params_C: ParamSet, x: np.ndarray, y) -> float:
     y = np.asarray(y, dtype=np.int64).reshape(-1)
     if y.size == 0:
         raise ContractError("accuracy over an empty sample set")
-    logits = forward_fc_plain(params_F, params_C, np.asarray(x, dtype=np.float64))
+    x = np.asarray(x, dtype=np.float64)
+    if y.size != x.shape[0]:
+        raise ShapeError(f"{y.size} labels for {x.shape[0]} rows")
+    logits = forward_fc_plain(params_F, params_C, x)
     pred = np.argmax(logits, axis=1)
     return float(np.mean(pred == y))
 

@@ -366,7 +366,8 @@ def mean_all(x: Tensor) -> Tensor:
     if n == 0:
         raise ContractError("mean over an empty tensor")
     shape = x.shape
-    return _unary("mean_all", x, [[x.values.mean()]],
+    # numpy's own mean without its Python wrappers: the same bits
+    return _unary("mean_all", x, [[np.add.reduce(x.values, axis=None) / n]],
                   lambda grad: np.full(shape, grad[0, 0] / n))
 
 

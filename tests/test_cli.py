@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: artifacts, exit codes, determinism."""
 
+import ast
 import json
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -26,13 +27,33 @@ def test_datagen_writes_loadable_dataset(tmp_path):
     ds = load_dataset(tmp_path / "dataset.csv")
     assert ds.n_source == 40 and ds.n_target == 40
     assert ds.input_dim == 16
-    assert "rotation_deg = 45.0" in (tmp_path / "dataset.meta").read_text()
+    assert "rot = 45.0" in (tmp_path / "dataset.meta").read_text().splitlines()
 
 
 def test_datagen_meta_records_each_domain_count(tmp_path):
     assert main(["datagen", "--n", "200", "--n-target", "50", "--out", str(tmp_path)]) == 0
     meta = (tmp_path / "dataset.meta").read_text().splitlines()
-    assert "source.n = 200" in meta and "target.n = 50" in meta
+    assert "n = 200" in meta and "n_target = 50" in meta
+    ds = load_dataset(tmp_path / "dataset.csv")
+    assert (ds.n_source, ds.n_target) == (200, 50)
+
+
+@pytest.mark.parametrize("flags", [
+    [],
+    ["--gen", "blobs", "--classes", "4", "--imbalance", "2", "--n", "60", "--n-target", "45",
+     "--trans-x", "0.5", "--shift-noise", "0.3", "--lift-dim", "6", "--seed", "5"],
+], ids=["defaults", "blobs"])
+def test_datagen_meta_is_a_complete_recipe(tmp_path, flags):
+    assert main(["datagen", *flags, "--out", str(tmp_path / "cli")]) == 0
+    recipe = {}
+    for line in (tmp_path / "cli" / "dataset.meta").read_text().splitlines():
+        key, value = line.split(" = ", 1)
+        recipe[key] = ast.literal_eval(value)
+    seed = recipe.pop("seed")
+    rebuilt = make_domain_dataset(DataSpec(**recipe), seed)
+    save_dataset(rebuilt, tmp_path / "dataset.csv", tmp_path / "dataset.meta")
+    for name in ("dataset.csv", "dataset.meta"):
+        assert (tmp_path / name).read_bytes() == (tmp_path / "cli" / name).read_bytes()
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -60,21 +81,23 @@ EVERY_FIELD_FLAGS = ["--gen", "blobs", "--n", "40", "--n-target", "30", "--noise
 ], ids=lambda argv: argv[0])
 def test_every_data_spec_field_has_a_flag(tmp_path, monkeypatch, argv):
     assert all(getattr(EVERY_FIELD, f.name) != f.default for f in fields(DataSpec))
-    built = []
+    built, datasets = [], []
 
     def build(spec, seed):
         built.append(spec)
-        return make_domain_dataset(spec, seed)
+        datasets.append(make_domain_dataset(spec, seed))
+        return datasets[-1]
 
     monkeypatch.setattr(renlab.cli, "make_domain_dataset", build)
     assert main([*argv, *EVERY_FIELD_FLAGS, "--out", str(tmp_path)]) == 0
     assert built == [EVERY_FIELD]
+    assert (datasets[0].n_source, datasets[0].n_target) == (40, 30)
     manifests = [json.loads(p.read_text()) for p in tmp_path.glob("*/manifest.json")]
     assert len(manifests) == (argv[0] != "datagen")
     for manifest in manifests:
+        assert set(manifest) == {"tool", "config", "seeds", "data", "outputs"}
         assert manifest["data"] == json.loads(json.dumps(asdict(EVERY_FIELD)))
-        assert manifest["dataset_meta"]["source"]["n"] == 40
-        assert manifest["dataset_meta"]["target"]["n"] == 30
+        assert manifest["data"]["n"] == 40 and manifest["data"]["n_target"] == 30
 
 
 def test_datagen_blobs_variant(tmp_path):

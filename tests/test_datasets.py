@@ -2,6 +2,7 @@
 
 import pickle
 import tracemalloc
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -26,20 +27,20 @@ from renlab.trainer import TrainConfig, Trainer
 
 
 def test_two_moons_counts_and_determinism():
-    ds = make_two_moons(100, 0.1, 7)
-    assert np.sum(ds.y == 0) == 50
-    assert np.sum(ds.y == 1) == 50
-    again = make_two_moons(100, 0.1, 7)
-    assert np.array_equal(ds.x, again.x)
-    other = make_two_moons(100, 0.1, 8)
-    assert not np.array_equal(ds.x, other.x)
+    x, y = make_two_moons(100, 0.1, 7)
+    assert np.sum(y == 0) == 50
+    assert np.sum(y == 1) == 50
+    again, _ = make_two_moons(100, 0.1, 7)
+    assert np.array_equal(x, again)
+    other, _ = make_two_moons(100, 0.1, 8)
+    assert not np.array_equal(x, other)
 
 
 def test_two_moons_noiseless_class0_on_unit_circle():
-    ds = make_two_moons(80, 0.0, 1)
-    r = np.linalg.norm(ds.x[ds.y == 0], axis=1)
+    x, y = make_two_moons(80, 0.0, 1)
+    r = np.linalg.norm(x[y == 0], axis=1)
     assert np.abs(r - 1.0).max() < 1e-12
-    assert (ds.x[ds.y == 0][:, 1] >= -1e-12).all()  # upper half
+    assert (x[y == 0][:, 1] >= -1e-12).all()  # upper half
 
 
 def test_two_moons_validation():
@@ -51,10 +52,10 @@ def test_two_moons_validation():
 
 def test_blobs_zero_sigma_and_counts():
     centers = [[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]]
-    ds = make_blobs(9, 3, centers, 0.0, 5)
+    x, y = make_blobs(9, 3, centers, 0.0, 5)
     for k in range(3):
-        assert np.sum(ds.y == k) == 3
-        assert np.array_equal(ds.x[ds.y == k], np.tile(centers[k], (3, 1)))
+        assert np.sum(y == k) == 3
+        assert np.array_equal(x[y == k], np.tile(centers[k], (3, 1)))
 
 
 def test_blobs_class_means_near_centers():
@@ -62,16 +63,16 @@ def test_blobs_class_means_near_centers():
     centers = [[0.0, 0.0], [10.0, 0.0]]
     sigma = 0.5
     for seed in range(5):
-        ds = make_blobs(400, 2, centers, sigma, seed)
+        x, y = make_blobs(400, 2, centers, sigma, seed)
         for k in range(2):
-            pts = ds.x[ds.y == k]
+            pts = x[y == k]
             bound = 3.0 * sigma / np.sqrt(len(pts))
             assert np.abs(pts.mean(axis=0) - centers[k]).max() < bound
 
 
 def test_blobs_imbalance_ratio():
-    ds = make_blobs(300, 3, [[0, 0], [1, 0], [2, 0]], 0.1, 2, imbalance_ratio=2.0)
-    counts = [int(np.sum(ds.y == k)) for k in range(3)]
+    _, y = make_blobs(300, 3, [[0, 0], [1, 0], [2, 0]], 0.1, 2, imbalance_ratio=2.0)
+    counts = [int(np.sum(y == k)) for k in range(3)]
     assert sum(counts) == 300
     assert counts[0] < counts[1] < counts[2]
     assert counts[2] == pytest.approx(2 * counts[0], abs=2)
@@ -192,13 +193,15 @@ def test_domain_dataset_validation(rng):
 
 
 def test_make_domain_dataset_properties():
-    ds = make_domain_dataset(DataSpec(n=60, noise=0.1, rot=30.0, lift_dim=10,
-                                      lift_noise=0.05), 4)
+    spec = DataSpec(n=60, noise=0.1, rot=30.0, lift_dim=10, lift_noise=0.05)
+    ds = make_domain_dataset(spec, 4)
     assert ds.n_source == 60
     assert ds.n_target == 60
     assert ds.n_classes == 2
     assert ds.input_dim == 10
-    assert ds.meta["target"]["rotation_deg"] == 30.0
+    assert ds.meta["rot"] == 30.0
+    assert ds.meta == {"seed": 4, **asdict(spec)}
+    assert list(ds.meta) == ["seed", *(f.name for f in fields(DataSpec))]
 
 
 def test_standard_benchmark_recipe():
@@ -208,7 +211,8 @@ def test_standard_benchmark_recipe():
     smaller = standard_benchmark(0, n_target=123)
     assert smaller.n_target == 123
     assert np.array_equal(smaller.source_x, ds.source_x)  # same source draw
-    assert smaller.meta["source"]["n"] == 500 and smaller.meta["target"]["n"] == 123
+    assert smaller.meta["n"] == 500 and smaller.meta["n_target"] == 123
+    assert (smaller.source_x.shape[0], smaller.target_x.shape[0]) == (500, 123)
 
 
 def test_data_spec_pickles_and_rebuilds_identical_arrays():
@@ -278,8 +282,10 @@ def test_dataset_csv_roundtrip(tmp_path):
     assert np.array_equal(back.target_x, ds.target_x)
     assert np.array_equal(back.source_y, ds.source_y)
     assert np.array_equal(back.target_y, ds.target_y)
-    text = meta_path.read_text()
-    assert "target.rotation_deg = 45.0" in text
+    assert (back.n_source, back.n_target) == (40, 30)
+    text = meta_path.read_text().splitlines()
+    assert "rot = 45.0" in text
+    assert "n = 40" in text and "n_target = 30" in text
     # saving the loaded copy reproduces the file byte for byte
     save_dataset(DomainDataset(back.source_x, back.source_y, back.target_x,
                                back.target_y, ds.meta), tmp_path / "d2.csv", meta_path)

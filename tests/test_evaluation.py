@@ -9,7 +9,7 @@ from renlab import tensor as T
 from renlab.evaluation import (MetricsRecord, ablation_report, accuracy,
                                load_metrics, metrics_to_csv, save_ablation,
                                save_metrics, stability)
-from renlab.exceptions import ContractError
+from renlab.exceptions import ContractError, ShapeError
 from renlab.losses import LossBreakdown
 from renlab.networks import NetSpec, ParamSet, init_params
 
@@ -63,6 +63,13 @@ def test_accuracy_rejects_empty_input():
     f, c = identity_net(), identity_net()
     with pytest.raises(ContractError):
         accuracy(f, c, np.zeros((0, 2)), [])
+
+
+@pytest.mark.parametrize("labels", [[1], [1, 0]], ids=["one", "two"])
+def test_accuracy_rejects_a_label_count_unlike_the_row_count(labels):
+    f, c = identity_net(), identity_net()
+    with pytest.raises(ShapeError, match=f"{len(labels)} labels for 6 rows"):
+        accuracy(f, c, np.eye(2)[[0, 1, 0, 1, 1, 0]], labels)
 
 
 def test_stability_reference_values():

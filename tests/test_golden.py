@@ -13,7 +13,11 @@ the gradient check's reports and was recorded before the check began to
 take its analytic gradients from one backward pass per loss.
 ``SCENARIO_DIGEST`` pins the scenario the gradient check's kink scan picks
 for seeds 0-19 and was recorded before the scan began to read its margins
-off the checked tape.
+off the checked tape.  ``HELP_DIGESTS`` pins the text of ``renlab --help``
+and of each subcommand's ``--help`` at 80 columns, so a change that adds,
+drops or renames a flag shows here.  argparse's layout differs between
+Python releases, so these hold for one Python build, as the float digests
+hold for one numpy build.
 
 Record history: the digests were first recorded before the CLI was rebuilt
 on the trainer's config parser and ``run_ablation``.  Those that hash float
@@ -21,15 +25,22 @@ bits of a run with a discriminator were re-recorded when each adversarial
 term began to run the discriminator once over the stacked source and target
 rows: its weight gradient became one GEMM over all rows instead of the sum
 of two, which moves the last bits.  ``source_only``, the manifests and
-``ablation.json`` kept theirs.
+``ablation.json`` kept theirs.  The five ``manifest.json`` digests and the
+two ``dataset.meta`` digests were re-recorded when the dataset's only
+description became its recipe: ``dataset.meta`` now lists the seed and
+every ``DataSpec`` field in field order, and the manifest lost its
+``dataset_meta`` copy of the old nested generator dicts.  No array, CSV,
+metrics file, checkpoint or run-directory name changed.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from renlab import tensor as T
 from renlab.checks import loss_check_suite, run_loss_checks
@@ -58,22 +69,22 @@ TRAIN_ARGS = ["train", "--steps", "30", "--gen", "blobs", "--classes", "3", "--n
 # sha256 of every file each command leaves under --out, by relative path
 ABLATE_TREE = {
     "16a44f12860b-s0/checkpoint.txt": "a45f9826e78655e2e679fa2026d74cc6cc93d3fbe1469a3dca771e78b2f2859c",
-    "16a44f12860b-s0/manifest.json": "7312581bac5fb8c6148d33e3dfa2cd4ae4b69736d69894a62250bdfa6b72e9e5",
+    "16a44f12860b-s0/manifest.json": "0f8d7c22b71d557fe85f06abdf5f35a7d707c1c44c7ae6f375b065b1baf5963c",
     "16a44f12860b-s0/metrics.csv": "c710fe873caf14e1bc3c71c64311a3018231a49cb18c9281ed527bd1e4c7160c",
     "6d4820d05d26-s1/checkpoint.txt": "6edbd8df975c3e6af9fbaa66423b1ae96c02090aa601b42cd3566b448988adb7",
-    "6d4820d05d26-s1/manifest.json": "8becfb8891439389db0a4dcda71a8b51d049ef09da4b7b4d8c3d57ae3ab5bc70",
+    "6d4820d05d26-s1/manifest.json": "e3572bed9451546a4262d0c20521a8913f59ed3d16314e2230b87fed7a2212ab",
     "6d4820d05d26-s1/metrics.csv": "150ce51833265c2a9e1d78a917b8c6f2e837adf470ae1bbe3d6eb5d13227a6c4",
     "7b85e2d96bf5-s0/checkpoint.txt": "0546856c76c773616f4f0f14c31d3f13c3063d01d216d8bc20553fcebad0592c",
-    "7b85e2d96bf5-s0/manifest.json": "96901cdcbba890c0280deffbd539db58d7a5c44cb210e193cdf0bb7df7ee570f",
+    "7b85e2d96bf5-s0/manifest.json": "96fb2eed0e896530e4731b807bd145bfc667782f7ee8f6ba363b8dfb1ef0ac46",
     "7b85e2d96bf5-s0/metrics.csv": "3d607757af0c61e2adc93becbfb011128dd571b0935caf23a3606146816df3f2",
     "99addedb0b69-s1/checkpoint.txt": "d69eadb5e37a58e68f9d82b3b285d364a6b411e4c4d1537c72a1970ccd2989f9",
-    "99addedb0b69-s1/manifest.json": "375523315cab28709783ce2eef0156b4fea239b20de76021dc7c20e0081070fb",
+    "99addedb0b69-s1/manifest.json": "9cde37fc5711f3e2ae89c333d35f622cadcb5467fbf3562cd122f9c3317f6c33",
     "99addedb0b69-s1/metrics.csv": "ee2fac386e54ea4834922f4ec603ecca98c5650bf4393b7af2d600cb43f7a864",
     "ablation.json": "ea39aa93eac92a3b57189ec482c99b1d1ffb864660b386c8d6271d2215aac629",
 }
 TRAIN_TREE = {
     "247cc37bee57-s0/checkpoint.txt": "0aa1a75e333f59288be3022a0641780c1be61f7412e369f311c9c7c88106134e",
-    "247cc37bee57-s0/manifest.json": "9dae092825ddfa96057b9522ce34d3b2ebae944c0721c9a0c134ff47fc11339e",
+    "247cc37bee57-s0/manifest.json": "06ac6b1da8c391dcd834a57de0112f431d646f41c3660ae63d245e12f286805c",
     "247cc37bee57-s0/metrics.csv": "49c30fa11975ba1f117804ec39015f4c1ddd77fcb6d632bfb70d1a13a7400eb7",
 }
 
@@ -87,11 +98,11 @@ DATAGEN_ARGS = {
 DATAGEN_DIGESTS = {
     "defaults": {
         "dataset.csv": "0f9fc565a368b4e3964ba16c9441299fa828a465bdeadfa350db8aae395781d2",
-        "dataset.meta": "4ce10f788929d69875ae1f1adee55a48c4f995365d1a895df063e6f1da5584a8",
+        "dataset.meta": "3f1d03b7c4fe60de71f63a6bc6f1e6bcc3aaf771bebb2fd51e061691ab84f6ac",
     },
     "blobs": {
         "dataset.csv": "3ef068aaab2a28b4b4b455bb1a67361ccd4447708ac090401110cc1fc3805909",
-        "dataset.meta": "cdff0ea050b91ffcfc5e4814d85553a34acb9ed085275105daad874459f48896",
+        "dataset.meta": "9b5b7d95ffc4291c22cefd62157cae431c3729faea948842813b71244cee6bec",
     },
 }
 
@@ -103,6 +114,17 @@ GRADCHECK_DIGEST = "29ccc0cbb17b690096a6f42c224386697efa7a7c1270f91c20c3556ba57a
 # sha256 over every LossCheck's name, parameter bytes and loss value, seeds 0-19
 SCENARIO_SEEDS = range(20)
 SCENARIO_DIGEST = "0666151dada0a4cbb2f855a9d2a5dc7b1837a93ef1cf111ff69847a094768ea2"
+
+# sha256 of ``renlab --help`` and of each subcommand's ``--help`` at COLUMNS=80
+HELP_COMMANDS = ("", "datagen", "train", "ablate", "gradcheck", "report")
+HELP_DIGESTS = {
+    "renlab": "64f132546d29db0929e712b442f222f8ceb058a8014c2d509fba3b7f758288de",
+    "renlab datagen": "081d76d9ebc1c353a4084d26ca1bc7a9753836e040ce25130dfe5cb135ef6cc1",
+    "renlab train": "d14d1227b06f608d73ced6fae02d656cd5585e3f0251b04b316f3738890018ba",
+    "renlab ablate": "5bc234ea43a5f4139fbacfbda2ad79ce9c5786e1b5069208b2c6eb4bc5ae1f9c",
+    "renlab gradcheck": "31bc31230be6b37f5dad29c699c2d0f2b1c4bcba48522f64668c484c04844b2d",
+    "renlab report": "e5cd0fb4cc0af8f64c19106faf70c21c74a3c0ead2ea639047b253015fc8e0f1",
+}
 
 
 def sha(data: bytes) -> str:
@@ -136,6 +158,21 @@ def datagen_digests(root) -> dict[str, dict[str, str]]:
     return {name: tree_digests(root / name) for name in DATAGEN_ARGS}
 
 
+def help_digests() -> dict[str, str]:
+    """Each command's ``--help`` text at 80 columns, hashed by command line."""
+    digests = {}
+    for command in HELP_COMMANDS:
+        argv = [command, "--help"] if command else ["--help"]
+        out = io.StringIO()
+        with mock.patch.dict(os.environ, {"COLUMNS": "80"}), contextlib.redirect_stdout(out):
+            try:
+                main(argv)
+            except SystemExit as exc:
+                assert exc.code == 0
+        digests[" ".join(["renlab", *argv[:-1]])] = sha(out.getvalue().encode())
+    return digests
+
+
 def gradcheck_digest() -> str:
     """One digest over every report field, floats at full precision."""
     return sha("\n".join(repr(run_loss_checks(s)) for s in GRADCHECK_SEEDS).encode())
@@ -159,6 +196,10 @@ def test_gradcheck_scenarios_match_golden_digest():
 
 def test_gradcheck_reports_match_golden_digest():
     assert gradcheck_digest() == GRADCHECK_DIGEST
+
+
+def test_cli_help_matches_golden_digests():
+    assert help_digests() == HELP_DIGESTS
 
 
 def test_datagen_files_match_golden_digests(tmp_path, capsys):
@@ -187,5 +228,6 @@ if __name__ == "__main__":
     _print_dict("ABLATE_TREE", ablate)
     _print_dict("TRAIN_TREE", train)
     _print_dict("DATAGEN_DIGESTS", datagen)
+    _print_dict("HELP_DIGESTS", help_digests())
     print(f"GRADCHECK_DIGEST = {gradcheck_digest()!r}")
     print(f"SCENARIO_DIGEST = {scenario_digest()!r}")
