@@ -47,13 +47,19 @@ def as_matrix(values) -> np.ndarray:
     return np.ascontiguousarray(arr)
 
 
+# the per-op finiteness test, with its two ufuncs bound once: ``_all_finite``
+# and the inlined copies in _unary/_binary run exactly this
+_isfinite = np.isfinite
+_and_reduce = np.logical_and.reduce
+
+
 def _all_finite(arr: np.ndarray) -> bool:
     """Exact test that no entry is NaN or infinite; True on an empty array.
 
     ``logical_and.reduce`` skips the Python wrapper behind ``ndarray.all``.
     A test on the sum would be cheaper but warns when a finite sum overflows.
     """
-    return np.logical_and.reduce(np.isfinite(arr), axis=None)
+    return _and_reduce(_isfinite(arr), axis=None)
 
 
 def stable_softmax(arr: np.ndarray) -> np.ndarray:
@@ -140,12 +146,11 @@ class Graph:
     def __init__(self, record: bool = True):
         self.nodes: list[Node] = []
         self.record = record
+        self._param_ids: list[int] = []  # node ids of the parameter leaves
+        self._swept = False  # whether a backward pass has written gradients
 
-    def _record(self, op, values, inputs=()) -> Tensor:
-        """Append a node; ``inputs`` are (tensor, vjp) pairs, constants dropped.
-
-        On a forward-only graph only the value is checked and returned.
-        """
+    def _record(self, op, values) -> Tensor:
+        """Append a leaf node; on a forward-only graph only check the value."""
         if (type(values) is np.ndarray and values.ndim == 2
                 and values.dtype == np.float64 and values.flags.c_contiguous):
             arr = values  # what as_matrix would return, without the call
@@ -160,15 +165,16 @@ class Graph:
             out.node_id = None
             return out
         nodes = self.nodes
-        parents = tuple((t.node_id, vjp) for t, vjp in inputs
-                        if nodes[t.node_id].op != "const")
         out.node_id = len(nodes)
-        nodes.append(Node(op, arr, parents))
+        nodes.append(Node(op, arr, ()))
         return out
 
     def parameter(self, values) -> Tensor:
         """Register a trainable leaf; backward will populate its gradient."""
-        return self._record("param", values)
+        out = self._record("param", values)
+        if self.record:
+            self._param_ids.append(out.node_id)
+        return out
 
     def constant(self, values) -> Tensor:
         """Register a non-trainable leaf; gradients are not tracked for it."""
@@ -187,8 +193,10 @@ class Graph:
         if loss.shape != (1, 1):
             raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
         nodes = self.nodes
-        for node in nodes:
-            node.grad = None
+        if self._swept:
+            for node in nodes:
+                node.grad = None
+        self._swept = True
         nodes[loss.node_id].grad = np.ones((1, 1))
         for node in reversed(nodes[: loss.node_id + 1]):
             grad = node.grad
@@ -197,39 +205,77 @@ class Graph:
             for parent_id, vjp in node.parents:
                 target = nodes[parent_id]
                 if target.grad is None:
-                    # a private copy: a vjp may return grad itself or a view
-                    # of it; "+ 0.0" also turns -0.0 into +0.0 as 0 + x does
-                    target.grad = vjp(grad) + 0.0
+                    # every vjp returns a fresh array that nothing else holds,
+                    # so it becomes the buffer that later vjps add into
+                    target.grad = vjp(grad)
                 else:
                     target.grad += vjp(grad)
-        for node in nodes:
-            if node.op == "param" and node.grad is None:
+        for node_id in self._param_ids:
+            node = nodes[node_id]
+            if node.grad is None:
                 node.grad = np.zeros_like(node.values)
 
 
-def _graph_of(*tensors: Tensor) -> Graph:
-    graph = tensors[0].graph
+def _graph_error(graph: Graph | None) -> ContractError:
     if graph is None:
-        raise ContractError("operation requires tensors attached to a graph")
-    for t in tensors[1:]:
-        if t.graph is not graph:
-            raise ContractError("operands belong to different graphs")
-    return graph
+        return ContractError("operation requires tensors attached to a graph")
+    return ContractError("operands belong to different graphs")
 
 
-def _unary(op: str, x: Tensor, out, vjp) -> Tensor:
-    return _graph_of(x)._record(op, out, ((x, vjp),))
+# The one record path of every op, written out twice so that an op costs no
+# call beyond its own: check the operands' graph, run the finiteness test of
+# _all_finite on the output, and on a recording graph append the node with
+# one (parent id, vjp) pair per non-constant input.  ``out`` must already be
+# a fresh C-contiguous float64 matrix; every op's forward makes one.
 
 
-def _binary(op: str, a: Tensor, b: Tensor, out, vjp_a, vjp_b) -> Tensor:
-    return _graph_of(a, b)._record(op, out, ((a, vjp_a), (b, vjp_b)))
+def _unary(op: str, x: Tensor, out: np.ndarray, vjp) -> Tensor:
+    graph = x.graph
+    if graph is None:
+        raise _graph_error(graph)
+    if not _and_reduce(_isfinite(out), axis=None):
+        raise NonFiniteError(f"op '{op}' produced NaN or infinity")
+    t = Tensor.__new__(Tensor)
+    t.values = out
+    t.graph = graph
+    if graph.record:
+        nodes = graph.nodes
+        t.node_id = len(nodes)
+        xid = x.node_id
+        nodes.append(Node(op, out, () if nodes[xid].op == "const" else ((xid, vjp),)))
+    else:
+        t.node_id = None
+    return t
+
+
+def _binary(op: str, a: Tensor, b: Tensor, out: np.ndarray, vjp_a, vjp_b) -> Tensor:
+    graph = a.graph
+    if graph is None or b.graph is not graph:
+        raise _graph_error(graph)
+    if not _and_reduce(_isfinite(out), axis=None):
+        raise NonFiniteError(f"op '{op}' produced NaN or infinity")
+    t = Tensor.__new__(Tensor)
+    t.values = out
+    t.graph = graph
+    if graph.record:
+        nodes = graph.nodes
+        t.node_id = len(nodes)
+        aid, bid = a.node_id, b.node_id
+        pa = () if nodes[aid].op == "const" else ((aid, vjp_a),)
+        pb = () if nodes[bid].op == "const" else ((bid, vjp_b),)
+        nodes.append(Node(op, out, pa + pb))
+    else:
+        t.node_id = None
+    return t
 
 
 # ---------------------------------------------------------------------------
 # primitive operations
 #
 # Each op validates its inputs, computes its forward value and hands one vjp
-# per input to _unary/_binary.  A vjp closes over arrays and scalars only.
+# per input to _unary/_binary.  A vjp closes over arrays and scalars only, and
+# returns a fresh C-contiguous array that shares memory with nothing: never
+# ``grad`` itself or a view of it, since backward adds into what it returns.
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -246,15 +292,15 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     broadcast = b.shape != a.shape
     if broadcast and not (b.shape == (1, a.shape[1])):
         raise ShapeError(f"add shapes {a.shape} and {b.shape} incompatible")
-    return _binary("add", a, b, a.values + b.values, lambda grad: grad,
-                   lambda grad: grad.sum(axis=0, keepdims=True) if broadcast else grad)
+    return _binary("add", a, b, a.values + b.values, lambda grad: grad.copy(),
+                   lambda grad: grad.sum(axis=0, keepdims=True) if broadcast else grad.copy())
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     broadcast = b.shape != a.shape
     if broadcast and not (b.shape == (1, a.shape[1])):
         raise ShapeError(f"sub shapes {a.shape} and {b.shape} incompatible")
-    return _binary("sub", a, b, a.values - b.values, lambda grad: grad,
+    return _binary("sub", a, b, a.values - b.values, lambda grad: grad.copy(),
                    lambda grad: -(grad.sum(axis=0, keepdims=True) if broadcast else grad))
 
 
@@ -309,12 +355,10 @@ def sigmoid(x: Tensor) -> Tensor:
 def clamp(x: Tensor, lo: float | None = None, hi: float | None = None) -> Tensor:
     """Clip to [lo, hi]; gradient passes only where strictly inside."""
     v = x.values
-    mask = np.ones(v.shape, dtype=bool)
-    if lo is not None:
-        mask &= v > lo
-    if hi is not None:
-        mask &= v < hi
-    return _unary("clamp", x, np.clip(v, lo, hi), lambda grad: grad * mask)
+    lo = -math.inf if lo is None else float(lo)
+    hi = math.inf if hi is None else float(hi)
+    mask = (v > lo) & (v < hi)
+    return _unary("clamp", x, np.minimum(np.maximum(v, lo), hi), lambda grad: grad * mask)
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -350,7 +394,7 @@ def gather_rows(p: Tensor, labels) -> Tensor:
 
     def vjp(grad):
         buf = np.zeros((m, c))
-        np.add.at(buf, (rows, idx), grad[:, 0])
+        buf[rows, idx] = grad[:, 0]  # one entry per row, so no two collide
         return buf
 
     return _unary("gather_rows", p, p.values[rows, idx].reshape(m, 1), vjp)
@@ -358,7 +402,8 @@ def gather_rows(p: Tensor, labels) -> Tensor:
 
 def sum_all(x: Tensor) -> Tensor:
     shape = x.shape
-    return _unary("sum_all", x, [[x.values.sum()]], lambda grad: np.full(shape, grad[0, 0]))
+    return _unary("sum_all", x, np.add.reduce(x.values, axis=None, keepdims=True),
+                  lambda grad: np.full(shape, grad[0, 0]))
 
 
 def mean_all(x: Tensor) -> Tensor:
@@ -367,7 +412,7 @@ def mean_all(x: Tensor) -> Tensor:
         raise ContractError("mean over an empty tensor")
     shape = x.shape
     # numpy's own mean without its Python wrappers: the same bits
-    return _unary("mean_all", x, [[np.add.reduce(x.values, axis=None) / n]],
+    return _unary("mean_all", x, np.add.reduce(x.values, axis=None, keepdims=True) / n,
                   lambda grad: np.full(shape, grad[0, 0] / n))
 
 
@@ -383,7 +428,7 @@ def concat_rows(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"concat_rows widths differ: {a.shape} vs {b.shape}")
     ma = a.shape[0]
     return _binary("concat_rows", a, b, np.vstack([a.values, b.values]),
-                   lambda grad: grad[:ma], lambda grad: grad[ma:])
+                   lambda grad: grad[:ma].copy(), lambda grad: grad[ma:].copy())
 
 
 def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
@@ -405,7 +450,7 @@ def multilinear(f: Tensor, p: Tensor) -> Tensor:
     if fv.shape[0] != pv.shape[0]:
         raise ShapeError(f"batch sizes differ: {fv.shape} vs {pv.shape}")
     (m, d), c = fv.shape, pv.shape[1]
-    out = np.einsum("ij,ik->ijk", fv, pv).reshape(m, d * c)
+    out = (fv[:, :, None] * pv[:, None, :]).reshape(m, d * c)
     return _binary("multilinear", f, p, out,
                    lambda grad: np.einsum("ijk,ik->ij", grad.reshape(m, d, c), pv),
                    lambda grad: np.einsum("ijk,ij->ik", grad.reshape(m, d, c), fv))
@@ -453,8 +498,8 @@ def finite_diff_check(
         raise ContractError(f"finite difference step must be finite and positive, got {h}")
     if not 0.0 <= tol < math.inf:
         raise ContractError(f"gradient check tolerance must be finite and >= 0, got {tol}")
-    worst = 0.0
-    worst_param = ""
+    worst = -1.0  # below every error, so the first entry checked is named
+    worst_param = ""  # even when each error reads exactly 0
     worst_index = (0, 0)
     per_param: dict[str, float] = {}
     for name, arr in params.items():
@@ -476,4 +521,4 @@ def finite_diff_check(
             if rel > worst:
                 worst, worst_param, worst_index = rel, name, idx
         per_param[name] = local_worst
-    return GradCheckReport(worst, worst_param, worst_index, per_param, h, tol)
+    return GradCheckReport(max(worst, 0.0), worst_param, worst_index, per_param, h, tol)

@@ -304,10 +304,16 @@ OP_BUILDERS = {
 }
 
 
-def _op_inputs(g):
+def _op_inputs(g, c_leaf=None):
     return (g.parameter([[0.1, 0.5, 0.9], [0.3, 0.6, 0.7]]),
-            g.constant([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
+            (c_leaf or g.constant)([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
             g.parameter(np.ones((3, 2))))
+
+
+# the positions in (x, c, w) that each binary builder reads; every other
+# builder reads x alone
+BINARY_OPERANDS = {"matmul": (0, 2), "add": (0, 1), "sub": (0, 1),
+                   "concat_rows": (0, 1), "multilinear": (0, 1)}
 
 
 @pytest.mark.parametrize("op", sorted(OP_BUILDERS))
@@ -333,7 +339,7 @@ def test_tape_is_freed_without_the_cycle_collector(op):
 
 @pytest.mark.parametrize("op", sorted(OP_BUILDERS))
 def test_op_output_is_a_fresh_c_contiguous_float64_matrix(op):
-    # Graph._record stores such an array as it is, without as_matrix
+    # _unary/_binary store such an array as it is, without as_matrix
     g = T.Graph()
     x, c, w = _op_inputs(g)
     out = OP_BUILDERS[op](x, c, w).values
@@ -353,6 +359,55 @@ def test_forward_only_graph_gives_recorded_values_and_keeps_no_node(op):
     assert out.graph is g and out.node_id is None
     assert g.nodes == []
     assert out.grad is None
+
+
+@pytest.mark.parametrize("op", sorted(OP_BUILDERS))
+def test_every_vjp_returns_a_private_array(op):
+    # backward keeps a vjp's first result as the parent's gradient buffer and
+    # adds into it, so a vjp that handed back grad or a view of it would let
+    # one buffer alias another; c is trainable here so every pair is recorded
+    g = T.Graph()
+    x, c, w = _op_inputs(g, c_leaf=g.parameter)
+    out = OP_BUILDERS[op](x, c, w)
+    parents = g.nodes[out.node_id].parents
+    assert parents
+    rng = np.random.default_rng(5)
+    for parent_id, vjp in parents:
+        grad = rng.normal(size=out.shape)
+        result = vjp(grad)
+        assert type(result) is np.ndarray and result.dtype == np.float64
+        assert result.flags.c_contiguous
+        assert result.shape == g.nodes[parent_id].values.shape
+        assert not np.shares_memory(result, grad)
+        for node in g.nodes:
+            assert not np.shares_memory(result, node.values)
+
+
+@pytest.mark.parametrize("record", [True, False], ids=["recorded", "forward-only"])
+@pytest.mark.parametrize("op", sorted(OP_BUILDERS))
+def test_op_rejects_an_operand_off_its_graph(op, record):
+    # a detached tensor (graph None) in any position the op reads raises,
+    # and so does, for a binary op, an operand from another graph; neither
+    # leaves a node behind
+    g = T.Graph(record)
+    inputs = _op_inputs(g)
+    foreign = _op_inputs(T.Graph(record))
+    reads = BINARY_OPERANDS.get(op, (0,))
+    for i in range(3):
+        detached = list(inputs)
+        detached[i] = T.Tensor(inputs[i].values)
+        if i not in reads:
+            OP_BUILDERS[op](*detached)  # an input the op does not read
+            continue
+        n_nodes = len(g.nodes)
+        with pytest.raises(ContractError, match="attached to a graph|different graphs"):
+            OP_BUILDERS[op](*detached)
+        if len(reads) == 2:
+            mixed = list(inputs)
+            mixed[i] = foreign[i]
+            with pytest.raises(ContractError, match="different graphs"):
+                OP_BUILDERS[op](*mixed)
+        assert len(g.nodes) == n_nodes
 
 
 def test_forward_only_graph_refuses_backward():
@@ -415,8 +470,8 @@ def test_finiteness_check_is_exact_on_edge_arrays():
 
 
 def test_shared_inputs_get_exact_private_gradients():
-    # add hands grad itself to both inputs and concat_rows hands out views of
-    # it, so a gradient buffer taken without a copy would alias another
+    # add and concat_rows pass grad through to their inputs, so a vjp that
+    # returned grad itself or a view of it would let gradient buffers alias
     g = T.Graph()
     xv = np.array([[1.0, -2.0, 0.5], [3.0, 0.0, -1.5]])
     c1 = np.array([[1.0, 2.0], [0.5, -1.0], [4.0, 0.25]])
@@ -446,6 +501,22 @@ def test_backward_resets_previous_gradients():
     first = x.grad.copy()
     g.backward(loss)
     assert np.array_equal(x.grad, first)  # no cross-call accumulation
+
+
+def test_backward_clears_every_gradient_of_the_previous_sweep():
+    # a second loss that reaches fewer nodes leaves no trace of the first
+    g = T.Graph()
+    x = g.parameter([[1.0, -2.0]])
+    w = g.parameter([[3.0], [0.5]])
+    h = T.matmul(x, w)
+    first = T.sum_all(T.square(h))
+    second = T.sum_all(T.square(x))
+    g.backward(first)
+    assert h.grad is not None and w.grad.any()
+    g.backward(second)
+    assert h.grad is None and first.grad is None
+    assert w.grad.tobytes() == np.zeros((2, 1)).tobytes()  # +0.0, not stale
+    assert np.array_equal(x.grad, 2.0 * x.values)
 
 
 def test_backward_requires_scalar_on_same_graph():
@@ -492,6 +563,16 @@ def test_finite_diff_check_catches_corruption(rng):
     assert not report.passed
     assert report.worst_param == "w"
     assert report.worst_index == (0, 0)
+
+
+def test_finite_diff_check_names_the_first_entry_when_every_error_is_zero():
+    params = {"w": np.ones((2, 2)), "v": np.ones((1, 3))}
+    zeros = {name: np.zeros_like(arr) for name, arr in params.items()}
+    report = T.finite_diff_check(lambda: 0.0, params, zeros)
+    assert report.max_rel_error == 0.0 and report.passed
+    assert (report.worst_param, report.worst_index) == ("w", (0, 0))
+    empty = T.finite_diff_check(lambda: 0.0, {}, {})
+    assert (empty.max_rel_error, empty.worst_param) == (0.0, "")
 
 
 def test_finite_diff_check_rejects_bad_step():
