@@ -15,8 +15,8 @@ from pathlib import Path
 
 from .checks import run_loss_checks
 from .datasets import GENERATORS, DataSpec, make_domain_dataset, save_dataset
-from .evaluation import (ablation_report, load_metrics, save_ablation,
-                         save_metrics)
+from .evaluation import (ABLATION_CHAIN, ablation_report, load_metrics,
+                         save_ablation, save_metrics)
 from .exceptions import ConfigError, ContractError, RenlabError
 from .networks import save_paramsets
 from .trainer import (VARIANTS, RunResult, TrainConfig, Trainer, ablation_accuracies,
@@ -165,7 +165,9 @@ def cmd_report(args) -> int:
         try:
             with open(manifest_path) as fh:
                 config = json.load(fh)["config"]
-            variant, seed = config["variant"], int(config["seed"])
+            variant, seed = config["variant"], config["seed"]
+            if type(seed) is not int or seed < 0:  # type(): a bool is no seed
+                raise ValueError(f"seed {seed!r} is not a non-negative integer")
         except (ValueError, KeyError, TypeError) as exc:
             raise ContractError(f"malformed manifest {manifest_path}: {exc!r}") from None
         if variant not in VARIANTS:
@@ -204,7 +206,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("ablate", help="run a variant x seed sweep and summarize")
     _add_config_flags(p)
     _add_data_flags(p)
-    p.add_argument("--variants", type=str, default="cdan,cdan_m,cdan_m_d,ren")
+    p.add_argument("--variants", type=str, default=",".join(ABLATION_CHAIN))
     p.add_argument("--seeds", type=str, default="0,1,2,3,4")
     p.add_argument("--out", type=str, default="runs")
     p.set_defaults(fn=cmd_ablate)

@@ -386,9 +386,12 @@ def load_dataset(csv_path) -> DomainDataset:
             if parts[0] != str(len(labels)):
                 raise error("bad row id on line", lineno)
             try:
-                labels.append(int(parts[2]))
+                label = int(parts[2])
             except ValueError:
                 raise error("bad number on line", lineno) from None
+            if label < 0:
+                raise error("negative label on line", lineno)
+            labels.append(label)
             is_source.append(parts[1] == "source")
             texts.append(parts[3])
             linenos.append(lineno)

@@ -144,11 +144,7 @@ class BoundNet:
 
     def grads(self) -> dict[str, np.ndarray]:
         """Per-array gradients populated by the last backward pass."""
-        out = {}
-        for k, t in self.tensors.items():
-            g = t.grad
-            out[k] = np.zeros_like(t.values) if g is None else g
-        return out
+        return {k: t.grad for k, t in self.tensors.items()}
 
 
 def collect_grads(*bound: BoundNet | None) -> dict[str, np.ndarray]:
@@ -196,7 +192,6 @@ class DualNet:
         self.teacher_F = student_F.copy()
         self.teacher_C = student_C.copy()
         self.alpha_theta = float(alpha_theta)
-        self.step_count = 0
 
     def param_count(self) -> int:
         return (
@@ -228,7 +223,6 @@ def ema_update(net: DualNet) -> None:
         for k, t_arr in t_ps.items():
             t_arr *= a
             t_arr += (1.0 - a) * s_ps.params[k]
-    net.step_count += 1
 
 
 # ---------------------------------------------------------------------------

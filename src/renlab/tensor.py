@@ -81,21 +81,14 @@ def stable_sigmoid(arr: np.ndarray) -> np.ndarray:
 
 
 class Tensor:
-    """A 2-D float64 array, optionally attached to a graph node.
+    """A 2-D float64 array on a graph.
 
-    Values are treated as immutable once the tensor sits on a graph; ops
-    always allocate fresh output arrays.
+    A tensor has no public constructor: ``Graph.parameter``/``constant`` and
+    the ops are its only makers, so every tensor belongs to a graph.  Values
+    are treated as immutable; ops always allocate fresh output arrays.
     """
 
     __slots__ = ("values", "graph", "node_id")
-
-    def __init__(self, values, graph: "Graph | None" = None, node_id: int | None = None):
-        arr = as_matrix(values)
-        if not _all_finite(arr):
-            raise NonFiniteError("tensor contains NaN or infinity")
-        self.values = arr
-        self.graph = graph
-        self.node_id = node_id
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -105,7 +98,7 @@ class Tensor:
     def grad(self) -> np.ndarray | None:
         """Gradient buffer populated by the last backward pass (or None,
         also on a forward-only graph)."""
-        if self.graph is None or self.node_id is None:
+        if self.node_id is None:
             return None
         return self.graph.nodes[self.node_id].grad
 
@@ -115,7 +108,7 @@ class Tensor:
         return float(self.values[0, 0])
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, graph={'yes' if self.graph else 'no'})"
+        return f"Tensor(shape={self.shape})"
 
 
 class Node:
@@ -216,23 +209,16 @@ class Graph:
                 node.grad = np.zeros_like(node.values)
 
 
-def _graph_error(graph: Graph | None) -> ContractError:
-    if graph is None:
-        return ContractError("operation requires tensors attached to a graph")
-    return ContractError("operands belong to different graphs")
-
-
 # The one record path of every op, written out twice so that an op costs no
-# call beyond its own: check the operands' graph, run the finiteness test of
-# _all_finite on the output, and on a recording graph append the node with
-# one (parent id, vjp) pair per non-constant input.  ``out`` must already be
-# a fresh C-contiguous float64 matrix; every op's forward makes one.
+# call beyond its own: check that a binary op's operands share a graph, run
+# the finiteness test of _all_finite on the output, and on a recording graph
+# append the node with one (parent id, vjp) pair per non-constant input.
+# ``out`` must already be a fresh C-contiguous float64 matrix; every op's
+# forward makes one.
 
 
 def _unary(op: str, x: Tensor, out: np.ndarray, vjp) -> Tensor:
     graph = x.graph
-    if graph is None:
-        raise _graph_error(graph)
     if not _and_reduce(_isfinite(out), axis=None):
         raise NonFiniteError(f"op '{op}' produced NaN or infinity")
     t = Tensor.__new__(Tensor)
@@ -250,8 +236,8 @@ def _unary(op: str, x: Tensor, out: np.ndarray, vjp) -> Tensor:
 
 def _binary(op: str, a: Tensor, b: Tensor, out: np.ndarray, vjp_a, vjp_b) -> Tensor:
     graph = a.graph
-    if graph is None or b.graph is not graph:
-        raise _graph_error(graph)
+    if b.graph is not graph:
+        raise ContractError("operands belong to different graphs")
     if not _and_reduce(_isfinite(out), axis=None):
         raise NonFiniteError(f"op '{op}' produced NaN or infinity")
     t = Tensor.__new__(Tensor)

@@ -25,7 +25,7 @@ import numpy as np
 from . import tensor as T
 from .conditioning import PredEmaState, pred_ema
 from .datasets import Batch, DomainDataset, batch_stream
-from .evaluation import MetricsRecord, accuracy
+from .evaluation import ABLATION_CHAIN, MetricsRecord, accuracy
 from .exceptions import ConfigError, ContractError, ShapeError
 from .losses import (LossBreakdown, adv_student, adv_teacher, consistency,
                      cross_entropy, total_loss)
@@ -33,10 +33,10 @@ from .networks import (BoundNet, DualNet, NetSpec, ParamSet, alpha_theta_ramp,
                        collect_grads, ema_update, forward_fc, forward_fc_plain,
                        init_params)
 
-VARIANTS = ("source_only", "cdan", "cdan_m", "cdan_m_d", "ren")
+VARIANTS = ("source_only", *ABLATION_CHAIN)
 
 # which mechanisms each variant switches on
-_USES_DISC = {"cdan", "cdan_m", "cdan_m_d", "ren"}
+_USES_DISC = set(ABLATION_CHAIN)
 _USES_TEACHER = {"cdan_m", "cdan_m_d", "ren"}
 _USES_SMOOTHED_CONDITIONS = {"cdan_m_d", "ren"}
 _USES_CONSISTENCY = {"ren"}
@@ -76,7 +76,7 @@ class TrainConfig:
     feature_dim: int = 16
     disc_hidden: int = 64
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name, value in self.to_dict().items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
@@ -158,14 +158,12 @@ def parse_config_text(text: str) -> dict:
 
 
 def load_config(path=None, **overrides) -> TrainConfig:
-    """The config file at `path`, if one is given, under `overrides`; validated."""
+    """The config file at `path`, if one is given, under `overrides`."""
     values = {}
     if path is not None:
         with open(path) as fh:
             values = parse_config_text(fh.read())
-    cfg = TrainConfig(**{**values, **overrides})
-    cfg.validate()
-    return cfg
+    return TrainConfig(**{**values, **overrides})
 
 
 # ---------------------------------------------------------------------------
@@ -202,14 +200,13 @@ def gamma_factor(p: float, ramp: bool = True) -> float:
 
 
 class OptimizerState:
-    """Momentum buffers, one per parameter, plus the step counter."""
+    """Momentum buffers, one per parameter."""
 
     def __init__(self, momentum: float):
         if not (0.0 <= momentum < 1.0):
             raise ConfigError(f"momentum must lie in [0, 1), got {momentum}")
         self.momentum = momentum
         self.velocity: dict[str, np.ndarray] = {}
-        self.step = 0
 
 
 def sgd_momentum_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
@@ -226,7 +223,6 @@ def sgd_momentum_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray
         v *= state.momentum
         v += g
         arr -= eta * v
-    state.step += 1
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +248,9 @@ class Trainer:
     """Owns the networks, optimizer, and smoothing state for one run."""
 
     def __init__(self, cfg: TrainConfig, dataset: DomainDataset):
-        cfg.validate()
         self.cfg = cfg
         self.dataset = dataset
         c = dataset.n_classes
-        self.n_classes = c
         f_spec = NetSpec((dataset.input_dim, cfg.feature_hidden, cfg.feature_hidden,
                           cfg.feature_dim), final="relu")
         c_spec = NetSpec((cfg.feature_dim, c))
@@ -331,7 +325,7 @@ class Trainer:
 
         if self.dualnet is not None:
             if cfg.alpha_theta == "ramp":
-                self.dualnet.alpha_theta = alpha_theta_ramp(self.dualnet.step_count)
+                self.dualnet.alpha_theta = alpha_theta_ramp(n)
             ema_update(self.dualnet)
         return parts
 

@@ -347,11 +347,16 @@ def one_run_dir(tmp_path, manifest: str, metrics: str) -> str:
     ("[]", GOOD_METRICS),
     ('{"seeds": [0]}', GOOD_METRICS),
     ('{"config": {"variant": "ren", "seed": "zero"}}', GOOD_METRICS),
+    ('{"config": {"variant": "ren", "seed": 1.5}}', GOOD_METRICS),
+    ('{"config": {"variant": "ren", "seed": true}}', GOOD_METRICS),
+    ('{"config": {"variant": "ren", "seed": "2"}}', GOOD_METRICS),
+    ('{"config": {"variant": "ren", "seed": -3}}', GOOD_METRICS),
     ('{"config": {"variant": "warp", "seed": 0}}', GOOD_METRICS),
     (GOOD_MANIFEST, GOOD_METRICS.replace(",0.85\n", "\n")),
     (GOOD_MANIFEST, GOOD_METRICS.split("\n", 1)[0] + "\n"),
     (GOOD_MANIFEST, GOOD_METRICS.replace(",0.85\n", ",nan\n")),
-], ids=["not-json", "not-an-object", "no-config", "bad-seed", "unknown-variant",
+], ids=["not-json", "not-an-object", "no-config", "bad-seed", "float-seed", "bool-seed",
+         "string-seed", "negative-seed", "unknown-variant",
         "short-metrics-row", "no-metrics-rows", "nan-metric"])
 def test_report_rejects_corrupt_run_directories(tmp_path, capsys, manifest, metrics):
     assert main(["report", "--runs", one_run_dir(tmp_path, manifest, metrics)]) == 1

@@ -316,8 +316,9 @@ def small_dataset_csv(tmp_path):
     lambda t: t.replace("\n2,source,", "\nbanana,source,", 1),
     lambda t: t.replace("\n2,source,", "\n1,source,", 1),  # id 1 twice
     lambda t: t.replace(",source,0,", ",source,99999999999999999999,", 1),
+    lambda t: t.replace(",source,0,", ",source,-1,", 1),
 ], ids=["unknown-split", "word-label", "long-row", "short-row", "non-finite", "no-target",
-        "bad-id", "repeated-id", "huge-label"])
+        "bad-id", "repeated-id", "huge-label", "negative-label"])
 def test_load_dataset_rejects_corrupt_files(tmp_path, corrupt):
     path, text = small_dataset_csv(tmp_path)
     path.write_text(corrupt(text))

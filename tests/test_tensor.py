@@ -22,10 +22,18 @@ def test_as_matrix_shapes():
 
 
 def test_tensor_rejects_non_finite():
-    with pytest.raises(NonFiniteError):
-        T.Tensor([np.nan, 1.0])
-    with pytest.raises(NonFiniteError):
-        T.Tensor([np.inf])
+    g = T.Graph()
+    for leaf in (g.constant, g.parameter):
+        with pytest.raises(NonFiniteError):
+            leaf([np.nan, 1.0])
+        with pytest.raises(NonFiniteError):
+            leaf([np.inf])
+    assert g.nodes == []
+
+
+def test_a_tensor_comes_only_from_a_graph():
+    with pytest.raises(TypeError):
+        T.Tensor([[1.0]])
 
 
 def test_op_rejects_non_finite_output():
@@ -386,27 +394,24 @@ def test_every_vjp_returns_a_private_array(op):
 @pytest.mark.parametrize("record", [True, False], ids=["recorded", "forward-only"])
 @pytest.mark.parametrize("op", sorted(OP_BUILDERS))
 def test_op_rejects_an_operand_off_its_graph(op, record):
-    # a detached tensor (graph None) in any position the op reads raises,
-    # and so does, for a binary op, an operand from another graph; neither
-    # leaves a node behind
+    # a binary op with one operand from another graph raises and leaves no
+    # node behind; a foreign tensor in a position the op does not read must
+    # not raise, which keeps BINARY_OPERANDS honest
     g = T.Graph(record)
     inputs = _op_inputs(g)
     foreign = _op_inputs(T.Graph(record))
     reads = BINARY_OPERANDS.get(op, (0,))
     for i in range(3):
-        detached = list(inputs)
-        detached[i] = T.Tensor(inputs[i].values)
-        if i not in reads:
-            OP_BUILDERS[op](*detached)  # an input the op does not read
+        mixed = list(inputs)
+        mixed[i] = foreign[i]
+        if i not in reads or len(reads) == 1:
+            # an input the op does not read, or a unary op's one input: the
+            # output joins the graph of what the op reads
+            assert OP_BUILDERS[op](*mixed).graph is mixed[reads[0]].graph
             continue
         n_nodes = len(g.nodes)
-        with pytest.raises(ContractError, match="attached to a graph|different graphs"):
-            OP_BUILDERS[op](*detached)
-        if len(reads) == 2:
-            mixed = list(inputs)
-            mixed[i] = foreign[i]
-            with pytest.raises(ContractError, match="different graphs"):
-                OP_BUILDERS[op](*mixed)
+        with pytest.raises(ContractError, match="different graphs"):
+            OP_BUILDERS[op](*mixed)
         assert len(g.nodes) == n_nodes
 
 
@@ -452,21 +457,21 @@ def test_forward_only_and_recorded_tensors_do_not_mix():
 def test_finiteness_check_is_exact_on_edge_arrays():
     # finite arrays whose sum overflows pass without a warning, empty arrays
     # pass, and one NaN or infinity anywhere is caught
-    g = T.Graph(record=False)
+    g, rec = T.Graph(record=False), T.Graph()
     big = np.full((2, 3), np.finfo(np.float64).max)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         g.constant(big)
-        T.Tensor(big)
+        rec.parameter(big)
         g.constant(np.zeros((0, 3)))
-        T.Tensor(np.zeros((3, 0)))
+        rec.parameter(np.zeros((3, 0)))
     for bad in (np.nan, np.inf, -np.inf):
         arr = big.copy()
         arr[1, 2] = bad
         with pytest.raises(NonFiniteError):
             g.constant(arr)
         with pytest.raises(NonFiniteError):
-            T.Tensor(arr)
+            rec.parameter(arr)
 
 
 def test_shared_inputs_get_exact_private_gradients():

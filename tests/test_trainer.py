@@ -11,6 +11,7 @@ from renlab import trainer
 from renlab.datasets import DataSpec, batch_stream, make_domain_dataset, standard_benchmark
 from renlab.evaluation import metrics_to_csv
 from renlab.exceptions import ConfigError, ContractError, ShapeError
+from renlab.networks import alpha_theta_ramp
 from renlab.tensor import Graph
 from renlab.trainer import (OptimizerState, TrainConfig, Trainer,
                             ablation_accuracies, gamma_factor, grl_lambda,
@@ -73,7 +74,7 @@ def test_config_validation_bounds():
                 dict(alpha_p=1.5), dict(alpha_theta="linear"),
                 dict(eval_every=0), dict(total_steps=-1), dict(eta0=0.0)):
         with pytest.raises(ConfigError):
-            TrainConfig(**bad).validate()
+            TrainConfig(**bad)
 
 
 @pytest.mark.parametrize("key", ["eta0", "anneal_alpha", "anneal_beta", "momentum",
@@ -81,9 +82,15 @@ def test_config_validation_bounds():
                                  "gamma"])
 @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
 def test_config_rejects_non_finite_numbers(key, raw):
-    cfg = TrainConfig(**{key: parse_config_value(key, raw)})
     with pytest.raises(ConfigError, match="finite"):
-        cfg.validate()
+        TrainConfig(**{key: parse_config_value(key, raw)})
+
+
+def test_a_replaced_config_checks_itself():
+    # run_ablation builds each run's config with replace(); that copy must
+    # be checked like any other construction
+    with pytest.raises(ConfigError, match="momentum"):
+        replace(TrainConfig(), momentum=1.0)
 
 
 def test_every_config_field_parses_from_its_own_text():
@@ -142,7 +149,6 @@ def test_sgd_momentum_two_step_displacement():
     sgd_momentum_step(params, {"w": g.copy()}, state, 0.1)
     # velocity compounds: total displacement is eta * (1 + 1 + 0.9) * g
     assert np.allclose(params["w"], w0 - 0.1 * 2.9 * g, rtol=0, atol=1e-15)
-    assert state.step == 2
 
 
 def test_sgd_velocity_is_a_private_buffer_matching_the_closed_form():
@@ -311,6 +317,23 @@ def test_ramp_makes_teacher_copy_student_after_first_step():
     t.train_step(next(batch_stream(ds, cfg.batch_size, cfg.seed)), 0)
     for k, arr in t.student_F.items():
         assert np.array_equal(t.dualnet.teacher_F.params[k], arr)
+
+
+def test_ramp_reads_the_step_index():
+    # the teacher ramp follows the step index, as every other schedule does:
+    # a first step at n = 5 blends with alpha_theta_ramp(5), not a full copy
+    ds = small_ds(5)
+    cfg = TrainConfig(variant="cdan_m", alpha_theta="ramp", seed=5, total_steps=10)
+    t = Trainer(cfg, ds)
+    teacher0 = {k: v.copy() for k, v in t.dualnet.teacher_F.items()}
+    t.train_step(next(batch_stream(ds, cfg.batch_size, cfg.seed)), 5)
+    a = alpha_theta_ramp(5)
+    assert t.dualnet.alpha_theta == a
+    for k, arr in t.student_F.items():
+        expected = a * teacher0[k] + (1.0 - a) * arr
+        assert t.dualnet.teacher_F.params[k].tobytes() == expected.tobytes()
+    assert any(not np.array_equal(t.dualnet.teacher_F.params[k], arr)
+               for k, arr in t.student_F.items())
 
 
 def test_loss_breakdown_identity_on_a_live_step():
