@@ -54,9 +54,6 @@ class PredEmaState:
         self._table = {b: np.zeros((0, n_classes)) for b in _BRANCHES}
         self._seen = {b: np.zeros(0, dtype=bool) for b in _BRANCHES}
 
-    def known_ids(self, which: str) -> list[int]:
-        return np.flatnonzero(self._seen[which]).tolist()
-
     def row(self, which: str, sample_id: int) -> np.ndarray:
         """A copy of the smoothed row stored for one sample id."""
         seen = self._seen[which]

@@ -211,6 +211,12 @@ class DomainDataset:
             raise ContractError("target sample/label counts differ")
         if self.source_x.shape[0] == 0 or self.target_x.shape[0] == 0:
             raise ContractError("both domains must be non-empty")
+        n_classes = self.n_classes
+        for split, y in (("source", self.source_y), ("target", self.target_y)):
+            outside = y[(y < 0) | (y >= n_classes)]
+            if outside.size:
+                raise ContractError(f"{split} label {outside[0]} lies outside [0, {n_classes}), "
+                                    f"the classes the source labels name")
 
     @property
     def n_source(self) -> int:

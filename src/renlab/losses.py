@@ -69,21 +69,17 @@ def adv_student(bound_D: BoundNet, f: T.Tensor, phat: np.ndarray, n_src: int,
 adv_teacher = adv_student
 
 
-def consistency(p_stu: T.Tensor, p_tea: np.ndarray, squared: bool = True) -> T.Tensor:
-    """Mean per-sample distance between student and teacher prediction rows.
-
-    Default is the squared Euclidean distance (smooth at the student==teacher
-    fixed point); squared=False uses the plain Euclidean norm.  The teacher
-    side is a detached array, so gradients reach the student only.
+def consistency(p_stu: T.Tensor, p_tea: np.ndarray) -> T.Tensor:
+    """Mean per-sample squared Euclidean distance between student and
+    teacher prediction rows, Mean Teacher's penalty (smooth at the
+    student == teacher fixed point).  The teacher side is a detached array,
+    so gradients reach the student only.
     """
     g = p_stu.graph
     tea = T.as_matrix(p_tea)
     if tea.shape != p_stu.shape:
         raise ContractError(f"prediction shapes differ: {p_stu.shape} vs {tea.shape}")
-    per_row = T.sum_rows(T.square(T.sub(p_stu, g.constant(tea))))
-    if not squared:
-        per_row = T.sqrt(per_row)
-    return T.mean_all(per_row)
+    return T.mean_all(T.sum_rows(T.square(T.sub(p_stu, g.constant(tea)))))
 
 
 @dataclass
@@ -95,13 +91,6 @@ class LossBreakdown:
     l_d_tea: float
     l_con: float
     total: float
-
-    def matches(self, lambda_stu: float, lambda_tea: float, gamma: float,
-                tol: float = 1e-10) -> bool:
-        """Recompute the weighted sum from parts and compare against total."""
-        want = (self.l_c + lambda_stu * self.l_d_stu
-                + lambda_tea * self.l_d_tea + gamma * self.l_con)
-        return abs(want - self.total) <= tol
 
 
 def total_loss(l_c: T.Tensor, l_d_stu: T.Tensor | None, l_d_tea: T.Tensor | None,

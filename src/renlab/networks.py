@@ -73,10 +73,6 @@ class ParamSet:
             if w.shape != want or b.shape != (1, want[1]):
                 raise ShapeError(f"layer {i} arrays {w.shape}/{b.shape} do not match widths {want}")
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.spec.widths) - 1
-
     def param_count(self) -> int:
         return sum(a.size for a in self.params.values())
 
@@ -125,7 +121,6 @@ class BoundNet:
     """A ParamSet registered on a graph, reusable across several inputs."""
 
     def __init__(self, graph: T.Graph, ps: ParamSet, prefix: str):
-        self.graph = graph
         self.spec = ps.spec
         self.prefix = prefix
         self.tensors = {k: graph.parameter(v) for k, v in ps.items()}
@@ -202,12 +197,12 @@ class DualNet:
         )
 
 
-def alpha_theta_ramp(step: int, cap: float = 0.99) -> float:
-    """Warm-up schedule min(cap, 1 - 1/(step+1)); the teacher tracks the
+def alpha_theta_ramp(step: int) -> float:
+    """Warm-up schedule min(0.99, 1 - 1/(step+1)); the teacher tracks the
     student closely at the start and smooths more later."""
     if step < 0:
         raise ContractError(f"step must be non-negative, got {step}")
-    return min(cap, 1.0 - 1.0 / (step + 1))
+    return min(0.99, 1.0 - 1.0 / (step + 1))
 
 
 def ema_update(net: DualNet) -> None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import numbers
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
@@ -68,7 +69,6 @@ class TrainConfig:
     gamma: float = 1.0
     grl_ramp: bool = True
     gamma_ramp: bool = True
-    consistency_squared: bool = True
     eval_every: int = 50
     seed: int = 0
     variant: str = "ren"
@@ -78,7 +78,11 @@ class TrainConfig:
 
     def __post_init__(self):
         for name, value in self.to_dict().items():
-            if isinstance(value, float) and not math.isfinite(value):
+            types, what = _KIND_TYPES[_KINDS[name]]
+            # a bool is a number to Python; only the on/off fields take one
+            if not isinstance(value, types) or isinstance(value, bool) != (types is bool):
+                raise ConfigError(f"{name} must be {what}, got {value!r}")
+            if isinstance(value, (float, np.floating)) and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
         if self.eta0 <= 0:
             raise ConfigError(f"eta0 must be positive, got {self.eta0}")
@@ -116,6 +120,14 @@ class TrainConfig:
 # each key's type, as written on its TrainConfig field; the keys and their
 # text parsing are derived from this one table
 _KINDS = {f.name: f.type for f in fields(TrainConfig)}
+# the values each kind takes, and how an error names them
+_KIND_TYPES = {
+    "int": (numbers.Integral, "an integer"),
+    "float": (numbers.Real, "a number"),
+    "float | str": ((numbers.Real, str), "a number or 'ramp'"),
+    "bool": (bool, "on or off (a bool)"),
+    "str": (str, "a string"),
+}
 _ON_OFF = ("on", "off")
 
 
@@ -313,7 +325,7 @@ class Trainer:
 
         gamma_eff = cfg.gamma
         if cfg.variant in _USES_CONSISTENCY:
-            l_con = consistency(p_all, teacher_p_all, squared=cfg.consistency_squared)
+            l_con = consistency(p_all, teacher_p_all)
             gamma_eff = cfg.gamma * gamma_factor(p_prog, cfg.gamma_ramp)
 
         total, parts = total_loss(l_c, l_d_stu, l_d_tea, l_con,

@@ -14,6 +14,7 @@ from renlab.cli import main
 from renlab.datasets import (DataSpec, load_dataset, make_domain_dataset, save_dataset,
                              standard_benchmark)
 from renlab.evaluation import load_metrics
+from renlab.trainer import VARIANTS
 
 
 def run_train(out, extra=()):
@@ -123,6 +124,22 @@ def test_train_writes_run_artifacts(tmp_path, capsys):
         assert f"set {name} " in checkpoint
 
 
+CHECKPOINT_SETS = {
+    "source_only": ["student_F", "student_C"],
+    "cdan": ["student_F", "student_C", "disc"],
+    **{v: ["student_F", "student_C", "teacher_F", "teacher_C", "disc"]
+       for v in ("cdan_m", "cdan_m_d", "ren")},
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_train_checkpoint_holds_the_variant_s_sets(tmp_path, variant):
+    assert run_train(tmp_path, extra=["--variant", variant, "--steps", "2"]) == 0
+    checkpoint = (next(tmp_path.iterdir()) / "checkpoint.txt").read_text()
+    sets = [line.split()[1] for line in checkpoint.splitlines() if line.startswith("set ")]
+    assert sets == CHECKPOINT_SETS[variant]
+
+
 def test_train_zero_steps_single_row(tmp_path):
     assert run_train(tmp_path, extra=["--steps", "0"]) == 0
     run_dir = next(tmp_path.iterdir())
@@ -153,11 +170,14 @@ def test_train_config_file_with_cli_override(tmp_path, capsys):
 
 
 def test_unknown_config_key_exits_one_and_names_it(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("wizardry = 3\n")
-    code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "runs")])
-    assert code == 1
-    assert "wizardry" in capsys.readouterr().err
+    # config files written for older versions may set consistency_squared
+    for key, value in (("wizardry", "3"), ("consistency_squared", "on")):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "runs")])
+        assert code == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
 
 def test_invalid_config_value_exits_one(tmp_path, capsys):
@@ -188,6 +208,18 @@ def test_non_finite_input_exits_one_and_writes_nothing(tmp_path, capsys, argv, w
     assert main([*argv, "--n", "60", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1 and word in err
+    assert not out.exists()
+
+
+def test_target_label_beyond_the_source_classes_exits_one(tmp_path, capsys):
+    # three blob classes, but the two source rows hold labels 0 and 1 while
+    # the target holds 1 and 2: no classifier output for class 2
+    out = tmp_path / "runs"
+    assert main(["train", "--gen", "blobs", "--classes", "3", "--n", "2", "--n-target", "2",
+                 "--imbalance", "3", "--batch-size", "2", "--steps", "2",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: target label 2 ") and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -30,7 +30,14 @@ two ``dataset.meta`` digests were re-recorded when the dataset's only
 description became its recipe: ``dataset.meta`` now lists the seed and
 every ``DataSpec`` field in field order, and the manifest lost its
 ``dataset_meta`` copy of the old nested generator dicts.  No array, CSV,
-metrics file, checkpoint or run-directory name changed.
+metrics file, checkpoint or run-directory name changed.  The run-directory
+names, the five ``manifest.json`` digests and the ``train`` and ``ablate``
+``HELP_DIGESTS`` were re-recorded when the ``consistency_squared`` switch
+was deleted: the config, which the manifest records and the directory name
+hashes, lost that key, and both commands lost its flag.  ``TRAIN_ARGS``
+dropped ``--consistency-squared off``, which never reached a loss there,
+because its config's ``cdan_m_d`` has no consistency term.  No metrics
+file, checkpoint or ``ablation.json`` changed.
 """
 
 import contextlib
@@ -63,29 +70,28 @@ ABLATE_ARGS = ["ablate", "--variants", "ren,cdan", "--seeds", "1,0", "--n", "60"
                "--eta0", "0.02"]
 TRAIN_CONFIG = ("variant = cdan_m_d\ntotal_steps = 50\neval_every = 10\n"
                 "alpha_theta = 0.9\ngrl_ramp = off\n")
-TRAIN_ARGS = ["train", "--steps", "30", "--gen", "blobs", "--classes", "3", "--n", "60",
-              "--consistency-squared", "off"]
+TRAIN_ARGS = ["train", "--steps", "30", "--gen", "blobs", "--classes", "3", "--n", "60"]
 
 # sha256 of every file each command leaves under --out, by relative path
 ABLATE_TREE = {
-    "16a44f12860b-s0/checkpoint.txt": "a45f9826e78655e2e679fa2026d74cc6cc93d3fbe1469a3dca771e78b2f2859c",
-    "16a44f12860b-s0/manifest.json": "0f8d7c22b71d557fe85f06abdf5f35a7d707c1c44c7ae6f375b065b1baf5963c",
-    "16a44f12860b-s0/metrics.csv": "c710fe873caf14e1bc3c71c64311a3018231a49cb18c9281ed527bd1e4c7160c",
-    "6d4820d05d26-s1/checkpoint.txt": "6edbd8df975c3e6af9fbaa66423b1ae96c02090aa601b42cd3566b448988adb7",
-    "6d4820d05d26-s1/manifest.json": "e3572bed9451546a4262d0c20521a8913f59ed3d16314e2230b87fed7a2212ab",
-    "6d4820d05d26-s1/metrics.csv": "150ce51833265c2a9e1d78a917b8c6f2e837adf470ae1bbe3d6eb5d13227a6c4",
-    "7b85e2d96bf5-s0/checkpoint.txt": "0546856c76c773616f4f0f14c31d3f13c3063d01d216d8bc20553fcebad0592c",
-    "7b85e2d96bf5-s0/manifest.json": "96fb2eed0e896530e4731b807bd145bfc667782f7ee8f6ba363b8dfb1ef0ac46",
-    "7b85e2d96bf5-s0/metrics.csv": "3d607757af0c61e2adc93becbfb011128dd571b0935caf23a3606146816df3f2",
-    "99addedb0b69-s1/checkpoint.txt": "d69eadb5e37a58e68f9d82b3b285d364a6b411e4c4d1537c72a1970ccd2989f9",
-    "99addedb0b69-s1/manifest.json": "9cde37fc5711f3e2ae89c333d35f622cadcb5467fbf3562cd122f9c3317f6c33",
-    "99addedb0b69-s1/metrics.csv": "ee2fac386e54ea4834922f4ec603ecca98c5650bf4393b7af2d600cb43f7a864",
+    "644efe8e1c59-s0/checkpoint.txt": "a45f9826e78655e2e679fa2026d74cc6cc93d3fbe1469a3dca771e78b2f2859c",
+    "644efe8e1c59-s0/manifest.json": "01804f6b72c24c63fd1e58cf11de73cf2f63ab24e1c1a765939d0807b560e401",
+    "644efe8e1c59-s0/metrics.csv": "c710fe873caf14e1bc3c71c64311a3018231a49cb18c9281ed527bd1e4c7160c",
+    "89a7372df7b1-s1/checkpoint.txt": "d69eadb5e37a58e68f9d82b3b285d364a6b411e4c4d1537c72a1970ccd2989f9",
+    "89a7372df7b1-s1/manifest.json": "39264e50c9577ff77a91b7e8e87c5a9dbcdc2ebb3bf89e9d1e4df6bd46b17258",
+    "89a7372df7b1-s1/metrics.csv": "ee2fac386e54ea4834922f4ec603ecca98c5650bf4393b7af2d600cb43f7a864",
+    "a0a26d05f616-s0/checkpoint.txt": "0546856c76c773616f4f0f14c31d3f13c3063d01d216d8bc20553fcebad0592c",
+    "a0a26d05f616-s0/manifest.json": "ff7590e77c4ce040cbe7a01134f67188eb6c15321d1f6a5ffe41b2f80880cad0",
+    "a0a26d05f616-s0/metrics.csv": "3d607757af0c61e2adc93becbfb011128dd571b0935caf23a3606146816df3f2",
     "ablation.json": "ea39aa93eac92a3b57189ec482c99b1d1ffb864660b386c8d6271d2215aac629",
+    "b830c273049e-s1/checkpoint.txt": "6edbd8df975c3e6af9fbaa66423b1ae96c02090aa601b42cd3566b448988adb7",
+    "b830c273049e-s1/manifest.json": "eef3690af14f9962c449a8581edfaaacf99c0b25bab0f5f4c06f1f1490336a25",
+    "b830c273049e-s1/metrics.csv": "150ce51833265c2a9e1d78a917b8c6f2e837adf470ae1bbe3d6eb5d13227a6c4",
 }
 TRAIN_TREE = {
-    "247cc37bee57-s0/checkpoint.txt": "0aa1a75e333f59288be3022a0641780c1be61f7412e369f311c9c7c88106134e",
-    "247cc37bee57-s0/manifest.json": "06ac6b1da8c391dcd834a57de0112f431d646f41c3660ae63d245e12f286805c",
-    "247cc37bee57-s0/metrics.csv": "49c30fa11975ba1f117804ec39015f4c1ddd77fcb6d632bfb70d1a13a7400eb7",
+    "a04c599b89d6-s0/checkpoint.txt": "0aa1a75e333f59288be3022a0641780c1be61f7412e369f311c9c7c88106134e",
+    "a04c599b89d6-s0/manifest.json": "d2896ccbf1322fde60bacd2f633d7ac557e7886f4c618dab3651db02a403438d",
+    "a04c599b89d6-s0/metrics.csv": "49c30fa11975ba1f117804ec39015f4c1ddd77fcb6d632bfb70d1a13a7400eb7",
 }
 
 
@@ -120,8 +126,8 @@ HELP_COMMANDS = ("", "datagen", "train", "ablate", "gradcheck", "report")
 HELP_DIGESTS = {
     "renlab": "64f132546d29db0929e712b442f222f8ceb058a8014c2d509fba3b7f758288de",
     "renlab datagen": "081d76d9ebc1c353a4084d26ca1bc7a9753836e040ce25130dfe5cb135ef6cc1",
-    "renlab train": "d14d1227b06f608d73ced6fae02d656cd5585e3f0251b04b316f3738890018ba",
-    "renlab ablate": "5bc234ea43a5f4139fbacfbda2ad79ce9c5786e1b5069208b2c6eb4bc5ae1f9c",
+    "renlab train": "94687754cd2d70e243c966b2582d1531002d50349c969890118e3ae8dd029bee",
+    "renlab ablate": "ee9ec27a48ce6ef9286b544f434be38643f109bc9bd728aaae127af4ac71e8f2",
     "renlab gradcheck": "31bc31230be6b37f5dad29c699c2d0f2b1c4bcba48522f64668c484c04844b2d",
     "renlab report": "e5cd0fb4cc0af8f64c19106faf70c21c74a3c0ead2ea639047b253015fc8e0f1",
 }

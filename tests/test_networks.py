@@ -71,9 +71,10 @@ def test_bound_and_plain_forwards_agree(rng):
 def _reference_forward_plain(ps, x):
     """forward_plain as it was written before the in-place layer loop."""
     h = x
-    for i in range(ps.n_layers):
+    n_layers = len(ps.spec.widths) - 1
+    for i in range(n_layers):
         h = h @ ps.params[f"w{i}"] + ps.params[f"b{i}"]
-        if i < ps.n_layers - 1:
+        if i < n_layers - 1:
             h = np.maximum(h, 0.0)
     if ps.spec.final == "relu":
         h = np.maximum(h, 0.0)

@@ -86,6 +86,24 @@ def test_config_rejects_non_finite_numbers(key, raw):
         TrainConfig(**{key: parse_config_value(key, raw)})
 
 
+@pytest.mark.parametrize("key, value", [
+    ("grl_ramp", "off"), ("gamma_ramp", 1), ("alpha_theta", True), ("seed", True),
+    ("seed", 1.5), ("total_steps", 2.5), ("batch_size", 32.0), ("eta0", "0.01"),
+    ("gamma", False), ("variant", 3),
+])
+def test_config_rejects_a_value_of_the_wrong_type_by_name(key, value):
+    with pytest.raises(ConfigError, match=f"^{key} must be "):
+        TrainConfig(**{key: value})
+
+
+def test_config_takes_numpy_scalars_and_ints_for_floats():
+    cfg = TrainConfig(seed=np.int64(3), total_steps=np.int32(5), eta0=1, gamma=30,
+                      alpha_theta=1, momentum=np.float64(0.5))
+    assert (cfg.seed, cfg.total_steps, cfg.eta0, cfg.gamma) == (3, 5, 1, 30)
+    with pytest.raises(ConfigError, match="gamma must be finite"):
+        TrainConfig(gamma=np.float32("inf"))
+
+
 def test_a_replaced_config_checks_itself():
     # run_ablation builds each run's config with replace(); that copy must
     # be checked like any other construction
@@ -345,8 +363,13 @@ def test_loss_breakdown_identity_on_a_live_step():
     for n in range(4):  # move past step 0 so the consistency term is nonzero
         parts = t.train_step(next(stream), n)
     assert parts.l_con > 0.0
-    assert parts.matches(0.7, 1.3, 2.0)
-    assert not parts.matches(0.7, 1.3, 3.0)
+
+    def identity_gap(gamma):
+        want = parts.l_c + 0.7 * parts.l_d_stu + 1.3 * parts.l_d_tea + gamma * parts.l_con
+        return abs(want - parts.total)
+
+    assert identity_gap(2.0) <= 1e-10
+    assert identity_gap(3.0) > 1e-10
 
 
 # ---------------------------------------------------------------------------
