@@ -29,10 +29,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import tensor as T
-from .exceptions import ConfigError, ContractError
+from .exceptions import ContractError
 from .losses import adv_student, adv_teacher, consistency, cross_entropy, total_loss
 from .networks import (DISC_EPS, BoundNet, NetSpec, ParamSet, collect_grads,
                        forward_fc, forward_fc_plain, init_params)
+from .recipe import SEED_RANGE, check_value
 from .tensor import GradCheckReport, finite_diff_check
 
 KINK_MARGIN = 2e-3
@@ -81,8 +82,8 @@ def loss_check_suite(seed: int, batch: int = 4, in_dim: int = 5, hidden: int = 6
     not move when the checked parameters are perturbed.  The first ``batch``
     rows of every stacked array are source, the rest target.
     """
-    if batch < 1:
-        raise ConfigError(f"batch must be positive, got {batch}")
+    check_value("seed", "int", SEED_RANGE, seed)
+    check_value("batch", "int", {"ge": 1}, batch)
 
     def build_ce(g):
         bF, bC = BoundNet(g, ps_F, "F"), BoundNet(g, ps_C, "C")

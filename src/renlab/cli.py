@@ -14,14 +14,14 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from .checks import run_loss_checks
-from .datasets import GENERATORS, DataSpec, make_domain_dataset, save_dataset
+from .datasets import DataSpec, make_domain_dataset, save_dataset
 from .evaluation import (ABLATION_CHAIN, ablation_report, load_metrics,
                          save_ablation, save_metrics)
 from .exceptions import ConfigError, ContractError, RenlabError
 from .networks import save_paramsets
+from .recipe import ON_OFF, SEED_RANGE, check_value, parse_field, parse_text
 from .trainer import (VARIANTS, RunResult, TrainConfig, Trainer, ablation_accuracies,
-                      check_seed, config_choices, load_config, parse_config_value,
-                      run_ablation)
+                      load_config, parse_config_value, run_ablation)
 
 TOOL_VERSION = "renlab 0.1.0"
 
@@ -36,55 +36,50 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-_FLAG_TYPES = {"str": str, "int": int, "float": float}
+def _add_recipe_flags(p: argparse.ArgumentParser, *recipes) -> None:
+    """One flag per field of each recipe, spelled like the field with dashes,
+    except --steps for total_steps and --trans-x, --trans-y for trans.  A
+    flag's value stays text until _recipe_from_args parses it."""
+    for recipe in recipes:
+        if recipe is TrainConfig:
+            p.add_argument("--config", type=str, default=None, help="key = value config file")
+        for f in fields(recipe):
+            if f.name == "trans":
+                p.add_argument("--trans-x")
+                p.add_argument("--trans-y")
+                continue
+            flag = "--steps" if f.name == "total_steps" else "--" + f.name.replace("_", "-")
+            choices = {"bool": ON_OFF, "str": f.metadata.get("choices")}.get(f.type)
+            help_text = (f"config key {f.name} (default {f.default})" if recipe is TrainConfig
+                         else f.metadata.get("help"))
+            p.add_argument(flag, dest=f.name, choices=choices, help=help_text)
 
 
-def _add_data_flags(p: argparse.ArgumentParser) -> None:
-    """One flag per DataSpec field, spelled like the field with dashes;
-    trans takes one flag per axis."""
-    for f in fields(DataSpec):
+def _recipe_from_args(recipe, args):
+    """The recipe under the flags given, each parsed as a config-file value
+    is; a TrainConfig starts from the --config file, if one is given."""
+    given = {}
+    for f in fields(recipe):
         if f.name == "trans":
-            for axis, default in zip("xy", f.default):
-                p.add_argument(f"--trans-{axis}", type=float, default=default)
-            continue
-        p.add_argument("--" + f.name.replace("_", "-"), type=_FLAG_TYPES[f.type.split()[0]],
-                       default=f.default, choices=GENERATORS if f.name == "gen" else None,
-                       help=f.metadata.get("help"))
+            given["trans"] = tuple(default if raw is None else parse_text("trans", "float", raw)
+                                   for raw, default in zip((args.trans_x, args.trans_y), f.default))
+        elif getattr(args, f.name) is not None:
+            given[f.name] = parse_field(recipe, f.name, getattr(args, f.name))
+    return load_config(args.config, **given) if recipe is TrainConfig else recipe(**given)
 
 
-def _spec_from_args(args) -> DataSpec:
-    return DataSpec(**{f.name: (args.trans_x, args.trans_y) if f.name == "trans"
-                       else getattr(args, f.name) for f in fields(DataSpec)})
-
-
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    """One flag per TrainConfig field, spelled like the field with dashes;
-    values are parsed exactly as config-file values are."""
-    p.add_argument("--config", type=str, default=None, help="key = value config file")
-    for f in fields(TrainConfig):
-        flag = "--steps" if f.name == "total_steps" else "--" + f.name.replace("_", "-")
-        p.add_argument(flag, dest=f.name, choices=config_choices(f.name),
-                       help=f"config key {f.name} (default {f.default})")
-
-
-def _config_from_args(args) -> TrainConfig:
-    overrides = {f.name: parse_config_value(f.name, getattr(args, f.name))
-                 for f in fields(TrainConfig) if getattr(args, f.name) is not None}
-    return load_config(args.config, **overrides)
-
-
-def _run_dir_name(cfg: TrainConfig, data: dict) -> str:
-    payload = json.dumps({"config": cfg.to_dict(), "data": data}, sort_keys=True)
+def _run_dir_name(config: dict, data: dict) -> str:
+    payload = json.dumps({"config": config, "data": data}, sort_keys=True)
     digest = hashlib.sha256(payload.encode()).hexdigest()[:12]
-    return f"{digest}-s{cfg.seed}"
+    return f"{digest}-s{config['seed']}"
 
 
 def _write_run(result: RunResult, spec: DataSpec, out_root: Path) -> Path:
     """Write a finished run's manifest, metrics and checkpoint."""
-    cfg, data = result.cfg, asdict(spec)
-    run_dir = out_root / _run_dir_name(cfg, data)
+    config, data = asdict(result.cfg), asdict(spec)
+    run_dir = out_root / _run_dir_name(config, data)
     run_dir.mkdir(parents=True, exist_ok=True)
-    manifest = {"tool": TOOL_VERSION, "config": cfg.to_dict(), "seeds": [cfg.seed],
+    manifest = {"tool": TOOL_VERSION, "config": config, "seeds": [config["seed"]],
                 "data": data, "outputs": {"metrics": "metrics.csv", "checkpoint": "checkpoint.txt"}}
     with open(run_dir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -101,7 +96,7 @@ def _write_run(result: RunResult, spec: DataSpec, out_root: Path) -> Path:
 
 
 def cmd_datagen(args) -> int:
-    dataset = make_domain_dataset(_spec_from_args(args), check_seed(args.seed))
+    dataset = make_domain_dataset(_recipe_from_args(DataSpec, args), args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_dataset(dataset, out / "dataset.csv", out / "dataset.meta")
@@ -110,7 +105,7 @@ def cmd_datagen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg, spec = _config_from_args(args), _spec_from_args(args)
+    cfg, spec = _recipe_from_args(TrainConfig, args), _recipe_from_args(DataSpec, args)
     result = Trainer(cfg, make_domain_dataset(spec, cfg.seed)).run()
     run_dir = _write_run(result, spec, Path(args.out))
     final = result.records[-1]
@@ -121,10 +116,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    cfg, spec = _config_from_args(args), _spec_from_args(args)
+    cfg, spec = _recipe_from_args(TrainConfig, args), _recipe_from_args(DataSpec, args)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-    seeds = [check_seed(parse_config_value("seed", s))
-             for s in args.seeds.split(",") if s.strip()]
+    seeds = [parse_config_value("seed", s) for s in args.seeds.split(",") if s.strip()]
     if not variants or not seeds:
         raise ConfigError("ablate needs at least one variant and one seed")
     datasets = {seed: make_domain_dataset(spec, seed) for seed in seeds}
@@ -144,7 +138,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    reports = run_loss_checks(check_seed(args.seed), h=args.h, tol=args.tol,
+    reports = run_loss_checks(args.seed, h=args.h, tol=args.tol,
                               batch=args.batch, in_dim=args.in_dim, hidden=args.hidden,
                               feature_dim=args.feature_dim, n_classes=args.classes)
     all_ok = True
@@ -166,9 +160,8 @@ def cmd_report(args) -> int:
             with open(manifest_path) as fh:
                 config = json.load(fh)["config"]
             variant, seed = config["variant"], config["seed"]
-            if type(seed) is not int or seed < 0:  # type(): a bool is no seed
-                raise ValueError(f"seed {seed!r} is not a non-negative integer")
-        except (ValueError, KeyError, TypeError) as exc:
+            check_value("seed", "int", SEED_RANGE, seed)
+        except (ValueError, KeyError, TypeError, ConfigError) as exc:
             raise ContractError(f"malformed manifest {manifest_path}: {exc!r}") from None
         if variant not in VARIANTS:
             raise ContractError(f"unknown variant {variant!r} in {manifest_path}")
@@ -192,20 +185,18 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("datagen", help="write a benchmark dataset to CSV")
-    _add_data_flags(p)
+    _add_recipe_flags(p, DataSpec)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=str, default=".")
     p.set_defaults(fn=cmd_datagen)
 
     p = sub.add_parser("train", help="train one variant on a generated benchmark")
-    _add_config_flags(p)
-    _add_data_flags(p)
+    _add_recipe_flags(p, TrainConfig, DataSpec)
     p.add_argument("--out", type=str, default="runs")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("ablate", help="run a variant x seed sweep and summarize")
-    _add_config_flags(p)
-    _add_data_flags(p)
+    _add_recipe_flags(p, TrainConfig, DataSpec)
     p.add_argument("--variants", type=str, default=",".join(ABLATION_CHAIN))
     p.add_argument("--seeds", type=str, default="0,1,2,3,4")
     p.add_argument("--out", type=str, default="runs")

@@ -17,15 +17,10 @@ from typing import Iterator
 import numpy as np
 
 from .exceptions import ConfigError, ContractError
+from .recipe import SEED_RANGE, check_fields, check_value
 
 GENERATORS = ("two_moons", "blobs")
 BLOCK_ROWS = 256  # rows per write and per numpy parse in the dataset CSV codec
-
-
-def _require_finite(name: str, value) -> None:
-    # nan slips through every range check (nan < 0 is False), so test first
-    if not np.isfinite(value).all():
-        raise ConfigError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -39,40 +34,25 @@ class DataSpec:
     the raw 2-D data.
     """
 
-    gen: str = "two_moons"
-    n: int = field(default=500, metadata={"help": "source sample count"})
+    gen: str = field(default="two_moons", metadata={"choices": GENERATORS})
+    n: int = field(default=500, metadata={"help": "source sample count", "ge": 1})
     n_target: int | None = field(default=None, metadata={
-        "help": "target sample count (default: same as --n)"})
-    noise: float = field(default=0.15, metadata={"help": "generator noise sigma"})
+        "help": "target sample count (default: same as --n)", "ge": 1})
+    noise: float = field(default=0.15, metadata={"help": "generator noise sigma", "ge": 0})
     classes: int = field(default=3, metadata={"help": "class count (blobs only)"})
     imbalance: float = field(default=1.0, metadata={
-        "help": "target class imbalance ratio (blobs only)"})
+        "help": "target class imbalance ratio (blobs only)", "gt": 0})
     rot: float = field(default=45.0, metadata={"help": "target rotation, degrees"})
     trans: tuple[float, float] = (0.0, 0.0)
-    scale: float = 1.0
+    scale: float = field(default=1.0, metadata={"gt": 0})
     shift_noise: float | None = field(default=None, metadata={
-        "help": "target noise sigma override (default: inherit --noise)"})
+        "help": "target noise sigma override (default: inherit --noise)", "ge": 0})
     lift_dim: int = field(default=16, metadata={
-        "help": "embed 2-D data into this many dimensions (0 = keep 2-D)"})
-    lift_noise: float = 0.05
+        "help": "embed 2-D data into this many dimensions (0 = keep 2-D)", "ge": 0})
+    lift_noise: float = field(default=0.05, metadata={"ge": 0})
 
     def __post_init__(self):
-        if self.gen not in GENERATORS:
-            raise ConfigError(f"unknown generator {self.gen!r}")
-        for name in ("n", "n_target"):
-            if getattr(self, name) is not None and getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("noise", "imbalance", "rot", "trans", "scale", "shift_noise",
-                     "lift_noise"):
-            if getattr(self, name) is not None:
-                _require_finite(name, getattr(self, name))
-        if self.scale <= 0:
-            raise ConfigError(f"scale must be positive, got {self.scale}")
-        for name in ("shift_noise", "lift_noise"):
-            if getattr(self, name) is not None and getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.imbalance <= 0:
-            raise ConfigError(f"imbalance must be positive, got {self.imbalance}")
+        check_fields(self)
         if self.gen == "two_moons" and self.imbalance != 1.0:
             raise ConfigError("imbalance applies to the blobs generator only")
 
@@ -86,9 +66,7 @@ def make_two_moons(n: int, noise_sigma: float, seed) -> tuple[np.ndarray, np.nda
     """
     if n < 2:
         raise ConfigError(f"two moons needs n >= 2, got {n}")
-    _require_finite("noise_sigma", noise_sigma)
-    if noise_sigma < 0:
-        raise ConfigError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    check_value("noise_sigma", "float", {"ge": 0}, noise_sigma)
     n0 = n - n // 2
     n1 = n // 2
     t0 = np.linspace(0.0, np.pi, n0)
@@ -124,15 +102,14 @@ def make_blobs(n: int, n_classes: int, centers, sigma: float, seed,
     as (points, labels)."""
     if n_classes < 2:
         raise ConfigError(f"blobs needs at least 2 classes, got {n_classes}")
-    _require_finite("sigma", sigma)
-    _require_finite("imbalance_ratio", imbalance_ratio)
-    if sigma < 0:
-        raise ConfigError(f"sigma must be >= 0, got {sigma}")
+    check_value("sigma", "float", {"ge": 0}, sigma)
+    check_value("imbalance_ratio", "float", {"gt": 0}, imbalance_ratio)
     ctr = np.asarray(centers, dtype=np.float64)
     if ctr.ndim != 2 or ctr.shape[0] != n_classes:
         raise ConfigError(f"{ctr.shape[0] if ctr.ndim == 2 else '?'} centers "
                           f"for {n_classes} classes")
-    _require_finite("centers", ctr)
+    if not np.isfinite(ctr).all():
+        raise ConfigError(f"centers must be finite, got {ctr}")
     counts = _class_counts(n, n_classes, imbalance_ratio)
     rng = np.random.default_rng(seed)
     xs, ys = [], []
@@ -180,9 +157,7 @@ def lift_embedding(dim_in: int, dim_out: int, seed) -> np.ndarray:
 
 
 def lift(x: np.ndarray, embedding: np.ndarray, noise_sigma: float, seed) -> np.ndarray:
-    _require_finite("lift noise_sigma", noise_sigma)
-    if noise_sigma < 0:
-        raise ConfigError(f"lift noise_sigma must be >= 0, got {noise_sigma}")
+    check_value("lift noise_sigma", "float", {"ge": 0}, noise_sigma)
     lifted = x @ embedding
     if noise_sigma > 0:
         rng = np.random.default_rng(seed)
@@ -238,6 +213,7 @@ class DomainDataset:
 def make_domain_dataset(spec: DataSpec, seed) -> DomainDataset:
     """The source draw and its shifted target redraw, both lifted through
     one shared embedding unless spec.lift_dim is 0."""
+    check_value("seed", "int", SEED_RANGE, seed)
     # seed offsets 900.. keep dataset streams disjoint from network-init seeds
     sx, sy = _draw(spec, spec.n, spec.noise, 1.0, [seed, 900])
     n_target = spec.n if spec.n_target is None else spec.n_target

@@ -1,0 +1,101 @@
+"""The field contract of the two run recipes, TrainConfig and DataSpec.
+
+Each recipe field states its kind once, as its annotation, and its range
+once, as field metadata: bounds ``ge``, ``gt``, ``le`` and ``lt`` for a
+number, ``choices`` for a string.  ``check_fields`` holds a built recipe to
+both, and ``parse_field`` reads a field's text, from a config file or a
+command-line flag, into its value.
+"""
+
+from __future__ import annotations
+
+import math
+import numbers
+import operator
+from dataclasses import fields
+
+import numpy as np
+
+from .exceptions import ConfigError
+
+# a seed feeds a numpy seed sequence, which takes no negative entry
+SEED_RANGE = {"ge": 0}
+ON_OFF = ("on", "off")
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)  # a bool is no number
+
+
+# each part of an annotation: its test, the words an error names it by, and
+# its text parser, which raises ValueError on a text it does not read (None:
+# the part has no text form); tuple.index raises ValueError off the tuple
+_KINDS = {
+    "int": (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
+            "an integer", int),
+    "float": (_is_number, "a number", float),
+    "bool": (lambda v: isinstance(v, bool), "on or off (a bool)",
+             lambda raw: ON_OFF.index(raw) == 0),
+    "str": (lambda v: isinstance(v, str), "a string", str),
+    "None": (lambda v: v is None, "None", None),
+    "tuple[float, float]": (lambda v: isinstance(v, tuple) and len(v) == 2
+                            and all(map(_is_number, v)), "a pair of numbers", None),
+}
+_BOUNDS = {"ge": (operator.ge, ">="), "gt": (operator.gt, ">"),
+           "le": (operator.le, "<="), "lt": (operator.lt, "<")}
+
+
+def _parts(kind: str, choices):
+    """The (test, words, parser) of each part of an annotation; a string
+    part with choices takes only those."""
+    for part in kind.split(" | "):
+        test, words, parse = _KINDS[part]
+        if part == "str" and choices:
+            test = lambda v: isinstance(v, str) and v in choices
+            parse = lambda raw: choices[choices.index(raw)]
+            words = " or ".join(map(repr, choices))
+        yield test, words, parse
+
+
+def check_value(name: str, kind: str, meta, value) -> None:
+    """ConfigError naming `name` unless `value` is of the annotation `kind`,
+    finite, and inside the bounds and choices of `meta`."""
+    parts = list(_parts(kind, meta.get("choices")))
+    if not any(test(value) for test, _, _ in parts):
+        raise ConfigError(f"{name} must be {' or '.join(w for _, w, _ in parts)}, got {value!r}")
+    for v in value if isinstance(value, tuple) else (value,):
+        # nan slips through every bound (nan < 0 is False), so test first
+        if isinstance(v, (float, np.floating)) and not math.isfinite(v):
+            raise ConfigError(f"{name} must be finite, got {value}")
+    bounds = [(op, meta[key], sym) for key, (op, sym) in _BOUNDS.items() if key in meta]
+    if _is_number(value) and not all(op(value, bound) for op, bound, _ in bounds):
+        words = " and ".join(f"{sym} {bound}" for _, bound, sym in bounds)
+        raise ConfigError(f"{name} must be {words}, got {value}")
+
+
+def check_fields(recipe) -> None:
+    """Hold every field of a built recipe to its annotation and metadata."""
+    for f in fields(recipe):
+        check_value(f.name, f.type, f.metadata, getattr(recipe, f.name))
+
+
+def parse_text(key: str, kind: str, raw: str, choices=None):
+    """The value of `raw` as the first part of the annotation `kind` that
+    reads it; ranges are checked when the recipe is built."""
+    raw = raw.strip()
+    readers = [(words, parse) for _, words, parse in _parts(kind, choices) if parse]
+    for _, parse in readers:
+        try:
+            return parse(raw)
+        except ValueError:
+            pass
+    expected = " or ".join(words for words, _ in readers)
+    raise ConfigError(f"config key '{key}' expects {expected}, got {raw!r}")
+
+
+def parse_field(recipe, key: str, raw: str):
+    """One field's value from its text; an unknown key is an error."""
+    for f in fields(recipe):
+        if f.name == key:
+            return parse_text(key, f.type, raw, f.metadata.get("choices"))
+    raise ConfigError(f"unknown config key '{key}'")

@@ -15,10 +15,9 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-import numbers
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -33,6 +32,7 @@ from .losses import (LossBreakdown, adv_student, adv_teacher, consistency,
 from .networks import (BoundNet, DualNet, NetSpec, ParamSet, alpha_theta_ramp,
                        collect_grads, ema_update, forward_fc, forward_fc_plain,
                        init_params)
+from .recipe import SEED_RANGE, check_fields, parse_field
 
 VARIANTS = ("source_only", *ABLATION_CHAIN)
 
@@ -46,117 +46,43 @@ _USES_CONSISTENCY = {"ren"}
 _USES_TEACHER_PREDICTIONS = _USES_SMOOTHED_CONDITIONS | _USES_CONSISTENCY
 
 
-def check_seed(seed: int) -> int:
-    """A seed unchanged, or ConfigError if it is negative: every seed feeds
-    a numpy seed sequence, which takes no negative entry."""
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    return seed
-
-
 @dataclass(frozen=True)
 class TrainConfig:
-    eta0: float = 0.01
-    anneal_alpha: float = 10.0
-    anneal_beta: float = 0.75
-    momentum: float = 0.9
-    batch_size: int = 32
-    total_steps: int = 3000
-    alpha_theta: float | str = "ramp"
-    alpha_p: float = 0.6
-    lambda_stu: float = 1.0
-    lambda_tea: float = 1.0
-    gamma: float = 1.0
+    """The training recipe: each field is a config key and a flag (see renlab.recipe)."""
+
+    eta0: float = field(default=0.01, metadata={"gt": 0})
+    anneal_alpha: float = field(default=10.0, metadata={"ge": 0})
+    anneal_beta: float = field(default=0.75, metadata={"ge": 0})
+    momentum: float = field(default=0.9, metadata={"ge": 0, "lt": 1})
+    batch_size: int = field(default=32, metadata={"ge": 1})
+    total_steps: int = field(default=3000, metadata={"ge": 0})
+    alpha_theta: float | str = field(default="ramp",
+                                     metadata={"ge": 0, "le": 1, "choices": ("ramp",)})
+    alpha_p: float = field(default=0.6, metadata={"ge": 0, "le": 1})
+    lambda_stu: float = field(default=1.0, metadata={"ge": 0})
+    lambda_tea: float = field(default=1.0, metadata={"ge": 0})
+    gamma: float = field(default=1.0, metadata={"ge": 0})
     grl_ramp: bool = True
     gamma_ramp: bool = True
-    eval_every: int = 50
-    seed: int = 0
-    variant: str = "ren"
-    feature_hidden: int = 64
-    feature_dim: int = 16
-    disc_hidden: int = 64
+    eval_every: int = field(default=50, metadata={"ge": 1})
+    seed: int = field(default=0, metadata=SEED_RANGE)
+    variant: str = field(default="ren", metadata={"choices": VARIANTS})
+    feature_hidden: int = field(default=64, metadata={"ge": 1})
+    feature_dim: int = field(default=16, metadata={"ge": 1})
+    disc_hidden: int = field(default=64, metadata={"ge": 1})
 
     def __post_init__(self):
-        for name, value in self.to_dict().items():
-            types, what = _KIND_TYPES[_KINDS[name]]
-            # a bool is a number to Python; only the on/off fields take one
-            if not isinstance(value, types) or isinstance(value, bool) != (types is bool):
-                raise ConfigError(f"{name} must be {what}, got {value!r}")
-            if isinstance(value, (float, np.floating)) and not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
-        if self.eta0 <= 0:
-            raise ConfigError(f"eta0 must be positive, got {self.eta0}")
-        for name in ("anneal_alpha", "anneal_beta", "lambda_stu", "lambda_tea", "gamma"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
-        if self.total_steps < 0:
-            raise ConfigError(f"total_steps must be >= 0, got {self.total_steps}")
-        if self.eval_every < 1:
-            raise ConfigError(f"eval_every must be positive, got {self.eval_every}")
-        check_seed(self.seed)
-        if isinstance(self.alpha_theta, str):
-            if self.alpha_theta != "ramp":
-                raise ConfigError(f"alpha_theta must be a number in [0, 1] or 'ramp', "
-                                  f"got {self.alpha_theta!r}")
-        elif not (0.0 <= self.alpha_theta <= 1.0):
-            raise ConfigError(f"alpha_theta must lie in [0, 1], got {self.alpha_theta}")
-        if not (0.0 <= self.alpha_p <= 1.0):
-            raise ConfigError(f"alpha_p must lie in [0, 1], got {self.alpha_p}")
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {self.variant!r}; "
-                              f"expected one of {', '.join(VARIANTS)}")
-        for name in ("feature_hidden", "feature_dim", "disc_hidden"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        check_fields(self)
 
 
-# each key's type, as written on its TrainConfig field; the keys and their
-# text parsing are derived from this one table
-_KINDS = {f.name: f.type for f in fields(TrainConfig)}
-# the values each kind takes, and how an error names them
-_KIND_TYPES = {
-    "int": (numbers.Integral, "an integer"),
-    "float": (numbers.Real, "a number"),
-    "float | str": ((numbers.Real, str), "a number or 'ramp'"),
-    "bool": (bool, "on or off (a bool)"),
-    "str": (str, "a string"),
-}
-_ON_OFF = ("on", "off")
-
-
-def config_choices(key: str) -> tuple[str, ...] | None:
-    """The spellings a key's text value may take, or None for a number."""
-    return {"bool": _ON_OFF, "str": VARIANTS}.get(_KINDS[key])
-
-
-def parse_config_value(key: str, raw: str):
-    """Convert one textual config value; unknown keys are an error."""
-    if key not in _KINDS:
-        raise ConfigError(f"unknown config key '{key}'")
-    kind, raw = _KINDS[key], raw.strip()
-    if kind == "bool":
-        if raw not in _ON_OFF:
-            raise ConfigError(f"config key '{key}' expects on or off, got {raw!r}")
-        return raw == "on"
-    if kind == "str" or (kind == "float | str" and raw == "ramp"):
-        return raw
-    try:
-        return int(raw) if kind == "int" else float(raw)
-    except ValueError:
-        expected = "a number or 'ramp'" if kind == "float | str" else "a number"
-        raise ConfigError(f"config key '{key}' expects {expected}, got {raw!r}") from None
+parse_config_value = functools.partial(parse_field, TrainConfig)
 
 
 def parse_config_text(text: str) -> dict:
-    """Flat `key = value` lines; blank lines and # comments are skipped."""
+    """Flat `key = value` lines, each key at most once; blank lines and #
+    comments are skipped."""
     out: dict = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -165,6 +91,10 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {stripped!r}")
         key, raw = stripped.split("=", 1)
         key = key.strip()
+        if key in first_line:
+            raise ConfigError(f"config key '{key}' is set twice, on lines "
+                              f"{first_line[key]} and {lineno}")
+        first_line[key] = lineno
         out[key] = parse_config_value(key, raw)
     return out
 

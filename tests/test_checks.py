@@ -8,7 +8,7 @@ import pytest
 
 from renlab import tensor as T
 from renlab.checks import _kink_margin, loss_check_suite, run_loss_checks
-from renlab.exceptions import ContractError
+from renlab.exceptions import ConfigError, ContractError
 from renlab.networks import DISC_EPS
 
 
@@ -58,6 +58,11 @@ def test_perturbed_evaluations_record_no_node(monkeypatch, seed):
         beyond_scan[hidden] = nodes_built(lambda: run_loss_checks(seed, hidden=hidden)) - scan
         assert beyond_scan[hidden] == tapes
     assert beyond_scan[6] == beyond_scan[9]
+
+
+def test_a_negative_seed_is_refused_before_any_draw():
+    with pytest.raises(ConfigError, match="^seed must be >= 0, got -1$"):
+        loss_check_suite(-1)
 
 
 def test_kink_margin_refuses_a_forward_only_graph():

@@ -14,7 +14,7 @@ from renlab.cli import main
 from renlab.datasets import (DataSpec, load_dataset, make_domain_dataset, save_dataset,
                              standard_benchmark)
 from renlab.evaluation import load_metrics
-from renlab.trainer import VARIANTS
+from renlab.trainer import VARIANTS, TrainConfig, load_config
 
 
 def run_train(out, extra=()):
@@ -65,7 +65,8 @@ def test_standard_benchmark_is_the_default_datagen_dataset(tmp_path, seed):
         assert (tmp_path / name).read_bytes() == (tmp_path / "cli" / name).read_bytes()
 
 
-# a value other than the default for every DataSpec field, and the flags that set them
+# a value other than the default for every field of both recipes, and the
+# flags that set them
 EVERY_FIELD = DataSpec(gen="blobs", n=40, n_target=30, noise=0.2, classes=4, imbalance=2.0,
                        rot=30.0, trans=(0.5, -0.25), scale=1.5, shift_noise=0.1,
                        lift_dim=8, lift_noise=0.01)
@@ -73,30 +74,51 @@ EVERY_FIELD_FLAGS = ["--gen", "blobs", "--n", "40", "--n-target", "30", "--noise
                      "--classes", "4", "--imbalance", "2", "--rot", "30", "--trans-x", "0.5",
                      "--trans-y", "-0.25", "--scale", "1.5", "--shift-noise", "0.1",
                      "--lift-dim", "8", "--lift-noise", "0.01"]
+EVERY_CONFIG = TrainConfig(eta0=0.02, anneal_alpha=5.0, anneal_beta=0.5, momentum=0.8,
+                           batch_size=8, total_steps=2, alpha_theta=0.9, alpha_p=0.5,
+                           lambda_stu=0.5, lambda_tea=2.0, gamma=3.0, grl_ramp=False,
+                           gamma_ramp=False, eval_every=1, seed=3, variant="cdan_m_d",
+                           feature_hidden=8, feature_dim=4, disc_hidden=8)
+EVERY_CONFIG_FLAGS = ["--eta0", "0.02", "--anneal-alpha", "5", "--anneal-beta", "0.5",
+                      "--momentum", "0.8", "--batch-size", "8", "--steps", "2",
+                      "--alpha-theta", "0.9", "--alpha-p", "0.5", "--lambda-stu", "0.5",
+                      "--lambda-tea", "2", "--gamma", "3", "--grl-ramp", "off",
+                      "--gamma-ramp", "off", "--eval-every", "1", "--seed", "3",
+                      "--variant", "cdan_m_d", "--feature-hidden", "8", "--feature-dim", "4",
+                      "--disc-hidden", "8"]
 
 
 @pytest.mark.parametrize("argv", [
     ["datagen", "--seed", "3"],
-    ["train", "--seed", "3", "--steps", "0", "--batch-size", "8"],
-    ["ablate", "--seeds", "3", "--variants", "ren", "--steps", "0", "--batch-size", "8"],
+    ["train", *EVERY_CONFIG_FLAGS],
+    ["ablate", "--seeds", "3", "--variants", "cdan_m_d", *EVERY_CONFIG_FLAGS],
 ], ids=lambda argv: argv[0])
 def test_every_data_spec_field_has_a_flag(tmp_path, monkeypatch, argv):
-    assert all(getattr(EVERY_FIELD, f.name) != f.default for f in fields(DataSpec))
-    built, datasets = [], []
+    # and every TrainConfig field too, on the commands that train
+    for recipe, every in ((DataSpec, EVERY_FIELD), (TrainConfig, EVERY_CONFIG)):
+        assert all(getattr(every, f.name) != f.default for f in fields(recipe))
+    built, datasets, configs = [], [], []
 
     def build(spec, seed):
         built.append(spec)
         datasets.append(make_domain_dataset(spec, seed))
         return datasets[-1]
 
+    def load(path=None, **overrides):
+        configs.append(load_config(path, **overrides))
+        return configs[-1]
+
     monkeypatch.setattr(renlab.cli, "make_domain_dataset", build)
+    monkeypatch.setattr(renlab.cli, "load_config", load)
     assert main([*argv, *EVERY_FIELD_FLAGS, "--out", str(tmp_path)]) == 0
     assert built == [EVERY_FIELD]
+    assert configs == ([] if argv[0] == "datagen" else [EVERY_CONFIG])
     assert (datasets[0].n_source, datasets[0].n_target) == (40, 30)
     manifests = [json.loads(p.read_text()) for p in tmp_path.glob("*/manifest.json")]
     assert len(manifests) == (argv[0] != "datagen")
     for manifest in manifests:
         assert set(manifest) == {"tool", "config", "seeds", "data", "outputs"}
+        assert manifest["config"] == asdict(EVERY_CONFIG)
         assert manifest["data"] == json.loads(json.dumps(asdict(EVERY_FIELD)))
         assert manifest["data"]["n"] == 40 and manifest["data"]["n_target"] == 30
 
@@ -198,6 +220,10 @@ BAD_INPUT = [
     (["ablate", "--eta0", "nan"], "finite"),
     (["datagen", "--lift-noise", "-0.5"], "lift_noise must be >= 0"),
     (["datagen", "--gen", "blobs", "--n-target", "-5"], "n_target"),
+    (["datagen", "--n", "abc"], "config key 'n' expects an integer, got 'abc'"),
+    (["datagen", "--noise", "-1"], "noise must be >= 0, got -1.0"),
+    (["train", "--steps", "2.5"], "config key 'total_steps' expects an integer, got '2.5'"),
+    (["ablate", "--seeds", "1.5"], "config key 'seed' expects an integer, got '1.5'"),
 ]
 
 
@@ -205,7 +231,8 @@ BAD_INPUT = [
                          ids=["-".join(a.lstrip("-") for a in argv) for argv, _ in BAD_INPUT])
 def test_non_finite_input_exits_one_and_writes_nothing(tmp_path, capsys, argv, word):
     out = tmp_path / "out"
-    assert main([*argv, "--n", "60", "--out", str(out)]) == 1
+    # the shared --n goes first, so a case's own --n comes last and wins
+    assert main([argv[0], "--n", "60", *argv[1:], "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1 and word in err
     assert not out.exists()

@@ -83,6 +83,8 @@ def test_blobs_validation():
         make_blobs(10, 1, [[0, 0]], 0.1, 0)
     with pytest.raises(ConfigError):
         make_blobs(10, 2, [[0, 0]], 0.1, 0)  # one center for two classes
+    with pytest.raises(ConfigError, match="^imbalance_ratio must be > 0, got 0.0$"):
+        make_blobs(12, 3, [[0, 0], [1, 0], [2, 0]], 0.1, 0, imbalance_ratio=0.0)
 
 
 def test_data_spec_validation():
@@ -94,12 +96,31 @@ def test_data_spec_validation():
         DataSpec(gen="blobs", imbalance=0.0)
     with pytest.raises(ConfigError, match="lift_noise must be >= 0"):
         DataSpec(lift_noise=-0.5)
-    with pytest.raises(ConfigError, match="unknown generator"):
+    with pytest.raises(ConfigError, match="^gen must be 'two_moons' or 'blobs', got 'spirals'"):
         DataSpec(gen="spirals")
     with pytest.raises(ConfigError, match="n must be >= 1, got 0"):
         DataSpec(n=0)
     with pytest.raises(ConfigError, match="n_target must be >= 1, got -5"):
         DataSpec(gen="blobs", n_target=-5)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("n", 2.5), ("classes", 2.0), ("n", True), ("lift_dim", True), ("rot", "45"),
+    ("lift_noise", True), ("trans", (1.0,)), ("trans", (1.0, 2.0, 3.0)),
+], ids=["n-float", "classes-float", "n-bool", "lift_dim-bool", "rot-text", "lift_noise-bool",
+        "trans-one", "trans-three"])
+def test_data_spec_rejects_a_value_of_the_wrong_type_by_name(name, value):
+    with pytest.raises(ConfigError, match=f"^{name} must be "):
+        DataSpec(**{name: value})
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_domain_dataset(DataSpec(n=10), -1),
+    lambda: standard_benchmark(-1, n=10),
+], ids=["make_domain_dataset", "standard_benchmark"])
+def test_a_negative_seed_is_refused_where_it_enters(build):
+    with pytest.raises(ConfigError, match="^seed must be >= 0, got -1$"):
+        build()
 
 
 NAN, INF = float("nan"), float("inf")

@@ -2,7 +2,7 @@
 
 import gc
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -47,6 +47,21 @@ def test_parse_config_value_conversions():
                      ("grl_ramp", "yes"), ("alpha_theta", "soon")):
         with pytest.raises(ConfigError):
             parse_config_value(key, raw)
+
+
+@pytest.mark.parametrize("key, raw, words", [
+    ("total_steps", "2.5", "an integer"), ("seed", "1.5", "an integer"),
+    ("eta0", "fast", "a number"), ("alpha_theta", "soon", "a number or 'ramp'"),
+    ("grl_ramp", "yes", "on or off"), ("variant", "warp", "'source_only' or 'cdan'"),
+])
+def test_a_parse_error_says_what_the_key_takes(key, raw, words):
+    with pytest.raises(ConfigError, match=f"^config key '{key}' expects {words}"):
+        parse_config_value(key, raw)
+
+
+def test_parse_config_text_rejects_a_key_set_twice():
+    with pytest.raises(ConfigError, match="^config key 'gamma' is set twice, on lines 1 and 3$"):
+        parse_config_text("gamma = 1\n# raise it\ngamma = 30\n")
 
 
 def test_parse_config_text_reports_line_number():
@@ -112,7 +127,7 @@ def test_a_replaced_config_checks_itself():
 
 
 def test_every_config_field_parses_from_its_own_text():
-    for key, value in TrainConfig(alpha_theta=0.5).to_dict().items():
+    for key, value in asdict(TrainConfig(alpha_theta=0.5)).items():
         text = ("on" if value else "off") if isinstance(value, bool) else str(value)
         assert parse_config_value(key, text) == value
 
