@@ -96,7 +96,8 @@ def _write_run(result: RunResult, spec: DataSpec, out_root: Path) -> Path:
 
 
 def cmd_datagen(args) -> int:
-    dataset = make_domain_dataset(_recipe_from_args(DataSpec, args), args.seed)
+    seed = parse_text("seed", "int", args.seed)
+    dataset = make_domain_dataset(_recipe_from_args(DataSpec, args), seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_dataset(dataset, out / "dataset.csv", out / "dataset.meta")
@@ -106,7 +107,7 @@ def cmd_datagen(args) -> int:
 
 def cmd_train(args) -> int:
     cfg, spec = _recipe_from_args(TrainConfig, args), _recipe_from_args(DataSpec, args)
-    result = Trainer(cfg, make_domain_dataset(spec, cfg.seed)).run()
+    (result,) = Trainer(cfg, make_domain_dataset(spec, cfg.seed)).run()
     run_dir = _write_run(result, spec, Path(args.out))
     final = result.records[-1]
     print(f"run {run_dir}")
@@ -137,10 +138,18 @@ def cmd_ablate(args) -> int:
     return 0
 
 
+# gradcheck's flags as (dest, kind, default text): each value parses like a
+# config value, and run_loss_checks checks its range
+_GRADCHECK_FLAGS = (("seed", "int", "0"), ("batch", "int", "4"), ("in_dim", "int", "5"),
+                    ("hidden", "int", "6"), ("feature_dim", "int", "4"), ("classes", "int", "3"),
+                    ("h", "float", "1e-5"), ("tol", "float", "1e-4"))
+
+
 def cmd_gradcheck(args) -> int:
-    reports = run_loss_checks(args.seed, h=args.h, tol=args.tol,
-                              batch=args.batch, in_dim=args.in_dim, hidden=args.hidden,
-                              feature_dim=args.feature_dim, n_classes=args.classes)
+    v = {dest: parse_text(dest, kind, getattr(args, dest)) for dest, kind, _ in _GRADCHECK_FLAGS}
+    reports = run_loss_checks(v["seed"], h=v["h"], tol=v["tol"],
+                              batch=v["batch"], in_dim=v["in_dim"], hidden=v["hidden"],
+                              feature_dim=v["feature_dim"], n_classes=v["classes"])
     all_ok = True
     for name, rep in reports:
         status = "PASS" if rep.passed else "FAIL"
@@ -186,7 +195,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("datagen", help="write a benchmark dataset to CSV")
     _add_recipe_flags(p, DataSpec)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default="0")
     p.add_argument("--out", type=str, default=".")
     p.set_defaults(fn=cmd_datagen)
 
@@ -203,14 +212,8 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_ablate)
 
     p = sub.add_parser("gradcheck", help="verify loss gradients against finite differences")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--batch", type=int, default=4)
-    p.add_argument("--in-dim", type=int, default=5)
-    p.add_argument("--hidden", type=int, default=6)
-    p.add_argument("--feature-dim", type=int, default=4)
-    p.add_argument("--classes", type=int, default=3)
-    p.add_argument("--h", type=float, default=1e-5)
-    p.add_argument("--tol", type=float, default=1e-4)
+    for dest, _, default in _GRADCHECK_FLAGS:
+        p.add_argument("--" + dest.replace("_", "-"), default=default)
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("report", help="re-aggregate run directories into a summary")

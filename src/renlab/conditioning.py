@@ -19,6 +19,9 @@ _BRANCHES = ("student", "teacher")
 def _check_prob_rows(p: np.ndarray, what: str) -> None:
     if p.size == 0:
         return
+    # NaN fails every comparison below, so it is caught first
+    if not np.isfinite(p).all():
+        raise ContractError(f"{what} holds NaN or infinity")
     if p.min() < -1e-12:
         raise ContractError(f"{what} has a negative entry ({p.min()})")
     sums = p.sum(axis=1)

@@ -7,6 +7,8 @@ shared discriminator, each in one pass over the stacked source and target
 rows), and a consistency penalty tying student predictions to the
 teacher's.  The min-max game is realized by a gradient-reversal node in
 front of the discriminator, so one backward pass updates everything.
+Every term works on a stack of seeds as on one seed (see ``tensor``), and
+gives one loss per seed.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ def domain_adv_loss(bound_D: BoundNet, h: T.Tensor, n_src: int,
     drops the reversal node (used by the finite-difference harness, which can
     only see the plain minimization objective).
     """
-    rows = h.shape[0]
+    rows = h.shape[-2]
     if not 0 < n_src < rows:
         raise ContractError(f"domain_adv_loss needs 0 < n_src < {rows} rows, got n_src={n_src}")
     if reverse:
@@ -84,7 +86,7 @@ def consistency(p_stu: T.Tensor, p_tea: np.ndarray) -> T.Tensor:
 
 @dataclass
 class LossBreakdown:
-    """Scalar values of the four loss terms and their weighted total."""
+    """Scalar values of the four loss terms and their weighted total, for one seed."""
 
     l_c: float
     l_d_stu: float
@@ -95,11 +97,12 @@ class LossBreakdown:
 
 def total_loss(l_c: T.Tensor, l_d_stu: T.Tensor | None, l_d_tea: T.Tensor | None,
                l_con: T.Tensor | None, lambda_stu: float, lambda_tea: float,
-               gamma: float) -> tuple[T.Tensor, LossBreakdown]:
+               gamma: float) -> tuple[T.Tensor, list[LossBreakdown]]:
     """Weighted sum of the active terms; inactive terms pass None.
 
-    Returns the graph scalar to run backward on plus a detached breakdown
-    whose total always satisfies the weighted-sum identity within 1e-10.
+    Returns the graph scalar to run backward on plus one detached breakdown
+    per seed (one for a rank-2 loss), whose total always satisfies the
+    weighted-sum identity within 1e-10.
     """
     for name, w in (("lambda_stu", lambda_stu), ("lambda_tea", lambda_tea), ("gamma", gamma)):
         if w < 0:
@@ -111,11 +114,7 @@ def total_loss(l_c: T.Tensor, l_d_stu: T.Tensor | None, l_d_tea: T.Tensor | None
         total = T.add(total, T.scale(l_d_tea, lambda_tea))
     if l_con is not None:
         total = T.add(total, T.scale(l_con, gamma))
-    parts = LossBreakdown(
-        l_c=l_c.item(),
-        l_d_stu=0.0 if l_d_stu is None else l_d_stu.item(),
-        l_d_tea=0.0 if l_d_tea is None else l_d_tea.item(),
-        l_con=0.0 if l_con is None else l_con.item(),
-        total=total.item(),
-    )
-    return total, parts
+    seeds = total.values.size
+    columns = [[0.0] * seeds if t is None else t.values.reshape(-1).tolist()
+               for t in (l_c, l_d_stu, l_d_tea, l_con, total)]
+    return total, [LossBreakdown(*row) for row in zip(*columns)]

@@ -4,7 +4,9 @@ student/teacher pair coupled by exponential-moving-average weight updates.
 Parameters live as plain numpy arrays inside ParamSet objects and are bound
 into a fresh Graph for each training step.  The teacher is never bound to a
 graph: it moves only through ``ema_update``, so its gradient is structurally
-zero.
+zero.  A ParamSet may stack the arrays of several seeds on a leading axis;
+``view`` then gives one seed's arrays as views into the stack, so an
+in-place update of the stack shows in every view.
 """
 
 from __future__ import annotations
@@ -60,17 +62,19 @@ class ParamSet:
     """Ordered named weight/bias arrays for one MLP.
 
     Keys are w0, b0, w1, b1, ... in layer order; weight i has shape
-    (widths[i], widths[i+1]) and bias i has shape (1, widths[i+1]).
+    (widths[i], widths[i+1]) and bias i has shape (1, widths[i+1]), each
+    behind the same leading seed axis of length S in a stacked set.
     """
 
     def __init__(self, spec: NetSpec, params: dict[str, np.ndarray]):
         self.spec = spec
         self.params = params
+        lead = params["w0"].shape[:-2]
         for i in range(len(spec.widths) - 1):
             w = params[f"w{i}"]
             b = params[f"b{i}"]
             want = (spec.widths[i], spec.widths[i + 1])
-            if w.shape != want or b.shape != (1, want[1]):
+            if len(lead) > 1 or w.shape != lead + want or b.shape != lead + (1, want[1]):
                 raise ShapeError(f"layer {i} arrays {w.shape}/{b.shape} do not match widths {want}")
 
     def param_count(self) -> int:
@@ -82,6 +86,10 @@ class ParamSet:
     def items(self):
         return self.params.items()
 
+    def view(self, s: int) -> "ParamSet":
+        """Seed ``s`` of a stacked set, as views into the stack."""
+        return ParamSet(self.spec, {k: v[s] for k, v in self.params.items()})
+
     def forward_plain(self, x: np.ndarray) -> np.ndarray:
         """Numpy-only forward pass (no graph, no gradients).
 
@@ -89,7 +97,7 @@ class ParamSet:
         rectifier work in place on it and the input is never written.
         """
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.spec.in_width:
+        if x.ndim != self.params["w0"].ndim or x.shape[-1] != self.spec.in_width:
             raise ShapeError(f"input shape {x.shape} does not match width {self.spec.in_width}")
         h = x
         for i, act in enumerate(self.spec.activations):
@@ -100,6 +108,12 @@ class ParamSet:
             elif act == "sigmoid":
                 h = T.stable_sigmoid(h)
         return h
+
+
+def stack_params(sets: list[ParamSet]) -> ParamSet:
+    """One set holding the arrays of ``sets``, one seed each, on a leading axis."""
+    return ParamSet(sets[0].spec, {k: np.stack([ps.params[k] for ps in sets])
+                                   for k in sets[0].params})
 
 
 def init_params(spec: NetSpec, seed: int) -> ParamSet:
@@ -126,8 +140,8 @@ class BoundNet:
         self.tensors = {k: graph.parameter(v) for k, v in ps.items()}
 
     def __call__(self, x: T.Tensor) -> T.Tensor:
-        if x.shape[1] != self.spec.in_width:
-            raise ShapeError(f"input width {x.shape[1]} does not match {self.spec.in_width}")
+        if x.shape[-1] != self.spec.in_width:
+            raise ShapeError(f"input width {x.shape[-1]} does not match {self.spec.in_width}")
         h = x
         for i, act in enumerate(self.spec.activations):
             h = T.add(T.matmul(h, self.tensors[f"w{i}"]), self.tensors[f"b{i}"])
@@ -196,6 +210,14 @@ class DualNet:
             + self.teacher_C.param_count()
         )
 
+    def view(self, s: int) -> "DualNet":
+        """Seed ``s`` of a stacked pair, as views into the stacks."""
+        out = DualNet.__new__(DualNet)
+        out.student_F, out.student_C = self.student_F.view(s), self.student_C.view(s)
+        out.teacher_F, out.teacher_C = self.teacher_F.view(s), self.teacher_C.view(s)
+        out.alpha_theta = self.alpha_theta
+        return out
+
 
 def alpha_theta_ramp(step: int) -> float:
     """Warm-up schedule min(0.99, 1 - 1/(step+1)); the teacher tracks the
@@ -230,6 +252,9 @@ def save_paramsets(path, named: dict[str, ParamSet]) -> None:
         lines.append(f"set {set_name} {len(ps.params)} {' '.join(str(w) for w in ps.spec.widths)} "
                      f"{ps.spec.final or '-'}")
         for k, arr in ps.items():
+            if arr.ndim != 2:
+                raise ShapeError(f"a checkpoint holds one seed's arrays; {set_name}.{k} "
+                                 f"has shape {arr.shape}")
             flat = " ".join(repr(float(v)) for v in arr.ravel())
             lines.append(f"tensor {k} {arr.shape[0]} {arr.shape[1]} {flat}")
     with open(path, "w") as fh:

@@ -1,4 +1,4 @@
-"""Dense rank-<=2 float64 tensors with tape-based reverse-mode autodiff.
+"""Dense rank-<=3 float64 tensors with tape-based reverse-mode autodiff.
 
 Everything is define-by-run: each operation appends one node to a Graph and
 ``Graph.backward`` walks the tape in exact reverse construction order, so a
@@ -19,6 +19,13 @@ A forward-only graph, ``Graph(record=False)``, runs the same ops and the
 same per-op finiteness check but appends no node, so its tensors carry
 values only.  It serves callers that never run backward, such as the
 perturbed evaluations of a finite-difference check.
+
+A tensor is a matrix, or a stack of matrices on a leading seed axis: every
+op indexes from the right, rows on axis -2 and columns on axis -1, and
+works on each matrix of a stack as on a lone matrix, with the same numpy
+kernels, so each seed of a stack gets the bits of its own rank-2 run.  The
+operands of a binary op share their leading axis.  A scalar loss has shape
+(1, 1), or (S, 1, 1) for one loss per seed.
 """
 
 from __future__ import annotations
@@ -33,17 +40,18 @@ from .exceptions import ContractError, NonFiniteError, ShapeError
 
 
 def as_matrix(values) -> np.ndarray:
-    """Coerce scalar / 1-D / 2-D input to a C-contiguous float64 matrix.
+    """Coerce scalar / 1-D / 2-D / 3-D input to a C-contiguous float64
+    matrix or stack of matrices.
 
-    1-D input becomes a single row; rank > 2 is rejected.
+    1-D input becomes a single row; rank > 3 is rejected.
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim == 0:
         arr = arr.reshape(1, 1)
     elif arr.ndim == 1:
         arr = arr.reshape(1, -1)
-    elif arr.ndim > 2:
-        raise ShapeError(f"rank-{arr.ndim} input not supported (rank <= 2 only)")
+    elif arr.ndim > 3:
+        raise ShapeError(f"rank-{arr.ndim} input not supported (rank <= 3 only)")
     return np.ascontiguousarray(arr)
 
 
@@ -64,9 +72,9 @@ def _all_finite(arr: np.ndarray) -> bool:
 
 def stable_softmax(arr: np.ndarray) -> np.ndarray:
     """Row-wise softmax with per-row max subtraction (overflow safe)."""
-    e = arr - arr.max(axis=1, keepdims=True)  # fresh array: exp and divide in place
+    e = arr - arr.max(axis=-1, keepdims=True)  # fresh array: exp and divide in place
     np.exp(e, out=e)
-    e /= e.sum(axis=1, keepdims=True)
+    e /= e.sum(axis=-1, keepdims=True)
     return e
 
 
@@ -81,7 +89,8 @@ def stable_sigmoid(arr: np.ndarray) -> np.ndarray:
 
 
 class Tensor:
-    """A 2-D float64 array on a graph.
+    """A 2-D float64 array, or a stack of them (see the module docstring),
+    on a graph.
 
     A tensor has no public constructor: ``Graph.parameter``/``constant`` and
     the ops are its only makers, so every tensor belongs to a graph.  Values
@@ -91,7 +100,7 @@ class Tensor:
     __slots__ = ("values", "graph", "node_id")
 
     @property
-    def shape(self) -> tuple[int, int]:
+    def shape(self) -> tuple[int, ...]:
         return self.values.shape
 
     @property
@@ -105,7 +114,7 @@ class Tensor:
     def item(self) -> float:
         if self.values.size != 1:
             raise ContractError(f"item() on tensor of shape {self.shape}")
-        return float(self.values[0, 0])
+        return float(self.values.flat[0])
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
@@ -144,7 +153,7 @@ class Graph:
 
     def _record(self, op, values) -> Tensor:
         """Append a leaf node; on a forward-only graph only check the value."""
-        if (type(values) is np.ndarray and values.ndim == 2
+        if (type(values) is np.ndarray and 1 < values.ndim < 4
                 and values.dtype == np.float64 and values.flags.c_contiguous):
             arr = values  # what as_matrix would return, without the call
         else:
@@ -174,7 +183,8 @@ class Graph:
         return self._record("const", values)
 
     def backward(self, loss: Tensor) -> None:
-        """Reverse-mode sweep from a scalar loss node.
+        """Reverse-mode sweep from a scalar loss node, or from a stack of
+        per-seed scalars, each seeded with 1.
 
         Populates gradients for every parameter leaf (zeros if the loss does
         not depend on it).
@@ -183,14 +193,14 @@ class Graph:
             raise ContractError("backward on a forward-only graph")
         if loss.graph is not self:
             raise ContractError("loss tensor does not belong to this graph")
-        if loss.shape != (1, 1):
+        if loss.shape[-2:] != (1, 1):
             raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
         nodes = self.nodes
         if self._swept:
             for node in nodes:
                 node.grad = None
         self._swept = True
-        nodes[loss.node_id].grad = np.ones((1, 1))
+        nodes[loss.node_id].grad = np.ones(loss.shape)
         for node in reversed(nodes[: loss.node_id + 1]):
             grad = node.grad
             if grad is None:
@@ -213,8 +223,8 @@ class Graph:
 # call beyond its own: check that a binary op's operands share a graph, run
 # the finiteness test of _all_finite on the output, and on a recording graph
 # append the node with one (parent id, vjp) pair per non-constant input.
-# ``out`` must already be a fresh C-contiguous float64 matrix; every op's
-# forward makes one.
+# ``out`` must already be a fresh C-contiguous float64 matrix or stack;
+# every op's forward makes one.
 
 
 def _unary(op: str, x: Tensor, out: np.ndarray, vjp) -> Tensor:
@@ -266,28 +276,28 @@ def _binary(op: str, a: Tensor, b: Tensor, out: np.ndarray, vjp_a, vjp_b) -> Ten
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product; gradients d(a) = g @ b^T, d(b) = a^T @ g."""
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shapes {a.shape} and {b.shape} do not chain")
     av, bv = a.values, b.values
-    return _binary("matmul", a, b, av @ bv,
-                   lambda grad: grad @ bv.T, lambda grad: av.T @ grad)
+    if av.shape[-1] != bv.shape[-2] or av.shape[:-2] != bv.shape[:-2]:
+        raise ShapeError(f"matmul shapes {a.shape} and {b.shape} do not chain")
+    return _binary("matmul", a, b, av @ bv, lambda grad: grad @ bv.swapaxes(-1, -2),
+                   lambda grad: av.swapaxes(-1, -2) @ grad)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; b may be a 1xN row broadcast over a's rows (bias)."""
     broadcast = b.shape != a.shape
-    if broadcast and not (b.shape == (1, a.shape[1])):
+    if broadcast and b.shape != a.shape[:-2] + (1, a.shape[-1]):
         raise ShapeError(f"add shapes {a.shape} and {b.shape} incompatible")
     return _binary("add", a, b, a.values + b.values, lambda grad: grad.copy(),
-                   lambda grad: grad.sum(axis=0, keepdims=True) if broadcast else grad.copy())
+                   lambda grad: grad.sum(axis=-2, keepdims=True) if broadcast else grad.copy())
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     broadcast = b.shape != a.shape
-    if broadcast and not (b.shape == (1, a.shape[1])):
+    if broadcast and b.shape != a.shape[:-2] + (1, a.shape[-1]):
         raise ShapeError(f"sub shapes {a.shape} and {b.shape} incompatible")
     return _binary("sub", a, b, a.values - b.values, lambda grad: grad.copy(),
-                   lambda grad: -(grad.sum(axis=0, keepdims=True) if broadcast else grad))
+                   lambda grad: -(grad.sum(axis=-2, keepdims=True) if broadcast else grad))
 
 
 def scale(x: Tensor, c: float) -> Tensor:
@@ -349,12 +359,12 @@ def clamp(x: Tensor, lo: float | None = None, hi: float | None = None) -> Tensor
 
 def softmax_rows(x: Tensor) -> Tensor:
     """Row-wise softmax; rows sum to 1 within 1e-12 for any finite input."""
-    if x.shape[1] < 1:
+    if x.shape[-1] < 1:
         raise ShapeError("softmax_rows requires at least one column")
     p = stable_softmax(x.values)
 
     def vjp(grad):
-        inner = (grad * p).sum(axis=1, keepdims=True)
+        inner = (grad * p).sum(axis=-1, keepdims=True)
         return p * (grad - inner)
 
     return _unary("softmax_rows", x, p, vjp)
@@ -369,77 +379,83 @@ def grad_reverse(x: Tensor, lam: float) -> Tensor:
 
 
 def gather_rows(p: Tensor, labels) -> Tensor:
-    """Pick one entry per row: out[i, 0] = p[i, labels[i]]."""
+    """Pick one entry per row: out[..., i, 0] = p[..., i, labels[..., i]].
+
+    ``labels`` holds one label per row of ``p``, in row order.
+    """
     idx = np.asarray(labels, dtype=np.int64).reshape(-1)
-    m, c = p.shape
-    if idx.shape[0] != m:
-        raise ShapeError(f"{idx.shape[0]} labels for {m} rows")
-    if m and (idx.min() < 0 or idx.max() >= c):
+    shape = p.shape
+    rows, c = math.prod(shape[:-1]), shape[-1]
+    if idx.shape[0] != rows:
+        raise ShapeError(f"{idx.shape[0]} labels for {rows} rows")
+    if rows and (idx.min() < 0 or idx.max() >= c):
         raise ContractError(f"label out of range [0, {c})")
-    rows = np.arange(m)
+    flat = np.arange(0, rows * c, c) + idx  # each picked entry's offset in p
 
     def vjp(grad):
-        buf = np.zeros((m, c))
-        buf[rows, idx] = grad[:, 0]  # one entry per row, so no two collide
-        return buf
+        buf = np.zeros(rows * c)
+        buf[flat] = grad.reshape(-1)  # one entry per row, so no two collide
+        return buf.reshape(shape)
 
-    return _unary("gather_rows", p, p.values[rows, idx].reshape(m, 1), vjp)
+    return _unary("gather_rows", p, p.values.reshape(-1)[flat].reshape(shape[:-1] + (1,)), vjp)
 
 
 def sum_all(x: Tensor) -> Tensor:
+    """Sum of each matrix: shape (1, 1), or (S, 1, 1) for a stack."""
     shape = x.shape
-    return _unary("sum_all", x, np.add.reduce(x.values, axis=None, keepdims=True),
-                  lambda grad: np.full(shape, grad[0, 0]))
+    return _unary("sum_all", x, np.add.reduce(x.values, axis=(-2, -1), keepdims=True),
+                  lambda grad: np.full(shape, grad))
 
 
 def mean_all(x: Tensor) -> Tensor:
-    n = x.values.size
+    """Mean of each matrix: shape (1, 1), or (S, 1, 1) for a stack."""
+    shape = x.shape
+    n = shape[-2] * shape[-1]
     if n == 0:
         raise ContractError("mean over an empty tensor")
-    shape = x.shape
     # numpy's own mean without its Python wrappers: the same bits
-    return _unary("mean_all", x, np.add.reduce(x.values, axis=None, keepdims=True) / n,
-                  lambda grad: np.full(shape, grad[0, 0] / n))
+    return _unary("mean_all", x, np.add.reduce(x.values, axis=(-2, -1), keepdims=True) / n,
+                  lambda grad: np.full(shape, grad / n))
 
 
 def sum_rows(x: Tensor) -> Tensor:
     """Per-row sum, shape m x 1."""
     shape = x.shape
-    return _unary("sum_rows", x, x.values.sum(axis=1, keepdims=True),
+    return _unary("sum_rows", x, x.values.sum(axis=-1, keepdims=True),
                   lambda grad: np.broadcast_to(grad, shape).copy())
 
 
 def concat_rows(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape[1] != b.shape[1]:
-        raise ShapeError(f"concat_rows widths differ: {a.shape} vs {b.shape}")
-    ma = a.shape[0]
-    return _binary("concat_rows", a, b, np.vstack([a.values, b.values]),
-                   lambda grad: grad[:ma].copy(), lambda grad: grad[ma:].copy())
+    if a.shape[-1] != b.shape[-1] or a.shape[:-2] != b.shape[:-2]:
+        raise ShapeError(f"concat_rows shapes differ: {a.shape} vs {b.shape}")
+    ma = a.shape[-2]
+    return _binary("concat_rows", a, b, np.concatenate([a.values, b.values], axis=-2),
+                   lambda grad: grad[..., :ma, :].copy(), lambda grad: grad[..., ma:, :].copy())
 
 
 def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    m, n = x.shape
-    if not (0 <= start <= stop <= m):
-        raise ShapeError(f"row slice [{start}:{stop}] out of bounds for {m} rows")
+    shape = x.shape
+    if not (0 <= start <= stop <= shape[-2]):
+        raise ShapeError(f"row slice [{start}:{stop}] out of bounds for {shape[-2]} rows")
 
     def vjp(grad):
-        buf = np.zeros((m, n))
-        buf[start:stop] = grad
+        buf = np.zeros(shape)
+        buf[..., start:stop, :] = grad
         return buf
 
-    return _unary("slice_rows", x, x.values[start:stop].copy(), vjp)
+    return _unary("slice_rows", x, x.values[..., start:stop, :].copy(), vjp)
 
 
 def multilinear(f: Tensor, p: Tensor) -> Tensor:
-    """Row-wise flattened outer product: out[i, j*c + k] = f[i, j] * p[i, k]."""
+    """Row-wise flattened outer product: out[..., i, j*c + k] = f[..., i, j] * p[..., i, k]."""
     fv, pv = f.values, p.values
-    if fv.shape[0] != pv.shape[0]:
+    if fv.shape[:-1] != pv.shape[:-1]:
         raise ShapeError(f"batch sizes differ: {fv.shape} vs {pv.shape}")
-    (m, d), c = fv.shape, pv.shape[1]
-    out = (fv[:, :, None] * pv[:, None, :]).reshape(m, d * c)
+    rows, d, c = fv.shape[:-1], fv.shape[-1], pv.shape[-1]
+    out = (fv[..., :, None] * pv[..., None, :]).reshape(rows + (d * c,))
     return _binary("multilinear", f, p, out,
-                   lambda grad: np.einsum("ijk,ik->ij", grad.reshape(m, d, c), pv),
-                   lambda grad: np.einsum("ijk,ij->ik", grad.reshape(m, d, c), fv))
+                   lambda grad: np.einsum("...ijk,...ik->...ij", grad.reshape(rows + (d, c)), pv),
+                   lambda grad: np.einsum("...ijk,...ij->...ik", grad.reshape(rows + (d, c)), fv))
 
 
 # ---------------------------------------------------------------------------

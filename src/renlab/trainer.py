@@ -18,7 +18,7 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .losses import (LossBreakdown, adv_student, adv_teacher, consistency,
                      cross_entropy, total_loss)
 from .networks import (BoundNet, DualNet, NetSpec, ParamSet, alpha_theta_ramp,
                        collect_grads, ema_update, forward_fc, forward_fc_plain,
-                       init_params)
+                       init_params, stack_params)
 from .recipe import SEED_RANGE, check_fields, parse_field
 
 VARIANTS = ("source_only", *ABLATION_CHAIN)
@@ -171,6 +171,12 @@ def sgd_momentum_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray
 # training
 
 
+def stack_key(dataset: DomainDataset) -> tuple[int, int]:
+    """What the datasets of one stack must share: input width and class
+    count, which fix every network array's shape."""
+    return dataset.input_dim, dataset.n_classes
+
+
 @dataclass
 class RunResult:
     cfg: TrainConfig
@@ -187,28 +193,52 @@ class RunResult:
 
 
 class Trainer:
-    """Owns the networks, optimizer, and smoothing state for one run."""
+    """Owns the networks, optimizer, and smoothing state of S runs of one
+    recipe that differ only in seed, and trains them in lock step.
 
-    def __init__(self, cfg: TrainConfig, dataset: DomainDataset):
-        self.cfg = cfg
-        self.dataset = dataset
+    ``cfg`` and ``dataset`` are one config and its dataset (S = 1), or equal
+    length sequences of them.  Every network array stacks the S seeds' arrays
+    on a leading axis, so one tape per step carries all S runs, and each
+    seed gets the bits of its own solo run: no array is shared between
+    seeds, and every op works on each seed's matrices as on a lone matrix.
+    Each seed keeps its own batch stream, smoothing state and evaluation;
+    the schedules depend only on the step, so the seeds share them.
+    """
+
+    def __init__(self, cfg: TrainConfig | Sequence[TrainConfig],
+                 dataset: DomainDataset | Sequence[DomainDataset]):
+        self.cfgs = [cfg] if isinstance(cfg, TrainConfig) else list(cfg)
+        self.datasets = [dataset] if isinstance(dataset, DomainDataset) else list(dataset)
+        if not self.cfgs or len(self.cfgs) != len(self.datasets):
+            raise ConfigError(f"a stack needs one dataset per config, got {len(self.cfgs)} "
+                              f"configs and {len(self.datasets)} datasets")
+        self.cfg = cfg = self.cfgs[0]  # the recipe every seed shares
+        if any(replace(other, seed=cfg.seed) != cfg for other in self.cfgs):
+            raise ConfigError("the configs of a stack may differ only in seed")
+        dataset = self.datasets[0]
+        if any(stack_key(ds) != stack_key(dataset) for ds in self.datasets):
+            raise ShapeError("the datasets of a stack must share input width and class count")
         c = dataset.n_classes
         f_spec = NetSpec((dataset.input_dim, cfg.feature_hidden, cfg.feature_hidden,
                           cfg.feature_dim), final="relu")
         c_spec = NetSpec((cfg.feature_dim, c))
-        self.student_F = init_params(f_spec, [cfg.seed, 11])
-        self.student_C = init_params(c_spec, [cfg.seed, 12])
+
+        def init(spec, key):
+            return stack_params([init_params(spec, [run.seed, key]) for run in self.cfgs])
+
+        self.student_F = init(f_spec, 11)
+        self.student_C = init(c_spec, 12)
         self.dualnet = None
         if cfg.variant in _USES_TEACHER:
             alpha0 = 0.0 if cfg.alpha_theta == "ramp" else float(cfg.alpha_theta)
             self.dualnet = DualNet(self.student_F, self.student_C, alpha0)
         self.disc = None
         if cfg.variant in _USES_DISC:
-            d_spec = NetSpec((cfg.feature_dim * c, cfg.disc_hidden, 1), final="sigmoid")
-            self.disc = init_params(d_spec, [cfg.seed, 13])
-        self.pred_state = None
+            self.disc = init(NetSpec((cfg.feature_dim * c, cfg.disc_hidden, 1), final="sigmoid"),
+                             13)
+        self.pred_states = None
         if cfg.variant in _USES_SMOOTHED_CONDITIONS:
-            self.pred_state = PredEmaState(cfg.alpha_p, c)
+            self.pred_states = [PredEmaState(cfg.alpha_p, c) for _ in self.cfgs]
         self.opt = OptimizerState(cfg.momentum)
         self.params: dict[str, np.ndarray] = {}
         for prefix, ps in (("F", self.student_F), ("C", self.student_C), ("D", self.disc)):
@@ -219,8 +249,14 @@ class Trainer:
     def _progress(self, n: int) -> float:
         return n / self.cfg.total_steps if self.cfg.total_steps else 0.0
 
-    def train_step(self, batch: Batch, n: int) -> LossBreakdown:
-        """One optimizer step; returns the detached loss values."""
+    def _smoothed(self, which: str, ids: list[np.ndarray], p: np.ndarray) -> np.ndarray:
+        """Each seed's prediction rows blended into that seed's smoothing state."""
+        return np.stack([pred_ema(state, which, seed_ids, rows)
+                         for state, seed_ids, rows in zip(self.pred_states, ids, p)])
+
+    def train_step(self, batches: Sequence[Batch], n: int) -> list[LossBreakdown]:
+        """One optimizer step on one batch per seed; returns each seed's
+        detached loss values."""
         cfg = self.cfg
         p_prog = self._progress(n)
         lam = grl_lambda(p_prog, cfg.grl_ramp)
@@ -230,10 +266,10 @@ class Trainer:
         bound_C = BoundNet(g, self.student_C, "C")
         bound_D = BoundNet(g, self.disc, "D") if self.disc is not None else None
 
-        m_src = batch.xs.shape[0]
-        x_all = g.constant(np.vstack([batch.xs, batch.xt]))
+        m_src = batches[0].xs.shape[0]
+        x_all = g.constant(np.stack([np.vstack([b.xs, b.xt]) for b in batches]))
         f_all, p_all = forward_fc(bound_F, bound_C, x_all)
-        l_c = cross_entropy(T.slice_rows(p_all, 0, m_src), batch.ys)
+        l_c = cross_entropy(T.slice_rows(p_all, 0, m_src), np.stack([b.ys for b in batches]))
 
         teacher_p_all = None
         if cfg.variant in _USES_TEACHER_PREDICTIONS:
@@ -244,13 +280,13 @@ class Trainer:
         if bound_D is not None:
             if cfg.variant in _USES_SMOOTHED_CONDITIONS:
                 # target ids are offset by n_source, so the ids are distinct
-                ids = np.concatenate([batch.src_ids, batch.tgt_ids])
-                cond = pred_ema(self.pred_state, "student", ids, p_all.values)
+                ids = [np.concatenate([b.src_ids, b.tgt_ids]) for b in batches]
+                cond = self._smoothed("student", ids, p_all.values)
             else:
                 cond = p_all.values
             l_d_stu = adv_student(bound_D, f_all, cond, m_src, lam)
             if cfg.variant in _USES_SMOOTHED_CONDITIONS:
-                tea = pred_ema(self.pred_state, "teacher", ids, teacher_p_all)
+                tea = self._smoothed("teacher", ids, teacher_p_all)
                 l_d_tea = adv_teacher(bound_D, f_all, tea, m_src, lam)
 
         gamma_eff = cfg.gamma
@@ -271,12 +307,13 @@ class Trainer:
             ema_update(self.dualnet)
         return parts
 
-    def _evaluate(self, step: int, lr: float, parts: LossBreakdown) -> MetricsRecord:
-        ds = self.dataset
-        acc_src = accuracy(self.student_F, self.student_C, ds.source_x, ds.source_y)
-        acc_tgt = accuracy(self.student_F, self.student_C, ds.target_x, ds.target_y)
+    def _evaluate(self, s: int, step: int, lr: float, parts: LossBreakdown) -> MetricsRecord:
+        ds = self.datasets[s]
+        student_F, student_C = self.student_F.view(s), self.student_C.view(s)
+        acc_src = accuracy(student_F, student_C, ds.source_x, ds.source_y)
+        acc_tgt = accuracy(student_F, student_C, ds.target_x, ds.target_y)
         if self.dualnet is not None:
-            acc_tea = accuracy(self.dualnet.teacher_F, self.dualnet.teacher_C,
+            acc_tea = accuracy(self.dualnet.teacher_F.view(s), self.dualnet.teacher_C.view(s),
                                ds.target_x, ds.target_y)
         else:
             acc_tea = acc_tgt
@@ -284,21 +321,28 @@ class Trainer:
                              acc_student_source=acc_src, acc_student_target=acc_tgt,
                              acc_teacher_target=acc_tea)
 
-    def run(self) -> RunResult:
-        cfg = self.cfg
-        records: list[MetricsRecord] = []
+    def run(self) -> list[RunResult]:
+        """Train every seed to the end; one result per seed, in stack order."""
+        cfg, seeds = self.cfg, range(len(self.cfgs))
+        records: list[list[MetricsRecord]] = [[] for _ in seeds]
         if cfg.total_steps == 0:
             empty = LossBreakdown(0.0, 0.0, 0.0, 0.0, 0.0)
-            records.append(self._evaluate(0, lr_schedule(0.0, cfg), empty))
+            for s in seeds:
+                records[s].append(self._evaluate(s, 0, lr_schedule(0.0, cfg), empty))
         else:
-            stream = batch_stream(self.dataset, cfg.batch_size, cfg.seed)
+            streams = [batch_stream(ds, cfg.batch_size, run.seed)
+                       for run, ds in zip(self.cfgs, self.datasets)]
             for n in range(cfg.total_steps):
-                parts = self.train_step(next(stream), n)
+                parts = self.train_step([next(stream) for stream in streams], n)
                 if (n + 1) % cfg.eval_every == 0 or n + 1 == cfg.total_steps:
-                    records.append(self._evaluate(n + 1, lr_schedule(self._progress(n), cfg),
-                                                  parts))
-        return RunResult(cfg=cfg, records=records, student_F=self.student_F,
-                         student_C=self.student_C, dualnet=self.dualnet, disc=self.disc)
+                    lr = lr_schedule(self._progress(n), cfg)
+                    for s in seeds:
+                        records[s].append(self._evaluate(s, n + 1, lr, parts[s]))
+        return [RunResult(cfg=self.cfgs[s], records=records[s],
+                          student_F=self.student_F.view(s), student_C=self.student_C.view(s),
+                          dualnet=None if self.dualnet is None else self.dualnet.view(s),
+                          disc=None if self.disc is None else self.disc.view(s))
+                for s in seeds]
 
 
 # OpenBLAS thread-count entry points, by symbol naming scheme: numpy's
@@ -356,24 +400,31 @@ def _one_blas_thread():
 def run_ablation(base_cfg: TrainConfig, variants, seeds,
                  dataset_for_seed: Callable[[int], DomainDataset]
                  ) -> dict[tuple[str, int], RunResult]:
-    """Run every (variant, seed) pair in canonical sorted order.
+    """Run every (variant, seed) pair; results in canonical sorted order.
 
-    The runs use one BLAS thread.  OpenBLAS threads only the 500-row
-    evaluation matmuls at the default sizes, and between them its idle
-    worker spins on the second core: CPU time nearly doubles and wall time
-    does not move.  A sweep's parallelism belongs across runs.
+    Each variant trains its seeds in lock step, one Trainer stack per group
+    of seeds whose datasets share a ``stack_key``, so each run's bits are
+    those of its solo run.  The runs use one BLAS thread.  OpenBLAS threads
+    only the 500-row evaluation matmuls at the default sizes, and between
+    them its idle worker spins on the second core: CPU time nearly doubles
+    and wall time does not move.  A sweep's parallelism belongs across runs.
     """
     for v in variants:
         if v not in VARIANTS:
             raise ConfigError(f"unknown variant {v!r}")
     ordered = sorted(set(variants), key=VARIANTS.index)
+    datasets = {seed: dataset_for_seed(seed) for seed in sorted({int(s) for s in seeds})}
+    stacks: dict[tuple[int, int], list[int]] = {}
+    for seed, ds in datasets.items():
+        stacks.setdefault(stack_key(ds), []).append(seed)
     out: dict[tuple[str, int], RunResult] = {}
     with _one_blas_thread():
         for variant in ordered:
-            for seed in sorted(set(seeds)):
-                cfg = replace(base_cfg, variant=variant, seed=int(seed))
-                out[(variant, seed)] = Trainer(cfg, dataset_for_seed(int(seed))).run()
-    return out
+            for group in stacks.values():
+                cfgs = [replace(base_cfg, variant=variant, seed=seed) for seed in group]
+                results = Trainer(cfgs, [datasets[seed] for seed in group]).run()
+                out.update(((variant, seed), r) for seed, r in zip(group, results))
+    return {(v, seed): out[(v, seed)] for v in ordered for seed in datasets}
 
 
 def ablation_accuracies(runs: dict[tuple[str, int], RunResult]) -> dict[str, dict[int, float]]:

@@ -2,6 +2,9 @@
 
 import ast
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -224,6 +227,7 @@ BAD_INPUT = [
     (["datagen", "--noise", "-1"], "noise must be >= 0, got -1.0"),
     (["train", "--steps", "2.5"], "config key 'total_steps' expects an integer, got '2.5'"),
     (["ablate", "--seeds", "1.5"], "config key 'seed' expects an integer, got '1.5'"),
+    (["datagen", "--seed", "x"], "config key 'seed' expects an integer, got 'x'"),
 ]
 
 
@@ -270,6 +274,15 @@ def test_usage_errors_exit_one(tmp_path):
     assert e.value.code == 1
 
 
+def test_python_m_renlab_runs_the_command_line():
+    src = Path(renlab.cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-m", "renlab", "--help"], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: renlab")
+
+
 def test_gradcheck_passes_and_names_every_loss(capsys):
     assert main(["gradcheck", "--seed", "1"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
@@ -310,7 +323,9 @@ def test_gradcheck_detects_corrupted_gradient(capsys, monkeypatch):
     (["--h", "0"], "step"),
     (["--tol", "nan"], "tolerance"),
     (["--tol", "-1"], "tolerance"),
-], ids=["batch-0", "h-nan", "h-0", "tol-nan", "tol-negative"])
+    (["--batch", "1.5"], "config key 'batch' expects an integer, got '1.5'"),
+    (["--h", "small"], "config key 'h' expects a number, got 'small'"),
+], ids=["batch-0", "h-nan", "h-0", "tol-nan", "tol-negative", "batch-1.5", "h-small"])
 def test_gradcheck_bad_input_exits_one_with_one_line(capsys, argv, word):
     assert main(["gradcheck", *argv]) == 1
     captured = capsys.readouterr()

@@ -115,6 +115,17 @@ def test_pred_ema_input_validation():
         pred_ema(state, "student", [0], np.array([[-0.2, 1.2]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pred_ema_rejects_a_non_finite_batch_before_any_row_changes(bad):
+    state = PredEmaState(0.6, 2)
+    pred_ema(state, "student", [1], np.array([[0.25, 0.75]]))
+    with pytest.raises(ContractError, match="NaN or infinity"):
+        pred_ema(state, "student", [0, 1], np.array([[bad, bad], [0.5, 0.5]]))
+    with pytest.raises(ContractError, match="no student prediction stored for sample 0"):
+        state.row("student", 0)
+    assert np.array_equal(state.row("student", 1), [0.25, 0.75])
+
+
 def test_pred_ema_output_is_detached():
     state = PredEmaState(0.5, 2)
     out = pred_ema(state, "student", [0], np.array([[0.5, 0.5]]))

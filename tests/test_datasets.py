@@ -182,7 +182,7 @@ def test_shift_drops_source_only_accuracy():
         accs = {}
         for name, spec in (("identity", identity), ("hard", hard)):
             ds = make_domain_dataset(spec, seed)
-            accs[name] = Trainer(cfg, ds).run().final_accuracy
+            accs[name] = Trainer(cfg, ds).run()[0].final_accuracy
         drops.append(accs["identity"] - accs["hard"])
     assert float(np.mean(drops)) >= 0.10
 

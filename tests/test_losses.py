@@ -249,7 +249,7 @@ def test_total_loss_zero_weights_reduce_to_classification():
     g = T.Graph()
     l_c = T.mean_all(g.parameter([[1.5]]))
     stub = T.mean_all(g.constant([[9.0]]))
-    total, parts = total_loss(l_c, stub, stub, stub, 0.0, 0.0, 0.0)
+    total, (parts,) = total_loss(l_c, stub, stub, stub, 0.0, 0.0, 0.0)
     assert total.item() == pytest.approx(1.5, rel=1e-15)
     assert abs(parts.total - parts.l_c) <= 1e-10  # every weight is 0
 
@@ -257,7 +257,7 @@ def test_total_loss_zero_weights_reduce_to_classification():
 def test_total_loss_arithmetic_and_breakdown():
     g = T.Graph()
     mk = lambda v: T.mean_all(g.constant([[v]]))
-    total, parts = total_loss(mk(1.0), mk(0.5), mk(0.5), mk(0.2), 1.0, 1.0, 1.0)
+    total, (parts,) = total_loss(mk(1.0), mk(0.5), mk(0.5), mk(0.2), 1.0, 1.0, 1.0)
     assert total.item() == pytest.approx(2.2, rel=1e-12)
     assert abs(parts.total - (parts.l_c + parts.l_d_stu + parts.l_d_tea + parts.l_con)) <= 1e-10
     assert (parts.l_c, parts.l_d_stu, parts.l_d_tea, parts.l_con) == (1.0, 0.5, 0.5, 0.2)
@@ -266,10 +266,19 @@ def test_total_loss_arithmetic_and_breakdown():
 def test_total_loss_inactive_terms_are_zero_in_breakdown():
     g = T.Graph()
     l_c = T.mean_all(g.constant([[0.7]]))
-    total, parts = total_loss(l_c, None, None, None, 1.0, 1.0, 1.0)
+    total, (parts,) = total_loss(l_c, None, None, None, 1.0, 1.0, 1.0)
     assert total.item() == pytest.approx(0.7)
     assert parts.l_d_stu == parts.l_d_tea == parts.l_con == 0.0
     assert abs(parts.total - (parts.l_c + parts.l_d_stu + parts.l_d_tea + parts.l_con)) <= 1e-10
+
+
+def test_total_loss_gives_one_breakdown_per_seed():
+    g = T.Graph()
+    mk = lambda *v: T.mean_all(g.constant(np.reshape(v, (len(v), 1, 1))))
+    total, parts = total_loss(mk(1.0, 2.0), mk(0.5, 0.25), None, mk(0.2, 0.4), 1.0, 1.0, 2.0)
+    assert total.shape == (2, 1, 1)
+    assert [(p.l_c, p.l_d_stu, p.l_d_tea, p.l_con, p.total) for p in parts] == [
+        (1.0, 0.5, 0.0, 0.2, 1.0 + 0.5 + 2.0 * 0.2), (2.0, 0.25, 0.0, 0.4, 2.0 + 0.25 + 2.0 * 0.4)]
 
 
 def test_total_loss_rejects_negative_weights():

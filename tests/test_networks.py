@@ -20,6 +20,7 @@ from renlab.networks import (
     init_params,
     load_paramsets,
     save_paramsets,
+    stack_params,
 )
 
 
@@ -55,6 +56,43 @@ def test_paramset_shape_check():
 
     with pytest.raises(ShapeError):
         ParamSet(spec, bad)
+
+
+def test_a_stacked_set_checks_trailing_shapes_and_its_views_see_updates():
+    from renlab.networks import ParamSet
+
+    spec = NetSpec((3, 4, 2), final="relu")
+    seeds = [init_params(spec, [s, 11]) for s in range(3)]
+    stack = stack_params(seeds)
+    assert stack.params["w1"].shape == (3, 4, 2) and stack.params["b1"].shape == (3, 1, 2)
+    x = np.random.default_rng(0).normal(size=(3, 5, 3))
+    out = stack.forward_plain(x)
+    for s, ps in enumerate(seeds):
+        view = stack.view(s)
+        assert all(np.array_equal(view.params[k], arr) for k, arr in ps.items())
+        assert out[s].tobytes() == ps.forward_plain(x[s]).tobytes()
+    stack.params["w0"] += 1.0  # an in-place update of the stack shows in each view
+    assert np.array_equal(stack.view(1).params["w0"], seeds[1].params["w0"] + 1.0)
+    for bad in ({**stack.params, "b0": np.zeros((2, 1, 4))},  # another seed count
+                {k: v[None] for k, v in stack.params.items()}):  # rank 4
+        with pytest.raises(ShapeError):
+            ParamSet(spec, bad)
+    with pytest.raises(ShapeError):
+        stack.forward_plain(x[0])  # a stack reads a stack of inputs
+
+
+def test_dualnet_view_shares_the_stacks_and_checkpoints_one_seed(tmp_path):
+    spec = NetSpec((3, 2))
+    net = DualNet(stack_params([init_params(spec, s) for s in range(2)]),
+                  stack_params([init_params(spec, s + 5) for s in range(2)]), 0.5)
+    view = net.view(1)
+    assert view.alpha_theta == 0.5
+    assert np.shares_memory(view.teacher_F.params["w0"], net.teacher_F.params["w0"])
+    save_paramsets(tmp_path / "one.txt", {"teacher_F": view.teacher_F})
+    back = load_paramsets(tmp_path / "one.txt")["teacher_F"]
+    assert np.array_equal(back.params["w0"], net.teacher_F.params["w0"][1])
+    with pytest.raises(ShapeError, match="one seed's arrays"):
+        save_paramsets(tmp_path / "stack.txt", {"teacher_F": net.teacher_F})
 
 
 def test_bound_and_plain_forwards_agree(rng):

@@ -17,8 +17,9 @@ def test_as_matrix_shapes():
     assert T.as_matrix(3.0).shape == (1, 1)
     assert T.as_matrix([1.0, 2.0]).shape == (1, 2)
     assert T.as_matrix([[1.0], [2.0]]).shape == (2, 1)
+    assert T.as_matrix(np.zeros((3, 2, 2))).shape == (3, 2, 2)  # a leading seed axis
     with pytest.raises(ShapeError):
-        T.as_matrix(np.zeros((2, 2, 2)))
+        T.as_matrix(np.zeros((2, 2, 2, 2)))
 
 
 def test_tensor_rejects_non_finite():
@@ -389,6 +390,51 @@ def test_every_vjp_returns_a_private_array(op):
         assert not np.shares_memory(result, grad)
         for node in g.nodes:
             assert not np.shares_memory(result, node.values)
+
+
+# OP_BUILDERS on a stack of three seeds, with one label row per seed, plus
+# the bias broadcast of add and sub and a 1-wide product
+STACK_LABELS = np.array([[0, 2], [1, 1], [2, 0]])
+STACK_BUILDERS = {
+    **OP_BUILDERS,
+    "add_bias": lambda x, c, w: T.add(x, T.slice_rows(c, 1, 2)),
+    "sub_bias": lambda x, c, w: T.sub(x, T.slice_rows(c, 0, 1)),
+    "matmul_1_wide": lambda x, c, w: T.matmul(x, T.sum_rows(w)),
+}
+
+
+@pytest.mark.parametrize("op", sorted(STACK_BUILDERS))
+def test_every_op_gives_each_seed_of_a_stack_the_bits_of_its_own_matrices(op):
+    rng = np.random.default_rng(7)
+    xs, cs = rng.uniform(0.1, 0.9, size=(3, 2, 3)), rng.normal(size=(3, 2, 3))
+    ws = rng.normal(size=(3, 3, 2))
+
+    def run(x, c, w, labels):
+        g = T.Graph()
+        leaves = g.parameter(x), g.parameter(c), g.parameter(w)
+        if op == "gather_rows":
+            out = T.gather_rows(leaves[0], labels)
+        else:
+            out = STACK_BUILDERS[op](*leaves)
+        g.backward(T.sum_all(T.square(out)))
+        return [out.values] + [t.grad for t in leaves]
+
+    stacked = run(xs, cs, ws, STACK_LABELS)
+    assert stacked[0].ndim == 3
+    for s in range(3):
+        solo = run(xs[s], cs[s], ws[s], STACK_LABELS[s])
+        assert [a[s].tobytes() for a in stacked] == [a.tobytes() for a in solo]
+
+
+def test_binary_ops_refuse_operands_on_different_seed_axes():
+    g = T.Graph()
+    two, three = g.parameter(np.ones((2, 2, 3))), g.parameter(np.ones((3, 2, 3)))
+    lone = g.parameter(np.ones((2, 3)))
+    for build in (lambda a, b: T.matmul(a, g.constant(np.ones(b.shape[:-2] + (3, 2)))),
+                  T.add, T.sub, T.concat_rows, T.multilinear):
+        for a, b in ((two, three), (two, lone)):
+            with pytest.raises(ShapeError):
+                build(a, b)
 
 
 @pytest.mark.parametrize("record", [True, False], ids=["recorded", "forward-only"])

@@ -10,7 +10,7 @@ import pytest
 from renlab import trainer
 from renlab.datasets import DataSpec, batch_stream, make_domain_dataset, standard_benchmark
 from renlab.evaluation import metrics_to_csv
-from renlab.exceptions import ConfigError, ContractError, ShapeError
+from renlab.exceptions import ConfigError, ContractError, NonFiniteError, ShapeError
 from renlab.networks import alpha_theta_ramp
 from renlab.tensor import Graph
 from renlab.trainer import (OptimizerState, TrainConfig, Trainer,
@@ -233,14 +233,14 @@ def test_sgd_validation():
 def test_variant_component_instantiation():
     ds = small_ds()
     t = Trainer(TrainConfig(variant="source_only", total_steps=10), ds)
-    assert t.disc is None and t.dualnet is None and t.pred_state is None
+    assert t.disc is None and t.dualnet is None and t.pred_states is None
     assert all(k.startswith(("F.", "C.")) for k in t.params)
     t = Trainer(TrainConfig(variant="cdan", total_steps=10), ds)
-    assert t.disc is not None and t.dualnet is None and t.pred_state is None
+    assert t.disc is not None and t.dualnet is None and t.pred_states is None
     t = Trainer(TrainConfig(variant="cdan_m", total_steps=10), ds)
-    assert t.dualnet is not None and t.pred_state is None
+    assert t.dualnet is not None and t.pred_states is None
     t = Trainer(TrainConfig(variant="ren", total_steps=10), ds)
-    assert t.disc is not None and t.dualnet is not None and t.pred_state is not None
+    assert t.disc is not None and t.dualnet is not None and t.pred_states is not None
 
 
 def test_consistency_is_zero_on_first_step():
@@ -249,7 +249,7 @@ def test_consistency_is_zero_on_first_step():
     cfg = TrainConfig(variant="ren", total_steps=10, seed=2)
     t = Trainer(cfg, ds)
     batch = next(batch_stream(ds, cfg.batch_size, cfg.seed))
-    parts = t.train_step(batch, 0)
+    (parts,) = t.train_step([batch], 0)
     assert parts.l_con == 0.0
     assert parts.l_c > 0.0
 
@@ -269,7 +269,7 @@ def test_teacher_forward_runs_only_where_its_predictions_are_read(monkeypatch, v
     ds = small_ds()
     cfg = TrainConfig(variant=variant, total_steps=10)
     t = Trainer(cfg, ds)
-    t.train_step(next(batch_stream(ds, cfg.batch_size, cfg.seed)), 0)
+    t.train_step([next(batch_stream(ds, cfg.batch_size, cfg.seed))], 0)
     assert len(seen) == calls
     assert all(ps is t.dualnet.teacher_F for ps in seen)
 
@@ -289,13 +289,85 @@ def test_nodes_per_step(monkeypatch):
 
     monkeypatch.setattr(Graph, "backward", counting)
     ds = small_ds()
-    got = {}
-    for variant in NODES_PER_STEP:
-        cfg = TrainConfig(variant=variant, total_steps=10)
-        Trainer(cfg, ds).train_step(next(batch_stream(ds, cfg.batch_size, cfg.seed)), 0)
-        got[variant] = counted.pop()
-    assert not counted
-    assert got == NODES_PER_STEP
+    # a stack of seeds records the solo tape: one node per op, whatever S is
+    for seeds in ([0], [0, 1, 2]):
+        got = {}
+        for variant in NODES_PER_STEP:
+            cfgs = [TrainConfig(variant=variant, seed=s, total_steps=10) for s in seeds]
+            Trainer(cfgs, [ds] * len(seeds)).train_step(
+                [next(batch_stream(ds, cfg.batch_size, cfg.seed)) for cfg in cfgs], 0)
+            got[variant] = counted.pop()
+        assert not counted
+        assert got == NODES_PER_STEP
+
+
+def _arrays(result) -> dict[str, bytes]:
+    """Every checkpoint array of a run, as bytes, keyed set.array."""
+    sets = {"F": result.student_F, "C": result.student_C, "D": result.disc}
+    if result.dualnet is not None:
+        sets.update(TF=result.dualnet.teacher_F, TC=result.dualnet.teacher_C)
+    return {f"{name}.{k}": arr.tobytes() for name, ps in sets.items() if ps is not None
+            for k, arr in ps.items()}
+
+
+def _solo(cfg, ds):
+    (result,) = Trainer(cfg, ds).run()
+    return metrics_to_csv(result.records), _arrays(result)
+
+
+@pytest.mark.parametrize("variant", trainer.VARIANTS)
+def test_a_stack_gives_each_seed_the_bytes_of_its_solo_run(variant):
+    seeds = (4, 0, 7)
+    data = {s: small_ds(s) for s in seeds}
+    cfgs = [TrainConfig(variant=variant, seed=s, total_steps=40, eval_every=15) for s in seeds]
+    stacked = Trainer(cfgs, [data[s] for s in seeds]).run()
+    assert [r.cfg.seed for r in stacked] == list(seeds)
+    for cfg, result in zip(cfgs, stacked):
+        assert (metrics_to_csv(result.records), _arrays(result)) == _solo(cfg, data[cfg.seed])
+
+
+def test_run_ablation_stacks_the_seeds_whose_datasets_share_input_width_and_classes(
+        monkeypatch):
+    # seed 1 lifts to another width, so it trains alone; seed 2 only has
+    # more rows, which no network array's shape depends on
+    specs = {0: DataSpec(n=100), 1: DataSpec(n=100, lift_dim=8), 2: DataSpec(n=140)}
+    data = {s: make_domain_dataset(spec, s) for s, spec in specs.items()}
+    stacks = []
+    run = Trainer.run
+
+    def recording_run(self):
+        stacks.append([cfg.seed for cfg in self.cfgs])
+        return run(self)
+
+    monkeypatch.setattr(Trainer, "run", recording_run)
+    cfg = TrainConfig(total_steps=20, eval_every=10)
+    runs = run_ablation(cfg, ["ren", "cdan"], [2, 1, 0], data.__getitem__)
+    assert stacks == [[0, 2], [1]] * 2
+    assert list(runs) == [(v, s) for v in ("cdan", "ren") for s in (0, 1, 2)]
+    for (variant, seed), result in runs.items():
+        solo = _solo(replace(cfg, variant=variant, seed=seed), data[seed])
+        assert (metrics_to_csv(result.records), _arrays(result)) == solo
+
+
+def test_a_stack_takes_configs_that_differ_only_in_seed_and_datasets_that_share_shapes():
+    ds = small_ds()
+    cfg = TrainConfig(total_steps=5)
+    with pytest.raises(ConfigError, match="only in seed"):
+        Trainer([cfg, replace(cfg, seed=1, gamma=2.0)], [ds, ds])
+    with pytest.raises(ConfigError, match="one dataset per config"):
+        Trainer([cfg, replace(cfg, seed=1)], [ds])
+    with pytest.raises(ShapeError, match="input width and class count"):
+        Trainer([cfg, replace(cfg, seed=1)],
+                [ds, make_domain_dataset(DataSpec(n=100, lift_dim=8), 1)])
+
+
+def test_a_non_finite_op_in_a_stacked_step_names_the_op():
+    ds = small_ds()
+    cfgs = [TrainConfig(variant="ren", seed=s, total_steps=10) for s in range(3)]
+    t = Trainer(cfgs, [ds] * 3)
+    t.student_F.params["w0"][1] = 1e308  # seed 1 alone overflows
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="op 'matmul'"):
+        t.train_step([next(batch_stream(ds, cfg.batch_size, cfg.seed)) for cfg in cfgs], 0)
 
 
 def test_train_steps_leave_no_live_graph():
@@ -309,7 +381,7 @@ def test_train_steps_leave_no_live_graph():
     gc.disable()
     try:
         for n in range(3):
-            t.train_step(next(stream), n)
+            t.train_step([next(stream)], n)
         live = sum(isinstance(o, Graph) for o in gc.get_objects())
     finally:
         if was_enabled:
@@ -321,8 +393,8 @@ def test_teacher_tracking_does_not_perturb_the_student():
     # cdan_m trains exactly like cdan; only evaluation differs
     ds = small_ds(3)
     cfg = TrainConfig(variant="cdan", seed=3, total_steps=120, eval_every=50)
-    r_c = Trainer(cfg, ds).run()
-    r_m = Trainer(replace(cfg, variant="cdan_m"), ds).run()
+    (r_c,) = Trainer(cfg, ds).run()
+    (r_m,) = Trainer(replace(cfg, variant="cdan_m"), ds).run()
     for k, arr in r_c.student_F.items():
         assert np.array_equal(arr, r_m.student_F.params[k])
     for a, b in zip(r_c.records, r_m.records):
@@ -347,7 +419,7 @@ def test_ramp_makes_teacher_copy_student_after_first_step():
     ds = small_ds(5)
     cfg = TrainConfig(variant="cdan_m", alpha_theta="ramp", seed=5, total_steps=10)
     t = Trainer(cfg, ds)
-    t.train_step(next(batch_stream(ds, cfg.batch_size, cfg.seed)), 0)
+    t.train_step([next(batch_stream(ds, cfg.batch_size, cfg.seed))], 0)
     for k, arr in t.student_F.items():
         assert np.array_equal(t.dualnet.teacher_F.params[k], arr)
 
@@ -359,7 +431,7 @@ def test_ramp_reads_the_step_index():
     cfg = TrainConfig(variant="cdan_m", alpha_theta="ramp", seed=5, total_steps=10)
     t = Trainer(cfg, ds)
     teacher0 = {k: v.copy() for k, v in t.dualnet.teacher_F.items()}
-    t.train_step(next(batch_stream(ds, cfg.batch_size, cfg.seed)), 5)
+    t.train_step([next(batch_stream(ds, cfg.batch_size, cfg.seed))], 5)
     a = alpha_theta_ramp(5)
     assert t.dualnet.alpha_theta == a
     for k, arr in t.student_F.items():
@@ -376,7 +448,7 @@ def test_loss_breakdown_identity_on_a_live_step():
     t = Trainer(cfg, ds)
     stream = batch_stream(ds, cfg.batch_size, cfg.seed)
     for n in range(4):  # move past step 0 so the consistency term is nonzero
-        parts = t.train_step(next(stream), n)
+        (parts,) = t.train_step([next(stream)], n)
     assert parts.l_con > 0.0
 
     def identity_gap(gamma):
@@ -393,7 +465,7 @@ def test_loss_breakdown_identity_on_a_live_step():
 
 def test_zero_steps_yields_single_untrained_record():
     ds = small_ds(7)
-    res = Trainer(TrainConfig(variant="ren", total_steps=0), ds).run()
+    (res,) = Trainer(TrainConfig(variant="ren", total_steps=0), ds).run()
     assert len(res.records) == 1
     rec = res.records[0]
     assert rec.step == 0
@@ -404,16 +476,16 @@ def test_zero_steps_yields_single_untrained_record():
 
 def test_evaluation_step_positions():
     ds = small_ds(8)
-    res = Trainer(TrainConfig(variant="source_only", total_steps=120,
-                              eval_every=50), ds).run()
+    (res,) = Trainer(TrainConfig(variant="source_only", total_steps=120,
+                                 eval_every=50), ds).run()
     assert [r.step for r in res.records] == [50, 100, 120]
 
 
 def test_run_is_deterministic():
     ds = small_ds(9)
     cfg = TrainConfig(variant="ren", seed=9, total_steps=100, eval_every=25)
-    a = Trainer(cfg, ds).run()
-    b = Trainer(cfg, ds).run()
+    (a,) = Trainer(cfg, ds).run()
+    (b,) = Trainer(cfg, ds).run()
     assert metrics_to_csv(a.records) == metrics_to_csv(b.records)
     for k, arr in a.student_F.items():
         assert np.array_equal(arr, b.student_F.params[k])
@@ -458,7 +530,7 @@ def test_run_ablation_runs_every_run_on_one_blas_thread(blas_threads, monkeypatc
     run = Trainer.run
 
     def recording_run(self):
-        seen.append((self.cfg.variant, self.cfg.seed, blas_threads()))
+        seen.extend((cfg.variant, cfg.seed, blas_threads()) for cfg in self.cfgs)
         return run(self)
 
     monkeypatch.setattr(Trainer, "run", recording_run)
@@ -493,6 +565,6 @@ def test_blas_thread_count_changes_no_metrics_byte(blas_threads):
     # batch 256 on 64-D blobs: the step matmuls are large enough to thread
     ds = make_domain_dataset(DataSpec(gen="blobs", n=512, classes=4, lift_dim=64), 0)
     cfg = TrainConfig(variant="ren", batch_size=256, total_steps=6, eval_every=3)
-    threaded = metrics_to_csv(Trainer(cfg, ds).run().records)
+    threaded = metrics_to_csv(Trainer(cfg, ds).run()[0].records)
     pinned = run_ablation(cfg, ["ren"], [0], lambda seed: ds)[("ren", 0)]
     assert metrics_to_csv(pinned.records) == threaded
