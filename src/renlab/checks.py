@@ -31,8 +31,8 @@ import numpy as np
 from . import tensor as T
 from .exceptions import ContractError
 from .losses import adv_student, adv_teacher, consistency, cross_entropy, total_loss
-from .networks import (DISC_EPS, BoundNet, NetSpec, ParamSet, collect_grads,
-                       forward_fc, forward_fc_plain, init_params)
+from .networks import (DISC_EPS, BoundNet, NetSpec, collect_grads, flat_arrays, forward_fc,
+                       forward_fc_plain, init_params)
 from .recipe import SEED_RANGE, check_value
 from .tensor import GradCheckReport, finite_diff_check
 
@@ -49,10 +49,6 @@ class LossCheck(NamedTuple):
     name: str
     build: Callable[[T.Graph], tuple[T.Tensor, tuple[BoundNet, ...]]]
     params: dict[str, np.ndarray]
-
-
-def _flat(prefix: str, ps: ParamSet) -> dict[str, np.ndarray]:
-    return {f"{prefix}.{k}": v for k, v in ps.items()}
 
 
 def _kink_margin(g: T.Graph) -> float:
@@ -132,9 +128,9 @@ def loss_check_suite(seed: int, batch: int = 4, in_dim: int = 5, hidden: int = 6
     else:
         raise ContractError(f"no finite-difference-safe scenario found for seed {seed}")
 
-    fc = {**_flat("F", ps_F), **_flat("C", ps_C)}
-    fd = {**_flat("F", ps_F), **_flat("D", ps_D)}
-    fcd = {**fc, **_flat("D", ps_D)}
+    fc = flat_arrays(("F", ps_F), ("C", ps_C))
+    fd = flat_arrays(("F", ps_F), ("D", ps_D))
+    fcd = flat_arrays(("F", ps_F), ("C", ps_C), ("D", ps_D))
     return [
         LossCheck("cross_entropy", build_ce, fc),
         LossCheck("adv_student", adv_build(adv_student, cond_all), fd),

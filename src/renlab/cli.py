@@ -14,7 +14,7 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from .checks import run_loss_checks
-from .datasets import DataSpec, make_domain_dataset, save_dataset
+from .datasets import DataSpec, make_domain_dataset, release_free_heap, save_dataset
 from .evaluation import (ABLATION_CHAIN, ablation_report, load_metrics,
                          save_ablation, save_metrics)
 from .exceptions import ConfigError, ContractError, RenlabError
@@ -224,6 +224,7 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    release_free_heap()  # and pin the thresholds before the command allocates
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import ConfigError, ContractError, ShapeError
+from .recipe import UNIT_RANGE, check_value
 
 _BRANCHES = ("student", "teacher")
 
@@ -47,9 +48,8 @@ class PredEmaState:
     """
 
     def __init__(self, alpha_p: float, n_classes: int):
+        check_value("alpha_p", "float", UNIT_RANGE, alpha_p)
         alpha_p = float(alpha_p)
-        if not (0.0 <= alpha_p <= 1.0):
-            raise ConfigError(f"alpha_p must lie in [0, 1], got {alpha_p}")
         if n_classes < 1:
             raise ConfigError(f"n_classes must be positive, got {n_classes}")
         self.alpha_p = alpha_p

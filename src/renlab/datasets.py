@@ -9,7 +9,9 @@ names every parameter, and a dataset is a pure function of its spec and seed.
 
 from __future__ import annotations
 
+import ctypes
 import os
+from contextlib import suppress
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterator
@@ -39,7 +41,7 @@ class DataSpec:
     n_target: int | None = field(default=None, metadata={
         "help": "target sample count (default: same as --n)", "ge": 1})
     noise: float = field(default=0.15, metadata={"help": "generator noise sigma", "ge": 0})
-    classes: int = field(default=3, metadata={"help": "class count (blobs only)"})
+    classes: int = field(default=3, metadata={"help": "class count (blobs only)", "ge": 2})
     imbalance: float = field(default=1.0, metadata={
         "help": "target class imbalance ratio (blobs only)", "gt": 0})
     rot: float = field(default=45.0, metadata={"help": "target rotation, degrees"})
@@ -53,8 +55,9 @@ class DataSpec:
 
     def __post_init__(self):
         check_fields(self)
-        if self.gen == "two_moons" and self.imbalance != 1.0:
-            raise ConfigError("imbalance applies to the blobs generator only")
+        for name in ("imbalance", "classes"):
+            if self.gen == "two_moons" and getattr(self, name) != getattr(DataSpec, name):
+                raise ConfigError(f"{name} applies to the blobs generator only")
 
 
 def make_two_moons(n: int, noise_sigma: float, seed) -> tuple[np.ndarray, np.ndarray]:
@@ -390,4 +393,25 @@ def load_dataset(csv_path) -> DomainDataset:
     dataset = DomainDataset(x[src], y[src], x[~src], y[~src])
     if not (np.isfinite(dataset.source_x).all() and np.isfinite(dataset.target_x).all()):
         raise ContractError(f"non-finite coordinate in {csv_path}")
+    release_free_heap()  # the row blocks and the stacked x: twice the arrays returned
     return dataset
+
+
+# glibc mallopt's M_MMAP_THRESHOLD, M_TRIM_THRESHOLD and M_TOP_PAD, and the
+# values release_free_heap pins them to
+_MALLOC_PINS = ((-3, 8 << 20), (-1, 128 << 10), (-2, 4 << 20))
+
+
+def release_free_heap() -> None:
+    """Pin glibc's malloc thresholds and hand the heap's free pages back to
+    the OS (a no-op off glibc).  Left dynamic, glibc raises its thresholds
+    to the largest mapped block freed so far and keeps freed heap pages
+    mapped, so a large block allocated next lands in them or past them by
+    the heap's layout: the peak RSS of one CLI command sequence moved by
+    20 MB with the bytes of the environment.  Pinned, each block of 8 MiB
+    and up gets its own mapping, and at most 4 MiB of free heap top stays."""
+    with suppress(AttributeError, OSError, TypeError):  # no C library, or not glibc
+        libc = ctypes.CDLL(None)
+        for param, value in _MALLOC_PINS:
+            libc.mallopt(param, value)
+        libc.malloc_trim(0)

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .exceptions import ConfigError, ContractError
+from .exceptions import ContractError
 from .networks import BoundNet, discriminate
+from .recipe import WEIGHT_RANGE, check_value
 
 
 def cross_entropy(p: T.Tensor, labels) -> T.Tensor:
@@ -105,8 +106,7 @@ def total_loss(l_c: T.Tensor, l_d_stu: T.Tensor | None, l_d_tea: T.Tensor | None
     weighted-sum identity within 1e-10.
     """
     for name, w in (("lambda_stu", lambda_stu), ("lambda_tea", lambda_tea), ("gamma", gamma)):
-        if w < 0:
-            raise ConfigError(f"{name} must be >= 0, got {w}")
+        check_value(name, "float", WEIGHT_RANGE, w)
     total = l_c
     if l_d_stu is not None:
         total = T.add(total, T.scale(l_d_stu, lambda_stu))

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .exceptions import ConfigError, ContractError, ShapeError
+from .recipe import UNIT_RANGE, check_value
 
 DISC_EPS = 1e-7  # discriminator outputs are clamped to [eps, 1-eps] before log
 
@@ -38,8 +39,7 @@ class NetSpec:
         if len(self.widths) < 2:
             raise ConfigError(f"need at least two widths, got {self.widths}")
         for w in self.widths:
-            if int(w) < 1:
-                raise ConfigError(f"layer widths must be positive, got {self.widths}")
+            check_value("widths", "int", {"ge": 1}, w)
         if self.final not in (None, "relu", "sigmoid"):
             raise ConfigError(f"unknown final activation {self.final!r}")
 
@@ -156,14 +156,17 @@ class BoundNet:
         return {k: t.grad for k, t in self.tensors.items()}
 
 
+def flat_arrays(*named) -> dict[str, np.ndarray]:
+    """The arrays of every (prefix, ParamSet or name -> array dict) pair in
+    one dict keyed "<prefix>.<array>", the one flat name of a parameter and
+    of its gradient; a pair whose arrays are None is skipped."""
+    return {f"{prefix}.{k}": arr for prefix, arrays in named if arrays is not None
+            for k, arr in arrays.items()}
+
+
 def collect_grads(*bound: BoundNet | None) -> dict[str, np.ndarray]:
-    """Gradients of every bound net, keyed "<prefix>.<array>"; None is skipped."""
-    grads: dict[str, np.ndarray] = {}
-    for b in bound:
-        if b is not None:
-            for k, arr in b.grads().items():
-                grads[f"{b.prefix}.{k}"] = arr
-    return grads
+    """Gradients of every bound net, keyed by ``flat_arrays``; None is skipped."""
+    return flat_arrays(*((b.prefix, b.grads()) for b in bound if b is not None))
 
 
 def forward_fc(bound_F: BoundNet, bound_C: BoundNet, x: T.Tensor):
@@ -234,8 +237,7 @@ def ema_update(net: DualNet) -> None:
     ramp set alpha_theta from alpha_theta_ramp before each call.
     """
     a = net.alpha_theta
-    if not (0.0 <= a <= 1.0):
-        raise ConfigError(f"alpha_theta must lie in [0, 1], got {a}")
+    check_value("alpha_theta", "float", UNIT_RANGE, a)
     for t_ps, s_ps in ((net.teacher_F, net.student_F), (net.teacher_C, net.student_C)):
         for k, t_arr in t_ps.items():
             t_arr *= a
@@ -253,8 +255,8 @@ def save_paramsets(path, named: dict[str, ParamSet]) -> None:
                      f"{ps.spec.final or '-'}")
         for k, arr in ps.items():
             if arr.ndim != 2:
-                raise ShapeError(f"a checkpoint holds one seed's arrays; {set_name}.{k} "
-                                 f"has shape {arr.shape}")
+                raise ShapeError(f"a checkpoint holds one seed's arrays; set {set_name} "
+                                 f"tensor {k} has shape {arr.shape}")
             flat = " ".join(repr(float(v)) for v in arr.ravel())
             lines.append(f"tensor {k} {arr.shape[0]} {arr.shape[1]} {flat}")
     with open(path, "w") as fh:

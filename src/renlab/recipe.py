@@ -20,11 +20,16 @@ from .exceptions import ConfigError
 
 # a seed feeds a numpy seed sequence, which takes no negative entry
 SEED_RANGE = {"ge": 0}
+# ranges that a recipe field and the library guard on its value share
+UNIT_RANGE = {"ge": 0, "le": 1}  # the smoothing rates alpha_p and alpha_theta
+WEIGHT_RANGE = {"ge": 0}  # the loss weights lambda_stu, lambda_tea and gamma
+MOMENTUM_RANGE = {"ge": 0, "lt": 1}
 ON_OFF = ("on", "off")
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)  # a bool is no number
+    # a bool is no number; a float skips the slow abstract-class test (per-step guards)
+    return type(v) is float or (isinstance(v, numbers.Real) and not isinstance(v, bool))
 
 
 # each part of an annotation: its test, the words an error names it by, and

@@ -11,9 +11,11 @@ A node is plain data: its op name, its output array, and one
 ``(parent node id, vjp)`` pair per non-constant input, in input order.
 Constant inputs get no pair, so their vjp is never called.
 ``Graph.backward`` is the one loop that calls vjps and accumulates their
-results.  A vjp closes over arrays and scalars only, never a Graph or a
-Tensor, so a graph holds no reference cycle and is freed by reference
-counting as soon as its last Tensor goes away.
+results.  It keeps only the parameter leaves' gradients: every other
+adjoint lives in the sweep alone, until its node's vjps have run.  A vjp
+closes over arrays and scalars only, never a Graph or a Tensor, so a graph
+holds no reference cycle and is freed by reference counting as soon as its
+last Tensor goes away.
 
 A forward-only graph, ``Graph(record=False)``, runs the same ops and the
 same per-op finiteness check but appends no node, so its tensors carry
@@ -105,11 +107,9 @@ class Tensor:
 
     @property
     def grad(self) -> np.ndarray | None:
-        """Gradient buffer populated by the last backward pass (or None,
-        also on a forward-only graph)."""
-        if self.node_id is None:
-            return None
-        return self.graph.nodes[self.node_id].grad
+        """A parameter's gradient from the last backward pass; None for a
+        constant, an intermediate, and on a forward-only graph."""
+        return self.graph.grads.get(self.node_id)
 
     def item(self) -> float:
         if self.values.size != 1:
@@ -124,13 +124,12 @@ class Node:
     """One operation record on the tape: its output array and, per
     non-constant input, a (parent node id, vjp) pair in input order."""
 
-    __slots__ = ("op", "values", "parents", "grad")
+    __slots__ = ("op", "values", "parents")
 
     def __init__(self, op, values, parents):
         self.op = op
         self.values = values
         self.parents = parents
-        self.grad: np.ndarray | None = None
 
 
 class Graph:
@@ -149,7 +148,8 @@ class Graph:
         self.nodes: list[Node] = []
         self.record = record
         self._param_ids: list[int] = []  # node ids of the parameter leaves
-        self._swept = False  # whether a backward pass has written gradients
+        # parameter node id -> gradient, replaced whole by each backward pass
+        self.grads: dict[int, np.ndarray] = {}
 
     def _record(self, op, values) -> Tensor:
         """Append a leaf node; on a forward-only graph only check the value."""
@@ -186,8 +186,8 @@ class Graph:
         """Reverse-mode sweep from a scalar loss node, or from a stack of
         per-seed scalars, each seeded with 1.
 
-        Populates gradients for every parameter leaf (zeros if the loss does
-        not depend on it).
+        Sets ``grads`` to the gradient of every parameter leaf (zeros if the
+        loss does not depend on it).  No other adjoint outlives the sweep.
         """
         if not self.record:
             raise ContractError("backward on a forward-only graph")
@@ -196,27 +196,24 @@ class Graph:
         if loss.shape[-2:] != (1, 1):
             raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
         nodes = self.nodes
-        if self._swept:
-            for node in nodes:
-                node.grad = None
-        self._swept = True
-        nodes[loss.node_id].grad = np.ones(loss.shape)
-        for node in reversed(nodes[: loss.node_id + 1]):
-            grad = node.grad
-            if grad is None:
+        adjoints: list[np.ndarray | None] = [None] * len(nodes)
+        adjoints[loss.node_id] = np.ones(loss.shape)
+        for i in range(loss.node_id, -1, -1):
+            grad = adjoints[i]
+            parents = nodes[i].parents
+            if grad is None or not parents:
                 continue
-            for parent_id, vjp in node.parents:
-                target = nodes[parent_id]
-                if target.grad is None:
+            adjoints[i] = None  # read by these vjps only, so dropped with them
+            for parent_id, vjp in parents:
+                held = adjoints[parent_id]
+                if held is None:
                     # every vjp returns a fresh array that nothing else holds,
                     # so it becomes the buffer that later vjps add into
-                    target.grad = vjp(grad)
+                    adjoints[parent_id] = vjp(grad)
                 else:
-                    target.grad += vjp(grad)
-        for node_id in self._param_ids:
-            node = nodes[node_id]
-            if node.grad is None:
-                node.grad = np.zeros_like(node.values)
+                    held += vjp(grad)
+        self.grads = {i: np.zeros_like(nodes[i].values) if adjoints[i] is None else adjoints[i]
+                      for i in self._param_ids}
 
 
 # The one record path of every op, written out twice so that an op costs no

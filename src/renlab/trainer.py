@@ -30,9 +30,10 @@ from .exceptions import ConfigError, ContractError, ShapeError
 from .losses import (LossBreakdown, adv_student, adv_teacher, consistency,
                      cross_entropy, total_loss)
 from .networks import (BoundNet, DualNet, NetSpec, ParamSet, alpha_theta_ramp,
-                       collect_grads, ema_update, forward_fc, forward_fc_plain,
-                       init_params, stack_params)
-from .recipe import SEED_RANGE, check_fields, parse_field
+                       collect_grads, ema_update, flat_arrays, forward_fc,
+                       forward_fc_plain, init_params, stack_params)
+from .recipe import (MOMENTUM_RANGE, SEED_RANGE, UNIT_RANGE, WEIGHT_RANGE, check_fields,
+                     check_value, parse_field)
 
 VARIANTS = ("source_only", *ABLATION_CHAIN)
 
@@ -53,15 +54,15 @@ class TrainConfig:
     eta0: float = field(default=0.01, metadata={"gt": 0})
     anneal_alpha: float = field(default=10.0, metadata={"ge": 0})
     anneal_beta: float = field(default=0.75, metadata={"ge": 0})
-    momentum: float = field(default=0.9, metadata={"ge": 0, "lt": 1})
+    momentum: float = field(default=0.9, metadata=MOMENTUM_RANGE)
     batch_size: int = field(default=32, metadata={"ge": 1})
     total_steps: int = field(default=3000, metadata={"ge": 0})
     alpha_theta: float | str = field(default="ramp",
-                                     metadata={"ge": 0, "le": 1, "choices": ("ramp",)})
-    alpha_p: float = field(default=0.6, metadata={"ge": 0, "le": 1})
-    lambda_stu: float = field(default=1.0, metadata={"ge": 0})
-    lambda_tea: float = field(default=1.0, metadata={"ge": 0})
-    gamma: float = field(default=1.0, metadata={"ge": 0})
+                                     metadata={**UNIT_RANGE, "choices": ("ramp",)})
+    alpha_p: float = field(default=0.6, metadata=UNIT_RANGE)
+    lambda_stu: float = field(default=1.0, metadata=WEIGHT_RANGE)
+    lambda_tea: float = field(default=1.0, metadata=WEIGHT_RANGE)
+    gamma: float = field(default=1.0, metadata=WEIGHT_RANGE)
     grl_ramp: bool = True
     gamma_ramp: bool = True
     eval_every: int = field(default=50, metadata={"ge": 1})
@@ -145,8 +146,7 @@ class OptimizerState:
     """Momentum buffers, one per parameter."""
 
     def __init__(self, momentum: float):
-        if not (0.0 <= momentum < 1.0):
-            raise ConfigError(f"momentum must lie in [0, 1), got {momentum}")
+        check_value("momentum", "float", MOMENTUM_RANGE, momentum)
         self.momentum = momentum
         self.velocity: dict[str, np.ndarray] = {}
 
@@ -240,11 +240,7 @@ class Trainer:
         if cfg.variant in _USES_SMOOTHED_CONDITIONS:
             self.pred_states = [PredEmaState(cfg.alpha_p, c) for _ in self.cfgs]
         self.opt = OptimizerState(cfg.momentum)
-        self.params: dict[str, np.ndarray] = {}
-        for prefix, ps in (("F", self.student_F), ("C", self.student_C), ("D", self.disc)):
-            if ps is not None:
-                for k, arr in ps.items():
-                    self.params[f"{prefix}.{k}"] = arr
+        self.params = flat_arrays(("F", self.student_F), ("C", self.student_C), ("D", self.disc))
 
     def _progress(self, n: int) -> float:
         return n / self.cfg.total_steps if self.cfg.total_steps else 0.0

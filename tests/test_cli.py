@@ -34,6 +34,14 @@ def test_datagen_writes_loadable_dataset(tmp_path):
     assert "rot = 45.0" in (tmp_path / "dataset.meta").read_text().splitlines()
 
 
+def test_every_command_first_releases_the_free_heap(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(renlab.cli, "release_free_heap", lambda: calls.append(1))
+    assert main(["datagen", "--n", "40", "--out", str(tmp_path)]) == 0
+    assert main(["report", "--runs", str(tmp_path / "none")]) == 1
+    assert calls == [1, 1]
+
+
 def test_datagen_meta_records_each_domain_count(tmp_path):
     assert main(["datagen", "--n", "200", "--n-target", "50", "--out", str(tmp_path)]) == 0
     meta = (tmp_path / "dataset.meta").read_text().splitlines()
@@ -228,6 +236,8 @@ BAD_INPUT = [
     (["train", "--steps", "2.5"], "config key 'total_steps' expects an integer, got '2.5'"),
     (["ablate", "--seeds", "1.5"], "config key 'seed' expects an integer, got '1.5'"),
     (["datagen", "--seed", "x"], "config key 'seed' expects an integer, got 'x'"),
+    (["train", "--classes", "-4"], "classes must be >= 2, got -4"),
+    (["train", "--classes", "5"], "classes applies to the blobs generator only"),
 ]
 
 

@@ -7,6 +7,7 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
+import renlab.datasets
 from renlab.datasets import (
     BLOCK_ROWS,
     DataSpec,
@@ -19,6 +20,7 @@ from renlab.datasets import (
     make_blobs,
     make_domain_dataset,
     make_two_moons,
+    release_free_heap,
     save_dataset,
     standard_benchmark,
 )
@@ -311,6 +313,16 @@ def test_dataset_csv_roundtrip(tmp_path):
     save_dataset(DomainDataset(back.source_x, back.source_y, back.target_x,
                                back.target_y, ds.meta), tmp_path / "d2.csv", meta_path)
     assert (tmp_path / "d2.csv").read_bytes() == csv_path.read_bytes()
+
+
+def test_load_dataset_releases_the_freed_heap_before_returning(tmp_path, monkeypatch):
+    save_dataset(standard_benchmark(2, n=40), tmp_path / "d.csv", tmp_path / "d.meta")
+    calls = []
+    monkeypatch.setattr(renlab.datasets, "release_free_heap", lambda: calls.append(1))
+    load_dataset(tmp_path / "d.csv")
+    assert calls == [1]
+    monkeypatch.undo()
+    release_free_heap()  # runs on any C library, with or without malloc_trim
 
 
 def test_load_dataset_rejects_garbage(tmp_path):

@@ -29,6 +29,8 @@ def test_netspec_validation():
         NetSpec((4,))
     with pytest.raises(ConfigError):
         NetSpec((4, 0))
+    with pytest.raises(ConfigError, match="^widths must be an integer, got 2.5$"):
+        NetSpec((3, 2.5))  # built before, and init_params then raised a bare TypeError
     with pytest.raises(ConfigError):
         NetSpec((4, 2), final="tanh")
 

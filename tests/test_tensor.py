@@ -520,6 +520,20 @@ def test_finiteness_check_is_exact_on_edge_arrays():
             rec.parameter(arr)
 
 
+def _watch_vjps(g, seen, hold=lambda arr: arr):
+    """Wrap every recorded vjp of graph g so that each call appends
+    (parent id, hold(result)) to seen."""
+    def watched(pid, vjp):
+        def call(grad):
+            out = vjp(grad)
+            seen.append((pid, hold(out)))
+            return out
+        return call
+
+    for node in g.nodes:
+        node.parents = tuple((pid, watched(pid, vjp)) for pid, vjp in node.parents)
+
+
 def test_shared_inputs_get_exact_private_gradients():
     # add and concat_rows pass grad through to their inputs, so a vjp that
     # returned grad itself or a view of it would let gradient buffers alias
@@ -532,16 +546,39 @@ def test_shared_inputs_get_exact_private_gradients():
     s2 = T.sum_all(T.matmul(T.concat_rows(x, x), g.constant(c2)))
     s3 = T.sum_all(T.square(x))
     loss = T.add(T.add(s1, s2), s3)
+    results = []
+    _watch_vjps(g, results)
     g.backward(loss)
     expected = 2.0 * c1.sum(axis=1) + 2.0 * c2.sum(axis=1) + 2.0 * xv
     assert np.array_equal(x.grad, expected)
-    grads = [n.grad for n in g.nodes if n.grad is not None]
-    for i, a in enumerate(grads):
-        for b in grads[i + 1:]:
+    # x's gradient is the first vjp result to reach it, which the later ones
+    # were added into; no two results and no node's values share memory
+    assert next(arr for pid, arr in results if pid == x.node_id) is x.grad
+    for i, (_, a) in enumerate(results):
+        for _, b in results[i + 1:]:
             assert not np.shares_memory(a, b)
+    for node in g.nodes:
+        assert not np.shares_memory(x.grad, node.values)
     first = x.grad.copy()
     g.backward(loss)
     assert x.grad.tobytes() == first.tobytes()
+
+
+def test_backward_releases_every_intermediate_gradient():
+    # an intermediate's adjoint is read only by its own vjps, so after the
+    # sweep only the parameter leaves' gradients may still be alive
+    g = T.Graph()
+    x = g.constant(np.arange(12.0).reshape(4, 3) - 5.0)
+    w = g.parameter(np.linspace(-1.0, 1.0, 6).reshape(3, 2))
+    b = g.parameter([[0.5, -0.25]])
+    loss = T.mean_all(T.square(T.relu(T.add(T.matmul(x, w), b))))
+    refs = []
+    _watch_vjps(g, refs, weakref.ref)
+    g.backward(loss)
+    assert len(refs) == 6  # mean, square, relu, add's two inputs, matmul's w
+    alive = [(pid, ref()) for pid, ref in refs if ref() is not None]
+    assert sorted(pid for pid, _ in alive) == [w.node_id, b.node_id]
+    assert all(arr is g.grads[pid] for pid, arr in alive)
 
 
 def test_backward_resets_previous_gradients():
@@ -563,7 +600,8 @@ def test_backward_clears_every_gradient_of_the_previous_sweep():
     first = T.sum_all(T.square(h))
     second = T.sum_all(T.square(x))
     g.backward(first)
-    assert h.grad is not None and w.grad.any()
+    assert h.grad is None and first.grad is None  # only parameters keep gradients
+    assert w.grad.any()
     g.backward(second)
     assert h.grad is None and first.grad is None
     assert w.grad.tobytes() == np.zeros((2, 1)).tobytes()  # +0.0, not stale
