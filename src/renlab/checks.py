@@ -2,13 +2,16 @@
 
 Builds a small seeded scenario (student nets, discriminator, one batch,
 frozen conditioning rows) and compares graph gradients against central
-differences.  Each check records its loss with the model's own code: one
-backward pass gives the analytic gradients, and every perturbed evaluation
-runs the same code on a forward-only graph, which keeps no tape.  The
-adversarial terms are built WITHOUT the gradient-reversal node: reversal
-makes the analytic gradient -lambda times the loss gradient by
-construction, which central differences cannot see.  The reversal algebra
-itself is covered by a separate identity (see losses/adv tests).
+differences.  The ``total`` check is the training step's own objective: it
+records the four terms through ``trainer.step_terms``, the function
+``Trainer.train_step`` calls, then weighs them with ``total_loss``.  Each
+check records its loss with the model's own code: one backward pass gives
+the analytic gradients, and every perturbed evaluation runs the same code
+on a forward-only graph, which keeps no tape.  The adversarial terms are
+built WITHOUT the gradient-reversal node: reversal makes the analytic
+gradient -lambda times the loss gradient by construction, which central
+differences cannot see.  The reversal algebra itself is covered by a
+separate identity (see losses/adv tests).
 
 Central differences presuppose the loss is smooth within +-h of the base
 point.  Rectifier kinks and the discriminator's probability clamp break
@@ -35,6 +38,7 @@ from .networks import (DISC_EPS, BoundNet, NetSpec, collect_grads, flat_arrays, 
                        forward_fc_plain, init_params)
 from .recipe import SEED_RANGE, check_value
 from .tensor import GradCheckReport, finite_diff_check
+from .trainer import step_terms
 
 KINK_MARGIN = 2e-3
 
@@ -100,11 +104,9 @@ def loss_check_suite(seed: int, batch: int = 4, in_dim: int = 5, hidden: int = 6
     def build_total(g):
         bF, bC, bD = BoundNet(g, ps_F, "F"), BoundNet(g, ps_C, "C"), BoundNet(g, ps_D, "D")
         f_all, p_all = forward_fc(bF, bC, g.constant(x_all))
-        l_c = cross_entropy(T.slice_rows(p_all, 0, batch), ys)
-        l_stu = adv_student(bD, f_all, cond_all, batch, 1.0, reverse=False)
-        l_tea = adv_teacher(bD, f_all, tea_all, batch, 1.0, reverse=False)
-        l_con = consistency(p_all, tea_all)
-        total, _ = total_loss(l_c, l_stu, l_tea, l_con, 1.0, 1.0, 1.0)
+        terms = step_terms(bD, f_all, p_all, ys, batch, cond_all, tea_all, tea_all, 1.0,
+                           reverse=False)
+        total, _ = total_loss(*terms, 1.0, 1.0, 1.0)
         return total, (bF, bC, bD)
 
     for attempt in range(1000):

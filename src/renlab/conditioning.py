@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import ConfigError, ContractError, ShapeError
+from .exceptions import ContractError, ShapeError
 from .recipe import UNIT_RANGE, check_value
 
 _BRANCHES = ("student", "teacher")
@@ -50,8 +50,7 @@ class PredEmaState:
     def __init__(self, alpha_p: float, n_classes: int):
         check_value("alpha_p", "float", UNIT_RANGE, alpha_p)
         alpha_p = float(alpha_p)
-        if n_classes < 1:
-            raise ConfigError(f"n_classes must be positive, got {n_classes}")
+        check_value("n_classes", "int", {"ge": 1}, n_classes)
         self.alpha_p = alpha_p
         self.n_classes = n_classes
         self._table = {b: np.zeros((0, n_classes)) for b in _BRANCHES}

@@ -254,8 +254,7 @@ class Batch:
 
 def batches(dataset: DomainDataset, batch_size: int, seed, epoch: int) -> list[Batch]:
     """Independent per-domain shuffles for one epoch; short tail dropped."""
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be positive, got {batch_size}")
+    check_value("batch_size", "int", {"ge": 1}, batch_size)
     if batch_size > min(dataset.n_source, dataset.n_target):
         raise ConfigError(f"batch_size {batch_size} exceeds the smaller domain "
                           f"({min(dataset.n_source, dataset.n_target)} samples)")
@@ -339,7 +338,8 @@ def load_dataset(csv_path) -> DomainDataset:
     among the data rows.  The first bad line in file order is the one named.
     """
     splits = ("source", "target")
-    coords: list[np.ndarray] = []
+    src_blocks: list[np.ndarray] = []
+    tgt_blocks: list[np.ndarray] = []
     is_source: list[bool] = []
     labels: list[int] = []
     texts: list[str] = []
@@ -347,7 +347,10 @@ def load_dataset(csv_path) -> DomainDataset:
 
     def flush() -> None:
         if texts:
-            coords.append(_parse_block(texts, linenos, csv_path))
+            block = _parse_block(texts, linenos, csv_path).reshape(-1, dim)
+            in_source = np.array(is_source[len(is_source) - len(texts):], dtype=bool)
+            src_blocks.append(block[in_source])
+            tgt_blocks.append(block[~in_source])
             texts.clear()
             linenos.clear()
 
@@ -383,17 +386,18 @@ def load_dataset(csv_path) -> DomainDataset:
             if len(texts) == BLOCK_ROWS:
                 flush()
     flush()
-    x = np.concatenate(coords).reshape(-1, dim) if coords else np.empty((0, dim))
-    del coords  # free the blocks before the split copies rows out of x
     try:
         y = np.array(labels, dtype=np.int64)
     except OverflowError:
         raise ContractError(f"label out of the int64 range in {csv_path}") from None
     src = np.array(is_source, dtype=bool)
-    dataset = DomainDataset(x[src], y[src], x[~src], y[~src])
+    source_x, target_x = (np.concatenate(blocks) if blocks else np.empty((0, dim))
+                          for blocks in (src_blocks, tgt_blocks))
+    del src_blocks[:], tgt_blocks[:]  # free the split blocks before the heap is trimmed
+    dataset = DomainDataset(source_x, y[src], target_x, y[~src])
     if not (np.isfinite(dataset.source_x).all() and np.isfinite(dataset.target_x).all()):
         raise ContractError(f"non-finite coordinate in {csv_path}")
-    release_free_heap()  # the row blocks and the stacked x: twice the arrays returned
+    release_free_heap()  # the parsed and split row blocks: as large as the arrays returned
     return dataset
 
 

@@ -350,6 +350,8 @@ def clamp(x: Tensor, lo: float | None = None, hi: float | None = None) -> Tensor
     v = x.values
     lo = -math.inf if lo is None else float(lo)
     hi = math.inf if hi is None else float(hi)
+    if not lo <= hi:  # nan fails too
+        raise ContractError(f"clamp needs lo <= hi, got lo={lo}, hi={hi}")
     mask = (v > lo) & (v < hi)
     return _unary("clamp", x, np.minimum(np.maximum(v, lo), hi), lambda grad: grad * mask)
 
@@ -370,8 +372,8 @@ def softmax_rows(x: Tensor) -> Tensor:
 def grad_reverse(x: Tensor, lam: float) -> Tensor:
     """Identity forward; backward multiplies the incoming gradient by -lam."""
     lam = float(lam)
-    if lam < 0:
-        raise ContractError(f"grad_reverse factor must be >= 0, got {lam}")
+    if not 0 <= lam < math.inf:  # nan fails too
+        raise ContractError(f"grad_reverse factor must be finite and >= 0, got {lam}")
     return _unary("grad_reverse", x, x.values.copy(), lambda grad: -lam * grad)
 
 

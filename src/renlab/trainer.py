@@ -177,6 +177,19 @@ def stack_key(dataset: DomainDataset) -> tuple[int, int]:
     return dataset.input_dim, dataset.n_classes
 
 
+def step_terms(bound_D, f_all, p_all, ys, m_src, cond, tea_cond, tea_p, lam, reverse=True):
+    """REN's objective for the training step and the gradient check's
+    ``total``: (l_c, l_d_stu, l_d_tea, l_con), recorded in that order.  The
+    first ``m_src`` rows of ``f_all`` and ``p_all`` are source; ``cond`` and
+    ``tea_cond`` condition the adversarial terms and ``tea_p`` is the
+    consistency target.  A term whose input is None is off and reads None."""
+    return (cross_entropy(T.slice_rows(p_all, 0, m_src), ys),
+            None if cond is None else adv_student(bound_D, f_all, cond, m_src, lam, reverse),
+            None if tea_cond is None else adv_teacher(bound_D, f_all, tea_cond, m_src, lam,
+                                                      reverse),
+            None if tea_p is None else consistency(p_all, tea_p))
+
+
 @dataclass
 class RunResult:
     cfg: TrainConfig
@@ -258,40 +271,28 @@ class Trainer:
         lam = grl_lambda(p_prog, cfg.grl_ramp)
 
         g = T.Graph()
-        bound_F = BoundNet(g, self.student_F, "F")
-        bound_C = BoundNet(g, self.student_C, "C")
+        bound_F, bound_C = BoundNet(g, self.student_F, "F"), BoundNet(g, self.student_C, "C")
         bound_D = BoundNet(g, self.disc, "D") if self.disc is not None else None
 
         m_src = batches[0].xs.shape[0]
         x_all = g.constant(np.stack([np.vstack([b.xs, b.xt]) for b in batches]))
         f_all, p_all = forward_fc(bound_F, bound_C, x_all)
-        l_c = cross_entropy(T.slice_rows(p_all, 0, m_src), np.stack([b.ys for b in batches]))
-
-        teacher_p_all = None
+        teacher_p_all = cond = tea_cond = None
         if cfg.variant in _USES_TEACHER_PREDICTIONS:
             teacher_p_all = T.stable_softmax(forward_fc_plain(
                 self.dualnet.teacher_F, self.dualnet.teacher_C, x_all.values))
-
-        l_d_stu = l_d_tea = l_con = None
-        if bound_D is not None:
-            if cfg.variant in _USES_SMOOTHED_CONDITIONS:
-                # target ids are offset by n_source, so the ids are distinct
-                ids = [np.concatenate([b.src_ids, b.tgt_ids]) for b in batches]
-                cond = self._smoothed("student", ids, p_all.values)
-            else:
-                cond = p_all.values
-            l_d_stu = adv_student(bound_D, f_all, cond, m_src, lam)
-            if cfg.variant in _USES_SMOOTHED_CONDITIONS:
-                tea = self._smoothed("teacher", ids, teacher_p_all)
-                l_d_tea = adv_teacher(bound_D, f_all, tea, m_src, lam)
-
-        gamma_eff = cfg.gamma
-        if cfg.variant in _USES_CONSISTENCY:
-            l_con = consistency(p_all, teacher_p_all)
-            gamma_eff = cfg.gamma * gamma_factor(p_prog, cfg.gamma_ramp)
-
-        total, parts = total_loss(l_c, l_d_stu, l_d_tea, l_con,
-                                  cfg.lambda_stu, cfg.lambda_tea, gamma_eff)
+        if cfg.variant in _USES_SMOOTHED_CONDITIONS:
+            # target ids are offset by n_source, so the ids are distinct
+            ids = [np.concatenate([b.src_ids, b.tgt_ids]) for b in batches]
+            cond = self._smoothed("student", ids, p_all.values)
+            tea_cond = self._smoothed("teacher", ids, teacher_p_all)
+        elif cfg.variant in _USES_DISC:
+            cond = p_all.values
+        tea_p = teacher_p_all if cfg.variant in _USES_CONSISTENCY else None
+        terms = step_terms(bound_D, f_all, p_all, np.stack([b.ys for b in batches]), m_src,
+                           cond, tea_cond, tea_p, lam)
+        total, parts = total_loss(*terms, cfg.lambda_stu, cfg.lambda_tea,
+                                  cfg.gamma * gamma_factor(p_prog, cfg.gamma_ramp))
         g.backward(total)
 
         grads = collect_grads(bound_F, bound_C, bound_D)
@@ -408,6 +409,8 @@ def run_ablation(base_cfg: TrainConfig, variants, seeds,
     for v in variants:
         if v not in VARIANTS:
             raise ConfigError(f"unknown variant {v!r}")
+    for s in seeds:
+        check_value("seed", "int", SEED_RANGE, s)
     ordered = sorted(set(variants), key=VARIANTS.index)
     datasets = {seed: dataset_for_seed(seed) for seed in sorted({int(s) for s in seeds})}
     stacks: dict[tuple[int, int], list[int]] = {}

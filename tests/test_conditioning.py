@@ -50,6 +50,12 @@ def test_pred_ema_state_validation():
         PredEmaState(0.5, 0)
 
 
+@pytest.mark.parametrize("n_classes", [2.5, "3", True])
+def test_pred_ema_state_refuses_a_class_count_that_is_not_an_integer(n_classes):
+    with pytest.raises(ConfigError, match="^n_classes must be "):
+        PredEmaState(0.5, n_classes)
+
+
 def test_pred_ema_first_visit_stores_exactly():
     state = PredEmaState(0.3, 2)
     p = np.array([[0.25, 0.75], [0.9, 0.1]])

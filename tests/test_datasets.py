@@ -287,6 +287,13 @@ def test_batches_validate_size():
         batches(ds, 0, 0, 0)
 
 
+@pytest.mark.parametrize("size", [2.5, True, "4"])
+def test_batches_refuse_a_size_that_is_not_an_integer(size):
+    # True ran as a batch size of 1, and 2.5 raised a bare TypeError
+    with pytest.raises(ConfigError, match="^batch_size must be "):
+        batches(standard_benchmark(1, n=50, n_target=100), size, 0, 0)
+
+
 def test_batch_stream_crosses_epochs():
     ds = standard_benchmark(1, n=64, n_target=64)
     stream = batch_stream(ds, 32, 9)

@@ -1,6 +1,7 @@
 """Autodiff core: forward values, gradients vs central differences, tape rules."""
 
 import gc
+import math
 import warnings
 import weakref
 
@@ -79,6 +80,14 @@ def test_clamp_forward_and_gradient_mask():
     assert np.array_equal(y.values, [[0.0, 0.5, 1.0]])
     g.backward(T.sum_all(y))
     assert np.array_equal(x.grad, [[0.0, 1.0, 0.0]])
+
+
+@pytest.mark.parametrize("lo, hi", [(1.0, 0.0), (math.nan, None), (None, math.nan)])
+def test_clamp_refuses_bounds_that_are_not_ordered(lo, hi):
+    # lo > hi would return hi everywhere with a zero gradient
+    g = T.Graph()
+    with pytest.raises(ContractError, match="lo <= hi"):
+        T.clamp(g.parameter([[-1.0, 0.5, 2.0]]), lo, hi)
 
 
 def test_multilinear_one_hot_selects_columns():
@@ -257,6 +266,15 @@ def test_grad_reverse_identity_forward_scaled_negated_backward(rng):
     assert np.allclose(grads(True), -lam * grads(False), atol=1e-15)
     with pytest.raises(ContractError):
         T.grad_reverse(x, -0.1)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf])
+def test_grad_reverse_refuses_a_non_finite_factor(lam):
+    # the forward is an identity copy, so no per-op check would see it; the
+    # backward would fill every upstream gradient with nan
+    g = T.Graph()
+    with pytest.raises(ContractError, match="finite"):
+        T.grad_reverse(g.parameter([[1.0, 2.0]]), lam)
 
 
 def test_unreached_parameters_get_zero_gradients():

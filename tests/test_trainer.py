@@ -7,7 +7,8 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from renlab import trainer
+from renlab import checks, trainer
+from renlab.checks import loss_check_suite
 from renlab.datasets import DataSpec, batch_stream, make_domain_dataset, standard_benchmark
 from renlab.evaluation import metrics_to_csv
 from renlab.exceptions import ConfigError, ContractError, NonFiniteError, ShapeError
@@ -274,6 +275,55 @@ def test_teacher_forward_runs_only_where_its_predictions_are_read(monkeypatch, v
     assert all(ps is t.dualnet.teacher_F for ps in seen)
 
 
+# which of REN's four terms, (l_c, l_d_stu, l_d_tea, l_con), each variant turns on
+ACTIVE_TERMS = {"source_only": (True, False, False, False), "cdan": (True, True, False, False),
+                "cdan_m": (True, True, False, False), "cdan_m_d": (True, True, True, False),
+                "ren": (True, True, True, True)}
+
+
+def _count_step_terms(monkeypatch):
+    """Wrap the one objective at both names that call it; returns the
+    terms of each call, in call order."""
+    assert checks.step_terms is trainer.step_terms  # one function, not a copy
+    calls = []
+    real = trainer.step_terms
+
+    def counting(*args, **kwargs):
+        calls.append(real(*args, **kwargs))
+        return calls[-1]
+
+    for module in (trainer, checks):
+        monkeypatch.setattr(module, "step_terms", counting)
+    return calls
+
+
+@pytest.mark.parametrize("variant", trainer.VARIANTS)
+def test_every_train_step_states_its_objective_through_step_terms_once(monkeypatch, variant):
+    calls = _count_step_terms(monkeypatch)
+    ds = small_ds()
+    cfg = TrainConfig(variant=variant, total_steps=10)
+    t = Trainer(cfg, ds)
+    stream = batch_stream(ds, cfg.batch_size, cfg.seed)
+    for n in range(3):
+        (parts,) = t.train_step([next(stream)], n)
+        assert len(calls) == n + 1
+        assert tuple(term is not None for term in calls[-1]) == ACTIVE_TERMS[variant]
+        assert parts.l_c == calls[-1][0].item()
+
+
+def test_the_total_gradient_check_is_built_from_step_terms_once(monkeypatch):
+    calls = _count_step_terms(monkeypatch)
+    suite = {check.name: check for check in loss_check_suite(0)}
+    calls.clear()  # the scenario search builds the total once per attempt
+    total, _ = suite["total"].build(Graph())
+    assert len(calls) == 1 and all(term is not None for term in calls[0])
+    # the total is the unit-weighted sum of the four per-term checks
+    parts = [suite[name].build(Graph())[0].item()
+             for name in ("cross_entropy", "adv_student", "adv_teacher", "consistency")]
+    assert len(calls) == 1  # the per-term checks record their term alone
+    assert total.item() == pytest.approx(sum(parts), rel=1e-12)
+
+
 # tape nodes one training step records, per variant; fewer is the aim, and
 # a rise is a regression this catches without a traced benchmark run
 NODES_PER_STEP = {"source_only": 27, "cdan": 53, "cdan_m": 53, "cdan_m_d": 75, "ren": 82}
@@ -500,6 +550,15 @@ def test_run_ablation_collects_sorted_results():
     assert set(accs) == {"source_only", "cdan"}
     for per_seed in accs.values():
         assert all(0.0 <= v <= 1.0 for v in per_seed.values())
+
+
+@pytest.mark.parametrize("seeds", [[1.7, True], [0, -1], [0, "1"]])
+def test_run_ablation_checks_every_seed_before_building_a_dataset(seeds):
+    built = []
+    with pytest.raises(ConfigError, match="^seed must be "):
+        run_ablation(TrainConfig(total_steps=5), ["source_only"], seeds,
+                     lambda s: built.append(s) or small_ds(s))
+    assert not built
 
 
 def test_run_ablation_rejects_unknown_variant():
