@@ -460,6 +460,10 @@ def multilinear(f: Tensor, p: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # finite-difference verification oracle
 
+# cap on the bytes of the stacked parameter copies one loss_fn call of
+# finite_diff_check receives
+FD_STACK_BYTES = 16 << 20
+
 
 @dataclass
 class GradCheckReport:
@@ -482,7 +486,7 @@ def _rel_error(a: float, n: float) -> float:
 
 
 def finite_diff_check(
-    loss_fn: Callable[[], float],
+    loss_fn: Callable[[dict[str, np.ndarray]], np.ndarray],
     params: Mapping[str, np.ndarray],
     grads: Mapping[str, np.ndarray],
     h: float = 1e-5,
@@ -490,32 +494,51 @@ def finite_diff_check(
 ) -> GradCheckReport:
     """Compare analytic ``grads`` with (L(t+h) - L(t-h)) / 2h per entry.
 
-    ``loss_fn`` must re-read the arrays in ``params`` on every call and
-    return the loss as a float; ``grads`` holds one analytic gradient array
-    per parameter name.  The arrays are perturbed in place and each entry is
-    restored before returning, also when ``loss_fn`` raises.
+    ``grads`` holds one analytic gradient per array of ``params``, under the
+    same name and with the same shape.  ``loss_fn(stacks)`` gets every array
+    of ``params`` stacked K times on a new leading axis and returns the K
+    losses, one per copy.  For each array, copy 2j holds its entry j (in
+    ``np.ndindex`` order) at +h and copy 2j+1 at -h; every other entry is
+    the original.  The stacked copies of one call stay within
+    FD_STACK_BYTES where two copies fit, so an array is checked in as few
+    calls as that allows.  ``params`` is never written.
     """
     if not 0.0 < h < math.inf:
         raise ContractError(f"finite difference step must be finite and positive, got {h}")
     if not 0.0 <= tol < math.inf:
         raise ContractError(f"gradient check tolerance must be finite and >= 0, got {tol}")
+    if grads.keys() != params.keys():
+        raise ContractError(f"gradients {sorted(grads)} do not match parameters {sorted(params)}")
+    for name, arr in params.items():
+        if np.shape(grads[name]) != arr.shape:
+            raise ShapeError(f"gradient of {name} has shape {np.shape(grads[name])}, "
+                             f"the parameter {arr.shape}")
+    copy_bytes = sum(arr.nbytes for arr in params.values())
+    per_call = max(1, FD_STACK_BYTES // max(2 * copy_bytes, 1))  # entries per loss_fn call
     worst = -1.0  # below every error, so the first entry checked is named
     worst_param = ""  # even when each error reads exactly 0
     worst_index = (0, 0)
     per_param: dict[str, float] = {}
     for name, arr in params.items():
+        base = arr.reshape(-1)
+        losses: list[float] = []
+        for start in range(0, base.size, per_call):
+            entries = np.arange(start, min(start + per_call, base.size))
+            k = 2 * entries.size
+            stacks = {other: np.repeat(a[None], k, axis=0) for other, a in params.items()}
+            copies = stacks[name].reshape(k, -1)  # a view: writes land in the stack
+            rows = np.arange(0, k, 2)
+            copies[rows, entries] = base[entries] + h
+            copies[rows + 1, entries] = base[entries] - h
+            out = np.asarray(loss_fn(stacks), dtype=np.float64).reshape(-1)
+            if out.size != k:
+                raise ContractError(f"loss_fn returned {out.size} losses for {k} stacked "
+                                    f"copies of {name}")
+            losses += out.tolist()
         analytic = grads[name]
         local_worst = 0.0
-        for idx in np.ndindex(arr.shape):
-            orig = arr[idx]
-            try:
-                arr[idx] = orig + h
-                lp = loss_fn()
-                arr[idx] = orig - h
-                lm = loss_fn()
-            finally:
-                arr[idx] = orig
-            numeric = (lp - lm) / (2.0 * h)
+        for j, idx in enumerate(np.ndindex(arr.shape)):
+            numeric = (losses[2 * j] - losses[2 * j + 1]) / (2.0 * h)
             rel = _rel_error(float(analytic[idx]), numeric)
             if rel > local_worst:
                 local_worst = rel

@@ -1,15 +1,17 @@
-"""The finite-difference harness: one backward pass per loss check, and the
-kink scan that keeps its scenarios clear of non-smooth points."""
+"""The finite-difference harness: one backward pass per loss check, one
+stacked forward pass per parameter array, and the kink scan that keeps its
+scenarios clear of non-smooth points."""
 
 import math
 
 import numpy as np
 import pytest
 
+import renlab.checks
 from renlab import tensor as T
-from renlab.checks import _kink_margin, loss_check_suite, run_loss_checks
+from renlab.checks import KINK_MARGIN, _kink_margin, loss_check_suite, run_loss_checks
 from renlab.exceptions import ConfigError, ContractError
-from renlab.networks import DISC_EPS
+from renlab.networks import DISC_EPS, collect_grads
 
 
 @pytest.mark.parametrize("seed", [0, 3])
@@ -90,3 +92,129 @@ def test_kink_margin_reads_relu_inputs_and_sigmoid_outputs():
     T.sigmoid(high.parameter([[-math.log(q / (1.0 - q))]]))
     assert _kink_margin(high) == pytest.approx(1e-5, rel=1e-6)
     assert _kink_margin(T.Graph()) == math.inf
+
+
+def _per_entry_oracle(loss_fn, params, grads, h=1e-5, tol=1e-4):
+    """Reference: the oracle as it ran before perturbed copies were stacked.
+    Each entry is perturbed in place, the zero-argument ``loss_fn`` re-reads
+    ``params`` for each of its two losses, and the entry is restored."""
+    worst, worst_param, worst_index = -1.0, "", (0, 0)
+    per_param = {}
+    for name, arr in params.items():
+        analytic = grads[name]
+        local_worst = 0.0
+        for idx in np.ndindex(arr.shape):
+            orig = arr[idx]
+            try:
+                arr[idx] = orig + h
+                lp = loss_fn()
+                arr[idx] = orig - h
+                lm = loss_fn()
+            finally:
+                arr[idx] = orig
+            numeric = (lp - lm) / (2.0 * h)
+            rel = abs(float(analytic[idx]) - numeric) / max(abs(float(analytic[idx])),
+                                                           abs(numeric), 1.0)
+            if rel > local_worst:
+                local_worst = rel
+            if rel > worst:
+                worst, worst_param, worst_index = rel, name, idx
+        per_param[name] = local_worst
+    return T.GradCheckReport(max(worst, 0.0), worst_param, worst_index, per_param, h, tol)
+
+
+def _analytic_grads(check):
+    """A check's analytic gradients, from one recorded graph."""
+    g = T.Graph()
+    loss, nets = check.build(g)
+    g.backward(loss)
+    return collect_grads(*nets)
+
+
+@pytest.mark.parametrize("one_entry_per_call", [False, True], ids=["budget", "one-entry"])
+def test_stacked_oracle_matches_the_per_entry_oracle_bit_for_bit(monkeypatch,
+                                                                   one_entry_per_call):
+    if one_entry_per_call:
+        monkeypatch.setattr(T, "FD_STACK_BYTES", 1)
+    for seed in (0, 1, 2):
+        for check in loss_check_suite(seed):
+            grads = _analytic_grads(check)
+            before = {name: arr.copy() for name, arr in check.params.items()}
+            sizes = []
+
+            def loss_fn(stacks):
+                sizes.append(len(stacks["F.w0"]))
+                return check.build(T.Graph(record=False), stacks)[0].values
+
+            stacked = T.finite_diff_check(loss_fn, check.params, grads)
+            assert all(np.array_equal(arr, before[name]) for name, arr in check.params.items())
+            reference = _per_entry_oracle(
+                lambda: check.build(T.Graph(record=False))[0].item(), check.params, grads)
+            assert stacked == reference and repr(stacked) == repr(reference)
+            if one_entry_per_call:
+                assert set(sizes) == {2}
+
+
+def _counting_loss_fns(monkeypatch):
+    """Wrap the oracle the checks call: one list per check, holding the
+    stacked parameter bytes of each loss_fn call."""
+    real = renlab.checks.finite_diff_check
+    per_check = []
+
+    def counting(loss_fn, params, grads, **kwargs):
+        calls = []
+        per_check.append((params, calls))
+
+        def counted(stacks):
+            calls.append(sum(a.nbytes for a in stacks.values()))
+            return loss_fn(stacks)
+
+        return real(counted, params, grads, **kwargs)
+
+    monkeypatch.setattr(renlab.checks, "finite_diff_check", counting)
+    return per_check
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_each_check_calls_its_loss_once_per_parameter_array(monkeypatch, seed):
+    # at default sizes every perturbed copy of one array runs in one stacked
+    # forward pass; a return to per-entry evaluation fails here
+    per_check = _counting_loss_fns(monkeypatch)
+    reports = run_loss_checks(seed)
+    assert len(per_check) == len(reports) == 5
+    for params, calls in per_check:
+        assert len(calls) == len(params)
+
+
+def test_a_wide_scenario_keeps_each_stacked_call_within_the_byte_budget(monkeypatch):
+    per_check = _counting_loss_fns(monkeypatch)
+    reports = run_loss_checks(0, in_dim=128, hidden=12)
+    assert all(rep.passed for _, rep in reports)
+    for params, calls in per_check:
+        copy_bytes = sum(a.nbytes for a in params.values())
+        assert max(calls) <= T.FD_STACK_BYTES
+        # the widest array (F.w0, 1536 entries) does not fit in one call
+        assert 2 * params["F.w0"].size * copy_bytes > T.FD_STACK_BYTES
+        assert len(calls) > len(params)
+
+
+def test_kink_margin_reads_one_margin_per_matrix_of_a_stack():
+    g = T.Graph()
+    T.relu(g.parameter(np.array([[[1e-4, -0.5]], [[0.3, 2.0]]])))
+    assert np.array_equal(_kink_margin(g), [1e-4, 0.3])
+
+
+@pytest.mark.parametrize("seed", [0, 3, 15])
+def test_the_scenario_is_the_first_attempt_that_clears_the_kink_margin(monkeypatch, seed):
+    # scanning KINK_STACK attempts per tape settles on the attempt that a
+    # scan of one attempt per tape settles on
+    monkeypatch.setattr(renlab.checks, "KINK_STACK", 1)
+    one_by_one = loss_check_suite(seed)
+    monkeypatch.undo()
+    stacked = loss_check_suite(seed)
+    for a, b in zip(one_by_one, stacked):
+        assert a.params.keys() == b.params.keys()
+        assert all(np.array_equal(a.params[k], b.params[k]) for k in a.params)
+    g = T.Graph()
+    stacked[-1].build(g)
+    assert _kink_margin(g) > KINK_MARGIN

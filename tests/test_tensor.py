@@ -649,14 +649,15 @@ def test_finite_diff_check_passes_on_quadratic(rng):
     w = rng.normal(size=(3, 2))
     target = rng.normal(size=(3, 2))
 
-    def build():
+    def build(w):  # one loss per matrix of a stack of copies of w
         g = T.Graph()
         wt = g.parameter(w)
-        return wt, T.mean_all(T.square(T.sub(wt, g.constant(target))))
+        return wt, T.mean_all(T.square(T.sub(wt, g.constant(np.broadcast_to(target, w.shape)))))
 
-    wt, loss = build()
+    wt, loss = build(w)
     loss.graph.backward(loss)
-    report = T.finite_diff_check(lambda: build()[1].item(), {"w": w}, {"w": wt.grad})
+    report = T.finite_diff_check(lambda stacks: build(stacks["w"])[1].values, {"w": w},
+                                 {"w": wt.grad})
     assert report.passed
     assert report.max_rel_error < 1e-9
 
@@ -666,7 +667,8 @@ def test_finite_diff_check_catches_corruption(rng):
     bad = 2.0 * w / w.size  # the analytic gradient of mean(w^2) ...
     bad[0, 0] += 0.5  # ... deliberately wrong in one entry
 
-    report = T.finite_diff_check(lambda: float(np.mean(w * w)), {"w": w}, {"w": bad})
+    report = T.finite_diff_check(lambda stacks: np.mean(stacks["w"] ** 2, axis=(-2, -1)),
+                                 {"w": w}, {"w": bad})
     assert not report.passed
     assert report.worst_param == "w"
     assert report.worst_index == (0, 0)
@@ -675,32 +677,82 @@ def test_finite_diff_check_catches_corruption(rng):
 def test_finite_diff_check_names_the_first_entry_when_every_error_is_zero():
     params = {"w": np.ones((2, 2)), "v": np.ones((1, 3))}
     zeros = {name: np.zeros_like(arr) for name, arr in params.items()}
-    report = T.finite_diff_check(lambda: 0.0, params, zeros)
+    report = T.finite_diff_check(lambda stacks: np.zeros(len(stacks["w"])), params, zeros)
     assert report.max_rel_error == 0.0 and report.passed
     assert (report.worst_param, report.worst_index) == ("w", (0, 0))
-    empty = T.finite_diff_check(lambda: 0.0, {}, {})
+    empty = T.finite_diff_check(lambda stacks: np.zeros(0), {}, {})
     assert (empty.max_rel_error, empty.worst_param) == (0.0, "")
 
 
 def test_finite_diff_check_rejects_bad_step():
     for h in (0.0, -1e-5, np.nan, np.inf):
         with pytest.raises(ContractError, match="step"):
-            T.finite_diff_check(lambda: 0.0, {}, {}, h=h)
+            T.finite_diff_check(lambda stacks: np.zeros(0), {}, {}, h=h)
 
 
 def test_finite_diff_check_rejects_bad_tolerance():
     for tol in (-1.0, np.nan, np.inf):
         with pytest.raises(ContractError, match="tolerance"):
-            T.finite_diff_check(lambda: 0.0, {}, {}, tol=tol)
+            T.finite_diff_check(lambda stacks: np.zeros(0), {}, {}, tol=tol)
 
 
-def test_finite_diff_check_restores_the_entry_when_the_loss_raises(rng):
+def test_finite_diff_check_never_writes_params_also_when_the_loss_raises(rng):
     w = rng.normal(size=(2, 3))
     before = w.copy()
+    w.flags.writeable = False  # any write to w raises
 
-    def loss_fn():
-        return T.Graph().parameter(w * w * w * w).values.sum()
+    def loss_fn(stacks):
+        assert not np.shares_memory(stacks["w"], w)
+        return T.Graph().parameter(stacks["w"] ** 4).values.sum(axis=(-2, -1))
 
+    assert T.finite_diff_check(loss_fn, {"w": w}, {"w": 4.0 * w ** 3}).passed
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
         T.finite_diff_check(loss_fn, {"w": w}, {"w": 4.0 * w ** 3}, h=1e300)
     assert np.array_equal(w, before)
+
+
+def test_finite_diff_check_perturbs_one_entry_per_copy():
+    # copy 2j holds entry j at +h and copy 2j+1 at -h; the other arrays,
+    # and every other entry, keep their values
+    w, v = np.arange(4.0).reshape(2, 2), np.full((1, 3), 7.0)
+    seen = []
+
+    def loss_fn(stacks):
+        seen.append({name: s.copy() for name, s in stacks.items()})
+        return np.zeros(len(stacks["w"]))
+
+    T.finite_diff_check(loss_fn, {"w": w, "v": v}, {"w": 0 * w, "v": 0 * v}, h=0.5)
+    assert [len(call["w"]) for call in seen] == [8, 6]  # one call per array
+    for call, name in zip(seen, ("w", "v")):
+        arr = {"w": w, "v": v}[name]
+        for j, idx in enumerate(np.ndindex(arr.shape)):
+            for copy, step in ((2 * j, 0.5), (2 * j + 1, -0.5)):
+                want = arr.copy()
+                want[idx] += step
+                assert np.array_equal(call[name][copy], want)
+                other = "v" if name == "w" else "w"
+                assert np.array_equal(call[other][copy], {"w": w, "v": v}[other])
+
+
+@pytest.mark.parametrize("grad, error, word", [
+    (np.zeros((3, 3)), ShapeError, "w"),  # a larger gradient
+    (np.zeros((1, 2)), ShapeError, "w"),  # a smaller one
+    (None, ContractError, "w"),  # a missing one
+], ids=["larger", "smaller", "missing"])
+def test_finite_diff_check_refuses_gradients_that_do_not_match_params(grad, error, word):
+    calls = []
+    params = {"w": np.ones((2, 2))}
+    grads = {} if grad is None else {"w": grad}
+    with pytest.raises(error, match=word):
+        T.finite_diff_check(lambda stacks: calls.append(stacks), params, grads)
+    with pytest.raises(ContractError, match="'v'"):  # and one too many
+        T.finite_diff_check(lambda stacks: calls.append(stacks), params,
+                            {"w": np.zeros((2, 2)), "v": np.zeros((2, 2))})
+    assert calls == []  # refused before any loss evaluation
+
+
+@pytest.mark.parametrize("returned", [0, 3, 5])
+def test_finite_diff_check_refuses_a_loss_count_other_than_the_copies(returned):
+    with pytest.raises(ContractError, match=f"{returned} losses for 4 stacked copies of w"):
+        T.finite_diff_check(lambda stacks: np.zeros(returned), {"w": np.ones((1, 2))},
+                            {"w": np.zeros((1, 2))})

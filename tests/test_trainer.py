@@ -314,7 +314,7 @@ def test_every_train_step_states_its_objective_through_step_terms_once(monkeypat
 def test_the_total_gradient_check_is_built_from_step_terms_once(monkeypatch):
     calls = _count_step_terms(monkeypatch)
     suite = {check.name: check for check in loss_check_suite(0)}
-    calls.clear()  # the scenario search builds the total once per attempt
+    calls.clear()  # the scenario search builds the total once per stack of attempts
     total, _ = suite["total"].build(Graph())
     assert len(calls) == 1 and all(term is not None for term in calls[0])
     # the total is the unit-weighted sum of the four per-term checks
