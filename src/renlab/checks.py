@@ -7,13 +7,13 @@ records the four terms through ``trainer.step_terms``, the function
 ``Trainer.train_step`` calls, then weighs them with ``total_loss``.  Each
 check records its loss with the model's own code: one backward pass gives
 the analytic gradients, and the perturbed evaluations run the same code
-as forward-only stacks, which keep no tape: all perturbed copies of one
-parameter array sit on a leading axis of one forward pass, and each copy
-gets the bits of its own rank-2 run.  The adversarial terms are
-built WITHOUT the gradient-reversal node: reversal makes the analytic
-gradient -lambda times the loss gradient by construction, which central
-differences cannot see.  The reversal algebra itself is covered by a
-separate identity (see losses/adv tests).
+as forward-only stacks, which keep no tape: the perturbed copies of all
+of a check's arrays sit on a leading axis of one forward pass (one per
+check at default sizes), and each copy gets the bits of its own rank-2
+run.  The adversarial terms are built WITHOUT the gradient-reversal node:
+reversal makes the analytic gradient -lambda times the loss gradient by
+construction, which central differences cannot see.  The reversal algebra
+itself is covered by a separate identity (see losses/adv tests).
 
 Central differences presuppose the loss is smooth within +-h of the base
 point.  Rectifier kinks and the discriminator's probability clamp break
@@ -24,7 +24,8 @@ every rectifier input and clamp distance on the ``total`` check's own tape
 clears KINK_MARGIN, comfortably above the largest shift any single +-h
 parameter perturbation can cause.  That tape holds every rectifier and
 sigmoid the other checks run.  It is recorded for KINK_STACK attempts at
-once, stacked, with one margin read per attempt.
+once, stacked, with one margin read per attempt.  When no attempt clears
+the margin, the error gives the largest margin any attempt reached.
 """
 
 from __future__ import annotations
@@ -179,6 +180,7 @@ def loss_check_suite(seed: int, batch: int = 4, in_dim: int = 5, hidden: int = 6
         tea_all = T.stable_softmax(forward_fc_plain(tea_F, tea_C, x_all))
         return flat_arrays(*ps.items()), _Inputs(x_all, ys, cond_all, tea_all)
 
+    best = 0.0  # the largest margin any attempt reached
     for first in range(0, 1000, KINK_STACK):
         draws = [draw(a) for a in range(first, min(first + KINK_STACK, 1000))]
         arrays, inputs = zip(*draws)
@@ -186,10 +188,13 @@ def loss_check_suite(seed: int, batch: int = 4, in_dim: int = 5, hidden: int = 6
                          _Inputs(*map(np.stack, zip(*inputs))))
         g = T.Graph()
         stacked[-1].build(g)
-        clear = np.flatnonzero(_kink_margin(g) > KINK_MARGIN)
+        margins = _kink_margin(g)
+        clear = np.flatnonzero(margins > KINK_MARGIN)
         if clear.size:
             return _suite(specs, batch, *draws[clear[0]])
-    raise ContractError(f"no finite-difference-safe scenario found for seed {seed}")
+        best = max(best, float(np.max(margins)))
+    raise ContractError(f"no finite-difference-safe scenario found for seed {seed}: the best of "
+                        f"1000 attempts has kink margin {best:.3g} < KINK_MARGIN {KINK_MARGIN}")
 
 
 def run_loss_checks(seed: int, h: float = 1e-5, tol: float = 1e-4, **suite_kwargs
@@ -198,8 +203,9 @@ def run_loss_checks(seed: int, h: float = 1e-5, tol: float = 1e-4, **suite_kwarg
 
     Each check records one graph and runs one backward pass on it for its
     analytic gradients.  The perturbed evaluations build on forward-only
-    graphs, which record no node: one stacked forward pass gives the
-    losses of every perturbed copy ``finite_diff_check`` asks for at once.
+    graphs, which record no node: each ``loss_fn`` call of
+    ``finite_diff_check`` is one stacked forward pass over every perturbed
+    copy it asks for, and at default sizes a check makes one such call.
     """
     out = []
     for check in loss_check_suite(seed, **suite_kwargs):

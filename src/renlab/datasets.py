@@ -87,9 +87,7 @@ def make_two_moons(n: int, noise_sigma: float, seed) -> tuple[np.ndarray, np.nda
 
 def _class_counts(n: int, c: int, ratio: float) -> np.ndarray:
     """Split n into c counts whose weights ramp linearly from 1 to ratio,
-    rounded by largest remainder so they always sum to n."""
-    if c == 1:
-        return np.array([n])
+    rounded by largest remainder so they always sum to n.  Needs c >= 2."""
     weights = 1.0 + (ratio - 1.0) * np.arange(c) / (c - 1)
     exact = n * weights / weights.sum()
     counts = np.floor(exact).astype(np.int64)

@@ -481,10 +481,6 @@ class GradCheckReport:
         return self.max_rel_error <= self.tol
 
 
-def _rel_error(a: float, n: float) -> float:
-    return abs(a - n) / max(abs(a), abs(n), 1.0)
-
-
 def finite_diff_check(
     loss_fn: Callable[[dict[str, np.ndarray]], np.ndarray],
     params: Mapping[str, np.ndarray],
@@ -495,13 +491,14 @@ def finite_diff_check(
     """Compare analytic ``grads`` with (L(t+h) - L(t-h)) / 2h per entry.
 
     ``grads`` holds one analytic gradient per array of ``params``, under the
-    same name and with the same shape.  ``loss_fn(stacks)`` gets every array
-    of ``params`` stacked K times on a new leading axis and returns the K
-    losses, one per copy.  For each array, copy 2j holds its entry j (in
-    ``np.ndindex`` order) at +h and copy 2j+1 at -h; every other entry is
-    the original.  The stacked copies of one call stay within
-    FD_STACK_BYTES where two copies fit, so an array is checked in as few
-    calls as that allows.  ``params`` is never written.
+    same name and with the same shape.  The entries of ``params`` form one
+    flat vector, array by array in ``params`` order and in ``np.ndindex``
+    order within each.  ``loss_fn(stacks)`` gets every array of ``params``
+    stacked K times, C-contiguous, on a new leading axis and returns the K
+    losses.  Copy 2j of a call holds the call's j-th entry at +h and copy
+    2j+1 at -h; every other entry is the original.  A call's copies stay
+    within FD_STACK_BYTES where two copies fit, so the vector is checked in
+    as few calls as that allows.  ``params`` is never written.
     """
     if not 0.0 < h < math.inf:
         raise ContractError(f"finite difference step must be finite and positive, got {h}")
@@ -513,36 +510,34 @@ def finite_diff_check(
         if np.shape(grads[name]) != arr.shape:
             raise ShapeError(f"gradient of {name} has shape {np.shape(grads[name])}, "
                              f"the parameter {arr.shape}")
-    copy_bytes = sum(arr.nbytes for arr in params.values())
-    per_call = max(1, FD_STACK_BYTES // max(2 * copy_bytes, 1))  # entries per loss_fn call
-    worst = -1.0  # below every error, so the first entry checked is named
-    worst_param = ""  # even when each error reads exactly 0
-    worst_index = (0, 0)
-    per_param: dict[str, float] = {}
-    for name, arr in params.items():
-        base = arr.reshape(-1)
-        losses: list[float] = []
-        for start in range(0, base.size, per_call):
-            entries = np.arange(start, min(start + per_call, base.size))
-            k = 2 * entries.size
-            stacks = {other: np.repeat(a[None], k, axis=0) for other, a in params.items()}
-            copies = stacks[name].reshape(k, -1)  # a view: writes land in the stack
-            rows = np.arange(0, k, 2)
-            copies[rows, entries] = base[entries] + h
-            copies[rows + 1, entries] = base[entries] - h
-            out = np.asarray(loss_fn(stacks), dtype=np.float64).reshape(-1)
-            if out.size != k:
-                raise ContractError(f"loss_fn returned {out.size} losses for {k} stacked "
-                                    f"copies of {name}")
-            losses += out.tolist()
-        analytic = grads[name]
-        local_worst = 0.0
-        for j, idx in enumerate(np.ndindex(arr.shape)):
-            numeric = (losses[2 * j] - losses[2 * j + 1]) / (2.0 * h)
-            rel = _rel_error(float(analytic[idx]), numeric)
-            if rel > local_worst:
-                local_worst = rel
-            if rel > worst:
-                worst, worst_param, worst_index = rel, name, idx
-        per_param[name] = local_worst
-    return GradCheckReport(max(worst, 0.0), worst_param, worst_index, per_param, h, tol)
+    bounds = np.cumsum([0] + [a.size for a in params.values()])  # array i is [b_i, b_i+1)
+    flat = np.concatenate([np.zeros(0), *map(np.ravel, params.values())])  # {} gives size 0
+    per_call = max(1, FD_STACK_BYTES // max(2 * flat.nbytes, 1))  # entries per loss_fn call
+    losses = np.empty(2 * flat.size)  # entry j's at +h, then at -h
+    for start in range(0, flat.size, per_call):
+        entries = np.arange(start, min(start + per_call, flat.size))
+        k = 2 * entries.size
+        copies = np.repeat(flat[None], k, axis=0)
+        copies[range(0, k, 2), entries] = flat[entries] + h
+        copies[range(1, k, 2), entries] = flat[entries] - h
+        stacks = {name: np.ascontiguousarray(copies[:, lo:hi]).reshape((k,) + params[name].shape)
+                  for name, lo, hi in zip(params, bounds, bounds[1:])}
+        del copies  # only the stacks live through the forward pass
+        out = np.asarray(loss_fn(stacks), dtype=np.float64).reshape(-1)
+        if out.size != k:
+            raise ContractError(f"loss_fn returned {out.size} losses for {k} stacked "
+                                f"copies of {', '.join(params)}")
+        losses[2 * start:2 * start + k] = out
+    numeric = (losses[0::2] - losses[1::2]) / (2.0 * h)
+    analytic = np.concatenate([np.zeros(0), *(np.ravel(grads[name]) for name in params)])
+    rel = np.abs(analytic - numeric) / np.maximum(np.maximum(np.abs(analytic),
+                                                             np.abs(numeric)), 1.0)
+    per_param = {name: float(rel[lo:hi].max(initial=0.0))
+                 for name, lo, hi in zip(params, bounds, bounds[1:])}
+    if not rel.size:
+        return GradCheckReport(0.0, "", (0, 0), per_param, h, tol)
+    j = int(rel.argmax())  # the first entry of the largest error
+    i = int(np.searchsorted(bounds, j, side="right")) - 1
+    name = list(params)[i]
+    index = tuple(int(n) for n in np.unravel_index(j - bounds[i], params[name].shape))
+    return GradCheckReport(float(rel[j]), name, index, per_param, h, tol)

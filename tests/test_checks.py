@@ -166,6 +166,7 @@ def _counting_loss_fns(monkeypatch):
         per_check.append((params, calls))
 
         def counted(stacks):
+            assert all(a.flags.c_contiguous for a in stacks.values())
             calls.append(sum(a.nbytes for a in stacks.values()))
             return loss_fn(stacks)
 
@@ -176,14 +177,15 @@ def _counting_loss_fns(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [0, 3])
-def test_each_check_calls_its_loss_once_per_parameter_array(monkeypatch, seed):
-    # at default sizes every perturbed copy of one array runs in one stacked
-    # forward pass; a return to per-entry evaluation fails here
+def test_each_check_calls_its_loss_once(monkeypatch, seed):
+    # at default sizes every perturbed copy of every array runs in one
+    # stacked forward pass; a return to per-array or per-entry evaluation
+    # fails here
     per_check = _counting_loss_fns(monkeypatch)
     reports = run_loss_checks(seed)
     assert len(per_check) == len(reports) == 5
     for params, calls in per_check:
-        assert len(calls) == len(params)
+        assert len(calls) == 1
 
 
 def test_a_wide_scenario_keeps_each_stacked_call_within_the_byte_budget(monkeypatch):
@@ -192,10 +194,13 @@ def test_a_wide_scenario_keeps_each_stacked_call_within_the_byte_budget(monkeypa
     assert all(rep.passed for _, rep in reports)
     for params, calls in per_check:
         copy_bytes = sum(a.nbytes for a in params.values())
+        entries = sum(a.size for a in params.values())
         assert max(calls) <= T.FD_STACK_BYTES
-        # the widest array (F.w0, 1536 entries) does not fit in one call
-        assert 2 * params["F.w0"].size * copy_bytes > T.FD_STACK_BYTES
-        assert len(calls) > len(params)
+        # the flat vector is cut into chunks of as many entries as fit, two
+        # copies each, and every entry is perturbed once each way
+        per_call = T.FD_STACK_BYTES // (2 * copy_bytes)
+        assert len(calls) == -(-entries // per_call) > 1
+        assert sum(calls) == 2 * entries * copy_bytes
 
 
 def test_kink_margin_reads_one_margin_per_matrix_of_a_stack():

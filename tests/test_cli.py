@@ -3,6 +3,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict, fields
@@ -342,6 +343,20 @@ def test_gradcheck_bad_input_exits_one_with_one_line(capsys, argv, word):
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert word in captured.err
+
+
+def test_gradcheck_without_a_kink_safe_scenario_exits_one_and_says_how_close(capsys):
+    # wide discriminator inputs put some rectifier input inside the margin
+    # on every attempt; the message gives the best margin reached
+    argv = ["gradcheck", "--hidden", "48", "--feature-dim", "8", "--classes", "5"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    found = re.fullmatch(r"error: no finite-difference-safe scenario found for seed 0: the best "
+                         r"of 1000 attempts has kink margin (\S+) < KINK_MARGIN 0.002\n",
+                         captured.err)
+    assert found and 0.0 < float(found[1]) < renlab.checks.KINK_MARGIN == 0.002
 
 
 @pytest.mark.parametrize("argv, seed", [

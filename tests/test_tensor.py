@@ -712,26 +712,37 @@ def test_finite_diff_check_never_writes_params_also_when_the_loss_raises(rng):
 
 
 def test_finite_diff_check_perturbs_one_entry_per_copy():
-    # copy 2j holds entry j at +h and copy 2j+1 at -h; the other arrays,
-    # and every other entry, keep their values
-    w, v = np.arange(4.0).reshape(2, 2), np.full((1, 3), 7.0)
+    # the entries are numbered as one flat vector, the 4 of w then the 3 of
+    # v; copy 2j holds entry j at +h and copy 2j+1 at -h, and every other
+    # entry of both arrays keeps its value
+    params = {"w": np.arange(4.0).reshape(2, 2), "v": np.full((1, 3), 7.0)}
     seen = []
 
     def loss_fn(stacks):
+        assert all(s.flags.c_contiguous for s in stacks.values())
         seen.append({name: s.copy() for name, s in stacks.items()})
         return np.zeros(len(stacks["w"]))
 
-    T.finite_diff_check(loss_fn, {"w": w, "v": v}, {"w": 0 * w, "v": 0 * v}, h=0.5)
-    assert [len(call["w"]) for call in seen] == [8, 6]  # one call per array
-    for call, name in zip(seen, ("w", "v")):
-        arr = {"w": w, "v": v}[name]
-        for j, idx in enumerate(np.ndindex(arr.shape)):
-            for copy, step in ((2 * j, 0.5), (2 * j + 1, -0.5)):
-                want = arr.copy()
-                want[idx] += step
-                assert np.array_equal(call[name][copy], want)
-                other = "v" if name == "w" else "w"
-                assert np.array_equal(call[other][copy], {"w": w, "v": v}[other])
+    T.finite_diff_check(loss_fn, params, {name: 0 * a for name, a in params.items()}, h=0.5)
+    assert [len(call["w"]) for call in seen] == [14]  # one call for both arrays
+    entries = [(name, idx) for name, arr in params.items() for idx in np.ndindex(arr.shape)]
+    for j, (name, idx) in enumerate(entries):
+        for copy, step in ((2 * j, 0.5), (2 * j + 1, -0.5)):
+            want = {other: arr.copy() for other, arr in params.items()}
+            want[name][idx] += step
+            for other in params:
+                assert np.array_equal(seen[0][other][copy], want[other])
+
+
+def test_finite_diff_check_fails_on_a_nan_gradient():
+    # a NaN error is the largest, so it fails the check and is named
+    w = np.ones((2, 2))
+    grad = 2.0 * w / w.size
+    grad[1, 0] = np.nan
+    report = T.finite_diff_check(lambda stacks: np.mean(stacks["w"] ** 2, axis=(-2, -1)),
+                                 {"w": w}, {"w": grad})
+    assert not report.passed
+    assert (report.worst_param, report.worst_index) == ("w", (1, 0))
 
 
 @pytest.mark.parametrize("grad, error, word", [
