@@ -162,6 +162,8 @@ def loss_check_suite(seed: int, batch: int = 4, in_dim: int = 5, hidden: int = 6
     """
     check_value("seed", "int", SEED_RANGE, seed)
     check_value("batch", "int", {"ge": 1}, batch)
+    # one class makes the softmax the constant 1, so no loss term could move
+    check_value("n_classes", "int", {"ge": 2}, n_classes)
     specs = {"F": NetSpec((in_dim, hidden, feature_dim), "relu"),
              "C": NetSpec((feature_dim, n_classes)),
              "D": NetSpec((feature_dim * n_classes, hidden, 1), "sigmoid")}

@@ -17,6 +17,11 @@ from .recipe import UNIT_RANGE, check_value
 _BRANCHES = ("student", "teacher")
 
 
+def _check_branch(which: str) -> None:
+    if which not in _BRANCHES:
+        raise ContractError(f"branch must be one of {_BRANCHES}, got {which!r}")
+
+
 def _check_prob_rows(p: np.ndarray, what: str) -> None:
     if p.size == 0:
         return
@@ -58,6 +63,7 @@ class PredEmaState:
 
     def row(self, which: str, sample_id: int) -> np.ndarray:
         """A copy of the smoothed row stored for one sample id."""
+        _check_branch(which)
         seen = self._seen[which]
         if not (0 <= sample_id < seen.shape[0] and seen[sample_id]):
             raise ContractError(f"no {which} prediction stored for sample {sample_id}")
@@ -107,8 +113,7 @@ def pred_ema(state: PredEmaState, which: str, sample_ids, p_n: np.ndarray) -> np
     wraps them as a graph constant if they feed a loss.  An id may appear
     once per call: a repeat raises ContractError before any row changes.
     """
-    if which not in _BRANCHES:
-        raise ContractError(f"branch must be one of {_BRANCHES}, got {which!r}")
+    _check_branch(which)
     p_n = np.asarray(p_n, dtype=np.float64)
     ids = _sample_ids(sample_ids)
     if p_n.ndim != 2 or p_n.shape != (ids.shape[0], state.n_classes):

@@ -214,8 +214,9 @@ class Trainer:
     on a leading axis, so one tape per step carries all S runs, and each
     seed gets the bits of its own solo run: no array is shared between
     seeds, and every op works on each seed's matrices as on a lone matrix.
-    Each seed keeps its own batch stream, smoothing state and evaluation;
-    the schedules depend only on the step, so the seeds share them.
+    Each seed keeps its own batch stream and evaluation, and its own id range
+    in the stack's one prediction-smoothing state; the schedules depend only
+    on the step, so the seeds share them.
     """
 
     def __init__(self, cfg: TrainConfig | Sequence[TrainConfig],
@@ -249,19 +250,15 @@ class Trainer:
         if cfg.variant in _USES_DISC:
             self.disc = init(NetSpec((cfg.feature_dim * c, cfg.disc_hidden, 1), final="sigmoid"),
                              13)
-        self.pred_states = None
+        self.pred_state = None
         if cfg.variant in _USES_SMOOTHED_CONDITIONS:
-            self.pred_states = [PredEmaState(cfg.alpha_p, c) for _ in self.cfgs]
+            self.pred_state = PredEmaState(cfg.alpha_p, c)
+        self.first_ids = np.cumsum([0] + [ds.n_source + ds.n_target for ds in self.datasets])[:-1]
         self.opt = OptimizerState(cfg.momentum)
         self.params = flat_arrays(("F", self.student_F), ("C", self.student_C), ("D", self.disc))
 
     def _progress(self, n: int) -> float:
         return n / self.cfg.total_steps if self.cfg.total_steps else 0.0
-
-    def _smoothed(self, which: str, ids: list[np.ndarray], p: np.ndarray) -> np.ndarray:
-        """Each seed's prediction rows blended into that seed's smoothing state."""
-        return np.stack([pred_ema(state, which, seed_ids, rows)
-                         for state, seed_ids, rows in zip(self.pred_states, ids, p)])
 
     def train_step(self, batches: Sequence[Batch], n: int) -> list[LossBreakdown]:
         """One optimizer step on one batch per seed; returns each seed's
@@ -282,10 +279,13 @@ class Trainer:
             teacher_p_all = T.stable_softmax(forward_fc_plain(
                 self.dualnet.teacher_F, self.dualnet.teacher_C, x_all.values))
         if cfg.variant in _USES_SMOOTHED_CONDITIONS:
-            # target ids are offset by n_source, so the ids are distinct
-            ids = [np.concatenate([b.src_ids, b.tgt_ids]) for b in batches]
-            cond = self._smoothed("student", ids, p_all.values)
-            tea_cond = self._smoothed("teacher", ids, teacher_p_all)
+            # target ids are offset by n_source, and seed s's ids by first_ids[s]
+            ids = np.concatenate([first + np.concatenate([b.src_ids, b.tgt_ids])
+                                  for first, b in zip(self.first_ids, batches)])
+            rows, shape = (ids.size, -1), teacher_p_all.shape
+            cond = pred_ema(self.pred_state, "student", ids, p_all.values.reshape(rows))
+            tea_cond = pred_ema(self.pred_state, "teacher", ids, teacher_p_all.reshape(rows))
+            cond, tea_cond = cond.reshape(shape), tea_cond.reshape(shape)
         elif cfg.variant in _USES_DISC:
             cond = p_all.values
         tea_p = teacher_p_all if cfg.variant in _USES_CONSISTENCY else None

@@ -67,6 +67,17 @@ def test_a_negative_seed_is_refused_before_any_draw():
         loss_check_suite(-1)
 
 
+def test_fewer_than_two_classes_are_refused_before_any_draw(monkeypatch):
+    # one class makes every softmax row the constant 1: checks that pass
+    # because no loss can move would prove nothing
+    drawn = []
+    monkeypatch.setattr(renlab.checks, "init_params", lambda *args: drawn.append(args))
+    for n_classes in (1, 0):
+        with pytest.raises(ConfigError, match=f"^n_classes must be >= 2, got {n_classes}$"):
+            loss_check_suite(0, n_classes=n_classes)
+    assert not drawn
+
+
 def test_kink_margin_refuses_a_forward_only_graph():
     # an empty tape would read as infinitely far from every kink and pass
     # any scenario

@@ -303,14 +303,13 @@ def test_gradcheck_passes_and_names_every_loss(capsys):
     assert all("PASS" in ln and "max_rel_error" in ln for ln in out)
 
 
-def test_gradcheck_names_a_tensor_when_an_error_is_exactly_zero(capsys):
-    # with one class the cross-entropy and consistency losses are constant,
-    # so every relative error is 0; the report still names an entry
-    assert main(["gradcheck", "--classes", "1"]) == 0
-    out = capsys.readouterr().out.strip().splitlines()
-    zero = [ln for ln in out if "max_rel_error=0.000e+00" in ln]
-    assert [ln.split(":")[0] for ln in zero] == ["cross_entropy", "consistency"]
-    assert all(" worst=F.w0[0,0] " in ln for ln in zero)
+def test_gradcheck_refuses_one_class_before_any_report(capsys):
+    # with one class every softmax row is the constant 1, so cross-entropy
+    # and consistency cannot move and their checks would pass vacuously
+    assert main(["gradcheck", "--classes", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n_classes must be >= 2, got 1\n"
 
 
 def test_gradcheck_detects_corrupted_gradient(capsys, monkeypatch):

@@ -113,6 +113,8 @@ def test_pred_ema_input_validation():
     state = PredEmaState(0.5, 2)
     with pytest.raises(ContractError):
         pred_ema(state, "referee", [0], np.array([[0.5, 0.5]]))
+    with pytest.raises(ContractError, match="branch must be one of"):
+        state.row("referee", 0)
     with pytest.raises(ShapeError):
         pred_ema(state, "student", [0, 1], np.array([[0.5, 0.5]]))
     with pytest.raises(ContractError):
@@ -220,3 +222,24 @@ def test_pred_ema_one_call_on_stacked_ids_matches_two_calls(rng):
         assert known_ids(stacked, which) == known_ids(split, which)
         for sid in known_ids(split, which):
             assert stacked.row(which, sid).tobytes() == split.row(which, sid).tobytes()
+    # a seed stack: seed s's ids offset by the samples of the seeds before it
+    # in one state must store and return the bits of one state per seed
+    sizes = [90, 140, 100]
+    first_ids = np.cumsum([0] + sizes)
+    one, apart = PredEmaState(alpha_p, c), [PredEmaState(alpha_p, c) for _ in sizes]
+    for _ in range(60):
+        for which in ("student", "teacher"):
+            m = int(rng.integers(1, 9))
+            ids = [rng.permutation(size)[:m] for size in sizes]
+            raw = rng.random((len(sizes), m, c))
+            p = raw / raw.sum(axis=2, keepdims=True)
+            out = pred_ema(one, which, np.concatenate([f + i for f, i in zip(first_ids, ids)]),
+                           p.reshape(-1, c))
+            want = np.vstack([pred_ema(st, which, i, rows) for st, i, rows in zip(apart, ids, p)])
+            assert out.tobytes() == want.tobytes()
+    for which in ("student", "teacher"):
+        held = [known_ids(st, which) for st in apart]
+        assert known_ids(one, which) == [f + sid for f, h in zip(first_ids, held) for sid in h]
+        for f, st, h in zip(first_ids, apart, held):
+            for sid in h:
+                assert one.row(which, f + sid).tobytes() == st.row(which, sid).tobytes()

@@ -234,14 +234,14 @@ def test_sgd_validation():
 def test_variant_component_instantiation():
     ds = small_ds()
     t = Trainer(TrainConfig(variant="source_only", total_steps=10), ds)
-    assert t.disc is None and t.dualnet is None and t.pred_states is None
+    assert t.disc is None and t.dualnet is None and t.pred_state is None
     assert all(k.startswith(("F.", "C.")) for k in t.params)
     t = Trainer(TrainConfig(variant="cdan", total_steps=10), ds)
-    assert t.disc is not None and t.dualnet is None and t.pred_states is None
+    assert t.disc is not None and t.dualnet is None and t.pred_state is None
     t = Trainer(TrainConfig(variant="cdan_m", total_steps=10), ds)
-    assert t.dualnet is not None and t.pred_states is None
+    assert t.dualnet is not None and t.pred_state is None
     t = Trainer(TrainConfig(variant="ren", total_steps=10), ds)
-    assert t.disc is not None and t.dualnet is not None and t.pred_states is not None
+    assert t.disc is not None and t.dualnet is not None and t.pred_state is not None
 
 
 def test_consistency_is_zero_on_first_step():
@@ -349,6 +349,30 @@ def test_nodes_per_step(monkeypatch):
             got[variant] = counted.pop()
         assert not counted
         assert got == NODES_PER_STEP
+
+
+def test_a_step_smooths_each_branch_in_one_call_over_the_whole_stack(monkeypatch):
+    # one smoothing state holds every seed of a stack, so a step blends all
+    # S * 2m rows of a branch in one call, whatever S is
+    calls = []
+    real = trainer.pred_ema
+
+    def counting(state, which, ids, p):
+        calls.append((which, len(ids), p.shape[0]))
+        return real(state, which, ids, p)
+
+    monkeypatch.setattr(trainer, "pred_ema", counting)
+    ds = small_ds()
+    for seeds in ([0], [0, 1, 2]):
+        for variant in trainer.VARIANTS:
+            cfgs = [TrainConfig(variant=variant, seed=s, total_steps=10) for s in seeds]
+            Trainer(cfgs, [ds] * len(seeds)).train_step(
+                [next(batch_stream(ds, cfg.batch_size, cfg.seed)) for cfg in cfgs], 0)
+            rows = len(seeds) * 2 * cfgs[0].batch_size
+            smoothed = variant in ("cdan_m_d", "ren")
+            assert calls == ([("student", rows, rows), ("teacher", rows, rows)]
+                             if smoothed else [])
+            calls.clear()
 
 
 def _arrays(result) -> dict[str, bytes]:
