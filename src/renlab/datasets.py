@@ -172,6 +172,10 @@ class DomainDataset:
 
     target_y is held out for evaluation; the batch view never exposes it.
     meta is the recipe: the seed, then every DataSpec field in order.
+    Both sample arrays are non-empty, 2-D and of one width; both label
+    arrays are 1-D integer arrays of matching length; the source labels
+    name n_classes >= 2 classes (0 to their maximum), and every label of
+    either split lies among them.
     """
 
     source_x: np.ndarray
@@ -181,13 +185,23 @@ class DomainDataset:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.source_x.shape[0] != self.source_y.shape[0]:
-            raise ContractError("source sample/label counts differ")
-        if self.target_x.shape[0] != self.target_y.shape[0]:
-            raise ContractError("target sample/label counts differ")
+        for split, x, y in (("source", self.source_x, self.source_y),
+                            ("target", self.target_x, self.target_y)):
+            if x.ndim != 2:
+                raise ContractError(f"{split} samples must be a 2-D array, got {x.ndim}-D")
+            if y.ndim != 1 or y.dtype.kind not in "iu":
+                raise ContractError(f"{split} labels must be a 1-D integer array, "
+                                    f"got {y.ndim}-D {y.dtype}")
+            if x.shape[0] != y.shape[0]:
+                raise ContractError(f"{split} sample/label counts differ")
+        if self.source_x.shape[1] != self.target_x.shape[1]:
+            raise ContractError(f"source samples have {self.source_x.shape[1]} coordinates, "
+                                f"target samples {self.target_x.shape[1]}")
         if self.source_x.shape[0] == 0 or self.target_x.shape[0] == 0:
             raise ContractError("both domains must be non-empty")
         n_classes = self.n_classes
+        if n_classes < 2:
+            raise ContractError(f"source labels must name at least 2 classes, got {n_classes}")
         for split, y in (("source", self.source_y), ("target", self.target_y)):
             outside = y[(y < 0) | (y >= n_classes)]
             if outside.size:

@@ -7,20 +7,19 @@ minimum needed for small MLPs and the adversarial / consistency losses built
 on top of them, plus ``grad_reverse`` which turns the discriminator's
 maximization into a single minimization.
 
-A node is plain data: its op name, its output array, and one
-``(parent node id, vjp)`` pair per non-constant input, in input order.
-Constant inputs get no pair, so their vjp is never called.
-``Graph.backward`` is the one loop that calls vjps and accumulates their
-results.  It keeps only the parameter leaves' gradients: every other
-adjoint lives in the sweep alone, until its node's vjps have run.  A vjp
-closes over arrays and scalars only, never a Graph or a Tensor, so a graph
-holds no reference cycle and is freed by reference counting as soon as its
-last Tensor goes away.
-
-A forward-only graph, ``Graph(record=False)``, runs the same ops and the
-same per-op finiteness check but appends no node, so its tensors carry
-values only.  It serves callers that never run backward, such as the
-perturbed evaluations of a finite-difference check.
+A value enters the tape only if a gradient can flow into it: a parameter,
+or the output of an op with an input on the tape.  Any other tensor, such
+as a constant, has ``node_id`` None and appends no node.  A forward-only
+graph, ``Graph(record=False)``, gives its parameters no node either, for
+callers that never run backward, such as a finite-difference check's
+perturbed evaluations.  A node is plain data: its op name, its output
+array, and one ``(parent node id, vjp)`` pair per input on the tape, in
+input order.  ``Graph.backward`` is the one loop that calls vjps and
+accumulates their results.  It keeps only the parameter leaves' gradients:
+every other adjoint lives in the sweep alone, until its node's vjps have
+run.  A vjp closes over arrays and scalars only, never a Graph or a Tensor,
+so a graph holds no reference cycle and is freed by reference counting as
+soon as its last Tensor goes away.
 
 A tensor is a matrix, or a stack of matrices on a leading seed axis: every
 op indexes from the right, rows on axis -2 and columns on axis -1, and
@@ -107,8 +106,8 @@ class Tensor:
 
     @property
     def grad(self) -> np.ndarray | None:
-        """A parameter's gradient from the last backward pass; None for a
-        constant, an intermediate, and on a forward-only graph."""
+        """A parameter's gradient from the last backward pass; None for an
+        intermediate and for any tensor without a node."""
         return self.graph.grads.get(self.node_id)
 
     def item(self) -> float:
@@ -121,8 +120,8 @@ class Tensor:
 
 
 class Node:
-    """One operation record on the tape: its output array and, per
-    non-constant input, a (parent node id, vjp) pair in input order."""
+    """One operation record on the tape: its output array and, per input
+    on the tape, a (parent node id, vjp) pair in input order."""
 
     __slots__ = ("op", "values", "parents")
 
@@ -139,9 +138,9 @@ class Graph:
     nodes in exact reverse construction order.  A graph must only ever be
     mutated from a single thread.
 
-    With ``record=False`` the graph is forward-only: ops return tensors that
-    hold their values with ``node_id`` None, the tape stays empty, and
-    ``backward`` raises ContractError.
+    Only tensors a gradient can flow into get a node (see the module
+    docstring).  With ``record=False`` not even the parameters do: the tape
+    stays empty and ``backward`` raises ContractError.
     """
 
     def __init__(self, record: bool = True):
@@ -151,8 +150,8 @@ class Graph:
         # parameter node id -> gradient, replaced whole by each backward pass
         self.grads: dict[int, np.ndarray] = {}
 
-    def _record(self, op, values) -> Tensor:
-        """Append a leaf node; on a forward-only graph only check the value."""
+    def _leaf(self, op, values) -> Tensor:
+        """A checked leaf without a node."""
         if (type(values) is np.ndarray and 1 < values.ndim < 4
                 and values.dtype == np.float64 and values.flags.c_contiguous):
             arr = values  # what as_matrix would return, without the call
@@ -163,24 +162,23 @@ class Graph:
         out = Tensor.__new__(Tensor)
         out.values = arr
         out.graph = self
-        if not self.record:
-            out.node_id = None
-            return out
-        nodes = self.nodes
-        out.node_id = len(nodes)
-        nodes.append(Node(op, arr, ()))
+        out.node_id = None
         return out
 
     def parameter(self, values) -> Tensor:
-        """Register a trainable leaf; backward will populate its gradient."""
-        out = self._record("param", values)
+        """Register a trainable leaf; backward will populate its gradient.
+        On a forward-only graph it gets no node, like a constant."""
+        out = self._leaf("param", values)
         if self.record:
+            nodes = self.nodes
+            out.node_id = len(nodes)
             self._param_ids.append(out.node_id)
+            nodes.append(Node("param", out.values, ()))
         return out
 
     def constant(self, values) -> Tensor:
-        """Register a non-trainable leaf; gradients are not tracked for it."""
-        return self._record("const", values)
+        """A non-trainable leaf: it gets no node, so no gradient flows into it."""
+        return self._leaf("const", values)
 
     def backward(self, loss: Tensor) -> None:
         """Reverse-mode sweep from a scalar loss node, or from a stack of
@@ -197,8 +195,9 @@ class Graph:
             raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
         nodes = self.nodes
         adjoints: list[np.ndarray | None] = [None] * len(nodes)
-        adjoints[loss.node_id] = np.ones(loss.shape)
-        for i in range(loss.node_id, -1, -1):
+        if loss.node_id is not None:  # else no parameter reaches the loss
+            adjoints[loss.node_id] = np.ones(loss.shape)
+        for i in range(len(nodes) - 1, -1, -1):
             grad = adjoints[i]
             parents = nodes[i].parents
             if grad is None or not parents:
@@ -218,26 +217,25 @@ class Graph:
 
 # The one record path of every op, written out twice so that an op costs no
 # call beyond its own: check that a binary op's operands share a graph, run
-# the finiteness test of _all_finite on the output, and on a recording graph
-# append the node with one (parent id, vjp) pair per non-constant input.
+# the finiteness test of _all_finite on the output, and append a node with
+# one (parent id, vjp) pair per input on the tape, if any input is on it.
 # ``out`` must already be a fresh C-contiguous float64 matrix or stack;
 # every op's forward makes one.
 
 
 def _unary(op: str, x: Tensor, out: np.ndarray, vjp) -> Tensor:
-    graph = x.graph
     if not _and_reduce(_isfinite(out), axis=None):
         raise NonFiniteError(f"op '{op}' produced NaN or infinity")
     t = Tensor.__new__(Tensor)
     t.values = out
-    t.graph = graph
-    if graph.record:
+    t.graph = graph = x.graph
+    xid = x.node_id
+    if xid is None:
+        t.node_id = None
+    else:
         nodes = graph.nodes
         t.node_id = len(nodes)
-        xid = x.node_id
-        nodes.append(Node(op, out, () if nodes[xid].op == "const" else ((xid, vjp),)))
-    else:
-        t.node_id = None
+        nodes.append(Node(op, out, ((xid, vjp),)))
     return t
 
 
@@ -250,13 +248,12 @@ def _binary(op: str, a: Tensor, b: Tensor, out: np.ndarray, vjp_a, vjp_b) -> Ten
     t = Tensor.__new__(Tensor)
     t.values = out
     t.graph = graph
-    if graph.record:
+    aid, bid = a.node_id, b.node_id
+    parents = (() if aid is None else ((aid, vjp_a),)) + (() if bid is None else ((bid, vjp_b),))
+    if parents:
         nodes = graph.nodes
         t.node_id = len(nodes)
-        aid, bid = a.node_id, b.node_id
-        pa = () if nodes[aid].op == "const" else ((aid, vjp_a),)
-        pb = () if nodes[bid].op == "const" else ((bid, vjp_b),)
-        nodes.append(Node(op, out, pa + pb))
+        nodes.append(Node(op, out, parents))
     else:
         t.node_id = None
     return t
@@ -380,9 +377,12 @@ def grad_reverse(x: Tensor, lam: float) -> Tensor:
 def gather_rows(p: Tensor, labels) -> Tensor:
     """Pick one entry per row: out[..., i, 0] = p[..., i, labels[..., i]].
 
-    ``labels`` holds one label per row of ``p``, in row order.
+    ``labels`` holds one integer label per row of ``p``, in row order.
     """
-    idx = np.asarray(labels, dtype=np.int64).reshape(-1)
+    idx = np.asarray(labels)
+    if idx.dtype.kind not in "iu":  # a float or bool label would be truncated
+        raise ContractError(f"labels must have an integer dtype, got {idx.dtype}")
+    idx = idx.astype(np.int64, copy=False).reshape(-1)
     shape = p.shape
     rows, c = math.prod(shape[:-1]), shape[-1]
     if idx.shape[0] != rows:

@@ -239,6 +239,9 @@ BAD_INPUT = [
     (["datagen", "--seed", "x"], "config key 'seed' expects an integer, got 'x'"),
     (["train", "--classes", "-4"], "classes must be >= 2, got -4"),
     (["train", "--classes", "5"], "classes applies to the blobs generator only"),
+    # a one-sample source holds one class: its softmax is the constant 1
+    (["train", "--gen", "blobs", "--n", "1", "--n-target", "1", "--batch-size", "1",
+      "--steps", "2"], "source labels must name at least 2 classes, got 1"),
 ]
 
 

@@ -210,9 +210,26 @@ def test_lift_applies_embedding_then_noise(rng):
 
 
 def test_domain_dataset_validation(rng):
-    with pytest.raises(ContractError):
-        DomainDataset(rng.normal(size=(3, 2)), np.zeros(2, dtype=np.int64),
-                      rng.normal(size=(3, 2)), np.zeros(3, dtype=np.int64))
+    x, y = rng.normal(size=(3, 2)), np.array([0, 1, 1])
+    with pytest.raises(ContractError, match="counts differ"):
+        DomainDataset(x, y[:2], x, y)
+    # each case below used to be accepted and broke training late, or
+    # trained on labels gather_rows truncated
+    bad = [
+        ((x, y, rng.normal(size=(3, 3)), y), "2 coordinates, target samples 3"),
+        ((x[:, 0], y, x, y), "source samples must be a 2-D array, got 1-D"),
+        ((x, y, x[:, 0], y), "target samples must be a 2-D array, got 1-D"),
+        ((x, y + 0.5, x, y), "source labels must be a 1-D integer array, got 1-D float64"),
+        ((x, y, x, y.astype(bool)), "target labels must be a 1-D integer array, got 1-D bool"),
+        ((x, y[:, None], x, y), "source labels must be a 1-D integer array, got 2-D int64"),
+        ((x[:1], y[:1], x, y), "source labels must name at least 2 classes, got 1"),
+        ((x, np.zeros(3, dtype=np.uint8), x, y), "at least 2 classes, got 1"),
+    ]
+    for args, message in bad:
+        with pytest.raises(ContractError, match=message):
+            DomainDataset(*args)
+    for dtype in (np.int32, np.uint8):  # the integer dtypes a CSV round trip keeps
+        assert DomainDataset(x, y.astype(dtype), x, y.astype(dtype)).n_classes == 2
 
 
 def test_make_domain_dataset_properties():

@@ -127,6 +127,10 @@ def test_gather_rows_forward_and_range_check():
         T.gather_rows(p, [2, 0])
     with pytest.raises(ShapeError):
         T.gather_rows(p, [0])
+    # a non-integer label would be truncated to some other column
+    for labels in ([0.7, 1.2], [True, False], np.array([1.0, 0.0])):
+        with pytest.raises(ContractError, match="integer"):
+            T.gather_rows(p, labels)
 
 
 # --- gradient checks: every differentiable op against the local oracle -----
@@ -283,6 +287,9 @@ def test_unreached_parameters_get_zero_gradients():
     lonely = g.parameter([[5.0]])
     g.backward(T.mean_all(T.square(x)))
     assert np.array_equal(lonely.grad, [[0.0]])
+    # a loss of constants alone has no node and reaches no parameter
+    g.backward(T.sum_all(g.constant([[3.0]])))
+    assert np.array_equal(x.grad, [[0.0, 0.0]]) and np.array_equal(lonely.grad, [[0.0]])
 
 
 def test_constants_are_skipped():
@@ -331,10 +338,12 @@ OP_BUILDERS = {
 }
 
 
-def _op_inputs(g, c_leaf=None):
-    return (g.parameter([[0.1, 0.5, 0.9], [0.3, 0.6, 0.7]]),
+def _op_inputs(g, c_leaf=None, leaf=None):
+    """(x, c, w); ``leaf`` makes x and w, ``c_leaf`` makes c."""
+    leaf = leaf or g.parameter
+    return (leaf([[0.1, 0.5, 0.9], [0.3, 0.6, 0.7]]),
             (c_leaf or g.constant)([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
-            g.parameter(np.ones((3, 2))))
+            leaf(np.ones((3, 2))))
 
 
 # the positions in (x, c, w) that each binary builder reads; every other
@@ -378,14 +387,17 @@ def test_op_output_is_a_fresh_c_contiguous_float64_matrix(op):
 
 @pytest.mark.parametrize("op", sorted(OP_BUILDERS))
 def test_forward_only_graph_gives_recorded_values_and_keeps_no_node(op):
+    # a forward-only graph's parameters, like constants on a recording
+    # graph, get no node, and neither does any op on them alone
     recorded = OP_BUILDERS[op](*_op_inputs(T.Graph()))
-    g = T.Graph(record=False)
-    out = OP_BUILDERS[op](*_op_inputs(g))
-    assert out.values.tobytes() == recorded.values.tobytes()
-    assert out.shape == recorded.shape
-    assert out.graph is g and out.node_id is None
-    assert g.nodes == []
-    assert out.grad is None
+    forward_only, recording = T.Graph(record=False), T.Graph()
+    for g, leaf in ((forward_only, None), (recording, recording.constant)):
+        out = OP_BUILDERS[op](*_op_inputs(g, leaf=leaf))
+        assert out.values.tobytes() == recorded.values.tobytes()
+        assert out.shape == recorded.shape
+        assert out.graph is g and out.node_id is None
+        assert g.nodes == []
+        assert out.grad is None
 
 
 @pytest.mark.parametrize("op", sorted(OP_BUILDERS))
