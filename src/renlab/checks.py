@@ -2,14 +2,15 @@
 
 Builds a small seeded scenario (student nets, discriminator, one batch,
 frozen conditioning rows) and compares graph gradients against central
-differences.  The ``total`` check is the training step's own objective: it
-records the four terms through ``trainer.step_terms``, the function
-``Trainer.train_step`` calls, then weighs them with ``total_loss``.  Each
-check records its loss with the model's own code: one backward pass gives
-the analytic gradients, and the perturbed evaluations run the same code
-as forward-only stacks, which keep no tape: the perturbed copies of all
-of a check's arrays sit on a leading axis of one forward pass (one per
-check at default sizes), and each copy gets the bits of its own rank-2
+differences.  Every check is the training step's own objective,
+``trainer.step_terms``, the function ``Trainer.train_step`` calls, with the
+other terms off: a per-term check passes None for every other term's input
+and reads its own term, and ``total`` turns all four on and weighs them with
+``total_loss``.  A check binds only the nets its terms read.  One backward
+pass gives the analytic gradients, and the perturbed evaluations run the
+same code as forward-only stacks, which keep no tape: the perturbed copies
+of all of a check's arrays sit on a leading axis of one forward pass (one
+per check at default sizes), and each copy gets the bits of its own rank-2
 run.  The adversarial terms are built WITHOUT the gradient-reversal node:
 reversal makes the analytic gradient -lambda times the loss gradient by
 construction, which central differences cannot see.  The reversal algebra
@@ -37,6 +38,7 @@ import numpy as np
 
 from . import tensor as T
 from .exceptions import ContractError
+# only total_loss is called here; perfbench/tracing.py still wraps the four terms at this module
 from .losses import adv_student, adv_teacher, consistency, cross_entropy, total_loss
 from .networks import (DISC_EPS, BoundNet, NetSpec, ParamSet, collect_grads, flat_arrays,
                        forward_fc, forward_fc_plain, init_params)
@@ -102,50 +104,34 @@ def _suite(specs: dict[str, NetSpec], batch: int, own: dict[str, np.ndarray],
     """The five checks of one scenario: nets ``specs`` with the flat arrays
     ``own``, and ``inputs`` whose first ``batch`` rows are source."""
 
-    def bind(g, arrays, *prefixes):
-        arrays = own if arrays is None else arrays
-        # every check binds F; the axes its arrays have beyond own's are the lead
-        lead = arrays["F.w0"].shape[:arrays["F.w0"].ndim - own["F.w0"].ndim]
-        nets = [BoundNet(g, ParamSet(specs[p], {k[len(p) + 1:]: v for k, v in arrays.items()
-                                                if k.startswith(p + ".")}), p)
-                for p in prefixes]
-        return nets, _Inputs(*(np.broadcast_to(c, lead + c.shape) for c in inputs))
-
-    def build_ce(g, arrays=None):
-        (bF, bC), c = bind(g, arrays, "F", "C")
-        _, p = forward_fc(bF, bC, g.constant(c.x_all[..., :batch, :]))
-        return cross_entropy(p, c.ys), (bF, bC)
-
-    def adv_build(adv, phat):
+    def check(name, term, prefixes):
         def build(g, arrays=None):
-            (bF, bD), c = bind(g, arrays, "F", "D")
-            return (adv(bD, bF(g.constant(c.x_all)), getattr(c, phat), batch, 1.0,
-                        reverse=False), (bF, bD))
-        return build
+            arrays = own if arrays is None else arrays
+            # every check binds F; the axes its arrays have beyond own's are the lead
+            lead = arrays["F.w0"].shape[:arrays["F.w0"].ndim - own["F.w0"].ndim]
+            nets = {p: BoundNet(g, ParamSet(specs[p], {k[len(p) + 1:]: v for k, v in arrays.items()
+                                                       if k.startswith(p + ".")}), p)
+                    for p in prefixes}
+            c = _Inputs(*(np.broadcast_to(a, lead + a.shape) for a in inputs))
+            x = g.constant(c.x_all)
+            if "C" in nets:
+                f_all, p_all = forward_fc(nets["F"], nets["C"], x)
+            else:
+                f_all, p_all = nets["F"](x), None
+            switches = (c.ys, c.cond_all, c.tea_all, c.tea_all)  # step_terms' per-term inputs
+            if term is not None:  # every term but this one off
+                switches = [v if i == term else None for i, v in enumerate(switches)]
+            ys, cond, tea_cond, tea_p = switches
+            terms = step_terms(nets.get("D"), f_all, p_all, ys, batch, cond, tea_cond, tea_p, 1.0,
+                               reverse=False)
+            loss = total_loss(*terms, 1.0, 1.0, 1.0)[0] if term is None else terms[term]
+            return loss, tuple(nets.values())
+        return LossCheck(name, build, {k: v for k, v in own.items()
+                                       if k.split(".", 1)[0] in prefixes})
 
-    def build_con(g, arrays=None):
-        (bF, bC), c = bind(g, arrays, "F", "C")
-        _, p = forward_fc(bF, bC, g.constant(c.x_all))
-        return consistency(p, c.tea_all), (bF, bC)
-
-    def build_total(g, arrays=None):
-        (bF, bC, bD), c = bind(g, arrays, "F", "C", "D")
-        f_all, p_all = forward_fc(bF, bC, g.constant(c.x_all))
-        terms = step_terms(bD, f_all, p_all, c.ys, batch, c.cond_all, c.tea_all, c.tea_all,
-                           1.0, reverse=False)
-        total, _ = total_loss(*terms, 1.0, 1.0, 1.0)
-        return total, (bF, bC, bD)
-
-    def arrays_of(*prefixes):
-        return {k: v for k, v in own.items() if k.split(".", 1)[0] in prefixes}
-
-    return [
-        LossCheck("cross_entropy", build_ce, arrays_of("F", "C")),
-        LossCheck("adv_student", adv_build(adv_student, "cond_all"), arrays_of("F", "D")),
-        LossCheck("adv_teacher", adv_build(adv_teacher, "tea_all"), arrays_of("F", "D")),
-        LossCheck("consistency", build_con, arrays_of("F", "C")),
-        LossCheck("total", build_total, arrays_of("F", "C", "D")),
-    ]
+    return [check("cross_entropy", 0, ("F", "C")), check("adv_student", 1, ("F", "D")),
+            check("adv_teacher", 2, ("F", "D")), check("consistency", 3, ("F", "C")),
+            check("total", None, ("F", "C", "D"))]
 
 
 def loss_check_suite(seed: int, batch: int = 4, in_dim: int = 5, hidden: int = 6,

@@ -37,13 +37,21 @@ class MetricsRecord:
 
 
 def accuracy(params_F: ParamSet, params_C: ParamSet, x: np.ndarray, y) -> float:
-    """Fraction of argmax-correct predictions; ties go to the lowest class."""
-    y = np.asarray(y, dtype=np.int64).reshape(-1)
+    """Fraction of argmax-correct predictions; ties go to the lowest class.
+
+    ``y`` holds one integer label in [0, logit columns) per row of ``x``.
+    """
+    y = np.asarray(y).reshape(-1)
     if y.size == 0:
         raise ContractError("accuracy over an empty sample set")
+    if y.dtype.kind not in "iu":  # a float or bool label would be truncated
+        raise ContractError(f"labels must have an integer dtype, got {y.dtype}")
     x = np.asarray(x, dtype=np.float64)
     if y.size != x.shape[0]:
         raise ShapeError(f"{y.size} labels for {x.shape[0]} rows")
+    c = params_C.spec.widths[-1]
+    if y.min() < 0 or y.max() >= c:  # it would silently count as a miss
+        raise ContractError(f"label out of range [0, {c})")
     logits = forward_fc_plain(params_F, params_C, x)
     pred = np.argmax(logits, axis=1)
     return float(np.mean(pred == y))

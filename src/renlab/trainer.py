@@ -178,12 +178,13 @@ def stack_key(dataset: DomainDataset) -> tuple[int, int]:
 
 
 def step_terms(bound_D, f_all, p_all, ys, m_src, cond, tea_cond, tea_p, lam, reverse=True):
-    """REN's objective for the training step and the gradient check's
-    ``total``: (l_c, l_d_stu, l_d_tea, l_con), recorded in that order.  The
-    first ``m_src`` rows of ``f_all`` and ``p_all`` are source; ``cond`` and
-    ``tea_cond`` condition the adversarial terms and ``tea_p`` is the
-    consistency target.  A term whose input is None is off and reads None."""
-    return (cross_entropy(T.slice_rows(p_all, 0, m_src), ys),
+    """REN's objective for the training step and every gradient check:
+    (l_c, l_d_stu, l_d_tea, l_con), recorded in that order.  The first
+    ``m_src`` rows of ``f_all`` and ``p_all`` are source, labelled ``ys``;
+    ``cond`` and ``tea_cond`` condition the adversarial terms and ``tea_p``
+    is the consistency target.  A term whose input is None is off: it reads
+    None and records nothing."""
+    return (None if ys is None else cross_entropy(T.slice_rows(p_all, 0, m_src), ys),
             None if cond is None else adv_student(bound_D, f_all, cond, m_src, lam, reverse),
             None if tea_cond is None else adv_teacher(bound_D, f_all, tea_cond, m_src, lam,
                                                       reverse),

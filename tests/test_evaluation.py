@@ -65,6 +65,20 @@ def test_accuracy_rejects_empty_input():
         accuracy(f, c, np.zeros((0, 2)), [])
 
 
+@pytest.mark.parametrize("labels, message", [
+    ([0.7, 1.2, 0.1, 1.9], "integer dtype"),  # truncated, a perfect [0, 1, 0, 1]
+    ([False, True, False, True], "integer dtype"),
+    (np.array([0.0, 1.0, 0.0, 1.0]), "integer dtype"),
+    ([0, 5, 0, 1], r"out of range \[0, 2\)"),  # a miss, not an error, if scored
+    ([0, 1, 0, -1], r"out of range \[0, 2\)"),
+    ([2, 2, 2, 2], r"out of range \[0, 2\)"),
+], ids=["fractional", "bool", "whole_floats", "above", "negative", "one_past_the_last_class"])
+def test_accuracy_refuses_labels_it_would_misread(labels, message):
+    f, c = identity_net(), identity_net()
+    with pytest.raises(ContractError, match=message):
+        accuracy(f, c, np.eye(2)[[0, 1, 0, 1]], labels)
+
+
 @pytest.mark.parametrize("labels", [[1], [1, 0]], ids=["one", "two"])
 def test_accuracy_rejects_a_label_count_unlike_the_row_count(labels):
     f, c = identity_net(), identity_net()

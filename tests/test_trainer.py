@@ -12,8 +12,9 @@ from renlab.checks import loss_check_suite
 from renlab.datasets import DataSpec, batch_stream, make_domain_dataset, standard_benchmark
 from renlab.evaluation import metrics_to_csv
 from renlab.exceptions import ConfigError, ContractError, NonFiniteError, ShapeError
-from renlab.networks import alpha_theta_ramp
-from renlab.tensor import Graph
+from renlab.networks import (BoundNet, NetSpec, alpha_theta_ramp, forward_fc, init_params,
+                             stack_params)
+from renlab.tensor import Graph, stable_softmax
 from renlab.trainer import (OptimizerState, TrainConfig, Trainer,
                             ablation_accuracies, gamma_factor, grl_lambda,
                             load_config, lr_schedule, parse_config_text,
@@ -311,17 +312,56 @@ def test_every_train_step_states_its_objective_through_step_terms_once(monkeypat
         assert parts.l_c == calls[-1][0].item()
 
 
-def test_the_total_gradient_check_is_built_from_step_terms_once(monkeypatch):
+TERMS = ("cross_entropy", "adv_student", "adv_teacher", "consistency")  # step_terms' order
+
+
+def test_every_gradient_check_records_step_terms_once(monkeypatch):
     calls = _count_step_terms(monkeypatch)
-    suite = {check.name: check for check in loss_check_suite(0)}
-    calls.clear()  # the scenario search builds the total once per stack of attempts
-    total, _ = suite["total"].build(Graph())
-    assert len(calls) == 1 and all(term is not None for term in calls[0])
+    losses = {}
+    for check in loss_check_suite(0):
+        calls.clear()  # the scenario search builds the total once per stack of attempts
+        losses[check.name] = check.build(Graph())[0].item()
+        assert len(calls) == 1
+        # a per-term check turns every other term off; the total turns all four on
+        assert tuple(term is not None for term in calls[0]) == tuple(
+            check.name in (name, "total") for name in TERMS)
     # the total is the unit-weighted sum of the four per-term checks
-    parts = [suite[name].build(Graph())[0].item()
-             for name in ("cross_entropy", "adv_student", "adv_teacher", "consistency")]
-    assert len(calls) == 1  # the per-term checks record their term alone
-    assert total.item() == pytest.approx(sum(parts), rel=1e-12)
+    assert losses["total"] == pytest.approx(sum(losses[name] for name in TERMS), rel=1e-12)
+
+
+@pytest.mark.parametrize("S", [1, 3])
+@pytest.mark.parametrize("off", range(4), ids=["ys", "cond", "tea_cond", "tea_p"])
+def test_step_terms_records_nothing_for_a_term_whose_input_is_none(off, S):
+    rng = np.random.default_rng(7)
+    m, c = 4, 3
+    nets = {"F": NetSpec((5, 6, 4), "relu"), "C": NetSpec((4, c)),
+            "D": NetSpec((4 * c, 6, 1), "sigmoid")}
+    params = {p: stack_params([init_params(spec, [s, key]) for s in range(S)])
+              for key, (p, spec) in enumerate(nets.items())}
+    x = rng.normal(size=(S, 2 * m, 5))
+    # ys, cond, tea_cond, tea_p: the four inputs that switch a term on
+    inputs = [rng.integers(0, c, size=(S, m))] + [
+        stable_softmax(rng.normal(size=(S, 2 * m, c))) for _ in range(3)]
+
+    def record(on):
+        g = Graph()
+        bF, bC, bD = (BoundNet(g, params[p], p) for p in nets)
+        f_all, p_all = forward_fc(bF, bC, g.constant(x))
+        first = len(g.nodes)
+        ys, cond, tea_cond, tea_p = (v if keep else None for v, keep in zip(inputs, on))
+        terms = trainer.step_terms(bD, f_all, p_all, ys, m, cond, tea_cond, tea_p, 0.5)
+        return terms, [node.op for node in g.nodes[first:]]
+
+    full, _ = record([True] * 4)
+    alone = [record([i == j for j in range(4)])[1] for i in range(4)]  # each term's own ops
+    terms, ops = record([i != off for i in range(4)])
+    assert terms[off] is None
+    # the tape holds the other three terms' ops, in order, and nothing of this one
+    assert ops == [op for i in range(4) if i != off for op in alone[i]]
+    for i in range(4):
+        if i != off:
+            assert np.array_equal(terms[i].values, full[i].values)
+    assert ("gather_rows" in ops) == (off != 0) and "gather_rows" in alone[0]
 
 
 # tape nodes one training step records, per variant; fewer is the aim, and
