@@ -20,8 +20,8 @@ from .evaluation import (ABLATION_CHAIN, ablation_report, load_metrics,
 from .exceptions import ConfigError, ContractError, RenlabError
 from .networks import save_paramsets
 from .recipe import ON_OFF, SEED_RANGE, check_value, parse_field, parse_text
-from .trainer import (VARIANTS, RunResult, TrainConfig, Trainer, ablation_accuracies,
-                      load_config, parse_config_value, run_ablation)
+from .trainer import (VARIANTS, RunResult, TrainConfig, Trainer, _one_blas_thread,
+                      ablation_accuracies, load_config, parse_config_value, run_ablation)
 
 TOOL_VERSION = "renlab 0.1.0"
 
@@ -228,7 +228,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        # a threaded BLAS call leaves the idle worker spinning on the other
+        # core for about 0.1 s after it, which costs CPU and saves no wall time
+        with _one_blas_thread():
+            return args.fn(args)
     except (ConfigError, ContractError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -233,6 +233,11 @@ class Trainer:
         dataset = self.datasets[0]
         if any(stack_key(ds) != stack_key(dataset) for ds in self.datasets):
             raise ShapeError("the datasets of a stack must share input width and class count")
+        for s, ds in enumerate(self.datasets):  # a DomainDataset takes any float it is given
+            for split, x in (("source", ds.source_x), ("target", ds.target_x)):
+                if not np.isfinite(x).all():
+                    raise ContractError(f"dataset {s} of the stack has a non-finite "
+                                        f"{split} sample")
         c = dataset.n_classes
         f_spec = NetSpec((dataset.input_dim, cfg.feature_hidden, cfg.feature_hidden,
                           cfg.feature_dim), final="relu")
@@ -402,10 +407,11 @@ def run_ablation(base_cfg: TrainConfig, variants, seeds,
 
     Each variant trains its seeds in lock step, one Trainer stack per group
     of seeds whose datasets share a ``stack_key``, so each run's bits are
-    those of its solo run.  The runs use one BLAS thread.  OpenBLAS threads
-    only the 500-row evaluation matmuls at the default sizes, and between
-    them its idle worker spins on the second core: CPU time nearly doubles
-    and wall time does not move.  A sweep's parallelism belongs across runs.
+    those of its solo run.  The runs use one BLAS thread, as every ``renlab``
+    command does; this pin is for library callers.  OpenBLAS threads only
+    the evaluation matmuls at the default sizes, and after each its idle
+    worker spins on the second core: CPU time nearly doubles and wall time
+    does not move.  A sweep's parallelism belongs across runs.
     """
     for v in variants:
         if v not in VARIANTS:

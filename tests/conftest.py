@@ -8,6 +8,8 @@ gradients and test expectations come from two independent routes.
 import numpy as np
 import pytest
 
+from renlab import trainer
+
 
 def numeric_grad(loss_of, arr, h=1e-6):
     """Central-difference gradient of ``loss_of()`` w.r.t. ``arr``, in place.
@@ -37,3 +39,17 @@ def rel_err(a, b, floor=1.0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def blas_threads():
+    """The loaded OpenBLAS's thread-count getter, with the caller's count set
+    to 2 for the test and put back afterwards."""
+    api = trainer._blas_thread_api()
+    if api is None:
+        pytest.skip("no OpenBLAS loaded in this process")
+    get, set_ = api
+    before = get()
+    set_(2)
+    yield get
+    set_(before)

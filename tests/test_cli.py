@@ -43,6 +43,40 @@ def test_every_command_first_releases_the_free_heap(tmp_path, monkeypatch):
     assert calls == [1, 1]
 
 
+def test_every_command_runs_on_one_blas_thread(tmp_path, monkeypatch, blas_threads):
+    seen = []
+    run, build = renlab.cli.Trainer.run, renlab.cli.make_domain_dataset
+
+    def recording_run(self):
+        seen.append(("run", blas_threads()))
+        return run(self)
+
+    def recording_build(spec, seed):
+        seen.append(("build", blas_threads()))
+        return build(spec, seed)
+
+    monkeypatch.setattr(renlab.cli.Trainer, "run", recording_run)
+    monkeypatch.setattr(renlab.cli, "make_domain_dataset", recording_build)
+    assert main(["datagen", "--n", "40", "--out", str(tmp_path)]) == 0
+    assert seen == [("build", 1)] and blas_threads() == 2
+    assert run_train(tmp_path / "runs") == 0
+    assert seen[1:] == [("build", 1), ("run", 1)] and blas_threads() == 2
+
+
+def test_a_failing_command_gives_back_the_callers_blas_threads(tmp_path, monkeypatch,
+                                                                 blas_threads):
+    assert run_train(tmp_path, ["--eta0", "-1"]) == 1  # a ConfigError
+    assert blas_threads() == 2
+
+    def failing_run(self):
+        raise RuntimeError("run failed")
+
+    monkeypatch.setattr(renlab.cli.Trainer, "run", failing_run)
+    with pytest.raises(RuntimeError, match="run failed"):
+        run_train(tmp_path)
+    assert blas_threads() == 2
+
+
 def test_datagen_meta_records_each_domain_count(tmp_path):
     assert main(["datagen", "--n", "200", "--n-target", "50", "--out", str(tmp_path)]) == 0
     meta = (tmp_path / "dataset.meta").read_text().splitlines()

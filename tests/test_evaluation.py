@@ -1,17 +1,19 @@
 """Accuracy, stability windows, ablation summaries, metrics IO."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from renlab import tensor as T
-from renlab.evaluation import (MetricsRecord, ablation_report, accuracy,
+from renlab import evaluation
+from renlab.evaluation import (EVAL_ROWS, MetricsRecord, ablation_report, accuracy,
                                load_metrics, metrics_to_csv, save_ablation,
                                save_metrics, stability)
 from renlab.exceptions import ContractError, ShapeError
 from renlab.losses import LossBreakdown
-from renlab.networks import NetSpec, ParamSet, init_params
+from renlab.networks import NetSpec, ParamSet, forward_fc_plain, init_params
 
 
 def identity_net(dim=2):
@@ -57,6 +59,39 @@ def test_accuracy_runs_no_softmax(monkeypatch, rng):
     want = np.mean(np.argmax(ps_C.forward_plain(ps_F.forward_plain(x)), axis=1) == y)
     assert accuracy(ps_F, ps_C, x, y) == want
     assert calls == []
+
+
+def wide_nets():
+    """Feature and classifier nets with 64-wide layers, as in a 64-D run."""
+    return (init_params(NetSpec((64, 64, 64, 16), final="relu"), 1),
+            init_params(NetSpec((16, 6)), 2))
+
+
+@pytest.mark.parametrize("rows", [2 * EVAL_ROWS + 37, EVAL_ROWS // 3])
+def test_accuracy_over_row_blocks_equals_one_pass_over_all_rows(rng, rows):
+    ps_F, ps_C = wide_nets()
+    x = rng.normal(size=(rows, 64))
+    y = rng.integers(0, 6, size=rows)
+    want = float(np.mean(np.argmax(forward_fc_plain(ps_F, ps_C, x), axis=1) == y))
+    assert accuracy(ps_F, ps_C, x, y) == want
+
+
+def test_accuracy_holds_no_full_size_layer_output(rng, monkeypatch):
+    ps_F, ps_C = wide_nets()
+    x = rng.normal(size=(8000, 64))
+    y = rng.integers(0, 6, size=8000)
+
+    def peak_bytes():
+        tracemalloc.start()
+        try:
+            accuracy(ps_F, ps_C, x, y)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak_bytes() < 4 << 20  # one 8000 x 64 layer output is 4 MB
+    monkeypatch.setattr(evaluation, "EVAL_ROWS", 8000)  # one pass, as a control
+    assert peak_bytes() > 4 << 20
 
 
 def test_accuracy_rejects_empty_input():

@@ -15,6 +15,7 @@ from renlab.losses import (
 )
 from renlab.networks import (BoundNet, NetSpec, ParamSet, collect_grads, discriminate,
                              init_params)
+from renlab.recipe import WEIGHT_RANGE, check_value
 
 from conftest import numeric_grad, rel_err
 
@@ -286,3 +287,24 @@ def test_total_loss_rejects_negative_weights():
     l_c = T.mean_all(g.constant([[1.0]]))
     with pytest.raises(ConfigError):
         total_loss(l_c, None, None, None, -0.1, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf, -1.0, True, "1",
+                                    np.float32("inf")])
+@pytest.mark.parametrize("at, name", [(0, "lambda_stu"), (1, "lambda_tea"), (2, "gamma")])
+def test_total_loss_refuses_what_check_value_refuses_with_its_message(weight, at, name):
+    l_c = T.mean_all(T.Graph().constant([[1.0]]))
+    weights = [1.0, 1.0, 1.0]
+    weights[at] = weight
+    with pytest.raises(ConfigError) as want:
+        check_value(name, "float", WEIGHT_RANGE, weight)
+    with pytest.raises(ConfigError) as got:
+        total_loss(l_c, None, None, None, *weights)
+    assert str(got.value) == str(want.value)
+
+
+def test_total_loss_takes_every_weight_check_value_takes():
+    l_c = T.mean_all(T.Graph().constant([[1.0]]))
+    for w in (0.0, -0.0, 1e308, 3, np.float64(0.5), np.float32(2.0)):
+        check_value("gamma", "float", WEIGHT_RANGE, w)
+        total_loss(l_c, None, None, None, w, w, w)

@@ -22,6 +22,7 @@ from renlab.networks import (
     save_paramsets,
     stack_params,
 )
+from renlab.recipe import UNIT_RANGE, check_value
 
 
 def test_netspec_validation():
@@ -212,6 +213,21 @@ def test_ema_update_validates_alpha():
     net = DualNet(init_params(NetSpec((3, 2)), 1), init_params(NetSpec((2, 2)), 2), 1.5)
     with pytest.raises(ConfigError):
         ema_update(net)
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf, -1.0, True, "1",
+                                   np.float32("inf"), 1.5])
+def test_ema_update_refuses_what_check_value_refuses_with_its_message(alpha):
+    net = DualNet(init_params(NetSpec((3, 2)), 1), init_params(NetSpec((2, 2)), 2), 0.5)
+    net.student_F.params["w0"] += 1.0
+    teacher = net.teacher_F.params["w0"].copy()
+    net.alpha_theta = alpha
+    with pytest.raises(ConfigError) as want:
+        check_value("alpha_theta", "float", UNIT_RANGE, alpha)
+    with pytest.raises(ConfigError) as got:
+        ema_update(net)
+    assert str(got.value) == str(want.value)
+    assert np.array_equal(net.teacher_F.params["w0"], teacher)
 
 
 def test_ema_geometric_law():

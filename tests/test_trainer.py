@@ -10,7 +10,7 @@ import pytest
 from renlab import checks, trainer
 from renlab.checks import loss_check_suite
 from renlab.datasets import DataSpec, batch_stream, make_domain_dataset, standard_benchmark
-from renlab.evaluation import metrics_to_csv
+from renlab.evaluation import EVAL_ROWS, metrics_to_csv
 from renlab.exceptions import ConfigError, ContractError, NonFiniteError, ShapeError
 from renlab.networks import (BoundNet, NetSpec, alpha_theta_ramp, forward_fc, init_params,
                              stack_params)
@@ -637,20 +637,6 @@ def test_run_ablation_rejects_unknown_variant():
 # BLAS threads in the sweep driver
 
 
-@pytest.fixture
-def blas_threads():
-    """The loaded OpenBLAS's thread-count getter, with the caller's count set
-    to 2 for the test and put back afterwards."""
-    api = trainer._blas_thread_api()
-    if api is None:
-        pytest.skip("no OpenBLAS loaded in this process")
-    get, set_ = api
-    before = get()
-    set_(2)
-    yield get
-    set_(before)
-
-
 def test_run_ablation_runs_every_run_on_one_blas_thread(blas_threads, monkeypatch):
     seen = []
     run = Trainer.run
@@ -687,9 +673,24 @@ def test_run_ablation_without_openblas_gives_the_same_results(monkeypatch):
     assert sweep() == pinned
 
 
+@pytest.mark.parametrize("steps", [0, 4])
+@pytest.mark.parametrize("split, value", [("source", np.nan), ("target", np.nan),
+                                          ("target", -np.inf)])
+def test_trainer_refuses_a_non_finite_sample_naming_split_and_stack_position(steps, split,
+                                                                             value):
+    clean, bad = small_ds(0), small_ds(1)
+    getattr(bad, f"{split}_x")[3, 1] = value
+    cfgs = [TrainConfig(variant="ren", total_steps=steps, eval_every=2, seed=s) for s in (0, 1)]
+    with pytest.raises(ContractError,
+                       match=f"^dataset 1 of the stack has a non-finite {split} sample$"):
+        Trainer(cfgs, [clean, bad]).run()
+
+
 def test_blas_thread_count_changes_no_metrics_byte(blas_threads):
-    # batch 256 on 64-D blobs: the step matmuls are large enough to thread
-    ds = make_domain_dataset(DataSpec(gen="blobs", n=512, classes=4, lift_dim=64), 0)
+    # batch 256 on 64-D blobs: the step matmuls are large enough to thread,
+    # and each split takes more than one evaluation block
+    ds = make_domain_dataset(DataSpec(gen="blobs", n=EVAL_ROWS + 300, classes=4,
+                                      lift_dim=64), 0)
     cfg = TrainConfig(variant="ren", batch_size=256, total_steps=6, eval_every=3)
     threaded = metrics_to_csv(Trainer(cfg, ds).run()[0].records)
     pinned = run_ablation(cfg, ["ren"], [0], lambda seed: ds)[("ren", 0)]
