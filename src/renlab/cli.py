@@ -229,7 +229,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         # a threaded BLAS call leaves the idle worker spinning on the other
-        # core for about 0.1 s after it, which costs CPU and saves no wall time
+        # core for about 0.1 s after it; at the default sizes that costs CPU
+        # and saves no wall time (a train with larger matmuls loses some)
         with _one_blas_thread():
             return args.fn(args)
     except (ConfigError, ContractError, OSError) as exc:

@@ -45,7 +45,8 @@ def accuracy(params_F: ParamSet, params_C: ParamSet, x: np.ndarray, y) -> float:
 
     ``y`` holds one integer label in [0, logit columns) per row of ``x``.
     The forward pass runs over blocks of ``EVAL_ROWS`` rows, whose layer
-    outputs stay in cache and in the heap.
+    outputs stay in cache and in the heap; a one-row tail joins the last
+    block, so the logits equal those of one pass over all rows bit for bit.
     """
     y = np.asarray(y).reshape(-1)
     if y.size == 0:
@@ -58,11 +59,14 @@ def accuracy(params_F: ParamSet, params_C: ParamSet, x: np.ndarray, y) -> float:
     c = params_C.spec.widths[-1]
     if y.min() < 0 or y.max() >= c:  # it would silently count as a miss
         raise ContractError(f"label out of range [0, {c})")
-    hits = 0
-    for start in range(0, y.size, EVAL_ROWS):
-        block = slice(start, start + EVAL_ROWS)
-        logits = forward_fc_plain(params_F, params_C, x[block])
-        hits += int(np.count_nonzero(np.argmax(logits, axis=1) == y[block]))
+    hits = start = 0
+    while start < y.size:
+        stop = start + EVAL_ROWS
+        if y.size - stop == 1:  # a one-row matmul sums in another order; join the block
+            stop = y.size
+        logits = forward_fc_plain(params_F, params_C, x[start:stop])
+        hits += int(np.count_nonzero(np.argmax(logits, axis=1) == y[start:stop]))
+        start = stop
     return hits / y.size
 
 

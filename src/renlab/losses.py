@@ -13,7 +13,6 @@ gives one loss per seed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,8 +106,7 @@ def total_loss(l_c: T.Tensor, l_d_stu: T.Tensor | None, l_d_tea: T.Tensor | None
     weighted-sum identity within 1e-10.
     """
     for name, w in (("lambda_stu", lambda_stu), ("lambda_tea", lambda_tea), ("gamma", gamma)):
-        if not (type(w) is float and 0.0 <= w < math.inf):  # the per-step case, checked fast
-            check_value(name, "float", WEIGHT_RANGE, w)
+        check_value(name, "float", WEIGHT_RANGE, w)
     total = l_c
     if l_d_stu is not None:
         total = T.add(total, T.scale(l_d_stu, lambda_stu))

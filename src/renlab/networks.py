@@ -237,8 +237,7 @@ def ema_update(net: DualNet) -> None:
     ramp set alpha_theta from alpha_theta_ramp before each call.
     """
     a = net.alpha_theta
-    if not (type(a) is float and 0.0 <= a <= 1.0):  # the per-step case, checked fast
-        check_value("alpha_theta", "float", UNIT_RANGE, a)
+    check_value("alpha_theta", "float", UNIT_RANGE, a)
     for t_ps, s_ps in ((net.teacher_F, net.student_F), (net.teacher_C, net.student_C)):
         for k, t_arr in t_ps.items():
             t_arr *= a

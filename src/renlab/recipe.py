@@ -9,6 +9,7 @@ command-line flag, into its value.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
@@ -50,32 +51,44 @@ _BOUNDS = {"ge": (operator.ge, ">="), "gt": (operator.gt, ">"),
            "le": (operator.le, "<="), "lt": (operator.lt, "<")}
 
 
-def _parts(kind: str, choices):
-    """The (test, words, parser) of each part of an annotation; a string
-    part with choices takes only those."""
+@functools.cache
+def _parts(kind: str, choices) -> tuple:
+    """The (test, words, parser) of each part of an annotation, built once
+    per annotation and choices; a string part with choices takes only those."""
+    parts = []
     for part in kind.split(" | "):
         test, words, parse = _KINDS[part]
         if part == "str" and choices:
             test = lambda v: isinstance(v, str) and v in choices
             parse = lambda raw: choices[choices.index(raw)]
             words = " or ".join(map(repr, choices))
-        yield test, words, parse
+        parts.append((test, words, parse))
+    return tuple(parts)
 
 
 def check_value(name: str, kind: str, meta, value) -> None:
     """ConfigError naming `name` unless `value` is of the annotation `kind`,
-    finite, and inside the bounds and choices of `meta`."""
-    parts = list(_parts(kind, meta.get("choices")))
-    if not any(test(value) for test, _, _ in parts):
+    finite, and inside the bounds and choices of `meta`.
+
+    The loss weights and the teacher rate are checked on every training
+    step, so the passing path runs plain loops.
+    """
+    parts = _parts(kind, meta.get("choices"))
+    for test, _, _ in parts:
+        if test(value):
+            break
+    else:
         raise ConfigError(f"{name} must be {' or '.join(w for _, w, _ in parts)}, got {value!r}")
     for v in value if isinstance(value, tuple) else (value,):
         # nan slips through every bound (nan < 0 is False), so test first
         if isinstance(v, (float, np.floating)) and not math.isfinite(v):
             raise ConfigError(f"{name} must be finite, got {value}")
-    bounds = [(op, meta[key], sym) for key, (op, sym) in _BOUNDS.items() if key in meta]
-    if _is_number(value) and not all(op(value, bound) for op, bound, _ in bounds):
-        words = " and ".join(f"{sym} {bound}" for _, bound, sym in bounds)
-        raise ConfigError(f"{name} must be {words}, got {value}")
+    if not _is_number(value):
+        return
+    for key, bound in meta.items():
+        if key in _BOUNDS and not _BOUNDS[key][0](value, bound):
+            words = " and ".join(f"{sym} {meta[k]}" for k, (_, sym) in _BOUNDS.items() if k in meta)
+            raise ConfigError(f"{name} must be {words}, got {value}")
 
 
 def check_fields(recipe) -> None:

@@ -67,13 +67,23 @@ def wide_nets():
             init_params(NetSpec((16, 6)), 2))
 
 
-@pytest.mark.parametrize("rows", [2 * EVAL_ROWS + 37, EVAL_ROWS // 3])
-def test_accuracy_over_row_blocks_equals_one_pass_over_all_rows(rng, rows):
+@pytest.mark.parametrize("rows", [2 * EVAL_ROWS + 37, EVAL_ROWS // 3, EVAL_ROWS + 1,
+                                  2 * EVAL_ROWS + 1, EVAL_ROWS + 2, 1])
+def test_accuracy_over_row_blocks_equals_one_pass_over_all_rows(rng, monkeypatch, rows):
     ps_F, ps_C = wide_nets()
     x = rng.normal(size=(rows, 64))
     y = rng.integers(0, 6, size=rows)
-    want = float(np.mean(np.argmax(forward_fc_plain(ps_F, ps_C, x), axis=1) == y))
-    assert accuracy(ps_F, ps_C, x, y) == want
+    full = forward_fc_plain(ps_F, ps_C, x)
+    blocks = []
+
+    def recorded(*args):
+        blocks.append(forward_fc_plain(*args))
+        return blocks[-1]
+
+    monkeypatch.setattr(evaluation, "forward_fc_plain", recorded)
+    assert accuracy(ps_F, ps_C, x, y) == float(np.mean(np.argmax(full, axis=1) == y))
+    assert np.array_equal(np.concatenate(blocks), full)  # the logits, bit for bit
+    assert max(map(len, blocks)) <= EVAL_ROWS + 1
 
 
 def test_accuracy_holds_no_full_size_layer_output(rng, monkeypatch):

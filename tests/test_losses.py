@@ -308,3 +308,17 @@ def test_total_loss_takes_every_weight_check_value_takes():
     for w in (0.0, -0.0, 1e308, 3, np.float64(0.5), np.float32(2.0)):
         check_value("gamma", "float", WEIGHT_RANGE, w)
         total_loss(l_c, None, None, None, w, w, w)
+
+
+@pytest.mark.parametrize("meta, value, message", [
+    ({"ge": 0, "le": 1}, 1.5, "a must be >= 0 and <= 1, got 1.5"),
+    ({"ge": 0, "le": 0.5}, 0.75, "a must be >= 0 and <= 0.5, got 0.75"),
+    ({"le": 1, "gt": 0}, 0.0, "a must be > 0 and <= 1, got 0.0"),
+    ({"ge": 0}, float("nan"), "a must be finite, got nan"),
+    ({"ge": 0}, True, "a must be a number, got True"),
+])
+def test_check_value_reads_every_bound_from_the_meta_it_is_given(meta, value, message):
+    check_value("a", "float", {"ge": 0, "le": 1}, 0.75)  # builds the cached "float" parts first
+    with pytest.raises(ConfigError) as got:
+        check_value("a", "float", meta, value)
+    assert str(got.value) == message
