@@ -18,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .exceptions import ConfigError, ContractError
+from .exceptions import ConfigError, ContractError, open_text
 from .recipe import SEED_RANGE, check_fields, check_value
 
 GENERATORS = ("two_moons", "blobs")
@@ -370,7 +370,7 @@ def load_dataset(csv_path) -> DomainDataset:
         flush()  # a bad number on an earlier line of the block is reported first
         return ContractError(f"{message} {lineno} in {csv_path}")
 
-    with open(csv_path) as fh:
+    with open_text(csv_path) as fh:
         header = fh.readline()
         if not header.startswith("id,split,label,"):
             raise ContractError(f"unrecognized dataset header in {csv_path}")

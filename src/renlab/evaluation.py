@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .exceptions import ContractError, ShapeError
+from .exceptions import ContractError, ShapeError, open_text
 from .losses import LossBreakdown
 from .networks import ParamSet, forward_fc_plain
 
@@ -142,7 +142,7 @@ def load_metrics(path) -> list[MetricsRecord]:
     """Read a metrics CSV; a corrupt, truncated or row-less file, or one
     holding nan or inf, raises ContractError (every run evaluates at least
     once, and every recorded value is finite)."""
-    with open(path) as fh:
+    with open_text(path) as fh:
         text = fh.read()
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != ",".join(METRICS_COLUMNS):

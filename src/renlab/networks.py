@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from . import tensor as T
-from .exceptions import ConfigError, ContractError, ShapeError
+from .exceptions import ConfigError, ContractError, ShapeError, open_text
 from .recipe import UNIT_RANGE, check_value
 
 DISC_EPS = 1e-7  # discriminator outputs are clamped to [eps, 1-eps] before log
@@ -265,7 +265,7 @@ def save_paramsets(path, named: dict[str, ParamSet]) -> None:
 
 def load_paramsets(path) -> dict[str, ParamSet]:
     """Read a checkpoint; a corrupt or truncated file raises ContractError."""
-    with open(path) as fh:
+    with open_text(path) as fh:
         text = fh.read()
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "renlab-params 1":

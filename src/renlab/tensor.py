@@ -140,15 +140,42 @@ class Graph:
 
     Only tensors a gradient can flow into get a node (see the module
     docstring).  With ``record=False`` not even the parameters do: the tape
-    stays empty and ``backward`` raises ContractError.
+    stays empty and ``backward`` raises ContractError.  Such a graph keeps
+    each relu's and clamp's (op, selection mask, output) on ``selections``,
+    in call order.  Given another one's selections as ``replay``, each
+    relu/clamp output is ``np.where(mask, x, output)`` instead: the recorded
+    branch, broadcast over the input's extra leading axes, and the op's own
+    output bit for bit where no mask flips.
     """
 
-    def __init__(self, record: bool = True):
+    def __init__(self, record: bool = True, replay: list | None = None):
+        if record and replay is not None:
+            raise ContractError("replay needs a forward-only graph")
         self.nodes: list[Node] = []
         self.record = record
         self._param_ids: list[int] = []  # node ids of the parameter leaves
         # parameter node id -> gradient, replaced whole by each backward pass
         self.grads: dict[int, np.ndarray] = {}
+        self.selections: list[tuple[str, np.ndarray, np.ndarray]] = []
+        self.replay = replay
+
+    def _select(self, op: str, mask: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The output ``out`` of a forward-only graph's relu or clamp ``op`` on
+        input ``x``, recorded with ``mask``, or the replayed branch's.  A
+        replay raises ContractError when it meets another op, runs past its
+        record, or meets an input whose trailing axes are not the record's."""
+        step = (op, mask, out)
+        if self.replay is not None:
+            i = len(self.selections)
+            if i == len(self.replay):
+                raise ContractError(f"replay of {i} selections meets one more ({op})")
+            step = self.replay[i]
+            if step[0] != op or x.shape[x.ndim - step[2].ndim:] != step[2].shape:
+                raise ContractError(f"replayed selection {i + 1} is {step[0]} of shape "
+                                    f"{step[2].shape}, met {op} of shape {x.shape}")
+            out = np.where(step[1], x, step[2])
+        self.selections.append(step)
+        return out
 
     def _leaf(self, op, values) -> Tensor:
         """A checked leaf without a node."""
@@ -333,8 +360,12 @@ def log(x: Tensor) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     """Elementwise max(0, x); subgradient at exactly 0 is defined as 0."""
-    mask = x.values > 0
-    return _unary("relu", x, np.maximum(x.values, 0.0), lambda grad: grad * mask)
+    xv = x.values
+    mask = xv > 0
+    out = np.maximum(xv, 0.0)
+    if not x.graph.record:
+        out = x.graph._select("relu", mask, xv, out)
+    return _unary("relu", x, out, lambda grad: grad * mask)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -350,7 +381,10 @@ def clamp(x: Tensor, lo: float | None = None, hi: float | None = None) -> Tensor
     if not lo <= hi:  # nan fails too
         raise ContractError(f"clamp needs lo <= hi, got lo={lo}, hi={hi}")
     mask = (v > lo) & (v < hi)
-    return _unary("clamp", x, np.minimum(np.maximum(v, lo), hi), lambda grad: grad * mask)
+    out = np.minimum(np.maximum(v, lo), hi)
+    if not x.graph.record:
+        out = x.graph._select("clamp", mask, v, out)
+    return _unary("clamp", x, out, lambda grad: grad * mask)
 
 
 def softmax_rows(x: Tensor) -> Tensor:

@@ -26,7 +26,7 @@ from . import tensor as T
 from .conditioning import PredEmaState, pred_ema
 from .datasets import Batch, DomainDataset, batch_stream
 from .evaluation import ABLATION_CHAIN, MetricsRecord, accuracy
-from .exceptions import ConfigError, ContractError, ShapeError
+from .exceptions import ConfigError, ContractError, ShapeError, open_text
 from .losses import (LossBreakdown, adv_student, adv_teacher, consistency,
                      cross_entropy, total_loss)
 from .networks import (BoundNet, DualNet, NetSpec, ParamSet, alpha_theta_ramp,
@@ -104,7 +104,7 @@ def load_config(path=None, **overrides) -> TrainConfig:
     """The config file at `path`, if one is given, under `overrides`."""
     values = {}
     if path is not None:
-        with open(path) as fh:
+        with open_text(path, ConfigError) as fh:
             values = parse_config_text(fh.read())
     return TrainConfig(**{**values, **overrides})
 

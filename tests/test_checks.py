@@ -1,17 +1,15 @@
 """The finite-difference harness: one backward pass per loss check, one
-stacked forward pass per parameter array, and the kink scan that keeps its
-scenarios clear of non-smooth points."""
-
-import math
+stacked forward pass per parameter array, and the replay that keeps every
+perturbed copy on its base point's branch."""
 
 import numpy as np
 import pytest
 
 import renlab.checks
 from renlab import tensor as T
-from renlab.checks import KINK_MARGIN, _kink_margin, loss_check_suite, run_loss_checks
+from renlab.checks import LossCheck, loss_check_suite, replaying_loss, run_loss_checks
 from renlab.exceptions import ConfigError, ContractError
-from renlab.networks import DISC_EPS, collect_grads
+from renlab.networks import collect_grads
 
 
 @pytest.mark.parametrize("seed", [0, 3])
@@ -33,9 +31,10 @@ def test_each_check_runs_backward_once(monkeypatch, seed):
 
 @pytest.mark.parametrize("seed", [0, 3])
 def test_perturbed_evaluations_record_no_node(monkeypatch, seed):
-    # only the kink scan's tapes and one recorded tape per check build
-    # nodes; the two evaluations per parameter entry build none, so the
-    # count does not grow with the number of entries (hidden 6 against 9)
+    # only one recorded tape per check builds nodes; the forward-only pass
+    # that records the selections and the two evaluations per parameter
+    # entry build none, so the count does not grow with the number of
+    # entries (hidden 6 against 9)
     built = []
 
     class CountingNode(T.Node):
@@ -52,14 +51,13 @@ def test_perturbed_evaluations_record_no_node(monkeypatch, seed):
         fn()
         return len(built)
 
-    beyond_scan = {}
+    per_run = {}
     for hidden in (6, 9):
         checks = loss_check_suite(seed, hidden=hidden)
-        scan = nodes_built(lambda: loss_check_suite(seed, hidden=hidden))
         tapes = sum(nodes_built(lambda: check.build(T.Graph())) for check in checks)
-        beyond_scan[hidden] = nodes_built(lambda: run_loss_checks(seed, hidden=hidden)) - scan
-        assert beyond_scan[hidden] == tapes
-    assert beyond_scan[6] == beyond_scan[9]
+        per_run[hidden] = nodes_built(lambda: run_loss_checks(seed, hidden=hidden))
+        assert per_run[hidden] == tapes
+    assert per_run[6] == per_run[9]
 
 
 def test_a_negative_seed_is_refused_before_any_draw():
@@ -76,33 +74,6 @@ def test_fewer_than_two_classes_are_refused_before_any_draw(monkeypatch):
         with pytest.raises(ConfigError, match=f"^n_classes must be >= 2, got {n_classes}$"):
             loss_check_suite(0, n_classes=n_classes)
     assert not drawn
-
-
-def test_kink_margin_refuses_a_forward_only_graph():
-    # an empty tape would read as infinitely far from every kink and pass
-    # any scenario
-    g = T.Graph(record=False)
-    T.relu(g.parameter([[0.0, 1.0]]))
-    with pytest.raises(ContractError, match="forward-only"):
-        _kink_margin(g)
-
-
-def test_kink_margin_reads_relu_inputs_and_sigmoid_outputs():
-    g = T.Graph()
-    a = g.parameter([[1e-4, -0.5, 2.0]])
-    T.relu(a)
-    T.scale(a, 0.0)  # zeros off any rectifier or sigmoid do not count
-    assert _kink_margin(g) == pytest.approx(1e-4, rel=1e-12)
-
-    q = DISC_EPS + 1e-5  # a sigmoid output just above the low clamp
-    out = T.sigmoid(g.parameter([[math.log(q / (1.0 - q)), 0.0]]))
-    assert np.all(out.values > DISC_EPS)
-    assert _kink_margin(g) == pytest.approx(1e-5, rel=1e-6)
-
-    high = T.Graph()  # and one just below the high clamp
-    T.sigmoid(high.parameter([[-math.log(q / (1.0 - q))]]))
-    assert _kink_margin(high) == pytest.approx(1e-5, rel=1e-6)
-    assert _kink_margin(T.Graph()) == math.inf
 
 
 def _per_entry_oracle(loss_fn, params, grads, h=1e-5, tol=1e-4):
@@ -153,14 +124,17 @@ def test_stacked_oracle_matches_the_per_entry_oracle_bit_for_bit(monkeypatch,
             before = {name: arr.copy() for name, arr in check.params.items()}
             sizes = []
 
+            replaying = replaying_loss(check)
+
             def loss_fn(stacks):
                 sizes.append(len(stacks["F.w0"]))
-                return check.build(T.Graph(record=False), stacks)[0].values
+                return replaying(stacks)
 
             stacked = T.finite_diff_check(loss_fn, check.params, grads)
             assert all(np.array_equal(arr, before[name]) for name, arr in check.params.items())
-            reference = _per_entry_oracle(
-                lambda: check.build(T.Graph(record=False))[0].item(), check.params, grads)
+            # the same replay, one rank-2 pass per perturbed entry
+            reference = _per_entry_oracle(lambda: replaying(check.params).item(), check.params,
+                                          grads)
             assert stacked == reference and repr(stacked) == repr(reference)
             if one_entry_per_call:
                 assert set(sizes) == {2}
@@ -214,23 +188,60 @@ def test_a_wide_scenario_keeps_each_stacked_call_within_the_byte_budget(monkeypa
         assert sum(calls) == 2 * entries * copy_bytes
 
 
-def test_kink_margin_reads_one_margin_per_matrix_of_a_stack():
-    g = T.Graph()
-    T.relu(g.parameter(np.array([[[1e-4, -0.5]], [[0.3, 2.0]]])))
-    assert np.array_equal(_kink_margin(g), [1e-4, 0.3])
+def _report(check, loss_fn):
+    """``check``'s finite-difference report with ``loss_fn`` as its oracle."""
+    return T.finite_diff_check(loss_fn, check.params, _analytic_grads(check))
 
 
-@pytest.mark.parametrize("seed", [0, 3, 15])
-def test_the_scenario_is_the_first_attempt_that_clears_the_kink_margin(monkeypatch, seed):
-    # scanning KINK_STACK attempts per tape settles on the attempt that a
-    # scan of one attempt per tape settles on
-    monkeypatch.setattr(renlab.checks, "KINK_STACK", 1)
-    one_by_one = loss_check_suite(seed)
-    monkeypatch.undo()
-    stacked = loss_check_suite(seed)
-    for a, b in zip(one_by_one, stacked):
-        assert a.params.keys() == b.params.keys()
-        assert all(np.array_equal(a.params[k], b.params[k]) for k in a.params)
+def test_a_scenario_on_the_kink_passes_on_its_own_branch(monkeypatch):
+    # an all-zero input row meets zero-initialized biases, so every
+    # rectifier of that row, in F and in D, sits exactly on its kink: the
+    # plain forward pass reads half-slopes at the biases, the replay the
+    # vjp's branch
+    real = renlab.checks.forward_fc_plain
+
+    def zero_first_row(ps_F, ps_C, x):
+        x[0] = 0.0  # the scenario's own input rows, before anything reads them
+        return real(ps_F, ps_C, x)
+
+    monkeypatch.setattr(renlab.checks, "forward_fc_plain", zero_first_row)
+    check = loss_check_suite(0)[-1]
     g = T.Graph()
-    stacked[-1].build(g)
-    assert _kink_margin(g) > KINK_MARGIN
+    check.build(g)
+    first_relu = next(node for node in g.nodes if node.op == "relu")
+    assert not g.nodes[first_relu.parents[0][0]].values[0].any()
+    assert all(rep.passed for _, rep in run_loss_checks(0))
+    plain = _report(check, lambda stacks: check.build(T.Graph(record=False), stacks)[0].values)
+    assert {"F.b0", "F.b1", "D.b0"} == {name for name, err in plain.per_param.items()
+                                        if err > plain.tol}
+
+
+TRAINED_WIDTHS = {"in_dim": 16, "hidden": 64, "feature_dim": 16, "n_classes": 2, "batch": 8}
+
+
+@pytest.mark.parametrize("widths", [{}, TRAINED_WIDTHS], ids=["default", "trained"])
+@pytest.mark.parametrize("wrong", [lambda vjp: (lambda grad: grad.copy()),
+                                   lambda vjp: (lambda grad: 1.001 * vjp(grad))],
+                         ids=["mask-dropped", "scaled-1.001"])
+def test_a_wrong_relu_vjp_fails_the_total_check(monkeypatch, widths, wrong):
+    # the replay holds the perturbed copies on the base branch, so it must
+    # not also hide a vjp that is wrong on that branch
+    real = T._unary
+
+    def corrupt(op, x, out, vjp):
+        return real(op, x, out, wrong(vjp) if op == "relu" else vjp)
+
+    check = loss_check_suite(0, **widths)[-1]
+    assert _report(check, replaying_loss(check)).passed
+    monkeypatch.setattr(T, "_unary", corrupt)
+    assert not _report(check, replaying_loss(check)).passed
+
+
+def test_a_replay_that_ends_early_is_refused():
+    def build(g, arrays=None):
+        w = g.parameter(np.ones((1, 1)) if arrays is None else arrays["w"])
+        return (T.relu(w) if arrays is None else w), ()
+
+    loss_fn = replaying_loss(LossCheck("toy", build, {"w": np.ones((1, 1))}))
+    with pytest.raises(ContractError, match="^toy replayed 0 of 1 recorded selections$"):
+        loss_fn({"w": np.ones((2, 1, 1))})

@@ -13,9 +13,10 @@ the gradient check's reports and was recorded before the check began to
 take its analytic gradients from one backward pass per loss; it was
 widened from seeds 0-2 to seeds 0-19 before the oracle began to number the
 checked entries as one flat vector.
-``SCENARIO_DIGEST`` pins the scenario the gradient check's kink scan picks
-for seeds 0-19 and was recorded before the scan began to read its margins
-off the checked tape.  ``HELP_DIGESTS`` pins the text of ``renlab --help``
+``SCENARIO_DIGEST`` pins the scenario of seeds 0-19, each seed's first
+draw.  Both were re-recorded when each seed's first draw became its
+scenario and the perturbed copies began to replay the base point's relu
+and clamp selections.  ``HELP_DIGESTS`` pins the text of ``renlab --help``
 and of each subcommand's ``--help`` at 80 columns, so a change that adds,
 drops or renames a flag shows here.  argparse's layout differs between
 Python releases, so these hold for one Python build, as the float digests
@@ -117,11 +118,11 @@ DATAGEN_DIGESTS = {
 
 # sha256 of the full-precision repr of run_loss_checks(seed) for seeds 0-19
 GRADCHECK_SEEDS = range(20)
-GRADCHECK_DIGEST = "a93b3313ab84a3baf53a180b2b69f0598ff375d5119d32d12830ed995c2a4e6d"
+GRADCHECK_DIGEST = "1c3aceb3686f109a1615022b2bd0af9915a6ea3650abc43d43d733ab2228577d"
 
 # sha256 over every LossCheck's name, parameter bytes and loss value, seeds 0-19
 SCENARIO_SEEDS = range(20)
-SCENARIO_DIGEST = "0666151dada0a4cbb2f855a9d2a5dc7b1837a93ef1cf111ff69847a094768ea2"
+SCENARIO_DIGEST = "e9b7a56b8c9e840b83debc189910754949e71e511322a9116628093ba4c585ba"
 
 # sha256 of ``renlab --help`` and of each subcommand's ``--help`` at COLUMNS=80
 HELP_COMMANDS = ("", "datagen", "train", "ablate", "gradcheck", "report")
@@ -187,7 +188,7 @@ def gradcheck_digest() -> str:
 
 
 def scenario_digest() -> str:
-    """One digest over the scenario each seed's kink scan settles on."""
+    """One digest over each seed's scenario, its first draw."""
     h = hashlib.sha256()
     for s in SCENARIO_SEEDS:
         for check in loss_check_suite(s):

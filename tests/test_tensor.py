@@ -2,6 +2,7 @@
 
 import gc
 import math
+import re
 import warnings
 import weakref
 
@@ -528,6 +529,40 @@ def test_forward_only_and_recorded_tensors_do_not_mix():
     with pytest.raises(ContractError):
         rec.backward(T.sum_all(b))
     assert fwd.nodes == []
+
+
+def _relu_then_clip(g, x):
+    return T.clamp(T.relu(g.constant(x)), hi=1.5)
+
+
+def test_a_replay_runs_each_copy_on_the_recorded_branch():
+    base = T.Graph(record=False)
+    x = np.array([[-1.0, 0.0, 2.0]])
+    plain = _relu_then_clip(base, x)
+    assert [op for op, _, _ in base.selections] == ["relu", "clamp"]
+    g = T.Graph(record=False, replay=base.selections)
+    # copy 0 is the recorded point, copy 1 crosses every kink
+    out = _relu_then_clip(g, np.stack([x, [[1.0, -1.0, 1.0]]]))
+    assert out.values[0].tobytes() == plain.values.tobytes()
+    assert np.array_equal(out.values[1], [[0.0, 0.0, 1.5]])  # relu, clamp: [1, 0, 1]
+    assert out.values.flags.c_contiguous and g.nodes == []
+    assert g.selections == base.selections
+
+
+def test_a_replay_refuses_another_op_a_longer_run_or_another_shape():
+    base = T.Graph(record=False)
+    _relu_then_clip(base, np.zeros((1, 3)))
+    with pytest.raises(ContractError, match=re.escape("is relu of shape (1, 3), met clamp")):
+        T.clamp(T.Graph(record=False, replay=base.selections).constant(np.zeros((1, 3))), hi=1.0)
+    g = T.Graph(record=False, replay=base.selections)
+    _relu_then_clip(g, np.zeros((1, 3)))
+    with pytest.raises(ContractError, match="replay of 2 selections meets one more"):
+        T.relu(g.constant(np.zeros((1, 3))))
+    for shape in ((1, 4), (2, 3), (2, 2, 3)):
+        with pytest.raises(ContractError, match=re.escape(f"met relu of shape {shape}")):
+            T.relu(T.Graph(record=False, replay=base.selections).constant(np.zeros(shape)))
+    with pytest.raises(ContractError, match="forward-only"):
+        T.Graph(replay=base.selections)
 
 
 def test_finiteness_check_is_exact_on_edge_arrays():

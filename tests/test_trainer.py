@@ -256,6 +256,26 @@ def test_consistency_is_zero_on_first_step():
     assert parts.l_c > 0.0
 
 
+def test_a_training_step_records_its_tape_and_keeps_no_selection(monkeypatch):
+    # relu and clamp keep their selections on forward-only graphs only, so
+    # the training tape pays one attribute test per op and holds nothing more
+    graphs = []
+
+    class Kept(Graph):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            graphs.append(self)
+
+    monkeypatch.setattr(trainer.T, "Graph", Kept)
+    ds = small_ds()
+    cfg = TrainConfig(variant="ren", total_steps=10)
+    Trainer(cfg, ds).train_step([next(batch_stream(ds, cfg.batch_size, cfg.seed))], 0)
+    assert len(graphs) == 1
+    (g,) = graphs
+    assert g.record and {"relu", "clamp"} <= {node.op for node in g.nodes}
+    assert g.selections == []
+
+
 @pytest.mark.parametrize("variant,calls", [("cdan_m", 0), ("cdan_m_d", 1), ("ren", 1)])
 def test_teacher_forward_runs_only_where_its_predictions_are_read(monkeypatch, variant, calls):
     # cdan_m keeps a teacher for evaluation only; its steps never read the
@@ -318,8 +338,10 @@ TERMS = ("cross_entropy", "adv_student", "adv_teacher", "consistency")  # step_t
 def test_every_gradient_check_records_step_terms_once(monkeypatch):
     calls = _count_step_terms(monkeypatch)
     losses = {}
-    for check in loss_check_suite(0):
-        calls.clear()  # the scenario search builds the total once per stack of attempts
+    suite = loss_check_suite(0)
+    assert not calls  # drawing the scenario records no objective
+    for check in suite:
+        calls.clear()
         losses[check.name] = check.build(Graph())[0].item()
         assert len(calls) == 1
         # a per-term check turns every other term off; the total turns all four on
