@@ -13,6 +13,8 @@ import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
+import numpy as np
+
 from .checks import run_loss_checks
 from .datasets import DataSpec, make_domain_dataset, release_free_heap, save_dataset
 from .evaluation import (ABLATION_CHAIN, ablation_report, load_metrics,
@@ -80,18 +82,16 @@ def _write_run(result: RunResult, spec: DataSpec, out_root: Path) -> Path:
     run_dir = out_root / _run_dir_name(config, data)
     run_dir.mkdir(parents=True, exist_ok=True)
     manifest = {"tool": TOOL_VERSION, "config": config, "seeds": [config["seed"]],
-                "data": data, "outputs": {"metrics": "metrics.csv", "checkpoint": "checkpoint.txt"}}
+                "data": data, "outputs": {"metrics": "metrics.csv", "checkpoint": "checkpoint.npz"}}
     with open(run_dir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     save_metrics(result.records, run_dir / "metrics.csv")
-    named = {"student_F": result.student_F, "student_C": result.student_C}
-    if result.dualnet is not None:
-        named["teacher_F"] = result.dualnet.teacher_F
-        named["teacher_C"] = result.dualnet.teacher_C
-    if result.disc is not None:
-        named["disc"] = result.disc
-    save_paramsets(run_dir / "checkpoint.txt", named)
+    dual = result.dualnet
+    named = {"student_F": result.student_F, "student_C": result.student_C,
+             "teacher_F": dual and dual.teacher_F, "teacher_C": dual and dual.teacher_C,
+             "disc": result.disc}  # a variant without a teacher or discriminator has None
+    save_paramsets(run_dir / "checkpoint.npz", {k: ps for k, ps in named.items() if ps is not None})
     return run_dir
 
 
@@ -99,7 +99,6 @@ def cmd_datagen(args) -> int:
     seed = parse_text("seed", "int", args.seed)
     dataset = make_domain_dataset(_recipe_from_args(DataSpec, args), seed)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     save_dataset(dataset, out / "dataset.csv", out / "dataset.meta")
     print(f"wrote {out / 'dataset.csv'} and {out / 'dataset.meta'}")
     return 0
@@ -230,8 +229,9 @@ def main(argv=None) -> int:
     try:
         # a threaded BLAS call leaves the idle worker spinning on the other
         # core for about 0.1 s after it; at the default sizes that costs CPU
-        # and saves no wall time (a train with larger matmuls loses some)
-        with _one_blas_thread():
+        # and saves no wall time (a train with larger matmuls loses some).
+        # Each NaN or infinity a command makes meets a check that names it.
+        with _one_blas_thread(), np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.fn(args)
     except (ConfigError, ContractError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -311,8 +311,12 @@ def _write_rows(fh, x: np.ndarray, y: np.ndarray, split: str, first_id: int) -> 
 def save_dataset(dataset: DomainDataset, csv_path, meta_path) -> None:
     """Write the CSV BLOCK_ROWS rows at a time to a sibling temp file, then
     rename it into place: a write that dies midway leaves no CSV that loads.
-    The sidecar holds one ``key = repr(value)`` line per item of dataset.meta."""
+    The sidecar holds one ``key = repr(value)`` line per item of dataset.meta.
+    A NaN or infinite coordinate raises before the CSV's directory is made."""
     csv_path = Path(csv_path)
+    if not all(np.isfinite(x).all() for x in (dataset.source_x, dataset.target_x)):
+        raise ContractError(f"non-finite coordinate in the dataset for {csv_path}")
+    csv_path.parent.mkdir(parents=True, exist_ok=True)
     tmp_path = csv_path.with_name(csv_path.name + ".tmp")
     dim = dataset.input_dim
     try:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .exceptions import ContractError, ShapeError, open_text
+from .exceptions import ContractError, NonFiniteError, ShapeError, open_text
 from .losses import LossBreakdown
 from .networks import ParamSet, forward_fc_plain
 
@@ -47,6 +47,7 @@ def accuracy(params_F: ParamSet, params_C: ParamSet, x: np.ndarray, y) -> float:
     The forward pass runs over blocks of ``EVAL_ROWS`` rows, whose layer
     outputs stay in cache and in the heap; a one-row tail joins the last
     block, so the logits equal those of one pass over all rows bit for bit.
+    A NaN or infinite logit raises NonFiniteError.
     """
     y = np.asarray(y).reshape(-1)
     if y.size == 0:
@@ -65,6 +66,8 @@ def accuracy(params_F: ParamSet, params_C: ParamSet, x: np.ndarray, y) -> float:
         if y.size - stop == 1:  # a one-row matmul sums in another order; join the block
             stop = y.size
         logits = forward_fc_plain(params_F, params_C, x[start:stop])
+        if not np.isfinite(logits).all():  # argmax would count a NaN row as class 0
+            raise NonFiniteError("evaluation logits hold NaN or infinity")
         hits += int(np.count_nonzero(np.argmax(logits, axis=1) == y[start:stop]))
         start = stop
     return hits / y.size

@@ -11,13 +11,15 @@ in-place update of the stack shows in every view.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from zipfile import BadZipFile
 
 import numpy as np
 
 from . import tensor as T
-from .exceptions import ConfigError, ContractError, ShapeError, open_text
+from .exceptions import ConfigError, ContractError, ShapeError
 from .recipe import UNIT_RANGE, check_value
 
 DISC_EPS = 1e-7  # discriminator outputs are clamped to [eps, 1-eps] before log
@@ -245,64 +247,58 @@ def ema_update(net: DualNet) -> None:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint i/o: versioned text format, exact float round trip via repr
+# checkpoint i/o: one uncompressed .npz whose first member names all the others
 
 
 def save_paramsets(path, named: dict[str, ParamSet]) -> None:
-    lines = ["renlab-params 1"]
-    for set_name, ps in named.items():
-        lines.append(f"set {set_name} {len(ps.params)} {' '.join(str(w) for w in ps.spec.widths)} "
-                     f"{ps.spec.final or '-'}")
-        for k, arr in ps.items():
+    """Write one seed's sets as an uncompressed .npz: ``sets`` (each set's
+    name and final activation, "-" for none), then each set's ``<set>.widths``
+    and arrays ``<set>.w0``, ``<set>.b0``, ...  zipfile dates every member
+    1980-01-01, so equal sets give equal bytes."""
+    members = {"sets": np.array([(n, ps.spec.final or "-") for n, ps in named.items()],
+                                dtype=str).reshape(-1, 2)}
+    for name, ps in named.items():
+        members[f"{name}.widths"] = np.array(ps.spec.widths, dtype=np.int64)
+        for key, arr in flat_arrays((name, ps)).items():
             if arr.ndim != 2:
-                raise ShapeError(f"a checkpoint holds one seed's arrays; set {set_name} "
-                                 f"tensor {k} has shape {arr.shape}")
-            flat = " ".join(repr(float(v)) for v in arr.ravel())
-            lines.append(f"tensor {k} {arr.shape[0]} {arr.shape[1]} {flat}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+                raise ShapeError(f"a checkpoint holds one seed's arrays; {key} is {arr.shape}")
+            if not np.isfinite(arr).all():
+                raise ContractError(f"checkpoint array {key} holds a non-finite value")
+            members[key] = arr.astype(np.float64, copy=False)
+    with open(path, "wb") as fh:  # np.savez would append .npz to the path
+        np.savez(fh, allow_pickle=False, **members)
+
+
+def _member(z, key: str, kind: str, ndim: int) -> np.ndarray:
+    arr = z[key]  # an ndim-D array of dtype kind ``kind``; finite float64 if "f"
+    if not (isinstance(arr, np.ndarray) and arr.dtype.kind == kind and arr.ndim == ndim
+            and (kind != "f" or arr.dtype == np.float64 and np.isfinite(arr).all())):
+        raise ValueError(f"member {key} is not a {ndim}-D array of kind {kind!r}")
+    return arr
 
 
 def load_paramsets(path) -> dict[str, ParamSet]:
-    """Read a checkpoint; a corrupt or truncated file raises ContractError."""
-    with open_text(path) as fh:
-        text = fh.read()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "renlab-params 1":
-        raise ContractError(f"unrecognized checkpoint header in {path}")
-    if not text.endswith("\n"):
-        raise ContractError(f"truncated checkpoint {path}")
-    out: dict[str, ParamSet] = {}
-    i = 1
-    try:
-        while i < len(lines):
-            head = lines[i].split()
-            if head[0] != "set":
-                raise ContractError(f"expected 'set' line, got {lines[i][:40]!r}")
-            set_name, n_tensors = head[1], int(head[2])
-            if set_name in out:
-                raise ContractError(f"set {set_name} appears twice in {path}")
-            final = None if head[-1] == "-" else head[-1]
-            widths = tuple(int(w) for w in head[3:-1])
-            names = {f"{kind}{k}" for k in range(len(widths) - 1) for kind in "wb"}
-            params: dict[str, np.ndarray] = {}
-            for j in range(n_tensors):
-                parts = lines[i + 1 + j].split()
-                if parts[0] != "tensor":
-                    raise ContractError(f"expected 'tensor' line, got {lines[i + 1 + j][:40]!r}")
-                name, rows, cols = parts[1], int(parts[2]), int(parts[3])
-                if name in params or name not in names:
-                    raise ContractError(f"set {set_name}: tensor {name} is "
-                                        f"{'repeated' if name in params else 'not in its spec'}")
-                vals = np.array([float(v) for v in parts[4:]], dtype=np.float64)
-                if vals.size != rows * cols:
-                    raise ContractError(f"tensor {name}: {vals.size} values for shape "
-                                        f"({rows}, {cols})")
-                if not np.isfinite(vals).all():
-                    raise ContractError(f"tensor {name} holds a non-finite value")
-                params[name] = vals.reshape(rows, cols)
-            out[set_name] = ParamSet(NetSpec(widths, final), params)
-            i += 1 + n_tensors
-    except (IndexError, KeyError, ValueError, ConfigError, ShapeError) as exc:
-        raise ContractError(f"corrupt checkpoint {path}: {exc!r}") from None
-    return out
+    """Read a ``save_paramsets`` file; a corrupt, truncated or incomplete one
+    raises ContractError.  The members must be exactly those ``sets`` and the
+    widths name: zipfile does not check the central directory's entry count,
+    so one flipped bit there can hide the trailing members of a file."""
+    with open(path, "rb") as fh:  # np.load(path) leaks its handle on a bad zip
+        try:
+            with np.lib.npyio.NpzFile(fh) as z:
+                if (bad := z.zip.testzip()) is not None:  # numpy parses headers unchecked
+                    raise BadZipFile(f"bad CRC-32 for {bad}")
+                out, members = {}, Counter(["sets"])
+                for name, final in _member(z, "sets", "U", 2).tolist():
+                    if name in out:
+                        raise ValueError(f"set {name} appears twice")
+                    spec = NetSpec(tuple(_member(z, f"{name}.widths", "i", 1).tolist()),
+                                   None if final == "-" else final)
+                    keys = [f"{kind}{i}" for i in range(len(spec.widths) - 1) for kind in "wb"]
+                    members.update(f"{name}.{k}" for k in ("widths", *keys))
+                    out[name] = ParamSet(spec, {k: _member(z, f"{name}.{k}", "f", 2) for k in keys})
+                if odd := (Counter(z.files) - members) | (members - Counter(z.files)):
+                    raise ValueError(f"members {sorted(odd)} are missing, extra or repeated")
+                return out
+        except (BadZipFile, EOFError, ValueError, KeyError, OSError, NotImplementedError,
+                RuntimeError, ConfigError, ShapeError) as exc:
+            raise ContractError(f"corrupt checkpoint {path}: {exc!r}") from None

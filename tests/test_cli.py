@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -189,9 +190,9 @@ def test_train_writes_run_artifacts(tmp_path, capsys):
     assert manifest["seeds"] == [3]
     records = load_metrics(run_dir / "metrics.csv")
     assert [r.step for r in records] == [20, 40]
-    checkpoint = (run_dir / "checkpoint.txt").read_text()
-    for name in ("student_F", "student_C", "teacher_F", "teacher_C", "disc"):
-        assert f"set {name} " in checkpoint
+    assert manifest["outputs"] == {"metrics": "metrics.csv", "checkpoint": "checkpoint.npz"}
+    checkpoint = load_paramsets(run_dir / "checkpoint.npz")
+    assert list(checkpoint) == ["student_F", "student_C", "teacher_F", "teacher_C", "disc"]
 
 
 CHECKPOINT_SETS = {
@@ -205,9 +206,8 @@ CHECKPOINT_SETS = {
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_train_checkpoint_holds_the_variant_s_sets(tmp_path, variant):
     assert run_train(tmp_path, extra=["--variant", variant, "--steps", "2"]) == 0
-    checkpoint = (next(tmp_path.iterdir()) / "checkpoint.txt").read_text()
-    sets = [line.split()[1] for line in checkpoint.splitlines() if line.startswith("set ")]
-    assert sets == CHECKPOINT_SETS[variant]
+    with np.load(next(tmp_path.iterdir()) / "checkpoint.npz") as checkpoint:
+        assert checkpoint["sets"][:, 0].tolist() == CHECKPOINT_SETS[variant]
 
 
 def test_train_zero_steps_single_row(tmp_path):
@@ -223,8 +223,8 @@ def test_train_repeat_is_byte_identical(tmp_path):
     a = next((tmp_path / "a").glob("*/metrics.csv")).read_bytes()
     b = next((tmp_path / "b").glob("*/metrics.csv")).read_bytes()
     assert a == b
-    ca = next((tmp_path / "a").glob("*/checkpoint.txt")).read_bytes()
-    cb = next((tmp_path / "b").glob("*/checkpoint.txt")).read_bytes()
+    ca = next((tmp_path / "a").glob("*/checkpoint.npz")).read_bytes()
+    cb = next((tmp_path / "b").glob("*/checkpoint.npz")).read_bytes()
     assert ca == cb
 
 
@@ -266,6 +266,9 @@ BAD_INPUT = [
     (["datagen", "--noise", "nan"], "finite"),
     (["datagen", "--lift-dim", "0", "--lift-noise", "nan"], "finite"),
     (["ablate", "--eta0", "nan"], "finite"),
+    # finite recipes whose samples overflow: refused before anything is written
+    (["datagen", "--lift-noise", "1e308"], "non-finite coordinate"),
+    (["datagen", "--scale", "1e308", "--rot", "30"], "non-finite coordinate"),
     (["datagen", "--lift-noise", "-0.5"], "lift_noise must be >= 0"),
     (["datagen", "--gen", "blobs", "--n-target", "-5"], "n_target"),
     (["datagen", "--n", "abc"], "config key 'n' expects an integer, got 'abc'"),
@@ -290,6 +293,23 @@ def test_non_finite_input_exits_one_and_writes_nothing(tmp_path, capsys, argv, w
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1 and word in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, says", [
+    # weights that stay finite but overflow the logits: argmax would count
+    # each NaN row as class 0 and record accuracies of 0.5
+    (["--steps", "3", "--batch-size", "8", "--gamma", "1e308"],
+     "evaluation logits hold NaN or infinity"),
+    (["--steps", "3", "--eta0", "1e308"], "op 'matmul' produced NaN or infinity"),
+], ids=["gamma", "eta0"])
+def test_a_non_finite_value_exits_two_with_only_the_error_line(tmp_path, capsys, argv, says):
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert main(["train", "--n", "40", *argv, "--out", str(tmp_path / "runs")]) == 2
+    assert [str(w.message) for w in seen] == []  # no numpy RuntimeWarning
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {says}\n"
+    assert not (tmp_path / "runs").exists()
 
 
 def test_target_label_beyond_the_source_classes_exits_one(tmp_path, capsys):
@@ -520,6 +540,8 @@ def test_a_file_that_is_not_utf8_is_refused_with_one_error(tmp_path, capsys, rea
     path = tmp_path / "bytes"
     path.write_bytes(NOT_UTF8)
     message = f"non-UTF-8 bytes in {path}: invalid start byte"
+    if read is load_paramsets:  # a binary format: the bytes are no zip archive
+        message = f"corrupt checkpoint {path}: BadZipFile('File is not a zip file')"
     if callable(read):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             read(path)

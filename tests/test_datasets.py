@@ -463,21 +463,39 @@ def test_the_first_bad_line_is_named_even_inside_a_block(tmp_path):
         load_dataset(path)
 
 
-def test_failed_write_leaves_no_csv(tmp_path):
+def test_failed_write_leaves_no_csv(tmp_path, monkeypatch):
     ds = standard_benchmark(5, n=3 * BLOCK_ROWS, n_target=BLOCK_ROWS, lift_dim=0)
-    target_x = ds.target_x.astype(object)
-    target_x[-1, 0] = "not a number"  # the last block fails to convert
-    broken = DomainDataset(ds.source_x, ds.source_y, target_x, ds.target_y)
+    write_rows = renlab.datasets._write_rows
+
+    def dies_at_the_target_rows(fh, x, y, split, first_id):
+        if split == "target":  # after three blocks of source rows
+            raise OSError("disk full")
+        write_rows(fh, x, y, split, first_id)
+
+    monkeypatch.setattr(renlab.datasets, "_write_rows", dies_at_the_target_rows)
     path = tmp_path / "dataset.csv"
-    with pytest.raises(ValueError):
-        save_dataset(broken, path, tmp_path / "dataset.meta")
+    with pytest.raises(OSError, match="disk full"):
+        save_dataset(ds, path, tmp_path / "dataset.meta")
     assert list(tmp_path.iterdir()) == []
     # an existing file is left as it was
     path.write_text("previous\n")
-    with pytest.raises(ValueError):
-        save_dataset(broken, path, tmp_path / "dataset.meta")
+    with pytest.raises(OSError, match="disk full"):
+        save_dataset(ds, path, tmp_path / "dataset.meta")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dataset.csv"]
     assert path.read_text() == "previous\n"
+
+
+@pytest.mark.parametrize("split", ["source", "target"])
+@pytest.mark.parametrize("value", [NAN, INF])
+def test_a_non_finite_coordinate_is_refused_before_anything_is_written(tmp_path, split, value):
+    ds = standard_benchmark(5, n=40)
+    arrays = {"source_x": ds.source_x.copy(), "source_y": ds.source_y,
+              "target_x": ds.target_x.copy(), "target_y": ds.target_y}
+    arrays[f"{split}_x"][-1, 3] = value  # which load_dataset would refuse
+    out = tmp_path / "out"
+    with pytest.raises(ContractError, match="non-finite coordinate"):
+        save_dataset(DomainDataset(**arrays), out / "dataset.csv", out / "dataset.meta")
+    assert not out.exists()
 
 
 def traced_peak(fn):

@@ -11,7 +11,7 @@ from renlab import evaluation
 from renlab.evaluation import (EVAL_ROWS, MetricsRecord, ablation_report, accuracy,
                                load_metrics, metrics_to_csv, save_ablation,
                                save_metrics, stability)
-from renlab.exceptions import ContractError, ShapeError
+from renlab.exceptions import ContractError, NonFiniteError, ShapeError
 from renlab.losses import LossBreakdown
 from renlab.networks import NetSpec, ParamSet, forward_fc_plain, init_params
 
@@ -33,6 +33,15 @@ def test_accuracy_tie_goes_to_lowest_class():
     x = np.array([[0.5, 0.5]])
     assert accuracy(f, c, x, [0]) == 1.0
     assert accuracy(f, c, x, [1]) == 0.0
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_accuracy_refuses_non_finite_logits(value):
+    f, c = identity_net(), identity_net()
+    x = np.zeros((EVAL_ROWS + 5, 2))
+    x[EVAL_ROWS + 2, 1] = value  # in the second block; argmax reads a NaN row as class 0
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError, match="NaN or infinity"):
+        accuracy(f, c, x, np.zeros(len(x), dtype=int))  # inf * 0 in the matmul is NaN
 
 
 def test_accuracy_invariant_under_monotone_logit_maps(rng):

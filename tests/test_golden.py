@@ -40,7 +40,12 @@ was deleted: the config, which the manifest records and the directory name
 hashes, lost that key, and both commands lost its flag.  ``TRAIN_ARGS``
 dropped ``--consistency-squared off``, which never reached a loss there,
 because its config's ``cdan_m_d`` has no consistency term.  No metrics
-file, checkpoint or ``ablation.json`` changed.
+file, checkpoint or ``ablation.json`` changed.  The five checkpoint digests
+and the five ``manifest.json`` digests were re-recorded when the checkpoint
+became ``checkpoint.npz``, an uncompressed .npz in place of the
+``renlab-params 1`` text file, whose name the manifest's ``outputs`` gives.
+The arrays it holds are the same bits; no metrics file, run-directory name
+or ``ablation.json`` changed.
 """
 
 import contextlib
@@ -77,23 +82,23 @@ TRAIN_ARGS = ["train", "--steps", "30", "--gen", "blobs", "--classes", "3", "--n
 
 # sha256 of every file each command leaves under --out, by relative path
 ABLATE_TREE = {
-    "644efe8e1c59-s0/checkpoint.txt": "a45f9826e78655e2e679fa2026d74cc6cc93d3fbe1469a3dca771e78b2f2859c",
-    "644efe8e1c59-s0/manifest.json": "01804f6b72c24c63fd1e58cf11de73cf2f63ab24e1c1a765939d0807b560e401",
+    "644efe8e1c59-s0/checkpoint.npz": "d007da978751043bbe63d57a1104c7cc3ea72b9c202c3974d2e92b5ff740c713",
+    "644efe8e1c59-s0/manifest.json": "fc5fce87fac15ba1d917024f9f4114942d3046e146633550cad44f20e2a9b477",
     "644efe8e1c59-s0/metrics.csv": "c710fe873caf14e1bc3c71c64311a3018231a49cb18c9281ed527bd1e4c7160c",
-    "89a7372df7b1-s1/checkpoint.txt": "d69eadb5e37a58e68f9d82b3b285d364a6b411e4c4d1537c72a1970ccd2989f9",
-    "89a7372df7b1-s1/manifest.json": "39264e50c9577ff77a91b7e8e87c5a9dbcdc2ebb3bf89e9d1e4df6bd46b17258",
+    "89a7372df7b1-s1/checkpoint.npz": "b98d506855ee73524f813687daee5771b9e46981d62369acad6a877259907cb2",
+    "89a7372df7b1-s1/manifest.json": "ed01769445008e472ab2df0a7fdfb0ab210a7fcbbc471172f9dad0f471c475b7",
     "89a7372df7b1-s1/metrics.csv": "ee2fac386e54ea4834922f4ec603ecca98c5650bf4393b7af2d600cb43f7a864",
-    "a0a26d05f616-s0/checkpoint.txt": "0546856c76c773616f4f0f14c31d3f13c3063d01d216d8bc20553fcebad0592c",
-    "a0a26d05f616-s0/manifest.json": "ff7590e77c4ce040cbe7a01134f67188eb6c15321d1f6a5ffe41b2f80880cad0",
+    "a0a26d05f616-s0/checkpoint.npz": "244245b9d45345b158c48ff839d2993861c1f340fb167a170c08959b540a28fa",
+    "a0a26d05f616-s0/manifest.json": "a0872deabc324773ed143b9416be73c86c8a73532971d4dd38e5fd31bafb3d1a",
     "a0a26d05f616-s0/metrics.csv": "3d607757af0c61e2adc93becbfb011128dd571b0935caf23a3606146816df3f2",
     "ablation.json": "ea39aa93eac92a3b57189ec482c99b1d1ffb864660b386c8d6271d2215aac629",
-    "b830c273049e-s1/checkpoint.txt": "6edbd8df975c3e6af9fbaa66423b1ae96c02090aa601b42cd3566b448988adb7",
-    "b830c273049e-s1/manifest.json": "eef3690af14f9962c449a8581edfaaacf99c0b25bab0f5f4c06f1f1490336a25",
+    "b830c273049e-s1/checkpoint.npz": "62567ae8590dcd030821cdc5432499aad73eb38bf18c67a6517fd41dbadddfaf",
+    "b830c273049e-s1/manifest.json": "9349720634044c00af2e33f1346ed9a6c9baa6bda565085319b832303c1d2785",
     "b830c273049e-s1/metrics.csv": "150ce51833265c2a9e1d78a917b8c6f2e837adf470ae1bbe3d6eb5d13227a6c4",
 }
 TRAIN_TREE = {
-    "a04c599b89d6-s0/checkpoint.txt": "0aa1a75e333f59288be3022a0641780c1be61f7412e369f311c9c7c88106134e",
-    "a04c599b89d6-s0/manifest.json": "d2896ccbf1322fde60bacd2f633d7ac557e7886f4c618dab3651db02a403438d",
+    "a04c599b89d6-s0/checkpoint.npz": "1878ca27b6d3e1a6d006a0f0313b33ba65ac0ac75465cce92d78d2324bf49cfb",
+    "a04c599b89d6-s0/manifest.json": "36d9d13735c478544d0a8ba9b1e62e7c1f79f4b2b5aa25ec83a0e55d92554556",
     "a04c599b89d6-s0/metrics.csv": "49c30fa11975ba1f117804ec39015f4c1ddd77fcb6d632bfb70d1a13a7400eb7",
 }
 
@@ -220,6 +225,8 @@ def test_ablation_metrics_match_golden_digests():
 
 
 def test_cli_run_trees_match_golden_digests(tmp_path, capsys):
+    """Its checkpoint and manifest digests were re-recorded when the
+    checkpoint became ``checkpoint.npz`` (see above); the rest held."""
     ablate, train = cli_tree_digests(tmp_path)
     assert ablate == ABLATE_TREE
     assert train == TRAIN_TREE

@@ -1,6 +1,11 @@
 """Network construction, forward equivalence, EMA coupling, checkpoint i/o."""
 
+import gc
+import io
+import itertools
 import re
+import warnings
+import zipfile
 
 import numpy as np
 import pytest
@@ -91,11 +96,11 @@ def test_dualnet_view_shares_the_stacks_and_checkpoints_one_seed(tmp_path):
     view = net.view(1)
     assert view.alpha_theta == 0.5
     assert np.shares_memory(view.teacher_F.params["w0"], net.teacher_F.params["w0"])
-    save_paramsets(tmp_path / "one.txt", {"teacher_F": view.teacher_F})
-    back = load_paramsets(tmp_path / "one.txt")["teacher_F"]
+    save_paramsets(tmp_path / "one.npz", {"teacher_F": view.teacher_F})
+    back = load_paramsets(tmp_path / "one.npz")["teacher_F"]
     assert np.array_equal(back.params["w0"], net.teacher_F.params["w0"][1])
     with pytest.raises(ShapeError, match="one seed's arrays"):
-        save_paramsets(tmp_path / "stack.txt", {"teacher_F": net.teacher_F})
+        save_paramsets(tmp_path / "stack.npz", {"teacher_F": net.teacher_F})
 
 
 def test_bound_and_plain_forwards_agree(rng):
@@ -259,65 +264,150 @@ def test_paramset_roundtrip(tmp_path, rng):
     ps_a = init_params(NetSpec((5, 4, 3), final="relu"), 21)
     ps_b = init_params(NetSpec((3, 6, 1), final="sigmoid"), 22)
     ps_a.params["w0"] += rng.normal(size=ps_a.params["w0"].shape)  # non-init values
-    path = tmp_path / "ckpt.txt"
+    path = tmp_path / "ckpt.npz"
     save_paramsets(path, {"F": ps_a, "D": ps_b})
-    back = load_paramsets(path)
-    assert set(back) == {"F", "D"}
-    assert back["F"].spec == ps_a.spec
-    assert back["D"].spec.final == "sigmoid"
-    for k, arr in ps_a.items():
-        assert np.array_equal(back["F"].params[k], arr)  # repr round trip is exact
+    assert same_sets(load_paramsets(path), {"F": ps_a, "D": ps_b})
+    with np.load(path) as z:
+        assert z.files[0] == "sets"
+    save_paramsets(tmp_path / "again.npz", {"F": ps_a, "D": ps_b})
+    assert (tmp_path / "again.npz").read_bytes() == path.read_bytes()
 
 
-def test_load_paramsets_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("not a checkpoint\n")
-    with pytest.raises(ContractError):
-        load_paramsets(path)
+def same_sets(loaded, saved) -> bool:
+    """Same set names, specs and array names in order, and arrays bit for bit."""
+    return list(loaded) == list(saved) and all(
+        loaded[k].spec == ps.spec and list(loaded[k].params) == list(ps.params)
+        and all(a.dtype == np.float64 and a.shape == ps.params[n].shape
+                and a.tobytes() == ps.params[n].tobytes() for n, a in loaded[k].items())
+        for k, ps in saved.items())
 
 
-def small_checkpoint(path):
-    save_paramsets(path, {"F": init_params(NetSpec((3, 2), final="relu"), 1),
-                          "D": init_params(NetSpec((2, 2, 1), final="sigmoid"), 2)})
-    return path.read_text()
+def test_load_paramsets_rejects_garbage(tmp_path, no_resource_warning):
+    path = tmp_path / "bad.npz"
+    npy = io.BytesIO()
+    np.save(npy, np.zeros((2, 2)))  # a bare .npy array is no archive
+    for garbage in (b"", b"not a checkpoint\n", bytes(range(256)) * 4, npy.getvalue()):
+        path.write_bytes(garbage)
+        with pytest.raises(ContractError, match="corrupt checkpoint"):
+            load_paramsets(path)
 
 
-def with_extra_f_tensor(text, line=None):
-    """The checkpoint with one more tensor line, by default a second copy of
-    w0, at the end of set F."""
-    header, head, w0, b0, *rest = text.splitlines(keepends=True)
-    assert head.startswith("set F 2 ")
-    return "".join([header, head.replace("set F 2", "set F 3"), w0, b0, line or w0, *rest])
+# three sets, one of them two layers deep: a loader that inferred layers or
+# sets from the members present would load a smaller net from a damaged file
+THREE_SETS = {"F": init_params(NetSpec((3, 2), final="relu"), 1),
+              "C": init_params(NetSpec((2, 2)), 2),
+              "D": init_params(NetSpec((4, 3, 1), final="sigmoid"), 3)}
 
 
-@pytest.mark.parametrize("corrupt, names_set", [
-    (lambda t: t[:t.rstrip("\n").rfind("\n") + 1], False),  # last line lost
-    (lambda t: t.replace("set F 2", "set F two"), False),
-    (lambda t: t.replace("set F 2", "set F 3"), False),
-    (lambda t: t.replace("set D 4 2 2 1 sigmoid", "set D 4 2 2 1 tanh"), False),
-    (lambda t: t.replace("tensor w0 3 2", "tensor w0 2 3"), False),
-    (lambda t: t.replace("tensor b0 1 2 0.0", "tensor b0 1 2 nan"), False),
-    (lambda t: t.replace("tensor b0 1 2", "tensor b0 1", 1), False),
-    (lambda t: t.replace("tensor", "weights", 1), False),
-    (with_extra_f_tensor, True),  # w0, b0, w0
-    (lambda t: with_extra_f_tensor(t, "tensor w1 1 1 0.5\n"), True),
-    (lambda t: t + "".join(t.splitlines(keepends=True)[1:4]), True),  # F again
-], ids=["missing-last-line", "word-count", "count-too-high", "bad-activation",
-        "wrong-shape", "non-finite", "short-tensor-header", "unknown-line",
-        "repeated-tensor", "tensor-outside-spec", "repeated-set"])
-def test_load_paramsets_rejects_corrupt_files(tmp_path, corrupt, names_set):
-    path = tmp_path / "ckpt.txt"
-    path.write_text(corrupt(small_checkpoint(path)))
-    with pytest.raises(ContractError, match="set F" if names_set else None):
-        load_paramsets(path)
+@pytest.fixture
+def no_resource_warning():
+    """Fails the test if a file handle is left for the collector to close."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        yield
+        gc.collect()
+    assert not [w for w in seen if issubclass(w.category, ResourceWarning)]
 
 
-def test_load_paramsets_rejects_every_truncation_inside_a_set(tmp_path):
-    path = tmp_path / "ckpt.txt"
-    text = small_checkpoint(path)
-    # a cut just before a 'set' line leaves a shorter but well-formed file
-    whole_sets = {m.start() for m in re.finditer("^set ", text, re.M)}
-    for cut in sorted(set(range(len(text))) - whole_sets):
-        path.write_text(text[:cut])
+def test_load_paramsets_rejects_every_cut(tmp_path, no_resource_warning):
+    path = tmp_path / "ckpt.npz"
+    save_paramsets(path, THREE_SETS)
+    data = path.read_bytes()
+    for cut in range(len(data)):
+        path.write_bytes(data[:cut])
         with pytest.raises(ContractError):
             load_paramsets(path)
+
+
+def test_every_single_bit_flip_is_refused_or_harmless(tmp_path, no_resource_warning):
+    path = tmp_path / "ckpt.npz"
+    save_paramsets(path, THREE_SETS)
+    data = path.read_bytes()
+    outcomes = {"refused": 0, "identical": 0}
+    for i, bit in itertools.product(range(len(data)), range(8)):
+        flipped = bytearray(data)
+        flipped[i] ^= 1 << bit
+        path.write_bytes(flipped)
+        try:
+            loaded = load_paramsets(path)
+        except ContractError:
+            outcomes["refused"] += 1
+            continue
+        assert same_sets(loaded, THREE_SETS), f"bit {bit} of byte {i} loads other sets"
+        outcomes["identical"] += 1  # a flip in a field the reader ignores
+    assert outcomes["refused"] > outcomes["identical"] > 0
+
+
+def test_a_damaged_header_of_a_large_member_is_refused(tmp_path, no_resource_warning):
+    # zipfile checks a member's CRC-32 only at its end and reads ahead 4 KiB,
+    # so numpy would parse a damaged .npy header of a 32 KiB member unchecked
+    sets = {"F": init_params(NetSpec((64, 64)), 1)}
+    path = tmp_path / "ckpt.npz"
+    save_paramsets(path, sets)
+    data = path.read_bytes()
+    header = data.index(b"\x93NUMPY", data.index(b"F.w0.npy"))
+    for i, bit in itertools.product(range(header, header + 128), range(8)):
+        flipped = bytearray(data)
+        flipped[i] ^= 1 << bit
+        path.write_bytes(flipped)
+        with pytest.raises(ContractError, match="bad CRC-32 for F.w0.npy"):
+            load_paramsets(path)
+
+
+def rewritten(path, drop=(), **members):
+    """The checkpoint at ``path`` with members dropped, replaced or added."""
+    with np.load(path) as z:
+        kept = {k: z[k] for k in z.files if k not in drop}
+    with open(path, "wb") as fh:
+        np.savez(fh, **{**kept, **members})
+
+
+def with_member_twice(path, key):
+    with zipfile.ZipFile(path) as z:
+        data = z.read(key + ".npy")
+    with warnings.catch_warnings(), zipfile.ZipFile(path, "a") as z:
+        warnings.simplefilter("ignore")  # zipfile warns of the duplicate name
+        z.writestr(key + ".npy", data)
+
+
+@pytest.mark.parametrize("corrupt, match", [
+    (lambda p: rewritten(p, drop=["D.b1"]), "D.b1 is not a file in the archive"),
+    (lambda p: rewritten(p, drop=["sets"]), "sets"),
+    (lambda p: rewritten(p, drop=["C.widths"]), "C.widths"),
+    (lambda p: rewritten(p, **{"C.w1": np.zeros((2, 2))}), r"\['C.w1'\] are missing, extra"),
+    (lambda p: rewritten(p, extra=np.zeros(1)), r"\['extra'\] are missing, extra"),
+    (lambda p: with_member_twice(p, "F.b0"), r"\['F.b0'\] are missing, extra or repeated"),
+    (lambda p: rewritten(p, sets=np.array([["F", "relu"], ["C", "-"], ["F", "relu"]])),
+     "set F appears twice"),
+    (lambda p: rewritten(p, sets=np.array([["F", "relu"], ["C", "-"]])),
+     r"\['D.b0', 'D.b1', 'D.w0', 'D.w1', 'D.widths'\] are missing, extra"),
+    (lambda p: rewritten(p, sets=np.array([["F", "tanh"], ["C", "-"], ["D", "sigmoid"]])),
+     "unknown final activation"),
+    (lambda p: rewritten(p, sets=np.array([[1, 2], [3, 4], [5, 6]])), "member sets"),
+    (lambda p: rewritten(p, **{"D.widths": np.array([4.0, 3.0, 1.0])}), "member D.widths"),
+    (lambda p: rewritten(p, **{"D.widths": np.array([4, 3, 2])}), "ShapeError"),
+    (lambda p: rewritten(p, **{"D.widths": np.array([4, 1])}), "ShapeError"),
+    (lambda p: rewritten(p, **{"F.w0": np.zeros((3, 2), np.float32)}), "member F.w0"),
+    (lambda p: rewritten(p, **{"F.w0": np.zeros((2, 3))}), "ShapeError"),
+    (lambda p: rewritten(p, **{"F.b0": np.zeros(2)}), "member F.b0"),
+    (lambda p: rewritten(p, **{"F.b0": np.array([[0.0, np.nan]])}), "member F.b0"),
+    (lambda p: rewritten(p, **{"D.w1": np.full((3, 1), -np.inf)}), "member D.w1"),
+], ids=["missing-array", "missing-sets", "missing-widths", "tensor-outside-spec",
+        "extra-member", "repeated-tensor", "repeated-set", "set-left-out", "bad-activation",
+        "sets-not-text", "float-widths", "widths-off-shape", "fewer-widths", "float32",
+        "wrong-shape", "1-d-bias", "non-finite", "inf"])
+def test_load_paramsets_rejects_corrupt_files(tmp_path, no_resource_warning, corrupt, match):
+    path = tmp_path / "ckpt.npz"
+    save_paramsets(path, THREE_SETS)
+    corrupt(path)
+    with pytest.raises(ContractError, match=f"corrupt checkpoint {re.escape(str(path))}: .*{match}"):
+        load_paramsets(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_save_paramsets_refuses_a_non_finite_array(tmp_path, value):
+    ps = init_params(NetSpec((3, 2)), 1)
+    ps.params["w0"][1, 1] = value
+    with pytest.raises(ContractError, match="checkpoint array F.w0 holds a non-finite value"):
+        save_paramsets(tmp_path / "ckpt.npz", {"F": ps})
+    assert not (tmp_path / "ckpt.npz").exists()
