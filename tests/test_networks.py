@@ -319,6 +319,22 @@ def test_load_paramsets_rejects_every_cut(tmp_path, no_resource_warning):
             load_paramsets(path)
 
 
+def test_load_paramsets_rejects_every_truncation_inside_a_set(tmp_path, no_resource_warning):
+    # a member of a set cut short along its first axis, the widths and the
+    # `sets` table too: none may load as a narrower or shallower net
+    path = tmp_path / "ckpt.npz"
+    save_paramsets(path, THREE_SETS)
+    whole = path.read_bytes()
+    with np.load(path) as z:
+        members = {k: z[k] for k in z.files}
+    for key, arr in members.items():
+        for n in range(len(arr)):
+            path.write_bytes(whole)
+            rewritten(path, **{key: arr[:n]})
+            with pytest.raises(ContractError, match="corrupt checkpoint"):
+                load_paramsets(path)
+
+
 def test_every_single_bit_flip_is_refused_or_harmless(tmp_path, no_resource_warning):
     path = tmp_path / "ckpt.npz"
     save_paramsets(path, THREE_SETS)
@@ -371,6 +387,8 @@ def with_member_twice(path, key):
 
 
 @pytest.mark.parametrize("corrupt, match", [
+    # the 22-byte end-of-central-directory record is the file's last line
+    (lambda p: p.write_bytes(p.read_bytes()[:-22]), "File is not a zip file"),
     (lambda p: rewritten(p, drop=["D.b1"]), "D.b1 is not a file in the archive"),
     (lambda p: rewritten(p, drop=["sets"]), "sets"),
     (lambda p: rewritten(p, drop=["C.widths"]), "C.widths"),
@@ -392,9 +410,9 @@ def with_member_twice(path, key):
     (lambda p: rewritten(p, **{"F.b0": np.zeros(2)}), "member F.b0"),
     (lambda p: rewritten(p, **{"F.b0": np.array([[0.0, np.nan]])}), "member F.b0"),
     (lambda p: rewritten(p, **{"D.w1": np.full((3, 1), -np.inf)}), "member D.w1"),
-], ids=["missing-array", "missing-sets", "missing-widths", "tensor-outside-spec",
-        "extra-member", "repeated-tensor", "repeated-set", "set-left-out", "bad-activation",
-        "sets-not-text", "float-widths", "widths-off-shape", "fewer-widths", "float32",
+], ids=["missing-last-line", "missing-array", "missing-sets", "missing-widths",
+        "tensor-outside-spec", "extra-member", "repeated-tensor", "repeated-set",
+        "set-left-out", "bad-activation", "sets-not-text", "float-widths", "widths-off-shape", "fewer-widths", "float32",
         "wrong-shape", "1-d-bias", "non-finite", "inf"])
 def test_load_paramsets_rejects_corrupt_files(tmp_path, no_resource_warning, corrupt, match):
     path = tmp_path / "ckpt.npz"
