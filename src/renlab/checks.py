@@ -2,16 +2,18 @@
 
 Builds a small seeded scenario (student nets, discriminator, one batch,
 frozen conditioning rows) and compares graph gradients against central
-differences.  Every check is the training step's own objective,
-``trainer.step_terms``, the function ``Trainer.train_step`` calls, with the
-other terms off: a per-term check passes None for every other term's input
-and reads its own term, and ``total`` turns all four on and weighs them with
-``total_loss``.  A check binds only the nets its terms read.  One backward
-pass gives the analytic gradients, and the perturbed evaluations run the
-same code as forward-only stacks, which keep no tape: the perturbed copies
-of all of a check's arrays sit on a leading axis of one forward pass (one
-per check at default sizes), and each copy gets the bits of its own rank-2
-run.  The adversarial terms are built WITHOUT the gradient-reversal node:
+differences.  Every check reads the training step's own objective,
+``trainer.step_terms``, the function ``Trainer.train_step`` calls, with F, C
+and D bound and all four terms on: the per-term checks read one term each,
+and ``total`` their unit-weighted sum from ``total_loss``.  The scenario's
+objective is recorded once, on one tape, and each check's analytic
+gradients come from one backward pass of its own loss on that tape.  The
+perturbed evaluations run the same code as forward-only stacks, which keep
+no tape: the perturbed copies of every F, C and D entry sit on a leading
+axis of one forward pass (one per scenario at default sizes), which returns
+all five losses of each copy, and each copy gets the bits of its own rank-2
+run.  Each check's report reads its own loss over its own nets' entries
+only.  The adversarial terms are built WITHOUT the gradient-reversal node:
 reversal makes the analytic gradient -lambda times the loss gradient by
 construction, which central differences cannot see.  The reversal algebra
 itself is covered by a separate identity (see losses/adv tests).
@@ -19,11 +21,11 @@ itself is covered by a separate identity (see losses/adv tests).
 Central differences presuppose the loss is smooth within +-h of the base
 point, and rectifier kinks and probability clamps break that: a zero input
 row meets zero biases on every rectifier's kink.  So every perturbed pass
-replays the relu and clamp selections of one forward-only pass at the
-scenario's own arrays (``replaying_loss``).  It computes the smooth branch
-function whose derivative the tape's vjps give, and equals the plain
-forward pass bit for bit wherever no selection flips.  A scenario is its
-seed's first draw.
+replays the relu and clamp selections the tape recorded at the scenario's
+own arrays (``replaying_losses``).  It computes the smooth branch function
+whose derivative the tape's vjps give, and equals the plain forward pass
+bit for bit wherever no selection flips.  A scenario is its seed's first
+draw.
 """
 
 from __future__ import annotations
@@ -44,19 +46,28 @@ from .trainer import step_terms
 
 
 class LossCheck(NamedTuple):
-    """One named loss and the parameters under test.
+    """One named loss of the scenario's objective and the parameters under test.
 
-    ``build(g, arrays=None)`` records the loss on graph ``g`` with its nets
-    bound from the flat ``"<prefix>.<array>"`` dict ``arrays``, the
-    scenario's own when None, and returns it with the bound nets, whose
-    gradients are the analytic ones to check.  Arrays stacked on a leading
-    axis the scenario's own do not have give one loss per copy: the frozen
-    inputs are lifted to that axis.
+    ``objective(g, arrays=None)`` records the scenario's five losses on
+    graph ``g``, in the suite's check order, with F, C and D bound from the
+    flat ``"<prefix>.<array>"`` dict ``arrays``, the scenario's own when
+    None, and returns them with the bound nets by prefix.  Arrays stacked on
+    a leading axis the scenario's own do not have give five losses per
+    copy: the frozen inputs are lifted to that axis.  This check's loss is
+    number ``index``, and ``params`` holds the arrays of the nets it reads.
     """
 
     name: str
-    build: Callable[..., tuple[T.Tensor, tuple[BoundNet, ...]]]
+    index: int
+    objective: Callable[..., tuple[tuple[T.Tensor, ...], dict[str, BoundNet]]]
     params: dict[str, np.ndarray]
+
+    def build(self, g: T.Graph, arrays: dict[str, np.ndarray] | None = None
+              ) -> tuple[T.Tensor, tuple[BoundNet, ...]]:
+        """This check's loss on ``g`` and the bound nets its ``params`` name."""
+        losses, nets = self.objective(g, arrays)
+        return losses[self.index], tuple(net for prefix, net in nets.items()
+                                         if f"{prefix}.w0" in self.params)
 
 
 def loss_check_suite(seed: int, batch: int = 4, in_dim: int = 5, hidden: int = 6,
@@ -90,50 +101,39 @@ def loss_check_suite(seed: int, batch: int = 4, in_dim: int = 5, hidden: int = 6
               T.stable_softmax(forward_fc_plain(tea_F, tea_C, x_all)))
     own = flat_arrays(*ps.items())
 
-    def check(name, term, prefixes):
-        def build(g, arrays=None):
-            arrays = own if arrays is None else arrays
-            # every check binds F; the axes its arrays have beyond own's are the lead
-            lead = arrays["F.w0"].shape[:arrays["F.w0"].ndim - own["F.w0"].ndim]
-            nets = {p: BoundNet(g, ParamSet(specs[p], {k[len(p) + 1:]: v for k, v in arrays.items()
-                                                       if k.startswith(p + ".")}), p)
-                    for p in prefixes}
-            x, ys, cond, tea = (np.broadcast_to(a, lead + a.shape) for a in inputs)
-            x = g.constant(x)
-            f_all, p_all = (forward_fc(nets["F"], nets["C"], x) if "C" in nets
-                            else (nets["F"](x), None))
-            switches = (ys, cond, tea, tea)  # step_terms' per-term inputs
-            if term is not None:  # every term but this one off
-                switches = [v if i == term else None for i, v in enumerate(switches)]
-            ys, cond, tea_cond, tea_p = switches
-            terms = step_terms(nets.get("D"), f_all, p_all, ys, batch, cond, tea_cond, tea_p, 1.0,
-                               reverse=False)
-            loss = total_loss(*terms, 1.0, 1.0, 1.0)[0] if term is None else terms[term]
-            return loss, tuple(nets.values())
-        return LossCheck(name, build, {k: v for k, v in own.items()
-                                       if k.split(".", 1)[0] in prefixes})
+    def objective(g, arrays=None):
+        arrays = own if arrays is None else arrays
+        # the axes the arrays have beyond own's are the lead
+        lead = arrays["F.w0"].shape[:arrays["F.w0"].ndim - own["F.w0"].ndim]
+        nets = {p: BoundNet(g, ParamSet(spec, {k[len(p) + 1:]: v for k, v in arrays.items()
+                                               if k.startswith(p + ".")}), p)
+                for p, spec in specs.items()}
+        x, ys, cond, tea = (np.broadcast_to(a, lead + a.shape) for a in inputs)
+        f_all, p_all = forward_fc(nets["F"], nets["C"], g.constant(x))
+        terms = step_terms(nets["D"], f_all, p_all, ys, batch, cond, tea, tea, 1.0, reverse=False)
+        return (*terms, total_loss(*terms, 1.0, 1.0, 1.0)[0]), nets
 
-    return [check("cross_entropy", 0, ("F", "C")), check("adv_student", 1, ("F", "D")),
-            check("adv_teacher", 2, ("F", "D")), check("consistency", 3, ("F", "C")),
-            check("total", None, ("F", "C", "D"))]
+    return [LossCheck(name, i, objective, {k: v for k, v in own.items()
+                                           if k.split(".", 1)[0] in prefixes})
+            for i, (name, prefixes) in enumerate((
+                ("cross_entropy", "FC"), ("adv_student", "FD"), ("adv_teacher", "FD"),
+                ("consistency", "FC"), ("total", "FCD")))]
 
 
-def replaying_loss(check: LossCheck) -> Callable[[dict[str, np.ndarray]], np.ndarray]:
-    """``check``'s ``loss_fn`` for ``finite_diff_check``: each call builds
-    the loss from ``stacks`` on a forward-only graph that replays the relu
-    and clamp selections of one forward-only pass at the scenario's own
-    arrays.  A call that replays another number of selections raises
-    ContractError."""
-    base = T.Graph(record=False)
-    check.build(base)
-
+def replaying_losses(objective: Callable, selections: list
+                     ) -> Callable[[dict[str, np.ndarray]], np.ndarray]:
+    """``finite_diff_check``'s ``loss_fn`` over every loss ``objective``
+    records: each call records them from ``stacks`` on a forward-only graph
+    that replays ``selections``, a tape's relu and clamp selections at the
+    scenario's own arrays, and returns them copy by copy, shape (K, L).  A
+    call that replays another number of selections raises ContractError."""
     def loss_fn(stacks):
-        g = T.Graph(record=False, replay=base.selections)
-        loss = check.build(g, stacks)[0]
-        if len(g.selections) != len(base.selections):
-            raise ContractError(f"{check.name} replayed {len(g.selections)} of "
-                                f"{len(base.selections)} recorded selections")
-        return loss.values
+        g = T.Graph(record=False, replay=selections)
+        losses = objective(g, stacks)[0]
+        if len(g.selections) != len(selections):
+            raise ContractError(f"the objective replayed {len(g.selections)} of "
+                                f"{len(selections)} recorded selections")
+        return np.concatenate([loss.values for loss in losses], axis=-1)
 
     return loss_fn
 
@@ -142,17 +142,22 @@ def run_loss_checks(seed: int, h: float = 1e-5, tol: float = 1e-4, **suite_kwarg
                     ) -> list[tuple[str, GradCheckReport]]:
     """Finite-difference report per loss term.
 
-    Each check records one graph and runs one backward pass on it for its
-    analytic gradients.  Each ``loss_fn`` call of ``finite_diff_check`` is
-    one stacked forward pass on the base point's branch
-    (``replaying_loss``), and at default sizes a check makes one such call.
+    One tape records the scenario's objective, and one backward pass of
+    each check's loss on it gives that check's analytic gradients.  Each
+    ``loss_fn`` call of ``finite_diff_check`` is one stacked forward pass on
+    the tape's branch (``replaying_losses``) that returns all five losses,
+    and at default sizes one such call covers the whole scenario.
     """
-    out = []
-    for check in loss_check_suite(seed, **suite_kwargs):
-        g = T.Graph()
-        loss, nets = check.build(g)
-        g.backward(loss)
-        report = finite_diff_check(replaying_loss(check), check.params, collect_grads(*nets),
-                                   h=h, tol=tol)
-        out.append((check.name, report))
-    return out
+    checks = loss_check_suite(seed, **suite_kwargs)
+    objective = checks[0].objective  # the one every check reads
+    g = T.Graph()
+    losses, nets = objective(g)
+    grads = []
+    for check in checks:
+        g.backward(losses[check.index])
+        every = collect_grads(*nets.values())
+        grads.append({k: every[k] for k in check.params})
+    params = {k: v for check in checks for k, v in check.params.items()}
+    reports = finite_diff_check(replaying_losses(objective, g.selections), params, grads,
+                                h=h, tol=tol)
+    return [(check.name, report) for check, report in zip(checks, reports)]

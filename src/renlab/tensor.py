@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -140,12 +140,12 @@ class Graph:
 
     Only tensors a gradient can flow into get a node (see the module
     docstring).  With ``record=False`` not even the parameters do: the tape
-    stays empty and ``backward`` raises ContractError.  Such a graph keeps
+    stays empty and ``backward`` raises ContractError.  Every graph keeps
     each relu's and clamp's (op, selection mask, output) on ``selections``,
-    in call order.  Given another one's selections as ``replay``, each
-    relu/clamp output is ``np.where(mask, x, output)`` instead: the recorded
-    branch, broadcast over the input's extra leading axes, and the op's own
-    output bit for bit where no mask flips.
+    in call order.  A forward-only graph given another graph's selections
+    as ``replay`` makes each relu/clamp output ``np.where(mask, x, output)``
+    instead: the recorded branch, broadcast over the input's extra leading
+    axes, and the op's own output bit for bit where no mask flips.
     """
 
     def __init__(self, record: bool = True, replay: list | None = None):
@@ -160,8 +160,8 @@ class Graph:
         self.replay = replay
 
     def _select(self, op: str, mask: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The output ``out`` of a forward-only graph's relu or clamp ``op`` on
-        input ``x``, recorded with ``mask``, or the replayed branch's.  A
+        """The output ``out`` of relu or clamp ``op`` on input ``x``, recorded
+        with ``mask``, or the replayed branch's.  A
         replay raises ContractError when it meets another op, runs past its
         record, or meets an input whose trailing axes are not the record's."""
         step = (op, mask, out)
@@ -363,9 +363,7 @@ def relu(x: Tensor) -> Tensor:
     xv = x.values
     mask = xv > 0
     out = np.maximum(xv, 0.0)
-    if not x.graph.record:
-        out = x.graph._select("relu", mask, xv, out)
-    return _unary("relu", x, out, lambda grad: grad * mask)
+    return _unary("relu", x, x.graph._select("relu", mask, xv, out), lambda grad: grad * mask)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -382,9 +380,7 @@ def clamp(x: Tensor, lo: float | None = None, hi: float | None = None) -> Tensor
         raise ContractError(f"clamp needs lo <= hi, got lo={lo}, hi={hi}")
     mask = (v > lo) & (v < hi)
     out = np.minimum(np.maximum(v, lo), hi)
-    if not x.graph.record:
-        out = x.graph._select("clamp", mask, v, out)
-    return _unary("clamp", x, out, lambda grad: grad * mask)
+    return _unary("clamp", x, x.graph._select("clamp", mask, v, out), lambda grad: grad * mask)
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -518,36 +514,51 @@ class GradCheckReport:
 def finite_diff_check(
     loss_fn: Callable[[dict[str, np.ndarray]], np.ndarray],
     params: Mapping[str, np.ndarray],
-    grads: Mapping[str, np.ndarray],
+    grads: Mapping[str, np.ndarray] | Sequence[Mapping[str, np.ndarray]],
     h: float = 1e-5,
     tol: float = 1e-4,
-) -> GradCheckReport:
-    """Compare analytic ``grads`` with (L(t+h) - L(t-h)) / 2h per entry.
+) -> GradCheckReport | list[GradCheckReport]:
+    """Compare analytic gradients with (L(t+h) - L(t-h)) / 2h per entry, for
+    one loss or for several losses of the same parameters at once.
 
-    ``grads`` holds one analytic gradient per array of ``params``, under the
-    same name and with the same shape.  The entries of ``params`` form one
-    flat vector, array by array in ``params`` order and in ``np.ndindex``
-    order within each.  ``loss_fn(stacks)`` gets every array of ``params``
-    stacked K times, C-contiguous, on a new leading axis and returns the K
-    losses.  Copy 2j of a call holds the call's j-th entry at +h and copy
-    2j+1 at -h; every other entry is the original.  A call's copies stay
-    within FD_STACK_BYTES where two copies fit, so the vector is checked in
-    as few calls as that allows.  ``params`` is never written.
+    ``grads`` is one mapping, for one loss, or a sequence of L mappings, one
+    per loss.  A mapping holds its loss's analytic gradient of each array of
+    ``params`` it names, under the same name and with the same shape, and
+    the mappings together name every array of ``params``: so one mapping
+    names them all.  The entries of ``params`` form one flat vector, array
+    by array in ``params`` order and in ``np.ndindex`` order within each.
+    ``loss_fn(stacks)`` gets every array of ``params`` stacked K times,
+    C-contiguous, on a new leading axis and returns the L losses of each
+    copy, copy by copy (K values for one loss; (K, L) for several).  Copy
+    2j of a call holds the call's j-th entry at +h and copy 2j+1 at -h;
+    every other entry is the original.  A call's copies stay within
+    FD_STACK_BYTES where two copies fit, so the vector is checked in as few
+    calls as that allows.  ``params`` is never written.
+
+    Returns one report per mapping, over the arrays it names only, or the
+    one report of a lone mapping.
     """
     if not 0.0 < h < math.inf:
         raise ContractError(f"finite difference step must be finite and positive, got {h}")
     if not 0.0 <= tol < math.inf:
         raise ContractError(f"gradient check tolerance must be finite and >= 0, got {tol}")
-    if grads.keys() != params.keys():
-        raise ContractError(f"gradients {sorted(grads)} do not match parameters {sorted(params)}")
-    for name, arr in params.items():
-        if np.shape(grads[name]) != arr.shape:
-            raise ShapeError(f"gradient of {name} has shape {np.shape(grads[name])}, "
-                             f"the parameter {arr.shape}")
+    per_loss = [grads] if isinstance(grads, Mapping) else list(grads)
+    for mapping in per_loss:
+        if not mapping.keys() <= params.keys():
+            raise ContractError(f"gradients {sorted(mapping)} do not match parameters "
+                                f"{sorted(params)}")
+        for name, grad in mapping.items():
+            if np.shape(grad) != params[name].shape:
+                raise ShapeError(f"gradient of {name} has shape {np.shape(grad)}, "
+                                 f"the parameter {params[name].shape}")
+    unnamed = sorted(params.keys() - set().union(*(m.keys() for m in per_loss)))
+    if unnamed:
+        raise ContractError(f"no gradient names parameters {unnamed}")
     bounds = np.cumsum([0] + [a.size for a in params.values()])  # array i is [b_i, b_i+1)
     flat = np.concatenate([np.zeros(0), *map(np.ravel, params.values())])  # {} gives size 0
     per_call = max(1, FD_STACK_BYTES // max(2 * flat.nbytes, 1))  # entries per loss_fn call
-    losses = np.empty(2 * flat.size)  # entry j's at +h, then at -h
+    n_loss = len(per_loss)
+    losses = np.empty((2 * flat.size, n_loss))  # entry j's at +h, then at -h
     for start in range(0, flat.size, per_call):
         entries = np.arange(start, min(start + per_call, flat.size))
         k = 2 * entries.size
@@ -557,21 +568,34 @@ def finite_diff_check(
         stacks = {name: np.ascontiguousarray(copies[:, lo:hi]).reshape((k,) + params[name].shape)
                   for name, lo, hi in zip(params, bounds, bounds[1:])}
         del copies  # only the stacks live through the forward pass
-        out = np.asarray(loss_fn(stacks), dtype=np.float64).reshape(-1)
-        if out.size != k:
-            raise ContractError(f"loss_fn returned {out.size} losses for {k} stacked "
-                                f"copies of {', '.join(params)}")
-        losses[2 * start:2 * start + k] = out
+        out = np.asarray(loss_fn(stacks), dtype=np.float64)
+        if out.size != k * n_loss:
+            raise ContractError(f"loss_fn returned {out.size} losses for {k} stacked copies of "
+                                f"{', '.join(params)}" + (f", {n_loss} each" if n_loss > 1 else ""))
+        losses[2 * start:2 * start + k] = out.reshape(k, n_loss)
     numeric = (losses[0::2] - losses[1::2]) / (2.0 * h)
-    analytic = np.concatenate([np.zeros(0), *(np.ravel(grads[name]) for name in params)])
+    reports = [_report(numeric[:, i], mapping, params, bounds, h, tol)
+               for i, mapping in enumerate(per_loss)]
+    return reports[0] if isinstance(grads, Mapping) else reports
+
+
+def _report(numeric: np.ndarray, grads: Mapping[str, np.ndarray],
+            params: Mapping[str, np.ndarray], bounds: np.ndarray, h: float, tol: float
+            ) -> GradCheckReport:
+    """One loss's report over the arrays ``grads`` names, from the central
+    differences ``numeric`` of every entry of ``params``."""
+    names = [name for name in params if name in grads]
+    spans = [(lo, hi) for name, lo, hi in zip(params, bounds, bounds[1:]) if name in grads]
+    numeric = np.concatenate([np.zeros(0), *(numeric[lo:hi] for lo, hi in spans)])
+    analytic = np.concatenate([np.zeros(0), *(np.ravel(grads[name]) for name in names)])
     rel = np.abs(analytic - numeric) / np.maximum(np.maximum(np.abs(analytic),
                                                              np.abs(numeric)), 1.0)
+    own = np.cumsum([0] + [hi - lo for lo, hi in spans])  # array i is [own_i, own_i+1) of rel
     per_param = {name: float(rel[lo:hi].max(initial=0.0))
-                 for name, lo, hi in zip(params, bounds, bounds[1:])}
+                 for name, lo, hi in zip(names, own, own[1:])}
     if not rel.size:
         return GradCheckReport(0.0, "", (0, 0), per_param, h, tol)
     j = int(rel.argmax())  # the first entry of the largest error
-    i = int(np.searchsorted(bounds, j, side="right")) - 1
-    name = list(params)[i]
-    index = tuple(int(n) for n in np.unravel_index(j - bounds[i], params[name].shape))
-    return GradCheckReport(float(rel[j]), name, index, per_param, h, tol)
+    i = int(np.searchsorted(own, j, side="right")) - 1
+    index = tuple(int(n) for n in np.unravel_index(j - own[i], params[names[i]].shape))
+    return GradCheckReport(float(rel[j]), names[i], index, per_param, h, tol)

@@ -1,13 +1,14 @@
-"""The finite-difference harness: one backward pass per loss check, one
-stacked forward pass per parameter array, and the replay that keeps every
-perturbed copy on its base point's branch."""
+"""The finite-difference harness: one tape per scenario with one backward
+pass per loss check, one stacked forward pass that returns every check's
+loss, and the replay that keeps every perturbed copy on the tape's
+branch."""
 
 import numpy as np
 import pytest
 
 import renlab.checks
 from renlab import tensor as T
-from renlab.checks import LossCheck, loss_check_suite, replaying_loss, run_loss_checks
+from renlab.checks import loss_check_suite, replaying_losses, run_loss_checks
 from renlab.exceptions import ConfigError, ContractError
 from renlab.networks import collect_grads
 
@@ -15,26 +16,30 @@ from renlab.networks import collect_grads
 @pytest.mark.parametrize("seed", [0, 3])
 def test_each_check_runs_backward_once(monkeypatch, seed):
     # perturbed evaluations are forward-only: the analytic gradients of
-    # each check come from exactly one backward pass
+    # each check come from exactly one backward pass of its own loss, and
+    # all five run on the one tape that records the scenario's objective
     calls = []
     real = T.Graph.backward
 
     def counting(self, loss):
-        calls.append(loss)
+        calls.append((self, loss))
         return real(self, loss)
 
     monkeypatch.setattr(T.Graph, "backward", counting)
     reports = run_loss_checks(seed)
     assert len(reports) == len(calls) == 5
+    assert len({id(g) for g, _ in calls}) == 1 and len({id(loss) for _, loss in calls}) == 5
     assert all(rep.passed for _, rep in reports)
+    checks = loss_check_suite(seed)
+    assert len({id(check.objective) for check in checks}) == 1
+    assert [check.index for check in checks] == list(range(5))
 
 
 @pytest.mark.parametrize("seed", [0, 3])
 def test_perturbed_evaluations_record_no_node(monkeypatch, seed):
-    # only one recorded tape per check builds nodes; the forward-only pass
-    # that records the selections and the two evaluations per parameter
-    # entry build none, so the count does not grow with the number of
-    # entries (hidden 6 against 9)
+    # only the scenario's one recorded tape builds nodes; the stacked
+    # evaluations of every parameter entry build none, so the count does
+    # not grow with the number of entries (hidden 6 against 9)
     built = []
 
     class CountingNode(T.Node):
@@ -53,10 +58,10 @@ def test_perturbed_evaluations_record_no_node(monkeypatch, seed):
 
     per_run = {}
     for hidden in (6, 9):
-        checks = loss_check_suite(seed, hidden=hidden)
-        tapes = sum(nodes_built(lambda: check.build(T.Graph())) for check in checks)
+        objective = loss_check_suite(seed, hidden=hidden)[0].objective
+        tape = nodes_built(lambda: objective(T.Graph()))
         per_run[hidden] = nodes_built(lambda: run_loss_checks(seed, hidden=hidden))
-        assert per_run[hidden] == tapes
+        assert per_run[hidden] == tape
     assert per_run[6] == per_run[9]
 
 
@@ -106,86 +111,93 @@ def _per_entry_oracle(loss_fn, params, grads, h=1e-5, tol=1e-4):
 
 
 def _analytic_grads(check):
-    """A check's analytic gradients, from one recorded graph."""
+    """A check's analytic gradients, from a tape of its own."""
     g = T.Graph()
     loss, nets = check.build(g)
     g.backward(loss)
     return collect_grads(*nets)
 
 
-@pytest.mark.parametrize("one_entry_per_call", [False, True], ids=["budget", "one-entry"])
-def test_stacked_oracle_matches_the_per_entry_oracle_bit_for_bit(monkeypatch,
-                                                                   one_entry_per_call):
-    if one_entry_per_call:
-        monkeypatch.setattr(T, "FD_STACK_BYTES", 1)
-    for seed in (0, 1, 2):
-        for check in loss_check_suite(seed):
-            grads = _analytic_grads(check)
-            before = {name: arr.copy() for name, arr in check.params.items()}
-            sizes = []
-
-            replaying = replaying_loss(check)
-
-            def loss_fn(stacks):
-                sizes.append(len(stacks["F.w0"]))
-                return replaying(stacks)
-
-            stacked = T.finite_diff_check(loss_fn, check.params, grads)
-            assert all(np.array_equal(arr, before[name]) for name, arr in check.params.items())
-            # the same replay, one rank-2 pass per perturbed entry
-            reference = _per_entry_oracle(lambda: replaying(check.params).item(), check.params,
-                                          grads)
-            assert stacked == reference and repr(stacked) == repr(reference)
-            if one_entry_per_call:
-                assert set(sizes) == {2}
-
-
 def _counting_loss_fns(monkeypatch):
-    """Wrap the oracle the checks call: one list per check, holding the
-    stacked parameter bytes of each loss_fn call."""
+    """Wrap the oracle the checks call: one entry per oracle call, holding
+    its parameters, its gradient mappings and the (copies, stacked
+    parameter bytes) of each loss_fn call.  The wrapper also asserts that
+    the oracle leaves the parameters as they were."""
     real = renlab.checks.finite_diff_check
-    per_check = []
+    per_oracle = []
 
     def counting(loss_fn, params, grads, **kwargs):
         calls = []
-        per_check.append((params, calls))
+        per_oracle.append((params, grads, calls))
+        before = {name: arr.copy() for name, arr in params.items()}
 
         def counted(stacks):
             assert all(a.flags.c_contiguous for a in stacks.values())
-            calls.append(sum(a.nbytes for a in stacks.values()))
+            calls.append((len(stacks["F.w0"]), sum(a.nbytes for a in stacks.values())))
             return loss_fn(stacks)
 
-        return real(counted, params, grads, **kwargs)
+        out = real(counted, params, grads, **kwargs)
+        assert all(np.array_equal(arr, before[name]) for name, arr in params.items())
+        return out
 
     monkeypatch.setattr(renlab.checks, "finite_diff_check", counting)
-    return per_check
+    return per_oracle
+
+
+@pytest.mark.parametrize("one_entry_per_call", [False, True], ids=["budget", "one-entry"])
+def test_stacked_oracle_matches_the_per_entry_oracle_bit_for_bit(monkeypatch,
+                                                                   one_entry_per_call):
+    # the shared tape's gradients, the one union pass and each check's
+    # report over its own arrays give what a per-entry oracle gives on each
+    # check's own tape: the same replay, one rank-2 pass per perturbed entry
+    if one_entry_per_call:
+        monkeypatch.setattr(T, "FD_STACK_BYTES", 1)
+    per_oracle = _counting_loss_fns(monkeypatch)
+    for seed in (0, 1, 2):
+        stacked = run_loss_checks(seed)
+        checks = loss_check_suite(seed)
+        tape = T.Graph()
+        checks[0].objective(tape)
+        replaying = replaying_losses(checks[0].objective, tape.selections)
+        every = checks[-1].params  # the total reads every net
+        for check, (name, report) in zip(checks, stacked):
+            reference = _per_entry_oracle(lambda: replaying(every)[0, check.index].item(),
+                                          check.params, _analytic_grads(check))
+            assert name == check.name
+            assert report == reference and repr(report) == repr(reference)
+    if one_entry_per_call:
+        assert {k for _, _, calls in per_oracle for k, _ in calls} == {2}
 
 
 @pytest.mark.parametrize("seed", [0, 3])
 def test_each_check_calls_its_loss_once(monkeypatch, seed):
-    # at default sizes every perturbed copy of every array runs in one
-    # stacked forward pass; a return to per-array or per-entry evaluation
-    # fails here
-    per_check = _counting_loss_fns(monkeypatch)
+    # at default sizes every perturbed copy of every F, C and D entry runs
+    # in one stacked forward pass, which returns all five losses per copy;
+    # a return to per-check, per-array or per-entry evaluation fails here
+    per_oracle = _counting_loss_fns(monkeypatch)
     reports = run_loss_checks(seed)
-    assert len(per_check) == len(reports) == 5
-    for params, calls in per_check:
-        assert len(calls) == 1
+    checks = loss_check_suite(seed)
+    ((params, grads, calls),) = per_oracle
+    assert len(calls) == 1
+    assert list(params) == list(checks[-1].params)
+    assert [list(mapping) for mapping in grads] == [list(check.params) for check in checks]
+    assert [name for name, _ in reports] == [check.name for check in checks]
 
 
 def test_a_wide_scenario_keeps_each_stacked_call_within_the_byte_budget(monkeypatch):
-    per_check = _counting_loss_fns(monkeypatch)
+    per_oracle = _counting_loss_fns(monkeypatch)
     reports = run_loss_checks(0, in_dim=128, hidden=12)
     assert all(rep.passed for _, rep in reports)
-    for params, calls in per_check:
-        copy_bytes = sum(a.nbytes for a in params.values())
-        entries = sum(a.size for a in params.values())
-        assert max(calls) <= T.FD_STACK_BYTES
-        # the flat vector is cut into chunks of as many entries as fit, two
-        # copies each, and every entry is perturbed once each way
-        per_call = T.FD_STACK_BYTES // (2 * copy_bytes)
-        assert len(calls) == -(-entries // per_call) > 1
-        assert sum(calls) == 2 * entries * copy_bytes
+    ((params, _, calls),) = per_oracle
+    copy_bytes = sum(a.nbytes for a in params.values())
+    entries = sum(a.size for a in params.values())
+    assert max(nbytes for _, nbytes in calls) <= T.FD_STACK_BYTES
+    # the flat vector of the union of entries is cut into chunks of as many
+    # entries as fit, two copies each, and every entry is perturbed once
+    # each way
+    per_call = T.FD_STACK_BYTES // (2 * copy_bytes)
+    assert len(calls) == -(-entries // per_call) > 1
+    assert sum(nbytes for _, nbytes in calls) == 2 * entries * copy_bytes
 
 
 def _report(check, loss_fn):
@@ -205,7 +217,7 @@ def test_a_scenario_on_the_kink_passes_on_its_own_branch(monkeypatch):
         return real(ps_F, ps_C, x)
 
     monkeypatch.setattr(renlab.checks, "forward_fc_plain", zero_first_row)
-    check = loss_check_suite(0)[-1]
+    check = loss_check_suite(0)[-1]  # the total reads every net
     g = T.Graph()
     check.build(g)
     first_relu = next(node for node in g.nodes if node.op == "relu")
@@ -224,24 +236,26 @@ TRAINED_WIDTHS = {"in_dim": 16, "hidden": 64, "feature_dim": 16, "n_classes": 2,
                                    lambda vjp: (lambda grad: 1.001 * vjp(grad))],
                          ids=["mask-dropped", "scaled-1.001"])
 def test_a_wrong_relu_vjp_fails_the_total_check(monkeypatch, widths, wrong):
-    # the replay holds the perturbed copies on the base branch, so it must
+    # the replay holds the perturbed copies on the tape's branch, so it must
     # not also hide a vjp that is wrong on that branch
     real = T._unary
 
     def corrupt(op, x, out, vjp):
         return real(op, x, out, wrong(vjp) if op == "relu" else vjp)
 
-    check = loss_check_suite(0, **widths)[-1]
-    assert _report(check, replaying_loss(check)).passed
+    assert dict(run_loss_checks(0, **widths))["total"].passed
     monkeypatch.setattr(T, "_unary", corrupt)
-    assert not _report(check, replaying_loss(check)).passed
+    assert not dict(run_loss_checks(0, **widths))["total"].passed
 
 
 def test_a_replay_that_ends_early_is_refused():
-    def build(g, arrays=None):
+    def objective(g, arrays=None):
         w = g.parameter(np.ones((1, 1)) if arrays is None else arrays["w"])
-        return (T.relu(w) if arrays is None else w), ()
+        return ((T.relu(w) if arrays is None else w),), {}
 
-    loss_fn = replaying_loss(LossCheck("toy", build, {"w": np.ones((1, 1))}))
-    with pytest.raises(ContractError, match="^toy replayed 0 of 1 recorded selections$"):
+    tape = T.Graph()
+    objective(tape)
+    loss_fn = replaying_losses(objective, tape.selections)
+    with pytest.raises(ContractError,
+                       match="^the objective replayed 0 of 1 recorded selections$"):
         loss_fn({"w": np.ones((2, 1, 1))})

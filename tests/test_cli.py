@@ -375,9 +375,9 @@ def test_gradcheck_detects_corrupted_gradient(capsys, monkeypatch):
     real = renlab.checks.finite_diff_check
 
     def poisoned(loss_fn, params, grads, **kwargs):
-        if {"C.w0", "D.w0"} <= grads.keys():  # only the total binds all three nets
-            first = next(iter(grads))
-            grads = {**grads, first: grads[first] + 1e-3}
+        # only the total's gradients name all three nets
+        grads = [{**m, "F.w0": m["F.w0"] + 1e-3} if {"C.w0", "D.w0"} <= m.keys() else m
+                 for m in grads]
         return real(loss_fn, params, grads, **kwargs)
 
     monkeypatch.setattr(renlab.checks, "finite_diff_check", poisoned)

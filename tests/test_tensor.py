@@ -565,6 +565,44 @@ def test_a_replay_refuses_another_op_a_longer_run_or_another_shape():
         T.Graph(replay=base.selections)
 
 
+def _relu_clip_tape(g, w):
+    """A loss through relu and clamp of parameter ``w`` on ``g``."""
+    return T.sum_all(T.clamp(T.relu(g.parameter(w)), hi=1.5))
+
+
+def test_a_recording_graph_keeps_the_selections_a_forward_only_graph_keeps():
+    w = np.array([[-1.0, 0.0, 0.5, 2.0]])
+    rec, fwd = T.Graph(), T.Graph(record=False)
+    for g in (rec, fwd):
+        _relu_clip_tape(g, w)
+    assert [op for op, _, _ in rec.selections] == ["relu", "clamp"]
+    for (op, mask, out), (fop, fmask, fout) in zip(rec.selections, fwd.selections, strict=True):
+        assert op == fop
+        assert mask.dtype == fmask.dtype == bool and np.array_equal(mask, fmask)
+        assert out.tobytes() == fout.tobytes()
+
+
+def test_a_stacked_forward_only_graph_replays_a_recording_graph_s_selections():
+    w = np.array([[-1.0, 0.0, 0.5, 2.0]])
+    rec = T.Graph()
+    loss = _relu_clip_tape(rec, w)
+    g = T.Graph(record=False, replay=rec.selections)
+    # copy 0 is the recorded point, copy 1 crosses every kink
+    out = _relu_clip_tape(g, np.stack([w, [[1.0, -1.0, 3.0, 1.0]]]))
+    assert out.values[0].tobytes() == loss.values.tobytes()
+    # relu holds the first two entries at their recorded 0 and passes 3 and
+    # 1; clamp passes 3 unclipped and holds the last at its recorded 1.5
+    assert out.values[1].item() == 3.0 + 1.5
+    assert g.nodes == [] and g.selections == rec.selections
+
+
+def test_a_recording_graph_is_refused_a_replay():
+    rec = T.Graph()
+    _relu_clip_tape(rec, np.ones((1, 2)))
+    with pytest.raises(ContractError, match="^replay needs a forward-only graph$"):
+        T.Graph(record=True, replay=rec.selections)
+
+
 def test_finiteness_check_is_exact_on_edge_arrays():
     # finite arrays whose sum overflows pass without a warning, empty arrays
     # pass, and one NaN or infinity anywhere is caught
@@ -814,3 +852,70 @@ def test_finite_diff_check_refuses_a_loss_count_other_than_the_copies(returned):
     with pytest.raises(ContractError, match=f"{returned} losses for 4 stacked copies of w"):
         T.finite_diff_check(lambda stacks: np.zeros(returned), {"w": np.ones((1, 2))},
                             {"w": np.zeros((1, 2))})
+
+
+def _three_losses(stacks):
+    """Per copy: sum(w^2), sum(v^3), and their sum."""
+    a = (stacks["w"] ** 2).sum(axis=(-2, -1))
+    b = (stacks["v"] ** 3).sum(axis=(-2, -1))
+    return np.stack([a, b, a + b], axis=-1)
+
+
+def _three_loss_case():
+    params = {"w": np.array([[0.5, -1.0], [2.0, 0.25]]), "v": np.array([[1.0, -0.5, 3.0]])}
+    dw, dv = 2.0 * params["w"], 3.0 * params["v"] ** 2
+    return params, [{"w": dw}, {"v": dv}, {"w": dw, "v": dv}]
+
+
+def test_a_multi_loss_call_reports_each_loss_over_its_own_arrays():
+    params, grads = _three_loss_case()
+    calls = []
+
+    def loss_fn(stacks):
+        calls.append(len(stacks["w"]))
+        return _three_losses(stacks)
+
+    reports = T.finite_diff_check(loss_fn, params, grads)
+    assert calls == [14]  # one call, two copies per entry of w and v
+    assert [sorted(r.per_param) for r in reports] == [["w"], ["v"], ["v", "w"]]
+    assert all(r.passed for r in reports)
+    # each report is the one-loss call on the arrays its mapping names
+    alone = [T.finite_diff_check(lambda st: (st["w"] ** 2).sum(axis=(-2, -1)),
+                                 {"w": params["w"]}, grads[0]),
+             T.finite_diff_check(lambda st: (st["v"] ** 3).sum(axis=(-2, -1)),
+                                 {"v": params["v"]}, grads[1]),
+             T.finite_diff_check(lambda st: _three_losses(st)[:, 2], params, grads[2])]
+    assert reports == alone and repr(reports) == repr(alone)
+    assert [(r.worst_param, r.worst_index) for r in reports] == [
+        (r.worst_param, r.worst_index) for r in alone]
+
+
+def test_an_error_in_one_loss_s_gradient_fails_that_report_alone():
+    params, grads = _three_loss_case()
+    grads[1] = {"v": grads[1]["v"].copy()}
+    grads[1]["v"][0, 2] += 0.5
+    first, second, both = T.finite_diff_check(_three_losses, params, grads)
+    assert first.passed and both.passed and not second.passed
+    assert (second.worst_param, second.worst_index) == ("v", (0, 2))
+    assert second.per_param["v"] == second.max_rel_error
+
+
+def test_a_mapping_that_names_an_array_not_in_params_is_refused_before_any_loss():
+    params, grads = _three_loss_case()
+    calls = []
+    with pytest.raises(ContractError, match="'u'"):
+        T.finite_diff_check(lambda stacks: calls.append(stacks), params,
+                            [*grads, {"u": np.zeros((1, 1))}])
+    # and an array that no mapping names
+    with pytest.raises(ContractError, match=re.escape("no gradient names parameters ['v']")):
+        T.finite_diff_check(lambda stacks: calls.append(stacks), params, grads[:1])
+    assert calls == []
+
+
+@pytest.mark.parametrize("returned", [(14,), (14, 2), (14, 4)])
+def test_a_multi_loss_call_refuses_another_number_of_losses(returned):
+    params, grads = _three_loss_case()
+    with pytest.raises(ContractError,
+                       match=re.escape(f"{np.prod(returned)} losses for 14 stacked copies of "
+                                       "w, v, 3 each")):
+        T.finite_diff_check(lambda stacks: np.zeros(returned), params, grads)

@@ -256,9 +256,10 @@ def test_consistency_is_zero_on_first_step():
     assert parts.l_c > 0.0
 
 
-def test_a_training_step_records_its_tape_and_keeps_no_selection(monkeypatch):
-    # relu and clamp keep their selections on forward-only graphs only, so
-    # the training tape pays one attribute test per op and holds nothing more
+def test_a_training_step_keeps_one_selection_per_relu_and_clamp(monkeypatch):
+    # every graph keeps each relu's and clamp's selection, so the training
+    # tape pays one list append per such op; each selection holds the op's
+    # own output array, which its node holds too
     graphs = []
 
     class Kept(Graph):
@@ -273,7 +274,9 @@ def test_a_training_step_records_its_tape_and_keeps_no_selection(monkeypatch):
     assert len(graphs) == 1
     (g,) = graphs
     assert g.record and {"relu", "clamp"} <= {node.op for node in g.nodes}
-    assert g.selections == []
+    selected = [node for node in g.nodes if node.op in ("relu", "clamp")]
+    assert [op for op, _, _ in g.selections] == [node.op for node in selected]
+    assert all(out is node.values for (_, _, out), node in zip(g.selections, selected))
 
 
 @pytest.mark.parametrize("variant,calls", [("cdan_m", 0), ("cdan_m_d", 1), ("ren", 1)])
@@ -344,9 +347,11 @@ def test_every_gradient_check_records_step_terms_once(monkeypatch):
         calls.clear()
         losses[check.name] = check.build(Graph())[0].item()
         assert len(calls) == 1
-        # a per-term check turns every other term off; the total turns all four on
-        assert tuple(term is not None for term in calls[0]) == tuple(
-            check.name in (name, "total") for name in TERMS)
+        # every check records the whole objective, all four terms on, and
+        # reads its own term of it, or the total
+        assert all(term is not None for term in calls[0])
+        if check.name != "total":
+            assert losses[check.name] == calls[0][TERMS.index(check.name)].item()
     # the total is the unit-weighted sum of the four per-term checks
     assert losses["total"] == pytest.approx(sum(losses[name] for name in TERMS), rel=1e-12)
 
