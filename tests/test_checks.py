@@ -224,8 +224,8 @@ def test_a_scenario_on_the_kink_passes_on_its_own_branch(monkeypatch):
     assert not g.nodes[first_relu.parents[0][0]].values[0].any()
     assert all(rep.passed for _, rep in run_loss_checks(0))
     plain = _report(check, lambda stacks: check.build(T.Graph(record=False), stacks)[0].values)
-    assert {"F.b0", "F.b1", "D.b0"} == {name for name, err in plain.per_param.items()
-                                        if err > plain.tol}
+    assert {"F.b0", "F.b1", "F.b2", "D.b0"} == {name for name, err in plain.per_param.items()
+                                                if err > plain.tol}
 
 
 TRAINED_WIDTHS = {"in_dim": 16, "hidden": 64, "feature_dim": 16, "n_classes": 2, "batch": 8}

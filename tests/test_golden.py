@@ -16,7 +16,10 @@ checked entries as one flat vector.
 ``SCENARIO_DIGEST`` pins the scenario of seeds 0-19, each seed's first
 draw.  Both were re-recorded when each seed's first draw became its
 scenario and the perturbed copies began to replay the base point's relu
-and clamp selections.  ``HELP_DIGESTS`` pins the text of ``renlab --help``
+and clamp selections.  They held unchanged when the checks began to share
+one tape and one stacked pass per scenario, and both were re-recorded
+when the scenario's F gained a second hidden layer, the depth training
+runs, which draws other arrays and checks more entries.  ``HELP_DIGESTS`` pins the text of ``renlab --help``
 and of each subcommand's ``--help`` at 80 columns, so a change that adds,
 drops or renames a flag shows here.  argparse's layout differs between
 Python releases, so these hold for one Python build, as the float digests
@@ -123,11 +126,11 @@ DATAGEN_DIGESTS = {
 
 # sha256 of the full-precision repr of run_loss_checks(seed) for seeds 0-19
 GRADCHECK_SEEDS = range(20)
-GRADCHECK_DIGEST = "1c3aceb3686f109a1615022b2bd0af9915a6ea3650abc43d43d733ab2228577d"
+GRADCHECK_DIGEST = "9afd68de38d448ace4b29d4274c95ff910bca3c091ea9a0d631e0b9133857aac"
 
 # sha256 over every LossCheck's name, parameter bytes and loss value, seeds 0-19
 SCENARIO_SEEDS = range(20)
-SCENARIO_DIGEST = "e9b7a56b8c9e840b83debc189910754949e71e511322a9116628093ba4c585ba"
+SCENARIO_DIGEST = "8cd1254db2e048adbda3c2813eb0a328289d1e6e2ad7248c67cbd74dc73c6df3"
 
 # sha256 of ``renlab --help`` and of each subcommand's ``--help`` at COLUMNS=80
 HELP_COMMANDS = ("", "datagen", "train", "ablate", "gradcheck", "report")
