@@ -126,8 +126,9 @@ def replaying_losses(objective: Callable, selections: list
     """``finite_diff_check``'s ``loss_fn`` over every loss ``objective``
     records: each call records them from ``stacks`` on a forward-only graph
     that replays ``selections``, a tape's relu and clamp selections at the
-    scenario's own arrays, and returns them copy by copy, shape (K, L).  A
-    call that replays another number of selections raises ContractError."""
+    scenario's own arrays, and returns them side by side on the last axis,
+    shape (K, 1, L) for K stacked copies.  A call that replays another
+    number of selections raises ContractError."""
     def loss_fn(stacks):
         g = T.Graph(record=False, replay=selections)
         losses = objective(g, stacks)[0]

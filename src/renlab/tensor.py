@@ -161,9 +161,9 @@ class Graph:
 
     def _select(self, op: str, mask: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The output ``out`` of relu or clamp ``op`` on input ``x``, recorded
-        with ``mask``, or the replayed branch's.  A
-        replay raises ContractError when it meets another op, runs past its
-        record, or meets an input whose trailing axes are not the record's."""
+        with ``mask``, or the replayed branch's.  A replay raises
+        ContractError when it meets another op, runs past its record, or
+        meets an input whose trailing axes are not the record's."""
         step = (op, mask, out)
         if self.replay is not None:
             i = len(self.selections)
