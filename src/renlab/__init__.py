@@ -10,14 +10,13 @@ deterministic per seed.
 from .exceptions import (ConfigError, ContractError, NonFiniteError,
                          RenlabError, ShapeError)
 from .tensor import Graph, GradCheckReport, Tensor, finite_diff_check
-from .networks import (DualNet, NetSpec, ParamSet, alpha_theta_ramp,
-                       ema_update, init_params)
+from .networks import DualNet, NetSpec, ParamSet, ema_update, init_params
 from .conditioning import PredEmaState, pred_ema
 from .losses import LossBreakdown, consistency, cross_entropy, total_loss
 from .datasets import (Batch, DataSpec, DomainDataset, apply_shift, batches,
                        make_blobs, make_two_moons, standard_benchmark)
-from .trainer import (VARIANTS, RunResult, TrainConfig, Trainer, grl_lambda,
-                      lr_schedule, run_ablation, sgd_momentum_step)
+from .trainer import (VARIANTS, RunResult, TrainConfig, Trainer, alpha_theta_ramp,
+                      grl_lambda, lr_schedule, run_ablation, sgd_momentum_step)
 from .evaluation import MetricsRecord, ablation_report, accuracy, stability
 
 __version__ = "0.1.0"

@@ -14,13 +14,6 @@ import numpy as np
 from .exceptions import ContractError, ShapeError
 from .recipe import UNIT_RANGE, check_value
 
-_BRANCHES = ("student", "teacher")
-
-
-def _check_branch(which: str) -> None:
-    if which not in _BRANCHES:
-        raise ContractError(f"branch must be one of {_BRANCHES}, got {which!r}")
-
 
 def _check_prob_rows(p: np.ndarray, what: str) -> None:
     if p.size == 0:
@@ -37,7 +30,7 @@ def _check_prob_rows(p: np.ndarray, what: str) -> None:
 
 
 class PredEmaState:
-    """Per-sample smoothed predictions for the student and teacher branches.
+    """Per-sample smoothed predictions of one branch, student or teacher.
 
     Each sample id maps to one probability row; the first visit stores the
     prediction unchanged, later visits blend:
@@ -46,10 +39,10 @@ class PredEmaState:
     the opposite of the weight-ensembling update.  alpha_p = 1 makes this
     the identity on the current prediction.
 
-    Storage is dense: per branch, a (capacity, n_classes) table indexed by
-    sample id and a mask of the ids seen so far.  Both grow geometrically
-    to cover the largest id, so memory follows the largest id, not the
-    number of distinct ids.
+    Storage is dense: a (capacity, n_classes) table indexed by sample id and
+    a mask of the ids seen so far.  Both grow geometrically to cover the
+    largest id, so memory follows the largest id, not the number of
+    distinct ids.
     """
 
     def __init__(self, alpha_p: float, n_classes: int):
@@ -58,38 +51,29 @@ class PredEmaState:
         check_value("n_classes", "int", {"ge": 1}, n_classes)
         self.alpha_p = alpha_p
         self.n_classes = n_classes
-        self._table = {b: np.zeros((0, n_classes)) for b in _BRANCHES}
-        self._seen = {b: np.zeros(0, dtype=bool) for b in _BRANCHES}
+        self._table = np.zeros((0, n_classes))
+        self._seen = np.zeros(0, dtype=bool)
 
-    def row(self, which: str, sample_id: int) -> np.ndarray:
+    def row(self, sample_id: int) -> np.ndarray:
         """A copy of the smoothed row stored for one sample id."""
-        _check_branch(which)
-        seen = self._seen[which]
-        if not (0 <= sample_id < seen.shape[0] and seen[sample_id]):
-            raise ContractError(f"no {which} prediction stored for sample {sample_id}")
-        return self._table[which][sample_id].copy()
+        if not (0 <= sample_id < self._seen.shape[0] and self._seen[sample_id]):
+            raise ContractError(f"no prediction stored for sample {sample_id}")
+        return self._table[sample_id].copy()
 
-    def _reserve(self, which: str, size: int) -> None:
-        """Grow the branch's table and mask to hold ids below ``size``."""
-        table, seen = self._table[which], self._seen[which]
-        have = seen.shape[0]
-        if size <= have:
-            return
-        cap = max(size, 2 * have)
-        self._table[which] = np.zeros((cap, self.n_classes))
-        self._table[which][:have] = table
-        self._seen[which] = np.zeros(cap, dtype=bool)
-        self._seen[which][:have] = seen
-
-    def _blend(self, which: str, ids: np.ndarray, p_n: np.ndarray) -> np.ndarray:
-        """One gather/blend/scatter over distinct ids."""
-        table, seen = self._table[which], self._seen[which]
+    def _blend(self, ids: np.ndarray, p_n: np.ndarray) -> np.ndarray:
+        """One gather/blend/scatter over distinct ids, after growing the
+        table and mask to hold the largest id."""
+        have = self._seen.shape[0]
+        if (size := int(ids.max()) + 1) > have:
+            grow = max(size, 2 * have) - have
+            self._table = np.concatenate([self._table, np.zeros((grow, self.n_classes))])
+            self._seen = np.concatenate([self._seen, np.zeros(grow, dtype=bool)])
         a = self.alpha_p
-        out = (1.0 - a) * table[ids] + a * p_n
-        first = ~seen[ids]
+        out = (1.0 - a) * self._table[ids] + a * p_n
+        first = ~self._seen[ids]
         out[first] = p_n[first]
-        table[ids] = out
-        seen[ids] = True
+        self._table[ids] = out
+        self._seen[ids] = True
         return out
 
 
@@ -106,14 +90,13 @@ def _sample_ids(sample_ids) -> np.ndarray:
     return ids
 
 
-def pred_ema(state: PredEmaState, which: str, sample_ids, p_n: np.ndarray) -> np.ndarray:
+def pred_ema(state: PredEmaState, sample_ids, p_n: np.ndarray) -> np.ndarray:
     """Blend current predictions into the stored per-sample average.
 
     Returns the updated rows in sample order as a detached array; the caller
     wraps them as a graph constant if they feed a loss.  An id may appear
     once per call: a repeat raises ContractError before any row changes.
     """
-    _check_branch(which)
     p_n = np.asarray(p_n, dtype=np.float64)
     ids = _sample_ids(sample_ids)
     if p_n.ndim != 2 or p_n.shape != (ids.shape[0], state.n_classes):
@@ -126,5 +109,4 @@ def pred_ema(state: PredEmaState, which: str, sample_ids, p_n: np.ndarray) -> np
     repeats = ordered[1:][ordered[1:] == ordered[:-1]]
     if repeats.size:
         raise ContractError(f"sample id {repeats[0]} appears more than once in one call")
-    state._reserve(which, int(ids.max()) + 1)
-    return state._blend(which, ids, p_n)
+    return state._blend(ids, p_n)

@@ -200,12 +200,11 @@ class DualNet:
     gradients; ``ema_update`` is the only thing that moves it.
     """
 
-    def __init__(self, student_F: ParamSet, student_C: ParamSet, alpha_theta: float = 0.99):
+    def __init__(self, student_F: ParamSet, student_C: ParamSet):
         self.student_F = student_F
         self.student_C = student_C
         self.teacher_F = student_F.copy()
         self.teacher_C = student_C.copy()
-        self.alpha_theta = float(alpha_theta)
 
     def param_count(self) -> int:
         return (
@@ -220,30 +219,16 @@ class DualNet:
         out = DualNet.__new__(DualNet)
         out.student_F, out.student_C = self.student_F.view(s), self.student_C.view(s)
         out.teacher_F, out.teacher_C = self.teacher_F.view(s), self.teacher_C.view(s)
-        out.alpha_theta = self.alpha_theta
         return out
 
 
-def alpha_theta_ramp(step: int) -> float:
-    """Warm-up schedule min(0.99, 1 - 1/(step+1)); the teacher tracks the
-    student closely at the start and smooths more later."""
-    if step < 0:
-        raise ContractError(f"step must be non-negative, got {step}")
-    return min(0.99, 1.0 - 1.0 / (step + 1))
-
-
-def ema_update(net: DualNet) -> None:
-    """teacher <- alpha * teacher + (1 - alpha) * student, entrywise.
-
-    Applies net.alpha_theta exactly as stored; callers that want the warm-up
-    ramp set alpha_theta from alpha_theta_ramp before each call.
-    """
-    a = net.alpha_theta
-    check_value("alpha_theta", "float", UNIT_RANGE, a)
+def ema_update(net: DualNet, alpha: float) -> None:
+    """teacher <- alpha * teacher + (1 - alpha) * student, entrywise."""
+    check_value("alpha_theta", "float", UNIT_RANGE, alpha)
     for t_ps, s_ps in ((net.teacher_F, net.student_F), (net.teacher_C, net.student_C)):
         for k, t_arr in t_ps.items():
-            t_arr *= a
-            t_arr += (1.0 - a) * s_ps.params[k]
+            t_arr *= alpha
+            t_arr += (1.0 - alpha) * s_ps.params[k]
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,8 @@ from .evaluation import ABLATION_CHAIN, MetricsRecord, accuracy
 from .exceptions import ConfigError, ContractError, ShapeError, open_text
 from .losses import (LossBreakdown, adv_student, adv_teacher, consistency,
                      cross_entropy, total_loss)
-from .networks import (BoundNet, DualNet, NetSpec, ParamSet, alpha_theta_ramp,
-                       collect_grads, ema_update, flat_arrays, forward_fc,
-                       forward_fc_plain, init_params, stack_params)
+from .networks import (BoundNet, DualNet, NetSpec, ParamSet, collect_grads, ema_update,
+                       flat_arrays, forward_fc, forward_fc_plain, init_params, stack_params)
 from .recipe import (MOMENTUM_RANGE, SEED_RANGE, UNIT_RANGE, WEIGHT_RANGE, check_fields,
                      check_value, parse_field)
 
@@ -138,6 +137,14 @@ def gamma_factor(p: float, ramp: bool = True) -> float:
     return 1.0 / (1.0 + math.exp(6.0 - 60.0 * p))
 
 
+def alpha_theta_ramp(step: int) -> float:
+    """Warm-up schedule min(0.99, 1 - 1/(step+1)); the teacher tracks the
+    student closely at the start and smooths more later."""
+    if step < 0:
+        raise ContractError(f"step must be non-negative, got {step}")
+    return min(0.99, 1.0 - 1.0 / (step + 1))
+
+
 # ---------------------------------------------------------------------------
 # optimizer
 
@@ -216,7 +223,7 @@ class Trainer:
     seed gets the bits of its own solo run: no array is shared between
     seeds, and every op works on each seed's matrices as on a lone matrix.
     Each seed keeps its own batch stream and evaluation, and its own id range
-    in the stack's one prediction-smoothing state; the schedules depend only
+    in each branch's prediction-smoothing state; the schedules depend only
     on the step, so the seeds share them.
     """
 
@@ -250,15 +257,15 @@ class Trainer:
         self.student_C = init(c_spec, 12)
         self.dualnet = None
         if cfg.variant in _USES_TEACHER:
-            alpha0 = 0.0 if cfg.alpha_theta == "ramp" else float(cfg.alpha_theta)
-            self.dualnet = DualNet(self.student_F, self.student_C, alpha0)
+            self.dualnet = DualNet(self.student_F, self.student_C)
         self.disc = None
         if cfg.variant in _USES_DISC:
             self.disc = init(NetSpec((cfg.feature_dim * c, cfg.disc_hidden, 1), final="sigmoid"),
                              13)
-        self.pred_state = None
+        self.pred_student = self.pred_teacher = None  # one smoothing state per branch
         if cfg.variant in _USES_SMOOTHED_CONDITIONS:
-            self.pred_state = PredEmaState(cfg.alpha_p, c)
+            self.pred_student = PredEmaState(cfg.alpha_p, c)
+            self.pred_teacher = PredEmaState(cfg.alpha_p, c)
         self.first_ids = np.cumsum([0] + [ds.n_source + ds.n_target for ds in self.datasets])[:-1]
         self.opt = OptimizerState(cfg.momentum)
         self.params = flat_arrays(("F", self.student_F), ("C", self.student_C), ("D", self.disc))
@@ -272,6 +279,9 @@ class Trainer:
         cfg = self.cfg
         p_prog = self._progress(n)
         lam = grl_lambda(p_prog, cfg.grl_ramp)
+        eta = lr_schedule(p_prog, cfg)
+        gamma = cfg.gamma * gamma_factor(p_prog, cfg.gamma_ramp)
+        alpha_theta = alpha_theta_ramp(n) if cfg.alpha_theta == "ramp" else float(cfg.alpha_theta)
 
         g = T.Graph()
         bound_F, bound_C = BoundNet(g, self.student_F, "F"), BoundNet(g, self.student_C, "C")
@@ -289,25 +299,21 @@ class Trainer:
             ids = np.concatenate([first + np.concatenate([b.src_ids, b.tgt_ids])
                                   for first, b in zip(self.first_ids, batches)])
             rows, shape = (ids.size, -1), teacher_p_all.shape
-            cond = pred_ema(self.pred_state, "student", ids, p_all.values.reshape(rows))
-            tea_cond = pred_ema(self.pred_state, "teacher", ids, teacher_p_all.reshape(rows))
+            cond = pred_ema(self.pred_student, ids, p_all.values.reshape(rows))
+            tea_cond = pred_ema(self.pred_teacher, ids, teacher_p_all.reshape(rows))
             cond, tea_cond = cond.reshape(shape), tea_cond.reshape(shape)
         elif cfg.variant in _USES_DISC:
             cond = p_all.values
         tea_p = teacher_p_all if cfg.variant in _USES_CONSISTENCY else None
         terms = step_terms(bound_D, f_all, p_all, np.stack([b.ys for b in batches]), m_src,
                            cond, tea_cond, tea_p, lam)
-        total, parts = total_loss(*terms, cfg.lambda_stu, cfg.lambda_tea,
-                                  cfg.gamma * gamma_factor(p_prog, cfg.gamma_ramp))
+        total, parts = total_loss(*terms, cfg.lambda_stu, cfg.lambda_tea, gamma)
         g.backward(total)
 
         grads = collect_grads(bound_F, bound_C, bound_D)
-        sgd_momentum_step(self.params, grads, self.opt, lr_schedule(p_prog, cfg))
-
+        sgd_momentum_step(self.params, grads, self.opt, eta)
         if self.dualnet is not None:
-            if cfg.alpha_theta == "ramp":
-                self.dualnet.alpha_theta = alpha_theta_ramp(n)
-            ema_update(self.dualnet)
+            ema_update(self.dualnet, alpha_theta)
         return parts
 
     def _evaluate(self, s: int, step: int, lr: float, parts: LossBreakdown) -> MetricsRecord:

@@ -70,39 +70,38 @@ def test_2_teacher_smoothing_geometric_decay(rng):
     for alpha in (0.0, 0.5, 0.9, 0.99, 1.0):
         f = init_params(NetSpec((3, 4, 2), "relu"), [7, 11])
         c = init_params(NetSpec((2, 2)), [7, 12])
-        dn = DualNet(f, c, alpha)
+        dn = DualNet(f, c)
         for k, arr in dn.teacher_F.items():
             arr += rng.normal(size=arr.shape)
         for k, arr in dn.teacher_C.items():
             arr += rng.normal(size=arr.shape)
         gap0 = norm_gap(dn)
         for n in range(1, 51):
-            ema_update(dn)
+            ema_update(dn, alpha)
             worst = max(worst, abs(norm_gap(dn) / gap0 - alpha ** n))
     ok = worst <= 1e-10
     assert verdict(2, "teacher weight smoothing law", ok, f"max deviation {worst:.2e}")
 
 
 def test_3_prediction_smoothing_properties(rng):
-    state = PredEmaState(0.6, 3)
+    branches = {"student": PredEmaState(0.6, 3), "teacher": PredEmaState(0.6, 3)}
     worst = 0.0
     for _ in range(1000):
         branch = "student" if rng.uniform() < 0.5 else "teacher"
         ids = rng.choice(40, size=8, replace=False)
         raw = rng.dirichlet(np.full(3, 0.4), size=8)
-        out = pred_ema(state, branch, ids, raw)
+        out = pred_ema(branches[branch], ids, raw)
         worst = max(worst, float(np.max(np.abs(out.sum(axis=1) - 1.0))),
                     float(max(0.0, -out.min())))
     raw_state = PredEmaState(1.0, 3)
     first = rng.dirichlet(np.ones(3), size=5)
     second = rng.dirichlet(np.ones(3), size=5)
-    raw_ok = (np.array_equal(pred_ema(raw_state, "student", np.arange(5), first), first)
-              and np.array_equal(pred_ema(raw_state, "student", np.arange(5), second),
-                                 second))
+    raw_ok = (np.array_equal(pred_ema(raw_state, np.arange(5), first), first)
+              and np.array_equal(pred_ema(raw_state, np.arange(5), second), second))
     fp_state = PredEmaState(0.6, 3)
     const = rng.dirichlet(np.ones(3), size=4)
     fixed_ok = all(
-        np.allclose(pred_ema(fp_state, "teacher", np.arange(4), const.copy()), const,
+        np.allclose(pred_ema(fp_state, np.arange(4), const.copy()), const,
                     rtol=0, atol=1e-12)
         for _ in range(20))
     ok = worst <= 1e-9 and raw_ok and fixed_ok

@@ -8,13 +8,13 @@ from renlab.conditioning import PredEmaState, pred_ema
 from renlab.exceptions import ConfigError, ContractError, ShapeError
 
 
-def known_ids(state: PredEmaState, which: str, below: int = 2048) -> list[int]:
-    """The ids below ``below`` that hold a ``which`` row, probed through
-    ``state.row``, which raises ContractError for an id it does not hold."""
+def known_ids(state: PredEmaState, below: int = 2048) -> list[int]:
+    """The ids below ``below`` that hold a row, probed through ``state.row``,
+    which raises ContractError for an id it does not hold."""
     held = []
     for sid in range(below):
         try:
-            state.row(which, sid)
+            state.row(sid)
         except ContractError:
             continue
         held.append(sid)
@@ -59,16 +59,15 @@ def test_pred_ema_state_refuses_a_class_count_that_is_not_an_integer(n_classes):
 def test_pred_ema_first_visit_stores_exactly():
     state = PredEmaState(0.3, 2)
     p = np.array([[0.25, 0.75], [0.9, 0.1]])
-    out = pred_ema(state, "student", [4, 9], p)
+    out = pred_ema(state, [4, 9], p)
     assert np.array_equal(out, p)
-    assert known_ids(state, "student") == [4, 9]
-    assert known_ids(state, "teacher") == []
+    assert known_ids(state) == [4, 9]
 
 
 def test_pred_ema_blend_arithmetic():
     state = PredEmaState(0.5, 2)
-    pred_ema(state, "student", [0], np.array([[1.0, 0.0]]))
-    out = pred_ema(state, "student", [0], np.array([[0.0, 1.0]]))
+    pred_ema(state, [0], np.array([[1.0, 0.0]]))
+    out = pred_ema(state, [0], np.array([[0.0, 1.0]]))
     assert np.allclose(out, [[0.5, 0.5]], atol=1e-15)
 
 
@@ -76,7 +75,7 @@ def test_pred_ema_constant_input_is_fixed_point():
     state = PredEmaState(0.6, 3)
     p = np.array([[0.2, 0.5, 0.3]])
     for _ in range(50):
-        out = pred_ema(state, "teacher", [7], p)
+        out = pred_ema(state, [7], p)
     assert np.allclose(out, p, atol=1e-12)
 
 
@@ -85,7 +84,7 @@ def test_pred_ema_alpha_one_is_identity(rng):
     for _ in range(20):
         raw = rng.random((6, 4))
         p = raw / raw.sum(axis=1, keepdims=True)
-        out = pred_ema(state, "student", np.arange(6), p)
+        out = pred_ema(state, np.arange(6), p)
         assert np.array_equal(out, p)
 
 
@@ -95,78 +94,67 @@ def test_pred_ema_rows_stay_probability_vectors(rng):
         ids = rng.choice(40, size=5, replace=False)
         raw = rng.random((5, 3))
         p = raw / raw.sum(axis=1, keepdims=True)
-        out = pred_ema(state, "student", ids, p)
+        out = pred_ema(state, ids, p)
         assert out.min() >= 0.0
         assert np.abs(out.sum(axis=1) - 1.0).max() <= 1e-9
-    for sid in known_ids(state, "student"):
-        assert abs(state.row("student", sid).sum() - 1.0) <= 1e-9
-
-
-def test_pred_ema_branches_are_independent():
-    state = PredEmaState(0.5, 2)
-    pred_ema(state, "student", [1], np.array([[1.0, 0.0]]))
-    out = pred_ema(state, "teacher", [1], np.array([[0.0, 1.0]]))
-    assert np.array_equal(out, [[0.0, 1.0]])  # no cross-branch blending
+    for sid in known_ids(state):
+        assert abs(state.row(sid).sum() - 1.0) <= 1e-9
 
 
 def test_pred_ema_input_validation():
     state = PredEmaState(0.5, 2)
-    with pytest.raises(ContractError):
-        pred_ema(state, "referee", [0], np.array([[0.5, 0.5]]))
-    with pytest.raises(ContractError, match="branch must be one of"):
-        state.row("referee", 0)
     with pytest.raises(ShapeError):
-        pred_ema(state, "student", [0, 1], np.array([[0.5, 0.5]]))
+        pred_ema(state, [0, 1], np.array([[0.5, 0.5]]))
     with pytest.raises(ContractError):
-        pred_ema(state, "student", [0], np.array([[0.9, 0.3]]))  # sums to 1.2
+        pred_ema(state, [0], np.array([[0.9, 0.3]]))  # sums to 1.2
     with pytest.raises(ContractError):
-        pred_ema(state, "student", [0], np.array([[-0.2, 1.2]]))
+        pred_ema(state, [0], np.array([[-0.2, 1.2]]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_pred_ema_rejects_a_non_finite_batch_before_any_row_changes(bad):
     state = PredEmaState(0.6, 2)
-    pred_ema(state, "student", [1], np.array([[0.25, 0.75]]))
+    pred_ema(state, [1], np.array([[0.25, 0.75]]))
     with pytest.raises(ContractError, match="NaN or infinity"):
-        pred_ema(state, "student", [0, 1], np.array([[bad, bad], [0.5, 0.5]]))
-    with pytest.raises(ContractError, match="no student prediction stored for sample 0"):
-        state.row("student", 0)
-    assert np.array_equal(state.row("student", 1), [0.25, 0.75])
+        pred_ema(state, [0, 1], np.array([[bad, bad], [0.5, 0.5]]))
+    with pytest.raises(ContractError, match="no prediction stored for sample 0"):
+        state.row(0)
+    assert np.array_equal(state.row(1), [0.25, 0.75])
 
 
 def test_pred_ema_output_is_detached():
     state = PredEmaState(0.5, 2)
-    out = pred_ema(state, "student", [0], np.array([[0.5, 0.5]]))
+    out = pred_ema(state, [0], np.array([[0.5, 0.5]]))
     assert isinstance(out, np.ndarray)
     out[0, 0] = 99.0  # mutating the return must not corrupt the store
-    assert state.row("student", 0)[0] == 0.5
+    assert state.row(0)[0] == 0.5
 
 
 @pytest.mark.parametrize("ids", [[1.7], [-1]], ids=["fractional", "negative"])
 def test_pred_ema_rejects_bad_ids_before_any_change(ids):
     state = PredEmaState(0.5, 2)
-    pred_ema(state, "student", [1], np.array([[1.0, 0.0]]))
+    pred_ema(state, [1], np.array([[1.0, 0.0]]))
     with pytest.raises(ContractError):
-        pred_ema(state, "student", ids, np.array([[0.0, 1.0]]))
-    assert known_ids(state, "student") == [1]
-    assert np.array_equal(state.row("student", 1), [1.0, 0.0])
+        pred_ema(state, ids, np.array([[0.0, 1.0]]))
+    assert known_ids(state) == [1]
+    assert np.array_equal(state.row(1), [1.0, 0.0])
 
 
 def test_pred_ema_rejects_a_repeated_id_before_any_change():
     state = PredEmaState(0.5, 2)
-    pred_ema(state, "student", [1], np.array([[1.0, 0.0]]))
+    pred_ema(state, [1], np.array([[1.0, 0.0]]))
     with pytest.raises(ContractError, match="sample id 1 "):
-        pred_ema(state, "student", [5, 1, 1], np.array([[0.0, 1.0]] * 3))
-    assert known_ids(state, "student") == [1]
-    assert np.array_equal(state.row("student", 1), [1.0, 0.0])
+        pred_ema(state, [5, 1, 1], np.array([[0.0, 1.0]] * 3))
+    assert known_ids(state) == [1]
+    assert np.array_equal(state.row(1), [1.0, 0.0])
 
 
 def test_pred_ema_row_of_unknown_id_raises():
     state = PredEmaState(0.5, 2)
-    pred_ema(state, "teacher", [3], np.array([[1.0, 0.0]]))
+    pred_ema(state, [3], np.array([[1.0, 0.0]]))
     for sid in (0, 2, 4, 1000):
         with pytest.raises(ContractError):
-            state.row("teacher", sid)
+            state.row(sid)
 
 
 def _reference_pred_ema(store: dict, alpha_p: float, ids, p_n: np.ndarray) -> np.ndarray:
@@ -183,22 +171,20 @@ def _reference_pred_ema(store: dict, alpha_p: float, ids, p_n: np.ndarray) -> np
 def test_pred_ema_matches_dict_loop_bit_for_bit(rng):
     alpha_p, c = 0.6, 4
     state = PredEmaState(alpha_p, c)
-    ref = {"student": {}, "teacher": {}}
+    ref = {}
     high = 8  # the id range widens, so calls keep landing beyond the capacity
     for call in range(500):
-        which = ("student", "teacher")[call % 2]
         m = min(int(rng.integers(1, 12)), high)
         ids = rng.choice(high, size=m, replace=False)  # unsorted, distinct
         high += int(rng.integers(0, 3))
         raw = rng.random((m, c))
         p = raw / raw.sum(axis=1, keepdims=True)
-        out = pred_ema(state, which, ids, p)
-        expected = _reference_pred_ema(ref[which], alpha_p, ids, p)
+        out = pred_ema(state, ids, p)
+        expected = _reference_pred_ema(ref, alpha_p, ids, p)
         assert out.tobytes() == expected.tobytes()
-    for which in ("student", "teacher"):
-        assert known_ids(state, which) == sorted(ref[which])
-        for sid, row in ref[which].items():
-            assert state.row(which, sid).tobytes() == row.tobytes()
+    assert known_ids(state) == sorted(ref)
+    for sid, row in ref.items():
+        assert state.row(sid).tobytes() == row.tobytes()
 
 
 def test_pred_ema_one_call_on_stacked_ids_matches_two_calls(rng):
@@ -207,39 +193,34 @@ def test_pred_ema_one_call_on_stacked_ids_matches_two_calls(rng):
     # domain
     alpha_p, c, n_source = 0.6, 3, 40
     stacked, split = PredEmaState(alpha_p, c), PredEmaState(alpha_p, c)
-    for step in range(60):
-        for which in ("student", "teacher"):
-            m_s, m_t = int(rng.integers(1, 9)), int(rng.integers(1, 9))
-            src = rng.permutation(n_source)[:m_s]
-            tgt = n_source + rng.permutation(50)[:m_t]  # target ids come after source
-            raw = rng.random((m_s + m_t, c))
-            p = raw / raw.sum(axis=1, keepdims=True)
-            out = pred_ema(stacked, which, np.concatenate([src, tgt]), p)
-            want = np.vstack([pred_ema(split, which, src, p[:m_s]),
-                              pred_ema(split, which, tgt, p[m_s:])])
-            assert out.tobytes() == want.tobytes()
-    for which in ("student", "teacher"):
-        assert known_ids(stacked, which) == known_ids(split, which)
-        for sid in known_ids(split, which):
-            assert stacked.row(which, sid).tobytes() == split.row(which, sid).tobytes()
+    for step in range(120):
+        m_s, m_t = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        src = rng.permutation(n_source)[:m_s]
+        tgt = n_source + rng.permutation(50)[:m_t]  # target ids come after source
+        raw = rng.random((m_s + m_t, c))
+        p = raw / raw.sum(axis=1, keepdims=True)
+        out = pred_ema(stacked, np.concatenate([src, tgt]), p)
+        want = np.vstack([pred_ema(split, src, p[:m_s]), pred_ema(split, tgt, p[m_s:])])
+        assert out.tobytes() == want.tobytes()
+    assert known_ids(stacked) == known_ids(split)
+    for sid in known_ids(split):
+        assert stacked.row(sid).tobytes() == split.row(sid).tobytes()
     # a seed stack: seed s's ids offset by the samples of the seeds before it
     # in one state must store and return the bits of one state per seed
     sizes = [90, 140, 100]
     first_ids = np.cumsum([0] + sizes)
     one, apart = PredEmaState(alpha_p, c), [PredEmaState(alpha_p, c) for _ in sizes]
-    for _ in range(60):
-        for which in ("student", "teacher"):
-            m = int(rng.integers(1, 9))
-            ids = [rng.permutation(size)[:m] for size in sizes]
-            raw = rng.random((len(sizes), m, c))
-            p = raw / raw.sum(axis=2, keepdims=True)
-            out = pred_ema(one, which, np.concatenate([f + i for f, i in zip(first_ids, ids)]),
-                           p.reshape(-1, c))
-            want = np.vstack([pred_ema(st, which, i, rows) for st, i, rows in zip(apart, ids, p)])
-            assert out.tobytes() == want.tobytes()
-    for which in ("student", "teacher"):
-        held = [known_ids(st, which) for st in apart]
-        assert known_ids(one, which) == [f + sid for f, h in zip(first_ids, held) for sid in h]
-        for f, st, h in zip(first_ids, apart, held):
-            for sid in h:
-                assert one.row(which, f + sid).tobytes() == st.row(which, sid).tobytes()
+    for _ in range(120):
+        m = int(rng.integers(1, 9))
+        ids = [rng.permutation(size)[:m] for size in sizes]
+        raw = rng.random((len(sizes), m, c))
+        p = raw / raw.sum(axis=2, keepdims=True)
+        out = pred_ema(one, np.concatenate([f + i for f, i in zip(first_ids, ids)]),
+                       p.reshape(-1, c))
+        want = np.vstack([pred_ema(st, i, rows) for st, i, rows in zip(apart, ids, p)])
+        assert out.tobytes() == want.tobytes()
+    held = [known_ids(st) for st in apart]
+    assert known_ids(one) == [f + sid for f, h in zip(first_ids, held) for sid in h]
+    for f, st, h in zip(first_ids, apart, held):
+        for sid in h:
+            assert one.row(f + sid).tobytes() == st.row(sid).tobytes()

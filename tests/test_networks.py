@@ -17,7 +17,6 @@ from renlab.networks import (
     BoundNet,
     DualNet,
     NetSpec,
-    alpha_theta_ramp,
     discriminate,
     ema_update,
     forward_fc,
@@ -92,9 +91,8 @@ def test_a_stacked_set_checks_trailing_shapes_and_its_views_see_updates():
 def test_dualnet_view_shares_the_stacks_and_checkpoints_one_seed(tmp_path):
     spec = NetSpec((3, 2))
     net = DualNet(stack_params([init_params(spec, s) for s in range(2)]),
-                  stack_params([init_params(spec, s + 5) for s in range(2)]), 0.5)
+                  stack_params([init_params(spec, s + 5) for s in range(2)]))
     view = net.view(1)
-    assert view.alpha_theta == 0.5
     assert np.shares_memory(view.teacher_F.params["w0"], net.teacher_F.params["w0"])
     save_paramsets(tmp_path / "one.npz", {"teacher_F": view.teacher_F})
     back = load_paramsets(tmp_path / "one.npz")["teacher_F"]
@@ -189,48 +187,38 @@ def test_dualnet_starts_as_exact_copy_and_counts_double():
             assert arr is not s_ps.params[k]  # a copy, not a view
 
 
-def test_alpha_theta_ramp_values():
-    assert alpha_theta_ramp(0) == 0.0
-    assert alpha_theta_ramp(1) == 0.5
-    assert alpha_theta_ramp(99) == pytest.approx(0.99)
-    assert alpha_theta_ramp(10_000) == 0.99
-    with pytest.raises(ContractError):
-        alpha_theta_ramp(-1)
-
-
 def test_ema_update_alpha_zero_copies_student():
-    net = DualNet(init_params(NetSpec((3, 2)), 1), init_params(NetSpec((2, 2)), 2), 0.0)
+    net = DualNet(init_params(NetSpec((3, 2)), 1), init_params(NetSpec((2, 2)), 2))
     net.student_F.params["w0"] += 1.0
-    ema_update(net)
+    ema_update(net, 0.0)
     assert np.array_equal(net.teacher_F.params["w0"], net.student_F.params["w0"])
 
 
 def test_ema_update_alpha_one_freezes_teacher():
-    net = DualNet(init_params(NetSpec((3, 2)), 1), init_params(NetSpec((2, 2)), 2), 1.0)
+    net = DualNet(init_params(NetSpec((3, 2)), 1), init_params(NetSpec((2, 2)), 2))
     frozen = net.teacher_F.params["w0"].copy()
     for _ in range(5):
         net.student_F.params["w0"] += 1.0
-        ema_update(net)
+        ema_update(net, 1.0)
     assert np.array_equal(net.teacher_F.params["w0"], frozen)
 
 
 def test_ema_update_validates_alpha():
-    net = DualNet(init_params(NetSpec((3, 2)), 1), init_params(NetSpec((2, 2)), 2), 1.5)
+    net = DualNet(init_params(NetSpec((3, 2)), 1), init_params(NetSpec((2, 2)), 2))
     with pytest.raises(ConfigError):
-        ema_update(net)
+        ema_update(net, 1.5)
 
 
 @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf, -1.0, True, "1",
                                    np.float32("inf"), 1.5])
 def test_ema_update_refuses_what_check_value_refuses_with_its_message(alpha):
-    net = DualNet(init_params(NetSpec((3, 2)), 1), init_params(NetSpec((2, 2)), 2), 0.5)
+    net = DualNet(init_params(NetSpec((3, 2)), 1), init_params(NetSpec((2, 2)), 2))
     net.student_F.params["w0"] += 1.0
     teacher = net.teacher_F.params["w0"].copy()
-    net.alpha_theta = alpha
     with pytest.raises(ConfigError) as want:
         check_value("alpha_theta", "float", UNIT_RANGE, alpha)
     with pytest.raises(ConfigError) as got:
-        ema_update(net)
+        ema_update(net, alpha)
     assert str(got.value) == str(want.value)
     assert np.array_equal(net.teacher_F.params["w0"], teacher)
 
@@ -238,7 +226,7 @@ def test_ema_update_refuses_what_check_value_refuses_with_its_message(alpha):
 def test_ema_geometric_law():
     # with the student frozen, ||teacher_n - student|| shrinks as alpha^n
     for alpha in (0.0, 0.5, 0.9, 0.99, 1.0):
-        net = DualNet(init_params(NetSpec((4, 3)), 10), init_params(NetSpec((3, 2)), 11), alpha)
+        net = DualNet(init_params(NetSpec((4, 3)), 10), init_params(NetSpec((3, 2)), 11))
         rng = np.random.default_rng(12)
         for ps in (net.teacher_F, net.teacher_C):
             for k in ps.params:
@@ -253,7 +241,7 @@ def test_ema_geometric_law():
 
         initial = gap(net)
         for n in range(1, 21):
-            ema_update(net)
+            ema_update(net, alpha)
             if alpha == 0.0:
                 assert gap(net) == 0.0
             else:

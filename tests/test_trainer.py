@@ -12,13 +12,12 @@ from renlab.checks import loss_check_suite
 from renlab.datasets import DataSpec, batch_stream, make_domain_dataset, standard_benchmark
 from renlab.evaluation import EVAL_ROWS, metrics_to_csv
 from renlab.exceptions import ConfigError, ContractError, NonFiniteError, ShapeError
-from renlab.networks import (BoundNet, NetSpec, alpha_theta_ramp, forward_fc, init_params,
-                             stack_params)
+from renlab.networks import BoundNet, NetSpec, forward_fc, init_params, stack_params
 from renlab.tensor import Graph, stable_softmax
 from renlab.trainer import (OptimizerState, TrainConfig, Trainer,
-                            ablation_accuracies, gamma_factor, grl_lambda,
-                            load_config, lr_schedule, parse_config_text,
-                            parse_config_value, run_ablation,
+                            ablation_accuracies, alpha_theta_ramp,
+                            gamma_factor, grl_lambda, load_config, lr_schedule,
+                            parse_config_text, parse_config_value, run_ablation,
                             sgd_momentum_step)
 
 
@@ -170,6 +169,15 @@ def test_gamma_factor_values():
     assert gamma_factor(0.9, ramp=False) == 1.0
 
 
+def test_alpha_theta_ramp_values():
+    assert alpha_theta_ramp(0) == 0.0
+    assert alpha_theta_ramp(1) == 0.5
+    assert alpha_theta_ramp(99) == pytest.approx(0.99)
+    assert alpha_theta_ramp(10_000) == 0.99
+    with pytest.raises(ContractError):
+        alpha_theta_ramp(-1)
+
+
 # ---------------------------------------------------------------------------
 # optimizer
 
@@ -235,14 +243,16 @@ def test_sgd_validation():
 def test_variant_component_instantiation():
     ds = small_ds()
     t = Trainer(TrainConfig(variant="source_only", total_steps=10), ds)
-    assert t.disc is None and t.dualnet is None and t.pred_state is None
+    assert t.disc is None and t.dualnet is None and t.pred_student is t.pred_teacher is None
     assert all(k.startswith(("F.", "C.")) for k in t.params)
     t = Trainer(TrainConfig(variant="cdan", total_steps=10), ds)
-    assert t.disc is not None and t.dualnet is None and t.pred_state is None
+    assert t.disc is not None and t.dualnet is None and t.pred_student is t.pred_teacher is None
     t = Trainer(TrainConfig(variant="cdan_m", total_steps=10), ds)
-    assert t.dualnet is not None and t.pred_state is None
+    assert t.dualnet is not None and t.pred_student is t.pred_teacher is None
     t = Trainer(TrainConfig(variant="ren", total_steps=10), ds)
-    assert t.disc is not None and t.dualnet is not None and t.pred_state is not None
+    assert t.disc is not None and t.dualnet is not None
+    assert t.pred_student is not None and t.pred_teacher is not None
+    assert t.pred_student is not t.pred_teacher
 
 
 def test_consistency_is_zero_on_first_step():
@@ -422,25 +432,25 @@ def test_nodes_per_step(monkeypatch):
 
 
 def test_a_step_smooths_each_branch_in_one_call_over_the_whole_stack(monkeypatch):
-    # one smoothing state holds every seed of a stack, so a step blends all
-    # S * 2m rows of a branch in one call, whatever S is
+    # each branch's smoothing state holds every seed of a stack, so a step
+    # blends all S * 2m rows of a branch in one call, whatever S is
     calls = []
     real = trainer.pred_ema
 
-    def counting(state, which, ids, p):
-        calls.append((which, len(ids), p.shape[0]))
-        return real(state, which, ids, p)
+    def counting(state, ids, p):
+        calls.append((state, len(ids), p.shape[0]))
+        return real(state, ids, p)
 
     monkeypatch.setattr(trainer, "pred_ema", counting)
     ds = small_ds()
     for seeds in ([0], [0, 1, 2]):
         for variant in trainer.VARIANTS:
             cfgs = [TrainConfig(variant=variant, seed=s, total_steps=10) for s in seeds]
-            Trainer(cfgs, [ds] * len(seeds)).train_step(
-                [next(batch_stream(ds, cfg.batch_size, cfg.seed)) for cfg in cfgs], 0)
+            t = Trainer(cfgs, [ds] * len(seeds))
+            t.train_step([next(batch_stream(ds, cfg.batch_size, cfg.seed)) for cfg in cfgs], 0)
             rows = len(seeds) * 2 * cfgs[0].batch_size
             smoothed = variant in ("cdan_m_d", "ren")
-            assert calls == ([("student", rows, rows), ("teacher", rows, rows)]
+            assert calls == ([(t.pred_student, rows, rows), (t.pred_teacher, rows, rows)]
                              if smoothed else [])
             calls.clear()
 
@@ -577,7 +587,6 @@ def test_ramp_reads_the_step_index():
     teacher0 = {k: v.copy() for k, v in t.dualnet.teacher_F.items()}
     t.train_step([next(batch_stream(ds, cfg.batch_size, cfg.seed))], 5)
     a = alpha_theta_ramp(5)
-    assert t.dualnet.alpha_theta == a
     for k, arr in t.student_F.items():
         expected = a * teacher0[k] + (1.0 - a) * arr
         assert t.dualnet.teacher_F.params[k].tobytes() == expected.tobytes()
