@@ -11,10 +11,12 @@ import hashlib
 import json
 import sys
 from dataclasses import asdict, fields
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .checks import run_loss_checks
 from .datasets import DataSpec, make_domain_dataset, release_free_heap, save_dataset
 from .evaluation import (ABLATION_CHAIN, ablation_report, load_metrics,
@@ -23,9 +25,10 @@ from .exceptions import ConfigError, ContractError, RenlabError
 from .networks import save_paramsets
 from .recipe import ON_OFF, SEED_RANGE, check_value, parse_field, parse_text
 from .trainer import (VARIANTS, RunResult, TrainConfig, Trainer, _one_blas_thread,
-                      ablation_accuracies, load_config, parse_config_value, run_ablation)
+                      ablation_accuracies, eval_steps, load_config, parse_config_value,
+                      run_ablation)
 
-TOOL_VERSION = "renlab 0.1.0"
+TOOL_VERSION = f"renlab {__version__}"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -169,6 +172,8 @@ def cmd_report(args) -> int:
                 config = json.load(fh)["config"]
             variant, seed = config["variant"], config["seed"]
             check_value("seed", "int", SEED_RANGE, seed)
+            run_cfg = TrainConfig(total_steps=config["total_steps"],
+                                  eval_every=config["eval_every"])
         except (ValueError, KeyError, TypeError, ConfigError) as exc:
             raise ContractError(f"malformed manifest {manifest_path}: {exc!r}") from None
         if variant not in VARIANTS:
@@ -177,7 +182,14 @@ def cmd_report(args) -> int:
         if run_dir != manifest_path.parent:
             raise ContractError(f"run directories {run_dir} and {manifest_path.parent} "
                                 f"both hold variant {variant} seed {seed}")
-        records = load_metrics(manifest_path.parent / "metrics.csv")
+        metrics_path = manifest_path.parent / "metrics.csv"
+        records = load_metrics(metrics_path)
+        # a file cut at a row boundary, or with a row repeated or moved, still
+        # loads; reading the schedule one step past the rows shows a cut too
+        steps = [r.step for r in records]
+        if steps != list(islice(eval_steps(run_cfg), len(steps) + 1)):
+            raise ContractError(f"the steps in {metrics_path} are not the evaluation "
+                                f"schedule of its manifest's config")
         results.setdefault(variant, {})[seed] = records[-1].acc_teacher_target
     if not results:
         raise ConfigError(f"no run directories with manifests under {root}")

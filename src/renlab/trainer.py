@@ -18,7 +18,7 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -143,6 +143,13 @@ def alpha_theta_ramp(step: int) -> float:
     if step < 0:
         raise ContractError(f"step must be non-negative, got {step}")
     return min(0.99, 1.0 - 1.0 / (step + 1))
+
+
+def eval_steps(cfg: TrainConfig) -> Iterator[int]:
+    """The steps a run evaluates after, in order: every ``eval_every``-th
+    step and the last, so step 0 alone for a run of no steps."""
+    yield from range(cfg.eval_every, cfg.total_steps, cfg.eval_every)
+    yield cfg.total_steps
 
 
 # ---------------------------------------------------------------------------
@@ -334,19 +341,18 @@ class Trainer:
         """Train every seed to the end; one result per seed, in stack order."""
         cfg, seeds = self.cfg, range(len(self.cfgs))
         records: list[list[MetricsRecord]] = [[] for _ in seeds]
-        if cfg.total_steps == 0:
-            empty = LossBreakdown(0.0, 0.0, 0.0, 0.0, 0.0)
-            for s in seeds:
-                records[s].append(self._evaluate(s, 0, lr_schedule(0.0, cfg), empty))
-        else:
-            streams = [batch_stream(ds, cfg.batch_size, run.seed)
-                       for run, ds in zip(self.cfgs, self.datasets)]
-            for n in range(cfg.total_steps):
+        streams = [batch_stream(ds, cfg.batch_size, run.seed)
+                   for run, ds in zip(self.cfgs, self.datasets)]
+        parts = [LossBreakdown(0.0, 0.0, 0.0, 0.0, 0.0)] * len(self.cfgs)  # no step trained
+        done = 0
+        for step in eval_steps(cfg):
+            for n in range(done, step):
                 parts = self.train_step([next(stream) for stream in streams], n)
-                if (n + 1) % cfg.eval_every == 0 or n + 1 == cfg.total_steps:
-                    lr = lr_schedule(self._progress(n), cfg)
-                    for s in seeds:
-                        records[s].append(self._evaluate(s, n + 1, lr, parts[s]))
+            done = step
+            # step - 1 is the last step trained; a run of no steps has progress 0
+            lr = lr_schedule(self._progress(step - 1), cfg)
+            for s in seeds:
+                records[s].append(self._evaluate(s, step, lr, parts[s]))
         return [RunResult(cfg=self.cfgs[s], records=records[s],
                           student_F=self.student_F.view(s), student_C=self.student_C.view(s),
                           dualnet=None if self.dualnet is None else self.dualnet.view(s),

@@ -4,6 +4,7 @@ import ast
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -491,7 +492,17 @@ def test_report_empty_directory_exits_one(tmp_path, capsys):
 GOOD_METRICS = ("step,lr,l_c,l_d_stu,l_d_tea,l_con,total,acc_student_source,"
                 "acc_student_target,acc_teacher_target\n"
                 "10,0.01,0.5,0.0,0.0,0.0,0.5,0.9,0.8,0.85\n")
-GOOD_MANIFEST = '{"config": {"variant": "ren", "seed": 0}}'
+
+
+def manifest_text(**config) -> str:
+    """A manifest whose config evaluates once, at step 10, the one row of
+    GOOD_METRICS, with ``config``'s keys changed; a key given as None is
+    left out."""
+    full = {"variant": "ren", "seed": 0, "total_steps": 10, "eval_every": 10, **config}
+    return json.dumps({"config": {k: v for k, v in full.items() if v is not None}})
+
+
+GOOD_MANIFEST = manifest_text()
 
 
 def one_run_dir(tmp_path, manifest: str, metrics: str) -> str:
@@ -506,18 +517,23 @@ def one_run_dir(tmp_path, manifest: str, metrics: str) -> str:
     ("{", GOOD_METRICS),
     ("[]", GOOD_METRICS),
     ('{"seeds": [0]}', GOOD_METRICS),
-    ('{"config": {"variant": "ren", "seed": "zero"}}', GOOD_METRICS),
-    ('{"config": {"variant": "ren", "seed": 1.5}}', GOOD_METRICS),
-    ('{"config": {"variant": "ren", "seed": true}}', GOOD_METRICS),
-    ('{"config": {"variant": "ren", "seed": "2"}}', GOOD_METRICS),
-    ('{"config": {"variant": "ren", "seed": -3}}', GOOD_METRICS),
-    ('{"config": {"variant": "warp", "seed": 0}}', GOOD_METRICS),
+    (manifest_text(seed="zero"), GOOD_METRICS),
+    (manifest_text(seed=1.5), GOOD_METRICS),
+    (manifest_text(seed=True), GOOD_METRICS),
+    (manifest_text(seed="2"), GOOD_METRICS),
+    (manifest_text(seed=-3), GOOD_METRICS),
+    (manifest_text(variant="warp"), GOOD_METRICS),
     (GOOD_MANIFEST, GOOD_METRICS.replace(",0.85\n", "\n")),
     (GOOD_MANIFEST, GOOD_METRICS.split("\n", 1)[0] + "\n"),
     (GOOD_MANIFEST, GOOD_METRICS.replace(",0.85\n", ",nan\n")),
+    (manifest_text(total_steps=None), GOOD_METRICS),
+    (manifest_text(eval_every=0), GOOD_METRICS),
+    (manifest_text(total_steps=20), GOOD_METRICS),
+    (manifest_text(total_steps=10**15, eval_every=1), GOOD_METRICS),
 ], ids=["not-json", "not-an-object", "no-config", "bad-seed", "float-seed", "bool-seed",
          "string-seed", "negative-seed", "unknown-variant",
-        "short-metrics-row", "no-metrics-rows", "nan-metric"])
+        "short-metrics-row", "no-metrics-rows", "nan-metric", "no-total-steps",
+        "zero-eval-every", "rows-short-of-the-schedule", "a-schedule-too-long-to-list"])
 def test_report_rejects_corrupt_run_directories(tmp_path, capsys, manifest, metrics):
     assert main(["report", "--runs", one_run_dir(tmp_path, manifest, metrics)]) == 1
     err = capsys.readouterr().err
@@ -527,6 +543,49 @@ def test_report_rejects_corrupt_run_directories(tmp_path, capsys, manifest, metr
 def test_report_reads_a_well_formed_run_directory(tmp_path, capsys):
     assert main(["report", "--runs", one_run_dir(tmp_path, GOOD_MANIFEST, GOOD_METRICS)]) == 0
     assert json.loads(capsys.readouterr().out)["variants"]["ren"]["mean"] == 0.85
+
+
+@pytest.fixture(scope="module")
+def four_row_run(tmp_path_factory):
+    """A trained run whose metrics.csv holds a header and 4 rows (steps 10-40)."""
+    out = tmp_path_factory.mktemp("runs")
+    assert main(["train", "--variant", "cdan", "--steps", "40", "--eval-every", "10",
+                 "--n", "100", "--out", str(out)]) == 0
+    (run,) = out.iterdir()
+    return run
+
+
+# each edit maps the file's lines (header first) to the lines written back
+METRICS_EDITS = {
+    **{f"cut-after-line-{k}": (lambda lines, k=k: lines[:k]) for k in range(5)},
+    "last-row-twice": lambda lines: lines + lines[-1:],
+    "middle-row-twice": lambda lines: lines[:3] + lines[2:],
+    "middle-rows-swapped": lambda lines: lines[:2] + [lines[3], lines[2]] + lines[4:],
+    "last-row-first": lambda lines: lines[:1] + lines[-1:] + lines[1:-1],
+}
+
+
+@pytest.mark.parametrize("edit", METRICS_EDITS.values(), ids=METRICS_EDITS.keys())
+def test_report_refuses_metrics_rows_that_depart_from_the_run_s_schedule(
+        tmp_path, capsys, four_row_run, edit):
+    # a cut at a row boundary leaves a file that loads; its last row is
+    # then an earlier evaluation than the run's final one
+    run = tmp_path / "runs" / four_row_run.name
+    shutil.copytree(four_row_run, run)
+    metrics = run / "metrics.csv"
+    lines = metrics.read_text().splitlines(keepends=True)
+    assert len(lines) == 5
+    metrics.write_text("".join(edit(lines)))
+    capsys.readouterr()
+    assert main(["report", "--runs", str(run.parent)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and str(metrics) in err
+
+
+def test_report_reads_the_untouched_four_row_run(tmp_path, capsys, four_row_run):
+    assert main(["report", "--runs", str(four_row_run.parent)]) == 0
+    final = load_metrics(four_row_run / "metrics.csv")[-1].acc_teacher_target
+    assert json.loads(capsys.readouterr().out)["variants"]["cdan"]["mean"] == final
 
 
 NOT_UTF8 = b"\xff" + np.random.default_rng(0).bytes(299)  # 0xff starts no UTF-8 sequence

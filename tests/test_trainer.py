@@ -15,7 +15,7 @@ from renlab.exceptions import ConfigError, ContractError, NonFiniteError, ShapeE
 from renlab.networks import BoundNet, NetSpec, forward_fc, init_params, stack_params
 from renlab.tensor import Graph, stable_softmax
 from renlab.trainer import (OptimizerState, TrainConfig, Trainer,
-                            ablation_accuracies, alpha_theta_ramp,
+                            ablation_accuracies, alpha_theta_ramp, eval_steps,
                             gamma_factor, grl_lambda, load_config, lr_schedule,
                             parse_config_text, parse_config_value, run_ablation,
                             sgd_momentum_step)
@@ -632,6 +632,17 @@ def test_evaluation_step_positions():
     (res,) = Trainer(TrainConfig(variant="source_only", total_steps=120,
                                  eval_every=50), ds).run()
     assert [r.step for r in res.records] == [50, 100, 120]
+
+
+@pytest.mark.parametrize("total_steps, eval_every, steps", [
+    (0, 5, [0]), (7, 3, [3, 6, 7]), (6, 3, [3, 6]), (2, 50, [2]),
+])
+def test_a_run_evaluates_after_the_steps_eval_steps_gives(total_steps, eval_every, steps):
+    # renlab report holds a run's metrics.csv to this schedule
+    cfg = TrainConfig(variant="cdan", total_steps=total_steps, eval_every=eval_every)
+    assert list(eval_steps(cfg)) == steps
+    (res,) = Trainer(cfg, small_ds(8)).run()
+    assert [r.step for r in res.records] == steps
 
 
 def test_run_is_deterministic():
