@@ -23,10 +23,9 @@ from .evaluation import (ABLATION_CHAIN, ablation_report, load_metrics,
                          save_ablation, save_metrics)
 from .exceptions import ConfigError, ContractError, RenlabError
 from .networks import save_paramsets
-from .recipe import ON_OFF, SEED_RANGE, check_value, parse_field, parse_text
-from .trainer import (VARIANTS, RunResult, TrainConfig, Trainer, _one_blas_thread,
-                      ablation_accuracies, eval_steps, load_config, parse_config_value,
-                      run_ablation)
+from .recipe import ON_OFF, parse_field, parse_text
+from .trainer import (RunResult, TrainConfig, Trainer, _one_blas_thread, ablation_accuracies,
+                      eval_steps, load_config, parse_config_value, run_ablation)
 
 TOOL_VERSION = f"renlab {__version__}"
 
@@ -43,16 +42,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_recipe_flags(p: argparse.ArgumentParser, *recipes) -> None:
     """One flag per field of each recipe, spelled like the field with dashes,
-    except --steps for total_steps and --trans-x, --trans-y for trans.  A
-    flag's value stays text until _recipe_from_args parses it."""
+    except --steps for total_steps.  A flag's value stays text until
+    _recipe_from_args parses it."""
     for recipe in recipes:
         if recipe is TrainConfig:
             p.add_argument("--config", type=str, default=None, help="key = value config file")
         for f in fields(recipe):
-            if f.name == "trans":
-                p.add_argument("--trans-x")
-                p.add_argument("--trans-y")
-                continue
             flag = "--steps" if f.name == "total_steps" else "--" + f.name.replace("_", "-")
             choices = {"bool": ON_OFF, "str": f.metadata.get("choices")}.get(f.type)
             help_text = (f"config key {f.name} (default {f.default})" if recipe is TrainConfig
@@ -63,13 +58,8 @@ def _add_recipe_flags(p: argparse.ArgumentParser, *recipes) -> None:
 def _recipe_from_args(recipe, args):
     """The recipe under the flags given, each parsed as a config-file value
     is; a TrainConfig starts from the --config file, if one is given."""
-    given = {}
-    for f in fields(recipe):
-        if f.name == "trans":
-            given["trans"] = tuple(default if raw is None else parse_text("trans", "float", raw)
-                                   for raw, default in zip((args.trans_x, args.trans_y), f.default))
-        elif getattr(args, f.name) is not None:
-            given[f.name] = parse_field(recipe, f.name, getattr(args, f.name))
+    given = {f.name: parse_field(recipe, f.name, getattr(args, f.name))
+             for f in fields(recipe) if getattr(args, f.name) is not None}
     return load_config(args.config, **given) if recipe is TrainConfig else recipe(**given)
 
 
@@ -80,21 +70,23 @@ def _run_dir_name(config: dict, data: dict) -> str:
 
 
 def _write_run(result: RunResult, spec: DataSpec, out_root: Path) -> Path:
-    """Write a finished run's manifest, metrics and checkpoint."""
+    """Write a finished run's metrics, checkpoint and, last, its manifest:
+    ``report`` finds runs by their manifests, so a write that fails (a
+    non-finite checkpoint array) leaves no run that it counts."""
     config, data = asdict(result.cfg), asdict(spec)
     run_dir = out_root / _run_dir_name(config, data)
     run_dir.mkdir(parents=True, exist_ok=True)
-    manifest = {"tool": TOOL_VERSION, "config": config, "seeds": [config["seed"]],
-                "data": data, "outputs": {"metrics": "metrics.csv", "checkpoint": "checkpoint.npz"}}
-    with open(run_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
     save_metrics(result.records, run_dir / "metrics.csv")
     dual = result.dualnet
     named = {"student_F": result.student_F, "student_C": result.student_C,
              "teacher_F": dual and dual.teacher_F, "teacher_C": dual and dual.teacher_C,
              "disc": result.disc}  # a variant without a teacher or discriminator has None
     save_paramsets(run_dir / "checkpoint.npz", {k: ps for k, ps in named.items() if ps is not None})
+    manifest = {"tool": TOOL_VERSION, "config": config, "seeds": [config["seed"]],
+                "data": data, "outputs": {"metrics": "metrics.csv", "checkpoint": "checkpoint.npz"}}
+    with open(run_dir / "manifest.json", "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     return run_dir
 
 
@@ -119,6 +111,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    for name, axis in (("seed", "--seeds"), ("variant", "--variants")):
+        if getattr(args, name) is not None:  # run_ablation sets both for each run
+            raise ConfigError(f"ablate takes each run's {name} from {axis}, not --{name}")
     cfg, spec = _recipe_from_args(TrainConfig, args), _recipe_from_args(DataSpec, args)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     seeds = [parse_config_value("seed", s) for s in args.seeds.split(",") if s.strip()]
@@ -170,14 +165,13 @@ def cmd_report(args) -> int:
         try:
             with open(manifest_path) as fh:
                 config = json.load(fh)["config"]
-            variant, seed = config["variant"], config["seed"]
-            check_value("seed", "int", SEED_RANGE, seed)
-            run_cfg = TrainConfig(total_steps=config["total_steps"],
-                                  eval_every=config["eval_every"])
+            cfg = TrainConfig(**config)
         except (ValueError, KeyError, TypeError, ConfigError) as exc:
             raise ContractError(f"malformed manifest {manifest_path}: {exc!r}") from None
-        if variant not in VARIANTS:
-            raise ContractError(f"unknown variant {variant!r} in {manifest_path}")
+        if asdict(cfg) != config:  # a key left out would take its default
+            raise ContractError(f"malformed manifest {manifest_path}: its config is not "
+                                f"a whole TrainConfig")
+        variant, seed = cfg.variant, cfg.seed
         run_dir = run_dirs.setdefault((variant, seed), manifest_path.parent)
         if run_dir != manifest_path.parent:
             raise ContractError(f"run directories {run_dir} and {manifest_path.parent} "
@@ -187,7 +181,7 @@ def cmd_report(args) -> int:
         # a file cut at a row boundary, or with a row repeated or moved, still
         # loads; reading the schedule one step past the rows shows a cut too
         steps = [r.step for r in records]
-        if steps != list(islice(eval_steps(run_cfg), len(steps) + 1)):
+        if steps != list(islice(eval_steps(cfg), len(steps) + 1)):
             raise ContractError(f"the steps in {metrics_path} are not the evaluation "
                                 f"schedule of its manifest's config")
         results.setdefault(variant, {})[seed] = records[-1].acc_teacher_target

@@ -45,7 +45,8 @@ class DataSpec:
     imbalance: float = field(default=1.0, metadata={
         "help": "target class imbalance ratio (blobs only)", "gt": 0})
     rot: float = field(default=45.0, metadata={"help": "target rotation, degrees"})
-    trans: tuple[float, float] = (0.0, 0.0)
+    trans_x: float = 0.0
+    trans_y: float = 0.0
     scale: float = field(default=1.0, metadata={"gt": 0})
     shift_noise: float | None = field(default=None, metadata={
         "help": "target noise sigma override (default: inherit --noise)", "ge": 0})
@@ -146,7 +147,7 @@ def apply_shift(x: np.ndarray, spec: DataSpec) -> np.ndarray:
         c = np.array([0.5, 0.25])
     else:
         c = _blob_centers(spec.classes).mean(axis=0)
-    return spec.scale * ((x - c) @ rot.T) + c + np.asarray(spec.trans, dtype=np.float64)
+    return spec.scale * ((x - c) @ rot.T) + c + np.array([spec.trans_x, spec.trans_y])
 
 
 def lift_embedding(dim_in: int, dim_out: int, seed) -> np.ndarray:

@@ -44,8 +44,6 @@ _KINDS = {
              lambda raw: ON_OFF.index(raw) == 0),
     "str": (lambda v: isinstance(v, str), "a string", str),
     "None": (lambda v: v is None, "None", None),
-    "tuple[float, float]": (lambda v: isinstance(v, tuple) and len(v) == 2
-                            and all(map(_is_number, v)), "a pair of numbers", None),
 }
 _BOUNDS = {"ge": (operator.ge, ">="), "gt": (operator.gt, ">"),
            "le": (operator.le, "<="), "lt": (operator.lt, "<")}
@@ -79,10 +77,9 @@ def check_value(name: str, kind: str, meta, value) -> None:
             break
     else:
         raise ConfigError(f"{name} must be {' or '.join(w for _, w, _ in parts)}, got {value!r}")
-    for v in value if isinstance(value, tuple) else (value,):
-        # nan slips through every bound (nan < 0 is False), so test first
-        if isinstance(v, (float, np.floating)) and not math.isfinite(v):
-            raise ConfigError(f"{name} must be finite, got {value}")
+    # nan slips through every bound (nan < 0 is False), so test first
+    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
     if not _is_number(value):
         return
     for key, bound in meta.items():

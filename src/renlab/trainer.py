@@ -425,13 +425,10 @@ def run_ablation(base_cfg: TrainConfig, variants, seeds,
     worker spins on the second core: CPU time nearly doubles and wall time
     does not move.  A sweep's parallelism belongs across runs.
     """
-    for v in variants:
-        if v not in VARIANTS:
-            raise ConfigError(f"unknown variant {v!r}")
-    for s in seeds:
-        check_value("seed", "int", SEED_RANGE, s)
-    ordered = sorted(set(variants), key=VARIANTS.index)
-    datasets = {seed: dataset_for_seed(seed) for seed in sorted({int(s) for s in seeds})}
+    # each config checks its variant and seed, so a bad one raises before any dataset is built
+    cfgs = {(v, s): replace(base_cfg, variant=v, seed=s) for v in variants for s in seeds}
+    ordered = sorted({v for v, _ in cfgs}, key=VARIANTS.index)
+    datasets = {seed: dataset_for_seed(seed) for seed in sorted({s for _, s in cfgs})}
     stacks: dict[tuple[int, int], list[int]] = {}
     for seed, ds in datasets.items():
         stacks.setdefault(stack_key(ds), []).append(seed)
@@ -439,10 +436,10 @@ def run_ablation(base_cfg: TrainConfig, variants, seeds,
     with _one_blas_thread():
         for variant in ordered:
             for group in stacks.values():
-                cfgs = [replace(base_cfg, variant=variant, seed=seed) for seed in group]
-                results = Trainer(cfgs, [datasets[seed] for seed in group]).run()
-                out.update(((variant, seed), r) for seed, r in zip(group, results))
-    return {(v, seed): out[(v, seed)] for v in ordered for seed in datasets}
+                results = Trainer([cfgs[variant, s] for s in group],
+                                  [datasets[s] for s in group]).run()
+                out.update(((variant, s), r) for s, r in zip(group, results))
+    return {(v, s): out[v, s] for v in ordered for s in datasets}
 
 
 def ablation_accuracies(runs: dict[tuple[str, int], RunResult]) -> dict[str, dict[int, float]]:

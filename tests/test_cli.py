@@ -8,7 +8,7 @@ import shutil
 import subprocess
 import sys
 import warnings
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +16,7 @@ import pytest
 
 import renlab.checks
 import renlab.cli
-from renlab.cli import main
+from renlab.cli import build_parser, main
 from renlab.datasets import (DataSpec, load_dataset, make_domain_dataset, save_dataset,
                              standard_benchmark)
 from renlab.evaluation import load_metrics
@@ -118,7 +118,7 @@ def test_standard_benchmark_is_the_default_datagen_dataset(tmp_path, seed):
 # a value other than the default for every field of both recipes, and the
 # flags that set them
 EVERY_FIELD = DataSpec(gen="blobs", n=40, n_target=30, noise=0.2, classes=4, imbalance=2.0,
-                       rot=30.0, trans=(0.5, -0.25), scale=1.5, shift_noise=0.1,
+                       rot=30.0, trans_x=0.5, trans_y=-0.25, scale=1.5, shift_noise=0.1,
                        lift_dim=8, lift_noise=0.01)
 EVERY_FIELD_FLAGS = ["--gen", "blobs", "--n", "40", "--n-target", "30", "--noise", "0.2",
                      "--classes", "4", "--imbalance", "2", "--rot", "30", "--trans-x", "0.5",
@@ -133,14 +133,14 @@ EVERY_CONFIG_FLAGS = ["--eta0", "0.02", "--anneal-alpha", "5", "--anneal-beta", 
                       "--momentum", "0.8", "--batch-size", "8", "--steps", "2",
                       "--alpha-theta", "0.9", "--alpha-p", "0.5", "--lambda-stu", "0.5",
                       "--lambda-tea", "2", "--gamma", "3", "--grl-ramp", "off",
-                      "--gamma-ramp", "off", "--eval-every", "1", "--seed", "3",
-                      "--variant", "cdan_m_d", "--feature-hidden", "8", "--feature-dim", "4",
-                      "--disc-hidden", "8"]
+                      "--gamma-ramp", "off", "--eval-every", "1", "--feature-hidden", "8",
+                      "--feature-dim", "4", "--disc-hidden", "8"]
+RUN_FLAGS = ["--seed", "3", "--variant", "cdan_m_d"]  # ablate's come from --seeds, --variants
 
 
 @pytest.mark.parametrize("argv", [
     ["datagen", "--seed", "3"],
-    ["train", *EVERY_CONFIG_FLAGS],
+    ["train", *EVERY_CONFIG_FLAGS, *RUN_FLAGS],
     ["ablate", "--seeds", "3", "--variants", "cdan_m_d", *EVERY_CONFIG_FLAGS],
 ], ids=lambda argv: argv[0])
 def test_every_data_spec_field_has_a_flag(tmp_path, monkeypatch, argv):
@@ -162,7 +162,8 @@ def test_every_data_spec_field_has_a_flag(tmp_path, monkeypatch, argv):
     monkeypatch.setattr(renlab.cli, "load_config", load)
     assert main([*argv, *EVERY_FIELD_FLAGS, "--out", str(tmp_path)]) == 0
     assert built == [EVERY_FIELD]
-    assert configs == ([] if argv[0] == "datagen" else [EVERY_CONFIG])
+    assert configs == {"datagen": [], "train": [EVERY_CONFIG],
+                       "ablate": [replace(EVERY_CONFIG, seed=0, variant="ren")]}[argv[0]]
     assert (datasets[0].n_source, datasets[0].n_target) == (40, 30)
     manifests = [json.loads(p.read_text()) for p in tmp_path.glob("*/manifest.json")]
     assert len(manifests) == (argv[0] != "datagen")
@@ -171,6 +172,42 @@ def test_every_data_spec_field_has_a_flag(tmp_path, monkeypatch, argv):
         assert manifest["config"] == asdict(EVERY_CONFIG)
         assert manifest["data"] == json.loads(json.dumps(asdict(EVERY_FIELD)))
         assert manifest["data"]["n"] == 40 and manifest["data"]["n_target"] == 30
+
+
+def flag_of(command: str, name: str) -> str:
+    """The flag that sets recipe field ``name`` on ``command``, as the parser spells it."""
+    (commands,) = [a for a in build_parser()._actions if a.dest == "command"]
+    return next(a.option_strings[0] for a in commands.choices[command]._actions
+                if a.dest == name)
+
+
+RECIPE_FIELDS = [(recipe, f.name) for recipe in (TrainConfig, DataSpec) for f in fields(recipe)]
+
+
+@pytest.mark.parametrize("recipe, name", RECIPE_FIELDS,
+                         ids=[f"{recipe.__name__}.{name}" for recipe, name in RECIPE_FIELDS])
+def test_every_flag_reaches_the_artifact(tmp_path, recipe, name):
+    value = getattr(EVERY_CONFIG if recipe is TrainConfig else EVERY_FIELD, name)
+    text = ("on" if value else "off") if isinstance(value, bool) else str(value)
+    # classes and imbalance need blobs; gen itself is given from its default
+    data_base = ["--n", "60", *(["--gen", "blobs"] if name != "gen" else [])]
+    out = tmp_path / "train"
+    assert main(["train", *data_base, "--steps", "0", flag_of("train", name), text,
+                 "--out", str(out)]) == 0
+    (manifest,) = [json.loads(p.read_text()) for p in out.glob("*/manifest.json")]
+    assert manifest["config" if recipe is TrainConfig else "data"][name] == value
+    if recipe is DataSpec:
+        out = tmp_path / "datagen"
+        assert main(["datagen", *data_base, flag_of("datagen", name), text,
+                     "--out", str(out)]) == 0
+        lines = (out / "dataset.meta").read_text().splitlines()
+        meta = dict(line.split(" = ", 1) for line in lines)
+        assert ast.literal_eval(meta[name]) == value
+    elif name in ("seed", "variant"):  # the two that ablate sets for each run
+        out = tmp_path / "ablate"
+        assert main(["ablate", "--n", "60", "--steps", "0", flag_of("ablate", name), text,
+                     "--out", str(out)]) == 1
+        assert not out.exists()
 
 
 def test_datagen_blobs_variant(tmp_path):
@@ -311,6 +348,18 @@ def test_a_non_finite_value_exits_two_with_only_the_error_line(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {says}\n"
     assert not (tmp_path / "runs").exists()
+
+
+def test_a_failed_checkpoint_write_leaves_no_run_that_report_counts(tmp_path, capsys):
+    # no evaluation reads the discriminator, so only the checkpoint writer
+    # meets its overflow, after the metrics are written
+    out = tmp_path / "runs"
+    assert main(["train", "--variant", "cdan", "--steps", "1", "--eval-every", "1",
+                 "--lambda-stu", "1e300", "--eta0", "1e10", "--n", "60", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: checkpoint array disc.b0 holds a non-finite value\n"
+    assert not list(out.glob("*/manifest.json"))
+    assert main(["report", "--runs", str(out)]) == 1
+    assert "no run directories" in capsys.readouterr().err
 
 
 def test_target_label_beyond_the_source_classes_exits_one(tmp_path, capsys):
@@ -456,6 +505,19 @@ def test_ablate_rejects_bad_variant(tmp_path, capsys):
     assert "warp" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--seed", "7"), ("--variant", "cdan")],
+                         ids=["seed", "variant"])
+def test_ablate_refuses_the_flags_its_sweep_sets(tmp_path, capsys, monkeypatch, flag, value):
+    built = []
+    monkeypatch.setattr(renlab.cli, "make_domain_dataset", lambda *args: built.append(args))
+    out = tmp_path / "runs"
+    assert main(["ablate", "--variants", "source_only", "--seeds", "0", flag, value,
+                 "--n", "60", "--steps", "0", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: ablate takes each run's {flag[2:]} from {flag}s, not {flag}\n"
+    assert not built and not out.exists()
+
+
 def test_report_reaggregates_run_directories(tmp_path, capsys):
     main(["ablate", "--variants", "cdan,ren", "--seeds", "0",
           "--n", "60", "--steps", "30", "--eval-every", "15",
@@ -495,10 +557,10 @@ GOOD_METRICS = ("step,lr,l_c,l_d_stu,l_d_tea,l_con,total,acc_student_source,"
 
 
 def manifest_text(**config) -> str:
-    """A manifest whose config evaluates once, at step 10, the one row of
-    GOOD_METRICS, with ``config``'s keys changed; a key given as None is
+    """A manifest whose whole config evaluates once, at step 10, the one row
+    of GOOD_METRICS, with ``config``'s keys changed; a key given as None is
     left out."""
-    full = {"variant": "ren", "seed": 0, "total_steps": 10, "eval_every": 10, **config}
+    full = {**asdict(TrainConfig(total_steps=10, eval_every=10)), **config}
     return json.dumps({"config": {k: v for k, v in full.items() if v is not None}})
 
 
@@ -530,10 +592,16 @@ def one_run_dir(tmp_path, manifest: str, metrics: str) -> str:
     (manifest_text(eval_every=0), GOOD_METRICS),
     (manifest_text(total_steps=20), GOOD_METRICS),
     (manifest_text(total_steps=10**15, eval_every=1), GOOD_METRICS),
+    (manifest_text(wizardry=3), GOOD_METRICS),
+    (manifest_text(consistency_squared=True), GOOD_METRICS),
+    (manifest_text(gamma=None), GOOD_METRICS),
+    (manifest_text(momentum=1.5), GOOD_METRICS),
+    ('{"config": []}', GOOD_METRICS),
 ], ids=["not-json", "not-an-object", "no-config", "bad-seed", "float-seed", "bool-seed",
          "string-seed", "negative-seed", "unknown-variant",
         "short-metrics-row", "no-metrics-rows", "nan-metric", "no-total-steps",
-        "zero-eval-every", "rows-short-of-the-schedule", "a-schedule-too-long-to-list"])
+        "zero-eval-every", "rows-short-of-the-schedule", "a-schedule-too-long-to-list",
+        "unknown-key", "removed-key", "no-gamma", "bad-momentum", "config-not-an-object"])
 def test_report_rejects_corrupt_run_directories(tmp_path, capsys, manifest, metrics):
     assert main(["report", "--runs", one_run_dir(tmp_path, manifest, metrics)]) == 1
     err = capsys.readouterr().err

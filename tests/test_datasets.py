@@ -108,9 +108,9 @@ def test_data_spec_validation():
 
 @pytest.mark.parametrize("name, value", [
     ("n", 2.5), ("classes", 2.0), ("n", True), ("lift_dim", True), ("rot", "45"),
-    ("lift_noise", True), ("trans", (1.0,)), ("trans", (1.0, 2.0, 3.0)),
+    ("lift_noise", True), ("trans_x", (1.0, 2.0)), ("trans_y", "0"),
 ], ids=["n-float", "classes-float", "n-bool", "lift_dim-bool", "rot-text", "lift_noise-bool",
-        "trans-one", "trans-three"])
+        "trans_x-pair", "trans_y-text"])
 def test_data_spec_rejects_a_value_of_the_wrong_type_by_name(name, value):
     with pytest.raises(ConfigError, match=f"^{name} must be "):
         DataSpec(**{name: value})
@@ -130,7 +130,7 @@ NAN, INF = float("nan"), float("inf")
 
 @pytest.mark.parametrize("build", [
     lambda: DataSpec(rot=NAN),
-    lambda: DataSpec(trans=(0.0, INF)),
+    lambda: DataSpec(trans_y=INF),
     lambda: DataSpec(scale=INF),
     lambda: DataSpec(shift_noise=NAN),
     lambda: DataSpec(gen="blobs", imbalance=INF),
@@ -177,7 +177,7 @@ def test_shift_drops_source_only_accuracy():
     # a source-only classifier must lose >= 10 points under rotation plus
     # translation, relative to an identity-shift control, 5-seed mean
     identity = DataSpec(rot=0.0, lift_dim=0)
-    hard = DataSpec(rot=45.0, trans=(0.3, 0.1), lift_dim=0)
+    hard = DataSpec(rot=45.0, trans_x=0.3, trans_y=0.1, lift_dim=0)
     drops = []
     for seed in range(5):
         cfg = TrainConfig(variant="source_only", seed=seed, total_steps=400)
@@ -257,7 +257,7 @@ def test_standard_benchmark_recipe():
 
 def test_data_spec_pickles_and_rebuilds_identical_arrays():
     spec = DataSpec(gen="blobs", n=50, n_target=40, classes=4, imbalance=2.0,
-                    trans=(0.5, 0.0), shift_noise=0.3, lift_dim=6)
+                    trans_x=0.5, shift_noise=0.3, lift_dim=6)
     back = pickle.loads(pickle.dumps(spec))
     assert back == spec
     a, b = make_domain_dataset(spec, 2), make_domain_dataset(back, 2)

@@ -48,7 +48,14 @@ and the five ``manifest.json`` digests were re-recorded when the checkpoint
 became ``checkpoint.npz``, an uncompressed .npz in place of the
 ``renlab-params 1`` text file, whose name the manifest's ``outputs`` gives.
 The arrays it holds are the same bits; no metrics file, run-directory name
-or ``ablation.json`` changed.
+or ``ablation.json`` changed.  The run-directory names, the five
+``manifest.json`` digests and the two ``dataset.meta`` digests were
+re-recorded when ``DataSpec.trans``, the one pair-valued recipe field,
+became the two floats ``trans_x`` and ``trans_y``: the data recipe, which
+``dataset.meta`` lists, the manifest records and the directory name
+hashes, swapped one key for two.  The flags kept their spelling, so
+``HELP_DIGESTS`` held, as did every dataset CSV, metrics file, checkpoint
+and ``ablation.json``.
 """
 
 import contextlib
@@ -85,24 +92,24 @@ TRAIN_ARGS = ["train", "--steps", "30", "--gen", "blobs", "--classes", "3", "--n
 
 # sha256 of every file each command leaves under --out, by relative path
 ABLATE_TREE = {
-    "644efe8e1c59-s0/checkpoint.npz": "d007da978751043bbe63d57a1104c7cc3ea72b9c202c3974d2e92b5ff740c713",
-    "644efe8e1c59-s0/manifest.json": "fc5fce87fac15ba1d917024f9f4114942d3046e146633550cad44f20e2a9b477",
-    "644efe8e1c59-s0/metrics.csv": "c710fe873caf14e1bc3c71c64311a3018231a49cb18c9281ed527bd1e4c7160c",
-    "89a7372df7b1-s1/checkpoint.npz": "b98d506855ee73524f813687daee5771b9e46981d62369acad6a877259907cb2",
-    "89a7372df7b1-s1/manifest.json": "ed01769445008e472ab2df0a7fdfb0ab210a7fcbbc471172f9dad0f471c475b7",
-    "89a7372df7b1-s1/metrics.csv": "ee2fac386e54ea4834922f4ec603ecca98c5650bf4393b7af2d600cb43f7a864",
-    "a0a26d05f616-s0/checkpoint.npz": "244245b9d45345b158c48ff839d2993861c1f340fb167a170c08959b540a28fa",
-    "a0a26d05f616-s0/manifest.json": "a0872deabc324773ed143b9416be73c86c8a73532971d4dd38e5fd31bafb3d1a",
-    "a0a26d05f616-s0/metrics.csv": "3d607757af0c61e2adc93becbfb011128dd571b0935caf23a3606146816df3f2",
+    "1ba98d057aba-s0/checkpoint.npz": "d007da978751043bbe63d57a1104c7cc3ea72b9c202c3974d2e92b5ff740c713",
+    "1ba98d057aba-s0/manifest.json": "34fb4b84e5644255d34e9693a7e53b96872cf7e168d7c2bc39672b1da1530587",
+    "1ba98d057aba-s0/metrics.csv": "c710fe873caf14e1bc3c71c64311a3018231a49cb18c9281ed527bd1e4c7160c",
+    "595fa9d45a2c-s0/checkpoint.npz": "244245b9d45345b158c48ff839d2993861c1f340fb167a170c08959b540a28fa",
+    "595fa9d45a2c-s0/manifest.json": "365701336a34925caa6845306939efa7058ecba57e94f2362328a1209f8ad3d4",
+    "595fa9d45a2c-s0/metrics.csv": "3d607757af0c61e2adc93becbfb011128dd571b0935caf23a3606146816df3f2",
     "ablation.json": "ea39aa93eac92a3b57189ec482c99b1d1ffb864660b386c8d6271d2215aac629",
-    "b830c273049e-s1/checkpoint.npz": "62567ae8590dcd030821cdc5432499aad73eb38bf18c67a6517fd41dbadddfaf",
-    "b830c273049e-s1/manifest.json": "9349720634044c00af2e33f1346ed9a6c9baa6bda565085319b832303c1d2785",
-    "b830c273049e-s1/metrics.csv": "150ce51833265c2a9e1d78a917b8c6f2e837adf470ae1bbe3d6eb5d13227a6c4",
+    "d99e13a97160-s1/checkpoint.npz": "62567ae8590dcd030821cdc5432499aad73eb38bf18c67a6517fd41dbadddfaf",
+    "d99e13a97160-s1/manifest.json": "90c574e7636d2ed4b1770e95c6bf439d167bb79c4efe75c4ed31642f3d41c5b9",
+    "d99e13a97160-s1/metrics.csv": "150ce51833265c2a9e1d78a917b8c6f2e837adf470ae1bbe3d6eb5d13227a6c4",
+    "fe63bf52a852-s1/checkpoint.npz": "b98d506855ee73524f813687daee5771b9e46981d62369acad6a877259907cb2",
+    "fe63bf52a852-s1/manifest.json": "ed5cb045e8b167133f66413737ae6c188215331fdf9934ccb32c5cf60ba86a25",
+    "fe63bf52a852-s1/metrics.csv": "ee2fac386e54ea4834922f4ec603ecca98c5650bf4393b7af2d600cb43f7a864",
 }
 TRAIN_TREE = {
-    "a04c599b89d6-s0/checkpoint.npz": "1878ca27b6d3e1a6d006a0f0313b33ba65ac0ac75465cce92d78d2324bf49cfb",
-    "a04c599b89d6-s0/manifest.json": "36d9d13735c478544d0a8ba9b1e62e7c1f79f4b2b5aa25ec83a0e55d92554556",
-    "a04c599b89d6-s0/metrics.csv": "49c30fa11975ba1f117804ec39015f4c1ddd77fcb6d632bfb70d1a13a7400eb7",
+    "0081b164d507-s0/checkpoint.npz": "1878ca27b6d3e1a6d006a0f0313b33ba65ac0ac75465cce92d78d2324bf49cfb",
+    "0081b164d507-s0/manifest.json": "52242c6fbc9395bbe8bb142cda6c6bc9950c5869bbd367c21b5a5673af2d7387",
+    "0081b164d507-s0/metrics.csv": "49c30fa11975ba1f117804ec39015f4c1ddd77fcb6d632bfb70d1a13a7400eb7",
 }
 
 
@@ -115,11 +122,11 @@ DATAGEN_ARGS = {
 DATAGEN_DIGESTS = {
     "defaults": {
         "dataset.csv": "0f9fc565a368b4e3964ba16c9441299fa828a465bdeadfa350db8aae395781d2",
-        "dataset.meta": "3f1d03b7c4fe60de71f63a6bc6f1e6bcc3aaf771bebb2fd51e061691ab84f6ac",
+        "dataset.meta": "634599379b93fe5ec01a2dd3df8c96b4e89839dee69e1e60ce7209d204814ed0",
     },
     "blobs": {
         "dataset.csv": "3ef068aaab2a28b4b4b455bb1a67361ccd4447708ac090401110cc1fc3805909",
-        "dataset.meta": "9b5b7d95ffc4291c22cefd62157cae431c3729faea948842813b71244cee6bec",
+        "dataset.meta": "89421d82706605070881774b67cafddb765670eb36c4ccb3c2c8c76b16a82981",
     },
 }
 
@@ -228,8 +235,8 @@ def test_ablation_metrics_match_golden_digests():
 
 
 def test_cli_run_trees_match_golden_digests(tmp_path, capsys):
-    """Its checkpoint and manifest digests were re-recorded when the
-    checkpoint became ``checkpoint.npz`` (see above); the rest held."""
+    """Its manifest digests and run-directory names were last re-recorded
+    when ``trans`` became ``trans_x`` and ``trans_y`` (see above)."""
     ablate, train = cli_tree_digests(tmp_path)
     assert ablate == ABLATE_TREE
     assert train == TRAIN_TREE
