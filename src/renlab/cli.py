@@ -25,7 +25,7 @@ from .exceptions import ConfigError, ContractError, RenlabError
 from .networks import save_paramsets
 from .recipe import ON_OFF, parse_field, parse_text
 from .trainer import (RunResult, TrainConfig, Trainer, _one_blas_thread, ablation_accuracies,
-                      eval_steps, load_config, parse_config_value, run_ablation)
+                      eval_steps, load_config, parse_config_value, read_config, run_ablation)
 
 TOOL_VERSION = f"renlab {__version__}"
 
@@ -111,9 +111,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    in_file = {} if args.config is None else read_config(args.config)
     for name, axis in (("seed", "--seeds"), ("variant", "--variants")):
         if getattr(args, name) is not None:  # run_ablation sets both for each run
             raise ConfigError(f"ablate takes each run's {name} from {axis}, not --{name}")
+        if name in in_file:
+            raise ConfigError(f"ablate takes each run's {name} from {axis}, "
+                              f"not from config key '{name}' of {args.config}")
     cfg, spec = _recipe_from_args(TrainConfig, args), _recipe_from_args(DataSpec, args)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     seeds = [parse_config_value("seed", s) for s in args.seeds.split(",") if s.strip()]

@@ -95,8 +95,10 @@ def ablation_report(results: dict[str, dict[int, float]],
     results maps variant name -> {seed: final accuracy}.  The ordering check
     walks ABLATION_CHAIN restricted to the variants present: each mean may
     fall below its predecessor by at most `tolerance` (0.5 accuracy points
-    by default, with accuracies on the 0..1 scale).
+    by default, with accuracies on the 0..1 scale), which must be finite.
     """
+    if not math.isfinite(tolerance):  # nan would fail every link, inf pass every one
+        raise ContractError(f"ablation tolerance must be finite, got {tolerance}")
     variants = {}
     for name in sorted(results):
         per_seed = results[name]

@@ -27,6 +27,18 @@ works on each matrix of a stack as on a lone matrix, with the same numpy
 kernels, so each seed of a stack gets the bits of its own rank-2 run.  The
 operands of a binary op share their leading axis.  A scalar loss has shape
 (1, 1), or (S, 1, 1) for one loss per seed.
+
+Every tensor holds finite values only, and a NonFiniteError names the op
+that first made a NaN or an infinity.  The leaves are tested, and so is the
+output of every op that can turn finite inputs into a non-finite value.
+The ops of ``_FINITE_ON_FINITE`` cannot, so their output is not tested
+again: relu (the larger of an input and 0), sigmoid (1/(1+e) or e/(1+e)
+with e = exp(-|x|) in [0, 1]), softmax_rows (exp of an input minus its
+row's maximum is in [0, 1], a difference that overflows only to -inf, so
+each row sums to at least 1), grad_reverse, gather_rows, slice_rows and
+concat_rows (copies of input entries).  A replaying graph tests each
+replayed selection output once, when it is built, so a replayed relu, which
+mixes its input with that output, stays finite too.
 """
 
 from __future__ import annotations
@@ -80,13 +92,14 @@ def stable_softmax(arr: np.ndarray) -> np.ndarray:
 
 
 def stable_sigmoid(arr: np.ndarray) -> np.ndarray:
-    """Elementwise logistic function; exp only ever sees non-positive input."""
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    e = np.exp(arr[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    """Elementwise logistic function; exp only ever sees non-positive input.
+
+    1/(1+exp(-x)) where x >= 0 and exp(x)/(1+exp(x)) elsewhere: both
+    branches share e = exp(-|x|), and each entry takes its own.
+    """
+    e = np.exp(-np.abs(arr))
+    d = 1.0 + e
+    return np.where(arr >= 0, 1.0 / d, e / d)
 
 
 class Tensor:
@@ -145,12 +158,18 @@ class Graph:
     in call order.  A forward-only graph given another graph's selections
     as ``replay`` makes each relu/clamp output ``np.where(mask, x, output)``
     instead: the recorded branch, broadcast over the input's extra leading
-    axes, and the op's own output bit for bit where no mask flips.
+    axes, and the op's own output bit for bit where no mask flips.  Each
+    replayed output is tested for finiteness here, once (see the module
+    docstring).
     """
 
     def __init__(self, record: bool = True, replay: list | None = None):
         if record and replay is not None:
             raise ContractError("replay needs a forward-only graph")
+        for i, (op, _, out) in enumerate(replay or ()):
+            if not _all_finite(out):
+                raise NonFiniteError(f"op '{op}' of replayed selection {i + 1} holds NaN "
+                                     "or infinity")
         self.nodes: list[Node] = []
         self.record = record
         self._param_ids: list[int] = []  # node ids of the parameter leaves
@@ -244,14 +263,21 @@ class Graph:
 
 # The one record path of every op, written out twice so that an op costs no
 # call beyond its own: check that a binary op's operands share a graph, run
-# the finiteness test of _all_finite on the output, and append a node with
-# one (parent id, vjp) pair per input on the tape, if any input is on it.
+# the finiteness test of _all_finite on the output unless the op is in
+# _FINITE_ON_FINITE, and append a node with one (parent id, vjp) pair per
+# input on the tape, if any input is on it.  Every tensor is finite, so the
+# inputs are, and an op of _FINITE_ON_FINITE then makes a finite output
+# (the reason for each is in the module docstring); every other op is
+# tested, so the first op to make a non-finite value is the one named.
 # ``out`` must already be a fresh C-contiguous float64 matrix or stack;
 # every op's forward makes one.
 
+_FINITE_ON_FINITE = frozenset({"relu", "sigmoid", "softmax_rows", "grad_reverse",
+                               "gather_rows", "slice_rows", "concat_rows"})
+
 
 def _unary(op: str, x: Tensor, out: np.ndarray, vjp) -> Tensor:
-    if not _and_reduce(_isfinite(out), axis=None):
+    if op not in _FINITE_ON_FINITE and not _and_reduce(_isfinite(out), axis=None):
         raise NonFiniteError(f"op '{op}' produced NaN or infinity")
     t = Tensor.__new__(Tensor)
     t.values = out
@@ -270,7 +296,7 @@ def _binary(op: str, a: Tensor, b: Tensor, out: np.ndarray, vjp_a, vjp_b) -> Ten
     graph = a.graph
     if b.graph is not graph:
         raise ContractError("operands belong to different graphs")
-    if not _and_reduce(_isfinite(out), axis=None):
+    if op not in _FINITE_ON_FINITE and not _and_reduce(_isfinite(out), axis=None):
         raise NonFiniteError(f"op '{op}' produced NaN or infinity")
     t = Tensor.__new__(Tensor)
     t.values = out
@@ -300,8 +326,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     av, bv = a.values, b.values
     if av.shape[-1] != bv.shape[-2] or av.shape[:-2] != bv.shape[:-2]:
         raise ShapeError(f"matmul shapes {a.shape} and {b.shape} do not chain")
-    return _binary("matmul", a, b, av @ bv, lambda grad: grad @ bv.swapaxes(-1, -2),
-                   lambda grad: av.swapaxes(-1, -2) @ grad)
+    if bv.shape[-1] == 1:  # grad @ b^T is an outer product, as in the discriminator head
+        def vjp_a(grad):
+            # one product per entry, added to +0.0 as matmul adds it, so a
+            # zero product reads +0.0 as it does from matmul
+            out = grad * bv.swapaxes(-1, -2)
+            out += 0.0
+            return out
+    else:
+        def vjp_a(grad):
+            return grad @ bv.swapaxes(-1, -2)
+
+    return _binary("matmul", a, b, av @ bv, vjp_a, lambda grad: av.swapaxes(-1, -2) @ grad)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -310,7 +346,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if broadcast and b.shape != a.shape[:-2] + (1, a.shape[-1]):
         raise ShapeError(f"add shapes {a.shape} and {b.shape} incompatible")
     return _binary("add", a, b, a.values + b.values, lambda grad: grad.copy(),
-                   lambda grad: grad.sum(axis=-2, keepdims=True) if broadcast else grad.copy())
+                   lambda grad: np.add.reduce(grad, axis=-2, keepdims=True) if broadcast
+                   else grad.copy())
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -476,12 +513,16 @@ def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
 
 
 def multilinear(f: Tensor, p: Tensor) -> Tensor:
-    """Row-wise flattened outer product: out[..., i, j*c + k] = f[..., i, j] * p[..., i, k]."""
+    """Row-wise flattened outer product: out[..., i, j*c + k] = f[..., i, j] * p[..., i, k].
+
+    einsum adds each product to +0.0, so a zero product reads +0.0 whatever
+    the signs of its factors.
+    """
     fv, pv = f.values, p.values
     if fv.shape[:-1] != pv.shape[:-1]:
         raise ShapeError(f"batch sizes differ: {fv.shape} vs {pv.shape}")
     rows, d, c = fv.shape[:-1], fv.shape[-1], pv.shape[-1]
-    out = (fv[..., :, None] * pv[..., None, :]).reshape(rows + (d * c,))
+    out = np.einsum("...i,...j->...ij", fv, pv).reshape(rows + (d * c,))
     return _binary("multilinear", f, p, out,
                    lambda grad: np.einsum("...ijk,...ik->...ij", grad.reshape(rows + (d, c)), pv),
                    lambda grad: np.einsum("...ijk,...ij->...ik", grad.reshape(rows + (d, c)), fv))

@@ -99,12 +99,15 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
+def read_config(path) -> dict:
+    """The parsed `key = value` lines of the config file at `path`."""
+    with open_text(path, ConfigError) as fh:
+        return parse_config_text(fh.read())
+
+
 def load_config(path=None, **overrides) -> TrainConfig:
     """The config file at `path`, if one is given, under `overrides`."""
-    values = {}
-    if path is not None:
-        with open_text(path, ConfigError) as fh:
-            values = parse_config_text(fh.read())
+    values = {} if path is None else read_config(path)
     return TrainConfig(**{**values, **overrides})
 
 

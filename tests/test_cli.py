@@ -518,6 +518,35 @@ def test_ablate_refuses_the_flags_its_sweep_sets(tmp_path, capsys, monkeypatch, 
     assert not built and not out.exists()
 
 
+@pytest.mark.parametrize("lines, key", [
+    ("seed = 7\n", "seed"),
+    ("variant = cdan\n", "variant"),
+    ("variant = cdan\nseed = 7\n", "seed"),
+], ids=["seed", "variant", "both"])
+def test_ablate_refuses_a_config_file_that_sets_what_its_sweep_sets(tmp_path, capsys,
+                                                                     monkeypatch, lines, key):
+    built = []
+    monkeypatch.setattr(renlab.cli, "make_domain_dataset", lambda *args: built.append(args))
+    cfg, out = tmp_path / "run.cfg", tmp_path / "runs"
+    cfg.write_text("gamma = 2.0\n" + lines)
+    assert main(["ablate", "--config", str(cfg), "--variants", "source_only", "--seeds", "0",
+                 "--n", "60", "--steps", "0", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: ablate takes each run's {key} from --{key}s, "
+                   f"not from config key '{key}' of {cfg}\n")
+    assert not built and not out.exists()
+
+
+def test_ablate_takes_every_other_key_of_a_config_file(tmp_path, capsys):
+    cfg, out = tmp_path / "run.cfg", tmp_path / "runs"
+    cfg.write_text("gamma = 2.0\neta0 = 0.02\n")
+    assert main(["ablate", "--config", str(cfg), "--variants", "source_only", "--seeds", "3",
+                 "--n", "60", "--steps", "0", "--out", str(out)]) == 0
+    (manifest,) = [json.loads(p.read_text()) for p in out.glob("*/manifest.json")]
+    assert manifest["config"] == asdict(TrainConfig(gamma=2.0, eta0=0.02, total_steps=0,
+                                                    seed=3, variant="source_only"))
+
+
 def test_report_reaggregates_run_directories(tmp_path, capsys):
     main(["ablate", "--variants", "cdan,ren", "--seeds", "0",
           "--n", "60", "--steps", "30", "--eval-every", "15",

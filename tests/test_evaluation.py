@@ -201,6 +201,16 @@ def test_ablation_report_missing_variant():
         ablation_report({"cdan": {}})
 
 
+@pytest.mark.parametrize("tolerance", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_ablation_report_refuses_a_non_finite_tolerance(tolerance):
+    # nan would fail every link and inf pass every one, both without a word,
+    # and save_ablation would write nan as JSON's invalid NaN
+    with pytest.raises(ContractError, match="^ablation tolerance must be finite, got"):
+        ablation_report(chain_results(0.60, 0.59, 0.65, 0.70), tolerance=tolerance)
+    strict = ablation_report(chain_results(0.60, 0.62, 0.65, 0.70), tolerance=-0.025)
+    assert [s["holds"] for s in strict["ordering"]["steps"]] == [False, True, True]
+
+
 def test_ablation_report_handles_partial_chains():
     rep = ablation_report({"ren": {0: 0.7, 1: 0.72}, "source_only": {0: 0.6, 1: 0.61}})
     assert rep["ordering"]["chain"] == ["ren"]  # source_only is outside the chain

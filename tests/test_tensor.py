@@ -1,5 +1,6 @@
 """Autodiff core: forward values, gradients vs central differences, tape rules."""
 
+import contextlib
 import gc
 import math
 import re
@@ -621,6 +622,154 @@ def test_finiteness_check_is_exact_on_edge_arrays():
             g.constant(arr)
         with pytest.raises(NonFiniteError):
             rec.parameter(arr)
+
+
+BIG, TINY = np.finfo(np.float64).max, np.finfo(np.float64).tiny
+# finite rows at float64's extremes: mixed signs and magnitudes, a row of
+# one value, zeros of both signs, subnormals
+EDGE_ROWS = np.array([[BIG, -BIG, 5e-324, 0.0],
+                      [-TINY, TINY, -0.0, -5e-324],
+                      [BIG, BIG, BIG, BIG],
+                      [-BIG, -BIG, -TINY, 1.0],
+                      [-0.0, 0.0, -0.0, 0.0]])
+EDGE_STACK = np.stack([EDGE_ROWS, -EDGE_ROWS, EDGE_ROWS[::-1]])
+
+# one op per name of _FINITE_ON_FINITE, on a parameter x
+FINITE_ON_FINITE_BUILDERS = {
+    "relu": T.relu,
+    "sigmoid": T.sigmoid,
+    "softmax_rows": T.softmax_rows,
+    "grad_reverse": lambda x: T.grad_reverse(x, 1.0),
+    "gather_rows": lambda x: T.gather_rows(x, np.arange(math.prod(x.shape[:-1])) % x.shape[-1]),
+    "slice_rows": lambda x: T.slice_rows(x, 1, 4),
+    "concat_rows": lambda x: T.concat_rows(x, x),
+}
+
+
+@pytest.mark.parametrize("edges", [EDGE_ROWS, EDGE_STACK], ids=["rank-2", "stack"])
+@pytest.mark.parametrize("op", sorted(FINITE_ON_FINITE_BUILDERS))
+def test_an_op_whose_output_is_not_retested_keeps_finite_inputs_finite(op, edges):
+    assert set(FINITE_ON_FINITE_BUILDERS) == T._FINITE_ON_FINITE
+    g = T.Graph()
+    # softmax's max shift overflows to -inf on rows holding both -BIG and
+    # BIG, and exp takes that to 0; every other op runs without a warning
+    with np.errstate(over="ignore") if op == "softmax_rows" else contextlib.nullcontext():
+        out = FINITE_ON_FINITE_BUILDERS[op](g.parameter(edges))
+    assert g.nodes[-1].op == op
+    assert np.isfinite(out.values).all()
+
+
+def test_every_op_whose_output_is_not_retested_is_one_a_function_records():
+    recorded = set()
+    for build in OP_BUILDERS.values():
+        g = T.Graph()
+        build(*_op_inputs(g))
+        recorded.add(g.nodes[-1].op)
+    assert recorded == set(OP_BUILDERS) - {"neg"}  # neg records a scale node
+    assert T._FINITE_ON_FINITE < recorded
+
+
+@pytest.mark.parametrize("record", [True, False], ids=["recorded", "forward-only"])
+@pytest.mark.parametrize("op, build", [
+    ("scale", lambda g: T.scale(g.parameter([[BIG]]), 2.0)),
+    ("add", lambda g: T.add(g.parameter([[BIG, 1.0]]), g.parameter([[BIG, 1.0]]))),
+    ("matmul", lambda g: T.matmul(g.parameter([[BIG, BIG]]), g.parameter([[1.0], [1.0]]))),
+    ("log", lambda g: T.log(g.parameter([[1.0, 0.0]]))),
+    ("clamp", lambda g: T.clamp(g.parameter([[0.0]]), lo=math.inf)),
+], ids=["scale", "add", "matmul", "log", "clamp"])
+def test_an_op_whose_output_is_retested_still_names_itself(op, build, record):
+    assert op not in T._FINITE_ON_FINITE
+    g = T.Graph(record=record)
+    with np.errstate(over="ignore", divide="ignore"):
+        with pytest.raises(NonFiniteError, match=f"^op '{op}' produced NaN or infinity$"):
+            build(g)
+
+
+def test_a_replay_of_a_non_finite_selection_is_refused_when_the_graph_is_built():
+    base = T.Graph(record=False)
+    _relu_then_clip(base, np.array([[-1.0, 2.0]]))
+    (relu, mask, out), clip = base.selections
+    bad = out.copy()
+    bad[0, 0] = np.nan  # where the mask holds relu at its recorded output
+    with pytest.raises(NonFiniteError,
+                       match="^op 'relu' of replayed selection 1 holds NaN or infinity$"):
+        T.Graph(record=False, replay=[(relu, mask, bad), clip])
+    # a clamp keeps its selection before its own test refuses its output
+    rec = T.Graph(record=False)
+    with pytest.raises(NonFiniteError, match="^op 'clamp' produced"):
+        T.clamp(rec.constant([[0.0]]), lo=math.inf)
+    with pytest.raises(NonFiniteError, match="^op 'clamp' of replayed selection 1 holds"):
+        T.Graph(record=False, replay=rec.selections)
+
+
+# The kernels the tape ran before, kept as references for the cheaper ones
+# that replaced them.
+
+def _sigmoid_by_masks(arr):
+    out = np.empty_like(arr)
+    pos = arr >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
+    e = np.exp(arr[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def _multilinear_by_broadcast(fv, pv):
+    rows, d, c = fv.shape[:-1], fv.shape[-1], pv.shape[-1]
+    return (fv[..., :, None] * pv[..., None, :]).reshape(rows + (d * c,))
+
+
+def _matmul_left_vjp(grad, bv):
+    return grad @ bv.swapaxes(-1, -2)
+
+
+SIGMOID_EDGES = [0.0, -0.0, 36.0, -36.0, 710.0, -710.0, 745.0, -745.0, 5e-324, -5e-324,
+                 TINY, -TINY, TINY / 3, BIG, -BIG, math.inf, -math.inf]
+
+
+def test_stable_sigmoid_gives_the_bits_of_the_masked_kernel(rng):
+    edges = np.array(SIGMOID_EDGES)
+    for arr in (edges.reshape(1, -1), edges.reshape(-1, 1), np.stack([edges.reshape(1, -1)] * 3),
+                rng.normal(scale=30.0, size=(6, 5)), rng.normal(scale=300.0, size=(3, 6, 5))):
+        assert T.stable_sigmoid(arr).tobytes() == _sigmoid_by_masks(arr).tobytes()
+
+
+def test_multilinear_gives_the_bits_of_the_broadcast_product_but_a_zero_s_sign(rng):
+    # the condition rows reach the op as a constant made from a zero-stride
+    # broadcast, as checks.loss_check_suite passes them
+    f = np.concatenate([rng.normal(size=(3, 6, 4)), np.stack([EDGE_ROWS[:, :4] / 2] * 3)], axis=1)
+    probs = np.concatenate([T.stable_softmax(rng.normal(scale=40.0, size=(6, 3))),
+                            [[1.0, 0.0, 0.0], [TINY, 5e-324, 1.0], [0.5, 0.5, 0.0],
+                             [0.0, 1.0, 0.0], [1 / 3, 1 / 3, 1 / 3]]])
+    for fv in (f, f[0]):
+        pv = np.broadcast_to(probs, fv.shape[:-1] + (3,))
+        g = T.Graph()
+        new = T.multilinear(g.parameter(fv), g.constant(pv)).values
+        ref = _multilinear_by_broadcast(fv, pv)
+        # the features the model feeds in are relu outputs, so none is negative
+        relu = np.maximum(fv, 0.0)
+        assert (T.multilinear(g.parameter(relu), g.constant(pv)).values.tobytes()
+                == _multilinear_by_broadcast(relu, pv).tobytes())
+        # with a negative factor, a zero product is -0.0 in the reference and
+        # +0.0 in einsum's sum; every other entry has the same bits
+        differs = new.view(np.int64) != ref.view(np.int64)
+        assert differs.any() and np.array_equal(new, ref)
+        assert (ref[differs] == 0.0).all() and np.signbit(ref[differs]).all()
+        assert not np.signbit(new[differs]).any()
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["rank-2", "stack"])
+def test_matmul_by_one_column_gives_the_left_vjp_bits_of_the_product(rng, lead):
+    edges = np.array([0.0, -0.0, 5e-324, -5e-324, TINY, -TINY, 1e-200, -1e-200, 1e150, -1e150])
+    bv = np.concatenate([rng.normal(size=lead + (4, 1)),
+                         np.broadcast_to(edges[:, None], lead + (10, 1))], axis=-2)
+    for grad in (rng.normal(size=lead + (5, 1)), np.tile(edges[:, None], lead + (1, 1))):
+        g = T.Graph()
+        T.matmul(g.parameter(np.ones(grad.shape[:-1] + (14,))), g.parameter(bv))
+        ((_, vjp_a), _) = g.nodes[-1].parents
+        got = vjp_a(grad)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == _matmul_left_vjp(grad, bv).tobytes()
 
 
 def _watch_vjps(g, seen, hold=lambda arr: arr):
